@@ -23,6 +23,7 @@ from . import matrices as M
 from . import presentations as P
 from . import selftest
 from .parser import ParseError, parse_formula, print_formula
+from .torus import TorusBoundFailure
 
 SCHEMA = 1
 
@@ -402,7 +403,8 @@ def main(argv=None) -> int:
     except coding.BadItem as exc:
         return _fail("bad-item", str(exc))
     except (F.FormulaError, G.GroupError, FC.ForcingError, E.EvalError,
-            P.PresentationError, ValueError) as exc:
+            P.PresentationError, M.MatrixError, TorusBoundFailure,
+            ValueError) as exc:
         return _fail(type(exc).__name__.lower(), str(exc))
 
 

@@ -66,8 +66,11 @@ class EvalResult:
 
     def __post_init__(self):
         if self.certified_lower is not None and self.certified_upper is not None:
-            assert self.certified_lower <= self.certified_upper
-            assert self.certified_lower <= self.estimate <= self.certified_upper
+            if not self.certified_lower <= self.estimate <= self.certified_upper:
+                raise EvalError(
+                    f"certified bounds out of order: {self.certified_lower} <= "
+                    f"{self.estimate} <= {self.certified_upper} fails"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,26 @@
 """Exact rational linear programming for feasibility with strict margins.
 
-A small dense two-phase simplex over Fractions with Bland's rule (so pivoting
-is deterministic and never cycles).  Problems are stated over named variables
-that are implicitly >= 0; constraints are LinExpr <= LinExpr.  Strict systems
-are decided through their margin LP: maximize eps subject to the strict
-constraints tightened by eps; the system has a solution iff the optimum is
-positive, and the optimal basic solution is an exact rational witness.
+A two-phase simplex with Bland's rule (so pivoting is deterministic and never
+cycles) on a fraction-free, sparse integer tableau: each row is a list of
+ints that is a positive multiple of the exact rational row, and its basic
+column holds that multiple.  A pivot touches only the nonzero columns of the
+pivot row (row <- piv*row - row[c]*pivot_row, with gcd(piv, row[c]) taken
+out first) and divides a row by its gcd whenever its multiple grows; sign
+tests read the integers, ratios are compared by cross-multiplying,
+and values are read off the basis as rhs/scale.  Every choice is made on the
+same rational values as a dense Fraction tableau, so the same optimal vertex
+comes back.  Problems are stated over named variables that are implicitly
+>= 0; constraints are LinExpr <= LinExpr.  Strict systems are decided
+through their margin LP: maximize eps subject to the strict constraints
+tightened by eps; the system has a solution iff the optimum is positive,
+and the optimal basic solution is an exact rational witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 OPTIMAL = "optimal"
@@ -37,8 +46,8 @@ class LinExpr:
     def as_dict(self) -> dict[str, Fraction]:
         out: dict[str, Fraction] = {}
         for name, c in self.coeffs:
-            out[name] = out.get(name, Fraction(0)) + c
-        return {k: v for k, v in out.items() if v != 0}
+            out[name] = out[name] + c if name in out else c
+        return {k: v for k, v in out.items() if v}
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
         return LinExpr(self.coeffs + other.coeffs, self.const + other.const)
@@ -79,57 +88,83 @@ class LPResult:
     point: dict = field(default_factory=dict)
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            tableau[r] = [v - factor * w for v, w in zip(tableau[r], tableau[row])]
-    basis[row] = col
+def _eliminate(row: list[int], factor: int, piv: int,
+               pivot_nonzeros: list[tuple[int, int]]) -> list[int]:
+    """a*row - b*pivot_row with a/b = piv/factor in lowest terms, over the
+    pivot row's nonzero columns; a positive multiple of the exact row, since
+    piv > 0.  When a > 1 the row's scale grows, so the row is divided by its
+    gcd; when a == 1 the scale is unchanged and the row is updated in place."""
+    g = gcd(piv, factor)
+    a, b = piv // g, factor // g
+    if a != 1:
+        row = [a * v for v in row]
+    for j, w in pivot_nonzeros:
+        row[j] -= b * w
+    if a == 1:
+        return row
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int],
-                 cost: list[Fraction], allowed_cols: int) -> Fraction:
-    """Maximize over the tableau in place; returns the objective value.
+def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int) -> list[tuple[int, int]]:
+    """Make column c basic in row r (rows[r][c] > 0); returns the pivot
+    row's nonzero columns.  The pivot row itself is unchanged: its entry in
+    column c becomes its scale."""
+    prow = rows[r]
+    piv = prow[c]
+    nonzeros = [(j, w) for j, w in enumerate(prow) if w]
+    for q, row in enumerate(rows):
+        if q != r and row[c]:
+            rows[q] = _eliminate(row, row[c], piv, nonzeros)
+    basis[r] = c
+    return nonzeros
 
-    `cost` is the full cost row (length = columns, no constant); reduced costs
-    are maintained in an extra working row.  Bland's rule on both choices.
+
+def _reduced_costs(rows: list[list[int]], basis: list[int],
+                   cost: dict[int, Fraction], width: int) -> list[int]:
+    """A positive multiple of the reduced-cost row z_j - c_j (rhs last)."""
+    terms = [(r, cost[b]) for r, b in enumerate(basis) if b in cost]
+    den = lcm(*(c.denominator for c in cost.values()),
+              *(c.denominator * rows[r][basis[r]] for r, c in terms))
+    z = [0] * width
+    for j, c in cost.items():
+        z[j] = -c.numerator * (den // c.denominator)
+    for r, c in terms:
+        row = rows[r]
+        k = c.numerator * (den // (c.denominator * row[basis[r]]))
+        z = [v + k * w for v, w in zip(z, row)]
+    g = gcd(*z)
+    return [v // g for v in z] if g > 1 else z
+
+
+def _run_simplex(rows: list[list[int]], basis: list[int],
+                 cost: dict[int, Fraction], allowed_cols: int, width: int) -> None:
+    """Maximize sum cost[j]*x_j over the tableau in place.
+
+    Bland's rule on both choices: the lowest column with a negative reduced
+    cost enters; the row with the least ratio rhs/entry leaves, ties going
+    to the lowest basic column.  Ratios are compared by cross-multiplying
+    the integers, since a row's scale cancels.
     """
-    m = len(tableau)
-    width = len(tableau[0])  # columns + 1 for rhs
-    # reduced-cost row: z_j - c_j style; build from scratch
-    zrow = [Fraction(0)] * width
-    for j in range(width):
-        zrow[j] = -cost[j] if j < width - 1 else Fraction(0)
-    for r in range(m):
-        cb = cost[basis[r]]
-        if cb != 0:
-            zrow = [z + cb * v for z, v in zip(zrow, tableau[r])]
+    z = _reduced_costs(rows, basis, cost, width)
     while True:
-        entering = -1
-        for j in range(allowed_cols):
-            if zrow[j] < 0:
-                entering = j
-                break
+        entering = next((j for j in range(allowed_cols) if z[j] < 0), -1)
         if entering < 0:
-            return zrow[-1]
+            return
         leaving = -1
-        best: Optional[Fraction] = None
-        for r in range(m):
-            a = tableau[r][entering]
+        for r, row in enumerate(rows):
+            a = row[entering]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leaving]
+                b = row[-1]
+                if leaving < 0 or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[r] < basis[leaving]
                 ):
-                    best = ratio
-                    leaving = r
+                    leaving, best_b, best_a = r, b, a
         if leaving < 0:
             raise _Unbounded()
-        piv_factor = zrow[entering]
-        _pivot(tableau, basis, leaving, entering)
-        zrow = [z - piv_factor * v for z, v in zip(zrow, tableau[leaving])]
+        piv = rows[leaving][entering]
+        nonzeros = _pivot(rows, basis, leaving, entering)
+        z = _eliminate(z, z[entering], piv, nonzeros)
 
 
 class _Unbounded(Exception):
@@ -139,83 +174,69 @@ class _Unbounded(Exception):
 def maximize(objective: LinExpr,
              constraints: list[tuple[LinExpr, LinExpr]]) -> LPResult:
     """Maximize `objective` subject to lhs <= rhs constraints, variables >= 0."""
-    names = sorted(
-        set(objective.as_dict())
-        | {n for lhs, rhs in constraints for n in {**lhs.as_dict(), **rhs.as_dict()}}
-    )
-    col = {n: j for j, n in enumerate(names)}
-    n = len(names)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for lhs, rhs_e in constraints:
-        row = [Fraction(0)] * n
-        for name, c in lhs.as_dict().items():
-            row[col[name]] += c
-        for name, c in rhs_e.as_dict().items():
-            row[col[name]] -= c
-        rows.append(row)
-        rhs.append(rhs_e.const - lhs.const)
-    m = len(rows)
-    # equality form with slacks; negate rows with negative rhs and add
-    # artificials where the slack then points the wrong way
+    objective_coeffs = objective.as_dict()
+    sides = [(lhs.as_dict(), rhs.as_dict(), rhs.const - lhs.const)
+             for lhs, rhs in constraints]
+    names = sorted(set(objective_coeffs).union(
+        *(left.keys() | right.keys() for left, right, _ in sides)
+    ))
+    col = {name: j for j, name in enumerate(names)}
+    n, m = len(names), len(sides)
+    # equality form with slacks; rows with negative rhs are negated and get
+    # an artificial, since their slack then points the wrong way
     total = n + m
-    artificial_cols: list[int] = []
-    tableau: list[list[Fraction]] = []
+    n_art = sum(b < 0 for _, _, b in sides)
+    width = total + n_art + 1
+    rows: list[list[int]] = []
     basis: list[int] = []
-    needs_artificial = [rhs[i] < 0 for i in range(m)]
-    n_art = sum(needs_artificial)
-    total_cols = total + n_art
-    art_seen = 0
-    for i in range(m):
-        row = list(rows[i])
-        b = rhs[i]
-        slack = [Fraction(0)] * m
-        slack[i] = Fraction(1)
-        if needs_artificial[i]:
-            row = [-v for v in row]
-            b = -b
-            slack[i] = Fraction(-1)
-        art = [Fraction(0)] * n_art
-        if needs_artificial[i]:
-            art[art_seen] = Fraction(1)
-            artificial_cols.append(total + art_seen)
-            art_seen += 1
-        tableau.append(row + slack + art + [b])
-        basis.append(
-            total + art_seen - 1 if needs_artificial[i] else n + i
-        )
+    next_artificial = total
+    for i, (left, right, b) in enumerate(sides):
+        # row = scale * (left - right | b) with a positive integer scale
+        scale = lcm(b.denominator, *(c.denominator for c in left.values()),
+                    *(c.denominator for c in right.values()))
+        sign = -1 if b < 0 else 1
+        row = [0] * width
+        for name, c in left.items():
+            row[col[name]] = sign * c.numerator * (scale // c.denominator)
+        for name, c in right.items():
+            row[col[name]] -= sign * c.numerator * (scale // c.denominator)
+        row[-1] = sign * b.numerator * (scale // b.denominator)
+        row[n + i] = sign * scale
+        if b < 0:
+            basis.append(next_artificial)
+            next_artificial += 1
+        else:
+            basis.append(n + i)
+        row[basis[-1]] = scale
+        rows.append(row)
     if n_art:
-        cost1 = [Fraction(0)] * total_cols
-        for j in artificial_cols:
-            cost1[j] = Fraction(-1)
-        cost1.append(Fraction(0))
+        artificial = {j: Fraction(-1) for j in range(total, total + n_art)}
         try:
-            value1 = _run_simplex(tableau, basis, cost1, total_cols)
+            _run_simplex(rows, basis, artificial, total + n_art, width)
         except _Unbounded:  # pragma: no cover - phase 1 is bounded
             raise AssertionError("phase 1 cannot be unbounded")
-        if value1 != 0:
+        if any(row[-1] for row, j in zip(rows, basis) if j >= total):
             return LPResult(INFEASIBLE)
         # drive leftover artificials out of the basis
         for r in range(m):
-            if basis[r] in artificial_cols:
+            if basis[r] >= total:
                 for j in range(total):
-                    if tableau[r][j] != 0:
-                        _pivot(tableau, basis, r, j)
+                    if rows[r][j] != 0:
+                        if rows[r][j] < 0:
+                            rows[r] = [-v for v in rows[r]]
+                        _pivot(rows, basis, r, j)
                         break
-    cost2 = [Fraction(0)] * total_cols
-    for name, c in objective.as_dict().items():
-        cost2[col[name]] = c
-    cost2.append(Fraction(0))
+    cost = {col[name]: c for name, c in objective_coeffs.items()}
     try:
         # artificials stay frozen at zero: entering columns restricted
-        value = _run_simplex(tableau, basis, cost2, total)
+        _run_simplex(rows, basis, cost, total, width)
     except _Unbounded:
         return LPResult(UNBOUNDED)
-    point = {name: Fraction(0) for name in names}
-    for r in range(m):
-        if basis[r] < n:
-            point[names[basis[r]]] = tableau[r][-1]
-    return LPResult(OPTIMAL, value + objective.const, point)
+    point = dict.fromkeys(names, Fraction(0))
+    for row, j in zip(rows, basis):
+        if j < n:
+            point[names[j]] = Fraction(row[-1], row[j])
+    return LPResult(OPTIMAL, objective.value_at(point), point)
 
 
 def feasible_margin(nonstrict: list[tuple[LinExpr, LinExpr]],

@@ -726,14 +726,13 @@ class _WordOrder:
         return self._cache_index[word]
 
 
-_WORD_ORDERS: dict[int, _WordOrder] = {}
-
-
 def _word_order(spec: GroupSpec) -> _WordOrder:
-    key = id(spec)
-    if key not in _WORD_ORDERS:
-        _WORD_ORDERS[key] = _WordOrder(spec)
-    return _WORD_ORDERS[key]
+    """The spec's word order, cached on the spec so that it dies with it."""
+    order = getattr(spec, "_word_order", None)
+    if order is None:
+        order = _WordOrder(spec)
+        object.__setattr__(spec, "_word_order", order)
+    return order
 
 
 def enumerate_group_algebra(spec: GroupSpec, index: int) -> AlgebraElement:

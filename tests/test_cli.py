@@ -140,3 +140,53 @@ def test_cli_entrypoint_subprocess():
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["label"] == "Σ_2^d"
+
+
+def _typed_error(args, stdin_text=""):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    stdin_backup = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(args)
+    finally:
+        sys.stdin = stdin_backup
+    return status, out.getvalue(), err.getvalue().splitlines()
+
+
+def test_torus_failure_is_a_typed_error(tmp_path, monkeypatch):
+    from contlogic import presentations
+    from contlogic.torus import TorusBoundFailure
+
+    def fail(support, k):
+        raise TorusBoundFailure("box budget exhausted")
+
+    monkeypatch.setattr(presentations, "torus_sup_norm", fail)
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text(GROUP_CFG)
+    status, out, err = _typed_error(
+        ["eval", "--presentation", "Cstar", "--group", str(cfg),
+         "--budget-points", "2", "--precision", "2", "--bind", "c1=1"],
+        "d(c1, adj(c1))",
+    )
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "torusboundfailure", "message": "box budget exhausted"
+    }
+
+
+def test_matrix_error_is_a_typed_error(monkeypatch):
+    from contlogic import matrices
+
+    def fail(a, k):
+        raise matrices.ZeroVector("zero vector")
+
+    monkeypatch.setattr(matrices, "two_norm", fail)
+    status, out, err = _typed_error(["norm", "--matrix-index", "3"])
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "zerovector", "message": "zero vector"}

@@ -304,3 +304,13 @@ def test_classify_rejects_open_formulas():
     code = coding.encode(d(x, x), F.METRIC)
     with pytest.raises(E.WrongPrefixClass):
         E.classify(code, "<=", 1)
+
+
+def test_eval_result_rejects_disordered_bounds():
+    # an explicit check, not an assert, so it also holds under python -O
+    with pytest.raises(E.EvalError):
+        E.EvalResult(Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), {}, Fraction(0))
+    with pytest.raises(E.EvalError):
+        E.EvalResult(Fraction(0), Fraction(1, 2), Fraction(3, 4), {}, Fraction(0))
+    ok = E.EvalResult(Fraction(0), Fraction(1, 2), Fraction(1, 4), {}, Fraction(0))
+    assert ok.estimate == Fraction(1, 4)

@@ -378,3 +378,16 @@ def test_z2_projection_moments(z2_table):
     # so the root bounds sweep up toward 1
     assert G.lambda_norm_lower(p, 16, 10) > Fraction(95, 100)
     assert G.l1_norm(p) == 1
+
+
+def test_word_order_dies_with_its_spec():
+    import gc
+    import weakref
+
+    spec = G.rewriting_group(("a",), [("aaa", ""), ("A", "aa")])
+    assert G._word_order(spec) is G._word_order(spec)
+    G.enumerate_group_algebra(spec, 5)
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None

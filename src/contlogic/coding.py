@@ -262,14 +262,6 @@ def decode(code: int) -> F.Formula:
     return decode_full(code)[1]
 
 
-def is_code(code: int) -> bool:
-    try:
-        decode(code)
-        return True
-    except NotACode:
-        return False
-
-
 def coding_f(p: int, n: int) -> int:
     """Code of (formula_p -. 2^-n), the 2^-n built as Half^n(One)."""
     if n < 0:

@@ -4,6 +4,11 @@ Every function here takes exact Fractions in and returns exact Fractions out;
 no floating point is used anywhere.  Square roots and n-th roots are bounded
 by integer-root computations on scaled numerators/denominators, so each bound
 carries an arithmetic proof of its own correctness (lo**n <= x <= hi**n).
+Both grid roots scale x by a power of two and take one integer n-th root
+(`int_nth_root`) of the floored numerator; nothing bisects.  Their radicands
+are the exact trace moments of the integer kernels: an integer trace over
+D^(2^(m+1)) from `matrices` (root 2^(m+1)) and over D^(2j) or E^j from
+`groups` (root 2j), where D and E are the kernels' common denominators.
 """
 
 from __future__ import annotations
@@ -27,13 +32,6 @@ def dyadic_ceil(x: Fraction, k: int) -> Fraction:
     """Smallest multiple of 2^-k that is >= x."""
     scale = 1 << k
     return Fraction(-((-x.numerator * scale) // x.denominator), scale)
-
-
-def rational_floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for x >= 0."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator // x.denominator)
 
 
 def sqrt_interval(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
@@ -97,21 +95,27 @@ def nth_root_upper_grid(x: Fraction, n: int, k: int) -> Fraction:
 def nth_root_lower_grid(x: Fraction, n: int, k: int, hi_pow2: int) -> Fraction:
     """Dyadic q with q <= x ** (1/n) <= q + 2^-k, for 0 <= x <= (2^hi_pow2)^n.
 
-    Bisection on the dyadic grid: endpoints stay dyadic, comparisons are exact
-    rational power comparisons, and the returned value is the grid floor (ties
-    land on the grid point itself), hence monotone in x.
+    q is the grid floor of x ** (1/n) on the 2^-k grid (ties land on the grid
+    point itself), hence monotone in x, capped at 2^hi_pow2 - 2^-k: the value
+    a bisection of [0, 2^hi_pow2] down to width 2^-k returns, found here by
+    one integer n-th root of floor(x * 2^(k*n)).  When 2^-k is not below
+    2^hi_pow2 the grid has no point under the cap and q is 0.
     """
     if x < 0:
         raise ValueError("negative radicand")
-    lo = Fraction(0)
-    hi = Fraction(1 << hi_pow2) if hi_pow2 >= 0 else Fraction(1, 1 << -hi_pow2)
-    if hi**n < x:
+    num, den = x.numerator, x.denominator
+    if hi_pow2 >= 0:
+        too_big = num > den << (hi_pow2 * n)
+    else:
+        too_big = num << (-hi_pow2 * n) > den
+    if too_big:
         raise ValueError("hi_pow2 too small for radicand")
     steps = hi_pow2 + k
-    for _ in range(max(steps, 0)):
-        mid = (lo + hi) / 2
-        if mid**n <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if steps <= 0:
+        return Fraction(0)
+    if k >= 0:
+        c = int_nth_root((num << (k * n)) // den, n)
+    else:
+        c = int_nth_root(num // (den << (-k * n)), n)
+    c = min(c, (1 << steps) - 1)
+    return Fraction(c, 1 << k) if k >= 0 else Fraction(c << -k)

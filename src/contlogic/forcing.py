@@ -686,15 +686,10 @@ def _lex_minimize(base: Rows, alternatives: list[Rows], var: str,
     return best
 
 
-def _formula_value(formula: F.Formula, space: CompiledSpace) -> Fraction:
-    structure = space.as_test_structure()
-    return eval_exact(formula, structure)
-
-
 def _verify_compiled(space: CompiledSpace, condition: Condition) -> None:
-    space.as_test_structure()  # validates the metric axioms exactly
+    structure = space.as_test_structure()  # validates the metric axioms exactly
     for formula, bound in condition.items:
-        value = _formula_value(formula, space)
+        value = eval_exact(formula, structure)
         if not value < bound:
             raise Infeasible(
                 f"compiled space violates a bound: value {value} !< {bound}"

@@ -283,16 +283,6 @@ def comb(lam: GaussianRational, left: Term, mu: GaussianRational, right: Term) -
     return Comb(lam, mu, left, right)
 
 
-def zero_of(_formula: Formula | None = None) -> Zero:
-    """The connective x |-> 0 applied to a formula (argument erased)."""
-    return Zero()
-
-
-def one_of(_formula: Formula | None = None) -> One:
-    """The connective x |-> 1 applied to a formula (argument erased)."""
-    return One()
-
-
 def dyadic_constant(q: Fraction) -> Formula:
     """A formula with constant value q, for dyadic q in [0,1].
 

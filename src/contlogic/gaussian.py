@@ -4,13 +4,19 @@ All certified computations in this package reduce to Fraction arithmetic on
 real and imaginary parts.  Moduli |z| are irrational in general, so the module
 exposes exact *bounds* instead: ``abs_sq`` (exact), ``abs_upper`` (|re|+|im|)
 and ``abs_lower`` (max(|re|,|im|)).
+
+Hot loops skip Fractions altogether: ``over_common_denominator`` puts a batch
+of values over one denominator D and hands back Gaussian integers (re, im),
+so products need no gcd and the division by a power of D happens once, at
+the end (fraction-free in the spirit of Bareiss 1968).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -96,6 +102,21 @@ def _coerce(value) -> GaussianRational:
     if isinstance(value, (int, Fraction)):
         return GaussianRational(Fraction(value), Fraction(0))
     raise TypeError(f"cannot coerce {value!r} to GaussianRational")
+
+
+def over_common_denominator(
+    values: Iterable[GaussianRational],
+) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(D*re, D*im), ...]) with D the lcm of every part's denominator.
+
+    Each value z is then exactly the Gaussian integer D*z over D.
+    """
+    values = list(values)
+    d = lcm(*(part.denominator for z in values for part in (z.re, z.im)))
+    return d, [
+        (z.re.numerator * (d // z.re.denominator), z.im.numerator * (d // z.im.denominator))
+        for z in values
+    ]
 
 
 def gr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:

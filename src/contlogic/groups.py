@@ -15,6 +15,13 @@ except that letter-supported elements of free groups use an exact first-return
 excursion DP over cone types of the Cayley tree: the generic power has
 exponentially many words, while the DP is polynomial in n and agrees with it
 exactly.
+
+Both moment routes run on Gaussian integers (re, im) over one common
+denominator.  In the DP, D is the common denominator of the letter weights
+and table entry m (walks of length m) is D^m times its value, so
+tau((a* a)^j) is entry 2j over D^(2j).  In the convolution route, E is the
+common denominator of h = a* a (a divisor of D^2 for the common denominator D
+of a), h^j is an integer element over E^j, and tau(h^j) is read over E^j.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dyadic import nth_root_lower_grid, sqrt_interval
-from .gaussian import GaussianRational, gr
+from .gaussian import ZERO, GaussianRational, gr, over_common_denominator
 from .pairing import (
     decode_list,
     decode_tuple,
@@ -54,6 +61,14 @@ class RewritingDiverged(GroupError):
 
 class MixedGroups(GroupError):
     pass
+
+
+class ComplexMoment(GroupError):
+    """A trace moment tau((a* a)^j) came out non-real.
+
+    tau((a* a)^j) is real for every a, so the word problem (say, a rewriting
+    system that is not confluent) or the moment kernel is at fault.
+    """
 
 
 def word_length(word: Word) -> int:
@@ -442,65 +457,117 @@ def _letter_weights(a: AlgebraElement) -> Optional[dict[Letter, GaussianRational
     return weights
 
 
+GaussInt = tuple[int, int]
+
+
 def _free_walk_traces(w0: dict[Letter, GaussianRational],
                       w1: dict[Letter, GaussianRational],
-                      steps: int) -> list[GaussianRational]:
+                      steps: int) -> tuple[int, list[GaussInt]]:
     """Weights of root-to-root walks of every length 0..steps on the Cayley
     tree, where step i draws its letter weight from w0 (i even) or w1.
 
     First-return excursion DP over cone types: a walk confined below a vertex
     decomposes into self-loops and excursions into children, and every cone of
     the tree looks alike except for the blocked parent direction.
+
+    The DP runs on Gaussian integers: with D the common denominator of the
+    letter weights, every length-m walk weight is a product of m weights, so
+    the table entry for length m is D^m times the exact weight.  Returns D and
+    those integer (re, im) entries for m = 0..steps.
     """
     letters = sorted(
         {s for s in w0 if s is not None} | {s for s in w1 if s is not None}
     )
-    weight = (
-        {s: w0.get(s, gr(0)) for s in letters + [None]},
-        {s: w1.get(s, gr(0)) for s in letters + [None]},
+    # weight keys, and blocked parent directions (None = the root)
+    contexts: list[Letter] = letters + [None]
+    d, parts = over_common_denominator(
+        w.get(s, ZERO) for w in (w0, w1) for s in contexts
     )
+    weight = (dict(zip(contexts, parts)), dict(zip(contexts, parts[len(contexts):])))
     inv = {s: (s[0], -s[1]) for s in letters}
-    contexts: list[Letter] = [None] + letters  # blocked parent direction; None = root
-    # dp[(parity, m, blocked)] = weight of length-m walks v -> v below v
-    dp: dict[tuple[int, int, Letter], GaussianRational] = {}
-    for p in (0, 1):
-        for f in contexts:
-            dp[(p, 0, f)] = gr(1)
+    # dp[p][f][m] = D^m * weight of length-m walks v -> v below v, starting at
+    # parity p with direction f blocked
+    dp = [{f: [(1, 0)] for f in contexts} for _ in (0, 1)]
+    # excursion[p][t][j] = weight of an excursion into child t from parity p
+    # whose walk below the child has length j, without the step down (weight
+    # [p][t], factored out of the sum over j): that walk times the step back up
+    excursion: list[dict[Letter, list[GaussInt]]] = [
+        {t: [] for t in letters} for _ in (0, 1)
+    ]
     for m in range(1, steps + 1):
         for p in (0, 1):
+            q = 1 - p
+            for t in letters:
+                xr, xi = dp[q][inv[t]][m - 1]
+                br, bi = weight[(q + m - 1) % 2][inv[t]]
+                excursion[p][t].append((xr * br - xi * bi, xr * bi + xi * br))
+        for p in (0, 1):
+            q = 1 - p
+            wr, wi = weight[p][None]
             for f in contexts:
-                total = weight[p][None] * dp[((p + 1) % 2, m - 1, f)]
+                xr, xi = dp[q][f][m - 1]
+                re, im = wr * xr - wi * xi, wr * xi + wi * xr
+                rest = (dp[p][f], dp[q][f])  # by the parity of the remaining walk
                 for t in letters:
-                    if t == f:
+                    tr, ti = weight[p][t]
+                    if t == f or not (tr or ti):
                         continue
-                    wt = weight[p][t]
-                    if wt.is_zero():
-                        continue
-                    for j in range(0, m - 1):
-                        back = weight[(p + 1 + j) % 2][inv[t]]
-                        if back.is_zero():
-                            continue
-                        total = total + wt * dp[((p + 1) % 2, j, inv[t])] * back * dp[
-                            ((p + j) % 2, m - 2 - j, f)
-                        ]
-                dp[(p, m, f)] = total
-    return [dp[(0, m, None)] for m in range(steps + 1)]
+                    sr = si = 0
+                    for j, (er, ei) in enumerate(excursion[p][t][: m - 1]):
+                        yr, yi = rest[j % 2][m - 2 - j]
+                        sr += er * yr - ei * yi
+                        si += er * yi + ei * yr
+                    re += tr * sr - ti * si
+                    im += tr * si + ti * sr
+                dp[p][f].append((re, im))
+    return d, dp[0][None]
 
 
-def _real_trace(value: GaussianRational) -> Fraction:
-    if value.im != 0:
-        raise AssertionError("moment of a positive element must be real")
-    return value.re
+def _real_trace(value: GaussInt, denominator: int) -> Fraction:
+    re, im = value
+    if im != 0:
+        raise ComplexMoment("moment of a positive element must be real")
+    return Fraction(re, denominator)
+
+
+def _convolve(spec: GroupSpec, x: dict[Word, GaussInt],
+              y: dict[Word, GaussInt]) -> dict[Word, GaussInt]:
+    """The product x * y of integer-coefficient elements, zeros dropped."""
+    acc: dict[Word, GaussInt] = {}
+    for w1, (r1, i1) in x.items():
+        for w2, (r2, i2) in y.items():
+            w = spec.mul(w1, w2)
+            r, i = acc.get(w, (0, 0))
+            acc[w] = (r + r1 * r2 - i1 * i2, i + r1 * i2 + i1 * r2)
+    return {w: c for w, c in acc.items() if c != (0, 0)}
+
+
+def _pair_trace(spec: GroupSpec, x: dict[Word, GaussInt],
+                y: dict[Word, GaussInt]) -> GaussInt:
+    """tau(x * y) = sum_w x(w) y(w^-1), without forming the product."""
+    re = im = 0
+    for w, (r1, i1) in x.items():
+        r2, i2 = y.get(spec.inv(w), (0, 0))
+        re += r1 * r2 - i1 * i2
+        im += r1 * i2 + i1 * r2
+    return re, im
 
 
 def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     """[tau((a* a)^j) for j = 1..n], exact.
 
     Letter-supported elements over a free group take the excursion DP route
-    (one table serves every j); everything else multiplies out the powers.
-    The generic power of a free-group element has exponentially many words,
-    so the DP is the only practical route for large n there; both routes are
-    exact and agree on their common range.
+    (one table serves every j, tau((a* a)^j) being its entry 2j over D^(2j));
+    everything else multiplies out the powers.  The generic power of a
+    free-group element has exponentially many words, so the DP is the only
+    practical route for large n there; both routes are exact and agree on
+    their common range.
+
+    The convolution route forms h = a* a in the algebra, puts h over the
+    common denominator E of its coefficients (E divides D^2 for the common
+    denominator D of a's), and convolves Gaussian-integer coefficients, so
+    h^j is an integer element over E^j.  Only powers up to ceil(n/2) are
+    formed: tau(h^j) = tau(h^ceil(j/2) h^floor(j/2)) is one pairing of them.
     """
     if n < 1:
         raise ValueError("moments need n >= 1")
@@ -508,16 +575,17 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
         wa = _letter_weights(a)
         if wa is not None:
             wstar = _letter_weights(a.adjoint())
-            traces = _free_walk_traces(wstar, wa, 2 * n)
-            return [_real_trace(traces[2 * j]) for j in range(1, n + 1)]
+            d, traces = _free_walk_traces(wstar, wa, 2 * n)
+            return [_real_trace(traces[2 * j], d ** (2 * j)) for j in range(1, n + 1)]
     h = a.adjoint() * a
-    out = []
-    power = h
-    out.append(_real_trace(power.trace()))
-    for _ in range(n - 1):
-        power = power * h
-        out.append(_real_trace(power.trace()))
-    return out
+    e, parts = over_common_denominator(h.coeffs.values())
+    powers = [{IDENTITY: (1, 0)}, dict(zip(h.coeffs, parts))]
+    while len(powers) <= (n + 1) // 2:
+        powers.append(_convolve(a.spec, powers[-1], powers[1]))
+    return [
+        _real_trace(_pair_trace(a.spec, powers[(j + 1) // 2], powers[j // 2]), e**j)
+        for j in range(1, n + 1)
+    ]
 
 
 def moment(a: AlgebraElement, n: int) -> Fraction:

@@ -6,14 +6,24 @@ the trace-preserving inclusions A -> A (x) I_2) a single tracial tower whose
 from trace powers: |A|^2 = |A* A| <= (tr((A* A)^(2^m)))^(1/2^m), with the
 root ceiled onto a fixed dyadic grid so bounds are monotone in m by exact
 comparison.  No floating point appears in any certified path.
+
+The trace powers run on integers.  With D the common denominator of A's
+entries, B = DA is a Gaussian-integer matrix.  H = B B* has the trace powers
+of B* B = D^2 A* A (by cyclicity, tr((B B*)^k) = tr((B* B)^k)), so
+tr((A* A)^(2^m)) is the integer tr(H^(2^m)) over D^(2^(m+1)); that is the
+only division.  One chain of squarings P_0 = H, P_j = P_(j-1)^2 serves every
+m, and the last squaring is never done: each P_j is Hermitian, so by the
+Frobenius identity tr(P_j^2) = sum_ik P_ik conj(P_ik) = sum_ik |P_ik|^2, and
+tr(H^(2^m)) = |P_(m-1)|_F^2 for m >= 1 (tr H = |B|_F^2 for m = 0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .dyadic import nth_root_upper_grid, sqrt_interval
-from .gaussian import GaussianRational, gr
+from .gaussian import GaussianRational, gr, over_common_denominator
 from .pairing import decode_tuple, encode_tuple, gaussian_to_nat, nat_to_gaussian
 
 
@@ -31,6 +41,10 @@ class ZeroVector(MatrixError):
 
 class NotDyadicSize(MatrixError):
     pass
+
+
+class NegativeTrace(MatrixError):
+    """A trace power of A* A came out negative, so the trace kernel is at fault."""
 
 
 class Matrix:
@@ -115,14 +129,6 @@ class Matrix:
         return tuple(sum((a * x for a, x in zip(row, v)), gr(0)) for row in self.rows)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
 def conj_transpose(a: Matrix) -> Matrix:
     return a.conj_transpose()
 
@@ -142,6 +148,65 @@ def two_norm(a: Matrix, k: int) -> tuple[Fraction, Fraction]:
     return sqrt_interval(radicand, k)
 
 
+IntRows = list[list[int]]
+
+
+def _gram(re: IntRows, im: IntRows) -> tuple[IntRows, IntRows]:
+    """G = R R* for the Gaussian-integer rows R = re + i*im.
+
+    G_ij = sum_k R_ik conj(R_jk) is Hermitian, so only i <= j is computed.
+    For Hermitian R this is R^2.
+    """
+    n = len(re)
+    g_re = [[0] * n for _ in range(n)]
+    g_im = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ri, ii = re[i], im[i]
+        for j in range(i, n):
+            rj, ij = re[j], im[j]
+            real = sum(map(mul, ri, rj)) + sum(map(mul, ii, ij))
+            g_re[i][j] = g_re[j][i] = real
+            if i != j:
+                imag = sum(map(mul, ii, rj)) - sum(map(mul, ri, ij))
+                g_im[i][j], g_im[j][i] = imag, -imag
+    return g_re, g_im
+
+
+def _frobenius_sq(re: IntRows, im: IntRows) -> int:
+    """sum_ik |R_ik|^2 = tr(R R*)."""
+    return sum(sum(map(mul, r, r)) + sum(map(mul, s, s)) for r, s in zip(re, im))
+
+
+def _trace_powers(re: IntRows, im: IntRows, ms: int) -> list[int]:
+    """[tr(H^(2^m)) for m in range(ms)] with H = R R*, for Gaussian-integer R.
+
+    tr H = |R|_F^2; for m >= 1, tr(H^(2^m)) = |P|_F^2 with the Hermitian
+    P = H^(2^(m-1)), so the chain stops one squaring short of the last power.
+    """
+    traces = [_frobenius_sq(re, im)]
+    for m in range(1, ms):
+        re, im = _gram(re, im)
+        traces.append(_frobenius_sq(re, im))
+    return traces[:ms]
+
+
+def opnorm_upper_sweep(a: Matrix, ms: int, prec: int = 16) -> list[Fraction]:
+    """[opnorm_upper(a, m, prec) for m in range(ms)] from one squaring chain."""
+    if ms < 0:
+        raise ValueError("ms must be a natural")
+    d, parts = over_common_denominator(e for row in a.rows for e in row)
+    n = a.n
+    re = [[z[0] for z in parts[i * n:(i + 1) * n]] for i in range(n)]
+    im = [[z[1] for z in parts[i * n:(i + 1) * n]] for i in range(n)]
+    out = []
+    for m, t in enumerate(_trace_powers(re, im, ms)):
+        if t < 0:
+            raise NegativeTrace(f"tr((A*A)^{2 ** m}) came out negative")
+        root = 2 ** (m + 1)
+        out.append(nth_root_upper_grid(Fraction(t, d**root), root, prec))
+    return out
+
+
 def opnorm_upper(a: Matrix, m: int, prec: int = 16) -> Fraction:
     """Certified rational p >= |A| (operator norm) from m trace squarings.
 
@@ -151,14 +216,7 @@ def opnorm_upper(a: Matrix, m: int, prec: int = 16) -> Fraction:
     """
     if m < 0:
         raise ValueError("m must be a natural")
-    h = a.conj_transpose() * a
-    power = h
-    for _ in range(m):
-        power = power * power
-    t = power.trace()
-    if t.im != 0 or t.re < 0:
-        raise AssertionError("trace of a power of A*A must be real nonnegative")
-    return nth_root_upper_grid(t.re, 2 ** (m + 1), prec)
+    return opnorm_upper_sweep(a, m + 1, prec)[-1]
 
 
 def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fraction:

@@ -190,3 +190,30 @@ def test_matrix_error_is_a_typed_error(monkeypatch):
     assert status == 1 and out == ""
     assert len(err) == 1
     assert json.loads(err[0]) == {"error": "zerovector", "message": "zero vector"}
+
+
+def test_negative_trace_is_a_typed_error(monkeypatch):
+    from contlogic import matrices
+
+    monkeypatch.setattr(matrices, "_trace_powers", lambda re, im, ms: [-1] * ms)
+    status, out, err = _typed_error(["norm", "--matrix-index", "3"])
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "negativetrace", "message": "tr((A*A)^1) came out negative"
+    }
+
+
+def test_complex_moment_is_a_typed_error(tmp_path, monkeypatch):
+    from contlogic import groups
+
+    monkeypatch.setattr(groups, "_pair_trace", lambda spec, x, y: (0, 1))
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text(GROUP_CFG)
+    status, out, err = _typed_error(
+        ["norm", "--group", str(cfg), "--element", "u + 1", "--lambda-lower", "2"])
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "complexmoment", "message": "moment of a positive element must be real"
+    }

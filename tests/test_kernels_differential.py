@@ -1,0 +1,170 @@
+"""Differential tests of the integer trace-power kernels against Fraction ones.
+
+`fraction_kernels` holds the Fraction kernels the integer ones replaced:
+the `Matrix.__mul__` trace-power chain, the Fraction excursion DP and the
+bisection for grid n-th roots.  The moment routes are also checked against
+plain `AlgebraElement` power products.  Every value compared is exact.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_kernels
+from contlogic import groups as G
+from contlogic import matrices as M
+from contlogic.dyadic import nth_root_lower_grid
+from contlogic.gaussian import GaussianRational
+
+INTEGERS = st.integers(-6, 6).map(Fraction)
+RATIONALS = st.one_of(INTEGERS, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+def _gaussians(parts):
+    return st.builds(GaussianRational, parts, parts)
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 4))
+    entries = _gaussians(draw(st.sampled_from([INTEGERS, RATIONALS])))
+    shape = draw(st.sampled_from(["general", "zero", "hermitian", "rank1"]))
+    if shape == "zero":
+        return M.Matrix.zero(n)
+    if shape == "rank1":
+        u = [draw(entries) for _ in range(n)]
+        v = [draw(entries) for _ in range(n)]
+        return M.Matrix([[x * y.conjugate() for y in v] for x in u])
+    a = M.Matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+    if shape == "hermitian":
+        return a + a.conj_transpose()
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.integers(0, 6))
+def test_opnorm_upper_matches_fraction_chain(a, m):
+    assert M.opnorm_upper(a, m) == fraction_kernels.opnorm_upper(a, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices())
+def test_opnorm_upper_sweep_matches_single_calls(a):
+    assert M.opnorm_upper_sweep(a, 9) == [M.opnorm_upper(a, m) for m in range(9)]
+
+
+def test_opnorm_upper_sweep_edges():
+    assert M.opnorm_upper_sweep(M.Matrix.zero(3), 4) == [0, 0, 0, 0]
+    assert M.opnorm_upper_sweep(M.Matrix.identity(2), 0) == []
+    one = M.Matrix([[GaussianRational(Fraction(0), Fraction(-3, 4))]])
+    assert M.opnorm_upper_sweep(one, 5) == [Fraction(3, 4)] * 5
+
+
+# -- trace moments ---------------------------------------------------------
+
+
+def _power_products(a, n):
+    """[tau((a* a)^j) for j = 1..n] from AlgebraElement products alone."""
+    h = a.adjoint() * a
+    power, out = h, []
+    for _ in range(n):
+        out.append(power.trace().re)
+        power = power * h
+    return out
+
+
+def _s3():
+    perms = list(itertools.permutations(range(3)))
+    names = ["e", "r", "r2", "s", "sr", "sr2"]
+    by_perm = dict(zip([(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)],
+                       names))
+    assert set(by_perm) == set(perms)
+    table = [[by_perm[tuple(p[q[i]] for i in range(3))] for q in by_perm] for p in by_perm]
+    return G.table_group(tuple(names), "e", table)
+
+
+F2 = G.free_group("u", "v")
+LETTERS = [(("u", 1),), (("u", -1),), (("v", 1),), (("v", -1),), ()]
+# (spec, support pool, largest n): power products on F2 words grow
+# exponentially, tenfold per step past n = 3
+CONV_GROUPS = [
+    (G.free_abelian("u"), [(("u", 1),), (("u", -1),), (("u", 3),), ()], 6),
+    (F2, [(("u", 1), ("v", 1)), (("u", -1),), (("v", -1), ("u", 1)), ()], 3),
+    (_s3(), [(("r", 1),), (("s", 1),), (("sr", 1),), ()], 6),
+    (G.rewriting_group(("a",), [("aaaa", ""), ("A", "aaa")]), [(("a", 1),), (("a", 2),), ()], 6),
+]
+
+
+@st.composite
+def elements(draw, spec, pool):
+    words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+    return G.element(spec, [(draw(_gaussians(RATIONALS)), w) for w in words])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 9))
+def test_dp_route_matches_fraction_dp(data, n):
+    a = data.draw(elements(F2, LETTERS))
+    assert G.moments_up_to(a, n) == fraction_kernels.moments_up_to(a, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_dp_route_matches_power_products(data, n):
+    a = data.draw(elements(F2, LETTERS))
+    assert G._letter_weights(a) is not None
+    assert G.moments_up_to(a, n) == _power_products(a, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(CONV_GROUPS))
+def test_convolution_route_matches_power_products(data, group):
+    spec, pool, max_n = group
+    a = data.draw(elements(spec, pool))
+    n = data.draw(st.integers(1, max_n))
+    assert G.moments_up_to(a, n) == _power_products(a, n)
+
+
+# -- grid roots ------------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def root_cases(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(-4, 12))
+    hi_pow2 = draw(st.integers(-4, 6))
+    hi = Fraction(2) ** hi_pow2
+    x = draw(st.one_of(
+        st.builds(Fraction, st.integers(-2, 10**6), st.integers(1, 10**4)),
+        st.just(hi**n),  # the top edge, where bisection stops at hi - 2^-k
+        st.builds(lambda c, s: Fraction(c, 2**s) ** n, st.integers(0, 80), st.integers(0, 8)),
+    ))
+    return x, n, k, hi_pow2
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_cases())
+def test_nth_root_lower_grid_matches_bisection(case):
+    assert (_outcome(nth_root_lower_grid, *case)
+            == _outcome(fraction_kernels.nth_root_lower_grid, *case))
+
+
+def test_nth_root_lower_grid_edges():
+    # x == hi^n returns hi - 2^-k, as the bisection does
+    assert nth_root_lower_grid(Fraction(8), 3, 4, 1) == Fraction(31, 16)
+    assert nth_root_lower_grid(Fraction(1, 64), 3, 5, -2) == Fraction(7, 32)
+    # grid points come back exactly; no grid point under the cap gives 0
+    assert nth_root_lower_grid(Fraction(9, 16), 2, 2, 1) == Fraction(3, 4)
+    assert nth_root_lower_grid(Fraction(1, 2), 2, -1, 1) == 0
+    for case in [(Fraction(-1), 2, 4, 1), (Fraction(5), 2, 4, 1)]:
+        assert _outcome(nth_root_lower_grid, *case) == _outcome(
+            fraction_kernels.nth_root_lower_grid, *case)

@@ -18,7 +18,6 @@ from .formulas import (  # noqa: F401
     Signature,
     classify_prefix,
     free_vars,
-    modulus_of,
     prenex,
 )
 from .coding import (  # noqa: F401
@@ -31,16 +30,15 @@ from .coding import (  # noqa: F401
     encode,
     encode_precondition,
 )
+from .gaussian import ContlogicError  # noqa: F401
 from .parser import ParseError, parse_formula, print_formula  # noqa: F401
 from .presentations import (  # noqa: F401
     NormResult,
     Presentation,
-    norm_oracle,
     presentation_C2w,
     presentation_CstarLambda,
     presentation_L,
     presentation_R,
-    rational_points,
 )
 from .evaluator import (  # noqa: F401
     EvalBudget,

@@ -22,8 +22,8 @@ from . import groups as G
 from . import matrices as M
 from . import presentations as P
 from . import selftest
-from .parser import ParseError, parse_formula, print_formula
-from .torus import TorusBoundFailure
+from .gaussian import ContlogicError
+from .parser import ParseError, parse_element, parse_formula, print_formula
 
 SCHEMA = 1
 
@@ -152,7 +152,7 @@ def _cmd_norm(args) -> int:
     if not args.group or not args.element:
         return _fail("usage", "norm needs --matrix-index or --group with --element")
     spec = _load_group(args.group)
-    element = G.parse_element(args.element, spec)
+    element = parse_element(args.element, spec)
     record = {"kind": "group-norms", "element": args.element}
     record["l1"] = _frac(G.l1_norm(element))
     record["two_norm"] = _interval(G.two_norm(element, args.precision))
@@ -371,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     force = sub.add_parser("force", help="forcing games and checks")
     force.add_argument("action",
                        choices=["check-condition", "sup-leq", "game", "fp"])
-    force.add_argument("--instance", default="metric", choices=["metric"],
-                       help="base theory instance")
     force.add_argument("--condition", help="pre-condition code")
     force.add_argument("--psi", default="-", help="formula file or - for stdin")
     force.add_argument("--bound", default="1/2", help="dyadic bound, e.g. 1/2")
@@ -402,9 +400,7 @@ def main(argv=None) -> int:
         return _fail("not-a-code", str(exc))
     except coding.BadItem as exc:
         return _fail("bad-item", str(exc))
-    except (F.FormulaError, G.GroupError, FC.ForcingError, E.EvalError,
-            P.PresentationError, M.MatrixError, TorusBoundFailure,
-            ValueError) as exc:
+    except (ContlogicError, ValueError) as exc:
         return _fail(type(exc).__name__.lower(), str(exc))
 
 

@@ -37,14 +37,22 @@ from typing import Optional
 
 from . import formulas as F
 from .dyadic import is_dyadic
-from .pairing import gaussian_to_nat, nat_to_gaussian
+from .gaussian import ContlogicError
+from .pairing import (
+    decode_list,
+    decode_tuple,
+    encode_list,
+    encode_tuple,
+    gaussian_to_nat,
+    nat_to_gaussian,
+)
 
 
-class NotACode(Exception):
+class NotACode(ContlogicError):
     pass
 
 
-class BadItem(Exception):
+class BadItem(ContlogicError):
     pass
 
 
@@ -100,22 +108,6 @@ def unpair(n: int) -> tuple[int, int]:
     return a - 1, b - 1
 
 
-def encode_tuple(items: list[int]) -> int:
-    code = items[0]
-    for item in items[1:]:
-        code = pair(code, item)
-    return code
-
-
-def decode_tuple(code: int, arity: int) -> list[int]:
-    items = []
-    for _ in range(arity - 1):
-        code, item = unpair(code)
-        items.append(item)
-    items.append(code)
-    return list(reversed(items))
-
-
 def _encode_name(name: str) -> int:
     return int.from_bytes(name.encode("utf-8"), "big")
 
@@ -144,7 +136,7 @@ def _encode_term(t: F.Term, sig: F.Signature) -> int:
         return pair(_T_NAMED, _encode_name(t.name))
     if isinstance(t, F.App):
         sym = sig.function(t.func)
-        args = encode_tuple([_encode_term(a, sig) for a in t.args])
+        args = encode_tuple([_encode_term(a, sig) for a in t.args], pair)
         return pair(_T_APP, pair(_encode_name(t.func), args))
     if isinstance(t, F.Comb):
         coeffs = pair(gaussian_to_nat(t.lam), gaussian_to_nat(t.mu))
@@ -170,7 +162,7 @@ def _decode_term(code: int, sig: F.Signature) -> F.Term:
         if not sig.has_function(name):
             raise NotACode(f"function {name!r} not in signature {sig.name}")
         arity = sig.function(name).arity
-        args = tuple(_decode_term(a, sig) for a in decode_tuple(args_code, arity))
+        args = tuple(_decode_term(a, sig) for a in decode_tuple(args_code, arity, unpair))
         return F.App(name, args)
     if tag == _T_COMB:
         if not sig.allow_comb:
@@ -200,7 +192,7 @@ def _encode_node(f: F.Formula, sig: F.Signature) -> int:
         return pair(_F_INF, pair(_encode_name(f.var), _encode_node(f.body, sig)))
     if isinstance(f, F.Atomic):
         sym = sig.predicate(f.pred)
-        args = encode_tuple([_encode_term(a, sig) for a in f.args])
+        args = encode_tuple([_encode_term(a, sig) for a in f.args], pair)
         return pair(_F_ATOMIC, pair(_encode_name(f.pred), args))
     raise F.FormulaError(f"not a formula: {f!r}")
 
@@ -230,7 +222,7 @@ def _decode_node(code: int, sig: F.Signature) -> F.Formula:
         if not sig.has_predicate(name):
             raise NotACode(f"predicate {name!r} not in signature {sig.name}")
         arity = sig.predicate(name).arity
-        args = tuple(_decode_term(a, sig) for a in decode_tuple(args_code, arity))
+        args = tuple(_decode_term(a, sig) for a in decode_tuple(args_code, arity, unpair))
         return F.Atomic(name, args)
     raise NotACode(f"unknown formula tag {tag}")
 
@@ -343,25 +335,23 @@ def encode_precondition(items: list[tuple[int, Fraction]]) -> int:
             raise BadItem(f"code {k} is not a quantifier-free sentence")
         canon.append((k, Fraction(r)))
     canon = sorted(set(canon))
-    body = 0
-    for k, r in reversed(canon):
-        body = pair(pair(k, _encode_dyadic(r)), body) + 1
+    body = encode_list([pair(k, _encode_dyadic(r)) for k, r in canon], pair)
     return pair(len(canon), body)
 
 
 def decode_precondition(code: int) -> list[tuple[int, Fraction]]:
     length, body = unpair(code)
+    heads = decode_list(body, unpair)
     items: list[tuple[int, Fraction]] = []
-    for _ in range(length):
-        if body == 0:
-            raise BadItem("truncated pre-condition code")
-        head, body = unpair(body - 1)
+    for head in heads[:length]:
         k, r_code = unpair(head)
         flags = code_predicates(k)
         if not (flags.is_formula and flags.is_sentence and flags.is_qf):
             raise BadItem(f"code {k} is not a quantifier-free sentence")
         items.append((k, _decode_dyadic(r_code)))
-    if body != 0:
+    if len(heads) < length:
+        raise BadItem("truncated pre-condition code")
+    if len(heads) > length:
         raise BadItem("trailing pre-condition payload")
     if items != sorted(set(items)):
         raise BadItem("pre-condition items not canonically sorted")

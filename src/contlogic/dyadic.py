@@ -22,18 +22,6 @@ def is_dyadic(x: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-def dyadic_floor(x: Fraction, k: int) -> Fraction:
-    """Largest multiple of 2^-k that is <= x."""
-    scale = 1 << k
-    return Fraction((x.numerator * scale) // x.denominator, scale)
-
-
-def dyadic_ceil(x: Fraction, k: int) -> Fraction:
-    """Smallest multiple of 2^-k that is >= x."""
-    scale = 1 << k
-    return Fraction(-((-x.numerator * scale) // x.denominator), scale)
-
-
 def sqrt_interval(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
     """Dyadic lo <= sqrt(x) <= hi with hi - lo <= 2^-k, exact when possible.
 

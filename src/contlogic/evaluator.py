@@ -22,12 +22,13 @@ from typing import Optional
 
 from . import formulas as F
 from .coding import NotACode, decode_full
+from .gaussian import ContlogicError
 from .presentations import ModeMismatch, Presentation, PSpecial, TWO_SIDED
 
 Interval = tuple[Fraction, Fraction]
 
 
-class EvalError(Exception):
+class EvalError(ContlogicError):
     pass
 
 
@@ -250,22 +251,6 @@ def eval_qf(formula: F.Formula, pres: Presentation, k: int,
     if F.free_vars(formula):
         raise EvalError("eval_qf needs a closed sentence")
     return _interval_qf(formula, pres, k, {}, bindings or {}, None)
-
-
-def _slack_bound(formula: F.Formula, k: int) -> Fraction:
-    """Static width bound: oracle atoms contribute 2^-k each, truncated
-    subtraction adds sides, halving halves."""
-    if isinstance(formula, F.Atomic):
-        return Fraction(1, 2**k) if formula.pred == "d" else Fraction(0)
-    if isinstance(formula, (F.Zero, F.One)):
-        return Fraction(0)
-    if isinstance(formula, F.Half):
-        return _slack_bound(formula.body, k) / 2
-    if isinstance(formula, F.DotMinus):
-        return _slack_bound(formula.left, k) + _slack_bound(formula.right, k)
-    if isinstance(formula, (F.Sup, F.Inf)):
-        return _slack_bound(formula.body, k)
-    raise EvalError(f"not a formula: {formula!r}")
 
 
 def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,

@@ -237,26 +237,3 @@ def maximize(objective: LinExpr,
         if j < n:
             point[names[j]] = Fraction(row[-1], row[j])
     return LPResult(OPTIMAL, objective.value_at(point), point)
-
-
-def feasible_margin(nonstrict: list[tuple[LinExpr, LinExpr]],
-                    strict: list[tuple[LinExpr, LinExpr]],
-                    margin_cap: Fraction = Fraction(1)) -> LPResult:
-    """Margin LP for a mixed system: lhs <= rhs and lhs < rhs constraints.
-
-    Maximizes eps subject to the nonstrict constraints, strict constraints
-    tightened to lhs + eps <= rhs, and eps <= margin_cap.  The strict system
-    is solvable over the nonstrict region iff the optimum is positive (the
-    region is compact here, so the supremum is attained).
-    """
-    eps = LinExpr.var("__eps__")
-    constraints = list(nonstrict)
-    for lhs, rhs in strict:
-        constraints.append((lhs + eps, rhs))
-    constraints.append((eps, LinExpr.constant(margin_cap)))
-    result = maximize(eps, constraints)
-    if result.status != OPTIMAL:
-        return result
-    point = dict(result.point)
-    point.pop("__eps__", None)
-    return LPResult(OPTIMAL, result.value, point)

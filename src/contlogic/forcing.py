@@ -36,12 +36,13 @@ from .dyadic import is_dyadic
 from .evaluator import TestStructure, eval_exact
 from .feasibility import LinExpr, OPTIMAL
 from .formulas import METRIC
+from .gaussian import ContlogicError
 
 C = LinExpr.constant
 V = LinExpr.var
 
 
-class ForcingError(Exception):
+class ForcingError(ContlogicError):
     pass
 
 

@@ -14,15 +14,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .dyadic import is_dyadic
-from .gaussian import GaussianRational
+from .gaussian import ContlogicError, GaussianRational
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-class FormulaError(Exception):
+class FormulaError(ContlogicError):
     """Base class for formula construction/inspection errors."""
 
 
@@ -48,32 +48,15 @@ class NotPrenex(FormulaError):
 
 
 @dataclass(frozen=True)
-class Modulus:
-    """Modulus of uniform continuity as a precision-index map.
-
-    m(k) = max(k + offset, 0): inputs within 2^-m(k) give outputs within
-    2^-k.  Offset maps are closed under the compositions this package needs
-    (composition adds offsets, binary combination takes the max).
-    """
-
-    offset: int = 0
-
-    def __call__(self, k: int) -> int:
-        return max(k + self.offset, 0)
-
-
-@dataclass(frozen=True)
 class FunctionSymbol:
     name: str
     arity: int
-    modulus: Modulus = Modulus(0)
 
 
 @dataclass(frozen=True)
 class PredicateSymbol:
     name: str
     arity: int
-    modulus: Modulus = Modulus(0)
 
 
 @dataclass(frozen=True)
@@ -597,68 +580,3 @@ def classify_prefix(formula: Formula) -> PrefixClass:
         if k1 is not k2:
             blocks += 1
     return forall_n(blocks) if prefix[0][0] is Sup else exists_n(blocks)
-
-
-# ---------------------------------------------------------------------------
-# modulus of uniform continuity
-# ---------------------------------------------------------------------------
-
-
-def _term_var_offsets(t: Term, var: str, sig: Signature) -> list[int]:
-    """Modulus offsets of every path from `var` occurrences to the term root."""
-    if isinstance(t, Var):
-        return [0] if t.name == var else []
-    if isinstance(t, (CConst, NamedConst)):
-        return []
-    if isinstance(t, App):
-        f = sig.function(t.func)
-        return [f.modulus.offset + o for a in t.args for o in _term_var_offsets(a, var, sig)]
-    if isinstance(t, Comb):
-        # |lam|,|mu| <= 1, so each branch is 1-Lipschitz.
-        return _term_var_offsets(t.left, var, sig) + _term_var_offsets(t.right, var, sig)
-    raise FormulaError(f"not a term: {t!r}")
-
-
-def _occurrence_bump(count: int) -> int:
-    """Extra precision needed when `count` independent contributions add up."""
-    return (count - 1).bit_length() if count > 1 else 0
-
-
-def modulus_of(formula: Formula, var: str, sig: Signature) -> Modulus:
-    """Modulus m with: inputs for `var` within 2^-m(k) move the value < 2^-k."""
-
-    def rec(f: Formula) -> Optional[int]:
-        if isinstance(f, Atomic):
-            p = sig.predicate(f.pred)
-            paths = [
-                p.modulus.offset + o
-                for a in f.args
-                for o in _term_var_offsets(a, var, sig)
-            ]
-            if not paths:
-                return None
-            return max(paths) + _occurrence_bump(len(paths))
-        if isinstance(f, (Zero, One)):
-            return None
-        if isinstance(f, Half):
-            sub = rec(f.body)
-            return None if sub is None else sub - 1
-        if isinstance(f, DotMinus):
-            lo, ro = rec(f.left), rec(f.right)
-            if lo is None and ro is None:
-                return None
-            if lo is None:
-                return ro
-            if ro is None:
-                return lo
-            return max(lo, ro) + 1
-        if isinstance(f, (Sup, Inf)):
-            if f.var == var:
-                return None
-            return rec(f.body)
-        raise FormulaError(f"not a formula: {f!r}")
-
-    offset = rec(formula)
-    if offset is None:
-        raise FormulaError(f"variable {var!r} is not free in the formula")
-    return Modulus(offset)

@@ -21,6 +21,12 @@ from typing import Iterable, Union
 RationalLike = Union[int, Fraction]
 
 
+class ContlogicError(Exception):
+    """Root of every typed error the package raises; the CLI reports any of
+    them as one JSON error line.  It is defined in this module because every
+    other module already depends on it."""
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     """A complex number with rational real and imaginary parts."""

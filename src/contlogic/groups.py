@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dyadic import nth_root_lower_grid, sqrt_interval
-from .gaussian import ZERO, GaussianRational, gr, over_common_denominator
+from .gaussian import ZERO, ContlogicError, GaussianRational, gr, over_common_denominator
 from .pairing import (
     decode_list,
     decode_tuple,
@@ -47,7 +47,7 @@ Word = tuple[tuple[str, int], ...]
 IDENTITY: Word = ()
 
 
-class GroupError(Exception):
+class GroupError(ContlogicError):
     pass
 
 
@@ -69,10 +69,6 @@ class ComplexMoment(GroupError):
     tau((a* a)^j) is real for every a, so the word problem (say, a rewriting
     system that is not confluent) or the moment kernel is at fault.
     """
-
-
-def word_length(word: Word) -> int:
-    return sum(abs(e) for _, e in word)
 
 
 def _compress(letters: list[tuple[str, int]]) -> Word:
@@ -419,10 +415,6 @@ def identity_element(spec: GroupSpec) -> AlgebraElement:
     return element(spec, [(1, IDENTITY)])
 
 
-def trace(a: AlgebraElement) -> GaussianRational:
-    return a.trace()
-
-
 def l1_norm(a: AlgebraElement) -> Fraction:
     """Certified rational upper bound on the lambda-operator norm."""
     return sum((c.abs_upper() for c in a.coeffs.values()), Fraction(0))
@@ -588,11 +580,6 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     ]
 
 
-def moment(a: AlgebraElement, n: int) -> Fraction:
-    """Exact tau((a* a)^n), n >= 1."""
-    return moments_up_to(a, n)[-1]
-
-
 def _moment_root_lower(a: AlgebraElement, m: Fraction, n: int, k: int) -> Fraction:
     upper = max(l1_norm(a), Fraction(1))
     hi_pow2 = (upper.numerator // upper.denominator + 1).bit_length()
@@ -603,7 +590,7 @@ def lambda_norm_lower(a: AlgebraElement, n: int, k: int) -> Fraction:
     """Dyadic q with q <= tau((a* a)^n)^(1/2n) <= q + 2^-k (grid floor)."""
     if n < 1:
         raise ValueError("lambda_norm_lower needs n >= 1")
-    return _moment_root_lower(a, moment(a, n), n, k)
+    return _moment_root_lower(a, moments_up_to(a, n)[-1], n, k)
 
 
 def lambda_norm_lower_sweep(a: AlgebraElement, n: int, k: int) -> list[Fraction]:
@@ -823,7 +810,7 @@ def enumerate_group_algebra(spec: GroupSpec, index: int) -> AlgebraElement:
             word_index += gap + 1
             coeffs[order.word_at(word_index)] = nat_to_gaussian(coeff_code + 1)
     else:
-        codes = decode_tuple(index, finite) if finite > 1 else [index]
+        codes = decode_tuple(index, finite)
         for i, code in enumerate(codes):
             if code != 0:
                 coeffs[order.word_at(i)] = nat_to_gaussian(code)
@@ -846,11 +833,11 @@ def group_algebra_index(a: AlgebraElement) -> int:
     codes = [0] * finite
     for w, c in a.coeffs.items():
         codes[order.index_of(w)] = gaussian_to_nat(c)
-    return encode_tuple(codes) if finite > 1 else codes[0]
+    return encode_tuple(codes)
 
 
 # ---------------------------------------------------------------------------
-# config files and element expressions
+# config files
 # ---------------------------------------------------------------------------
 
 
@@ -919,117 +906,3 @@ def load_group_config(text: str) -> GroupSpec:
     if backend == "rewriting":
         return rewriting_group(generators, rules, max_steps)
     raise GroupError(f"unknown backend {backend!r}")
-
-
-def parse_element(text: str, spec: GroupSpec) -> AlgebraElement:
-    """Parse "c1*w1 + c2*w2 - ..." element expressions.
-
-    A word is generators joined by '*' with optional ^exponents ("u*v^-1");
-    "1" is the identity.  Coefficients are rationals "3/4" or Gaussian
-    rationals in parentheses "(1/2+1/4i)" followed by '*'.
-    """
-    from .parser import _tokenize  # reuse the lexer
-
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def parse_rational() -> Fraction:
-        sign = 1
-        if peek().kind == "MINUS":
-            advance()
-            sign = -1
-        tok = advance()
-        if tok.kind != "NAT":
-            raise GroupError(f"expected a number at {tok.line}:{tok.col}")
-        num = int(tok.text)
-        den = 1
-        if peek().kind == "SLASH":
-            advance()
-            den_tok = advance()
-            if den_tok.kind != "NAT":
-                raise GroupError("expected a denominator")
-            den = int(den_tok.text)
-        return Fraction(sign * num, den)
-
-    def parse_gaussian_parens() -> GaussianRational:
-        advance()  # (
-        re = parse_rational()
-        im = Fraction(0)
-        if peek().kind in ("PLUS", "MINUS"):
-            sign = 1 if peek().kind == "PLUS" else -1
-            advance()
-            im = sign * parse_rational()
-            i_tok = advance()
-            if not (i_tok.kind == "IDENT" and i_tok.text == "i"):
-                raise GroupError("expected 'i' in Gaussian coefficient")
-        if peek().kind != "RPAREN":
-            raise GroupError("expected ')'")
-        advance()
-        return GaussianRational(re, im)
-
-    def parse_term(sign: int) -> tuple[GaussianRational, Word]:
-        coeff = gr(sign)
-        letters: list[tuple[str, int]] = []
-        if peek().kind == "LPAREN":
-            coeff = coeff * parse_gaussian_parens()
-            if peek().kind == "STAR":
-                advance()
-            else:
-                return coeff, IDENTITY
-        elif peek().kind == "NAT" or peek().kind == "MINUS":
-            q = parse_rational()
-            coeff = coeff * gr(q)
-            if peek().kind == "STAR":
-                advance()
-            else:
-                return coeff, IDENTITY  # bare rational = multiple of identity
-        while True:
-            tok = advance()
-            if tok.kind != "IDENT":
-                raise GroupError(f"expected a generator at {tok.line}:{tok.col}")
-            exp = 1
-            if peek().kind == "CARET":
-                advance()
-                exp_sign = 1
-                if peek().kind == "MINUS":
-                    advance()
-                    exp_sign = -1
-                exp_tok = advance()
-                if exp_tok.kind != "NAT":
-                    raise GroupError("expected an exponent")
-                exp = exp_sign * int(exp_tok.text)
-            letters.append((tok.text, exp))
-            if peek().kind == "STAR":
-                advance()
-                continue
-            break
-        return coeff, tuple(letters)
-
-    terms: list[tuple[GaussianRational, Word]] = []
-    sign = 1
-    if peek().kind == "MINUS":
-        advance()
-        sign = -1
-    while True:
-        coeff, word = parse_term(sign)
-        terms.append((coeff, word))
-        tok = peek()
-        if tok.kind == "PLUS":
-            advance()
-            sign = 1
-        elif tok.kind == "MINUS":
-            advance()
-            sign = -1
-        elif tok.kind == "EOF":
-            break
-        else:
-            raise GroupError(f"unexpected {tok.text!r} at {tok.line}:{tok.col}")
-    return element(spec, [(c, w) for c, w in terms])

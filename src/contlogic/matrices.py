@@ -23,11 +23,11 @@ from fractions import Fraction
 from operator import mul
 
 from .dyadic import nth_root_upper_grid, sqrt_interval
-from .gaussian import GaussianRational, gr, over_common_denominator
+from .gaussian import ContlogicError, GaussianRational, gr, over_common_denominator
 from .pairing import decode_tuple, encode_tuple, gaussian_to_nat, nat_to_gaussian
 
 
-class MatrixError(Exception):
+class MatrixError(ContlogicError):
     pass
 
 
@@ -129,14 +129,6 @@ class Matrix:
         return tuple(sum((a * x for a, x in zip(row, v)), gr(0)) for row in self.rows)
 
 
-def conj_transpose(a: Matrix) -> Matrix:
-    return a.conj_transpose()
-
-
-def normalized_trace(a: Matrix) -> GaussianRational:
-    return a.normalized_trace()
-
-
 def two_norm(a: Matrix, k: int) -> tuple[Fraction, Fraction]:
     """Dyadic interval of width <= 2^-k around sqrt(tr(A* A)/n).
 
@@ -190,21 +182,31 @@ def _trace_powers(re: IntRows, im: IntRows, ms: int) -> list[int]:
     return traces[:ms]
 
 
-def opnorm_upper_sweep(a: Matrix, ms: int, prec: int = 16) -> list[Fraction]:
-    """[opnorm_upper(a, m, prec) for m in range(ms)] from one squaring chain."""
-    if ms < 0:
-        raise ValueError("ms must be a natural")
+def _scaled_traces(a: Matrix, ms: int) -> tuple[int, list[int]]:
+    """D and [tr(H^(2^m)) for m in range(ms)], H = (DA)(DA)*, each checked >= 0."""
     d, parts = over_common_denominator(e for row in a.rows for e in row)
     n = a.n
     re = [[z[0] for z in parts[i * n:(i + 1) * n]] for i in range(n)]
     im = [[z[1] for z in parts[i * n:(i + 1) * n]] for i in range(n)]
-    out = []
-    for m, t in enumerate(_trace_powers(re, im, ms)):
+    traces = _trace_powers(re, im, ms)
+    for m, t in enumerate(traces):
         if t < 0:
             raise NegativeTrace(f"tr((A*A)^{2 ** m}) came out negative")
-        root = 2 ** (m + 1)
-        out.append(nth_root_upper_grid(Fraction(t, d**root), root, prec))
-    return out
+    return d, traces
+
+
+def _root_bound(t: int, d: int, m: int, prec: int) -> Fraction:
+    """(t / D^(2^(m+1)))^(1/2^(m+1)), ceiled to the 2^-prec grid."""
+    root = 2 ** (m + 1)
+    return nth_root_upper_grid(Fraction(t, d**root), root, prec)
+
+
+def opnorm_upper_sweep(a: Matrix, ms: int, prec: int = 16) -> list[Fraction]:
+    """[opnorm_upper(a, m, prec) for m in range(ms)] from one squaring chain."""
+    if ms < 0:
+        raise ValueError("ms must be a natural")
+    d, traces = _scaled_traces(a, ms)
+    return [_root_bound(t, d, m, prec) for m, t in enumerate(traces)]
 
 
 def opnorm_upper(a: Matrix, m: int, prec: int = 16) -> Fraction:
@@ -212,11 +214,13 @@ def opnorm_upper(a: Matrix, m: int, prec: int = 16) -> Fraction:
 
     p = (tr(H^(2^m)))^(1/2^(m+1)) with H = A* A, ceiled to the 2^-prec grid.
     Since sum of the 2^m-th eigenvalue powers dominates the largest one and
-    grid ceiling is monotone, p is sound and nonincreasing in m.
+    grid ceiling is monotone, p is sound and nonincreasing in m.  It runs the
+    squaring chain of `opnorm_upper_sweep` and takes only the last root.
     """
     if m < 0:
         raise ValueError("m must be a natural")
-    return opnorm_upper_sweep(a, m + 1, prec)[-1]
+    d, traces = _scaled_traces(a, m + 1)
+    return _root_bound(traces[-1], d, m, prec)
 
 
 def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fraction:
@@ -274,7 +278,7 @@ def enumerate_matrices(index: int) -> Matrix:
     j = ((n >> k) - 1) // 2
     size = 1 << k
     count = size * size
-    codes = decode_tuple(j, count) if count > 1 else [j]
+    codes = decode_tuple(j, count)
     entries = [nat_to_gaussian(c) for c in codes]
     rows = [entries[i * size : (i + 1) * size] for i in range(size)]
     return Matrix(rows)
@@ -286,5 +290,5 @@ def matrix_index(a: Matrix) -> int:
         raise NotDyadicSize(f"size {a.n} is not a power of two")
     k = a.n.bit_length() - 1
     codes = [gaussian_to_nat(e) for row in a.rows for e in row]
-    j = encode_tuple(codes) if len(codes) > 1 else codes[0]
+    j = encode_tuple(codes)
     return (1 << k) * (2 * j + 1) - 1

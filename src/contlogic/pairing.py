@@ -5,17 +5,27 @@ Goedel code in the package; changing them invalidates stored codes.
 
   - `pair`/`unpair`: the Cantor pairing (a+b)(a+b+1)/2 + b.
   - `encode_list`/`decode_list`: 0 <-> [], n+1 <-> pair(head, code(tail)).
+  - `encode_tuple`/`decode_tuple`: left fold of `pair` over a tuple of known
+    arity.
   - `nat_to_rat`/`rat_to_nat`: bijection N <-> Q via the Calkin-Wilf tree
     (0 -> 0; odd/even indices carry +/- signs).
   - `nat_to_gaussian`/`gaussian_to_nat`: Cantor pair of the two Q codes.
+
+The two folds are the only ones in the package.  Each takes the pairing to
+fold over, Cantor by default; Goedel codes (`contlogic.coding`) pass their
+Elias-delta pairing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from typing import Callable
 
 from .gaussian import GaussianRational
+
+Pair = Callable[[int, int], int]
+Unpair = Callable[[int], tuple[int, int]]
 
 
 def pair(a: int, b: int) -> int:
@@ -33,14 +43,14 @@ def unpair(n: int) -> tuple[int, int]:
     return w - b, b
 
 
-def encode_list(items: list[int]) -> int:
+def encode_list(items: list[int], pair: Pair = pair) -> int:
     code = 0
     for item in reversed(items):
         code = pair(item, code) + 1
     return code
 
 
-def decode_list(code: int) -> list[int]:
+def decode_list(code: int, unpair: Unpair = unpair) -> list[int]:
     items = []
     while code > 0:
         head, code = unpair(code - 1)
@@ -48,7 +58,7 @@ def decode_list(code: int) -> list[int]:
     return items
 
 
-def encode_tuple(items: list[int]) -> int:
+def encode_tuple(items: list[int], pair: Pair = pair) -> int:
     """Left fold of `pair` over a tuple of known arity (arity >= 1)."""
     if not items:
         raise ValueError("encode_tuple needs at least one item")
@@ -58,7 +68,7 @@ def encode_tuple(items: list[int]) -> int:
     return code
 
 
-def decode_tuple(code: int, arity: int) -> list[int]:
+def decode_tuple(code: int, arity: int, unpair: Unpair = unpair) -> list[int]:
     if arity < 1:
         raise ValueError("decode_tuple needs arity >= 1")
     items = []

@@ -1,10 +1,13 @@
-"""Textual syntax for restricted formulas; see docs/grammar.md.
+"""Textual syntax for restricted formulas and group-algebra elements; see
+docs/grammar.md.
 
 The grammar is LL(1) and ASCII-safe: truncated subtraction is spelled "-.",
 halving "half(...)", rounded combinations "comb(lam, t, mu, s)" with
 Gaussian-rational scalars "a/b+c/di".  `print_formula` emits a canonical form
 (nested "-." fully parenthesized, scalars with explicit imaginary part) and
-`parse_formula(print_formula(f)) == f` holds structurally.
+`parse_formula(print_formula(f)) == f` holds structurally.  `parse_element`
+reads element expressions "c1*w1 + c2*w2 - ..." with the same lexer and the
+same scalar productions.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formulas as F
-from .gaussian import GaussianRational
+from . import groups as G
+from .gaussian import ContlogicError, GaussianRational, gr
 
 KEYWORDS = {"sup", "inf", "half", "comb"}
 _CCONST_PREFIX = "c"
 
 
-class ParseError(Exception):
+class ParseError(ContlogicError):
     """Parse failure with 1-based position; `kind` is machine-readable."""
 
     def __init__(self, kind: str, message: str, line: int, col: int):
@@ -96,7 +100,7 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], sig: F.Signature):
+    def __init__(self, tokens: list[Token], sig: F.Signature | None = None):
         self.tokens = tokens
         self.pos = 0
         self.sig = sig
@@ -297,6 +301,56 @@ class _Parser:
             return GaussianRational(re, sign * im_mag)
         return GaussianRational(re, Fraction(0))
 
+    # -- group-algebra elements -------------------------------------------------
+
+    def element(self) -> list[tuple[GaussianRational, G.Word]]:
+        sign = 1
+        if self.peek().kind == "MINUS":
+            self.next()
+            sign = -1
+        terms = [self.element_term(sign)]
+        while self.peek().kind in ("PLUS", "MINUS"):
+            sign = 1 if self.next().kind == "PLUS" else -1
+            terms.append(self.element_term(sign))
+        tok = self.peek()
+        if tok.kind != "EOF":
+            self.fail("syntax", f"unexpected {tok.text!r} in an element", tok)
+        return terms
+
+    def element_term(self, sign: int) -> tuple[GaussianRational, G.Word]:
+        coeff = gr(sign)
+        kind = self.peek().kind
+        if kind == "LPAREN":
+            self.next()
+            coeff = coeff * self.gaussian()
+            self.expect("RPAREN", "')'")
+        elif kind in ("NAT", "MINUS"):
+            coeff = coeff * gr(self.rational())
+        else:
+            return coeff, self.word()
+        if self.peek().kind != "STAR":
+            return coeff, G.IDENTITY  # a bare coefficient times the identity
+        self.next()
+        return coeff, self.word()
+
+    def word(self) -> G.Word:
+        letters = [self.letter()]
+        while self.peek().kind == "STAR":
+            self.next()
+            letters.append(self.letter())
+        return tuple(letters)
+
+    def letter(self) -> tuple[str, int]:
+        name = self.expect("IDENT", "a generator").text
+        if self.peek().kind != "CARET":
+            return name, 1
+        self.next()
+        sign = 1
+        if self.peek().kind == "MINUS":
+            self.next()
+            sign = -1
+        return name, sign * int(self.expect("NAT", "an exponent").text)
+
 
 def parse_formula(text: str, sig: F.Signature) -> F.Formula:
     """Parse `text` into a formula over `sig`; first error wins, with position."""
@@ -307,6 +361,17 @@ def parse_formula(text: str, sig: F.Signature) -> F.Formula:
         raise ParseError("syntax", f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
     F.validate(formula, sig)
     return formula
+
+
+def parse_element(text: str, spec: G.GroupSpec) -> G.AlgebraElement:
+    """Parse an element expression of the group algebra of `spec`.
+
+    A word is generators joined by '*' with optional ^exponents ("u*v^-1");
+    a coefficient alone ("1", "(1/2+1/4i)") multiplies the identity.
+    Coefficients are the formula grammar's rationals "3/4" or Gaussian
+    rationals in parentheses "(1/2+1/4i)", followed by '*'.
+    """
+    return G.element(spec, _Parser(_tokenize(text)).element())
 
 
 # ---------------------------------------------------------------------------

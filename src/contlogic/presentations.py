@@ -25,7 +25,7 @@ from typing import Optional, Union
 from . import groups as G
 from . import matrices as M
 from .formulas import CSTAR, TVNA, Signature, rounded_bound_ok
-from .gaussian import GaussianRational, gr
+from .gaussian import ContlogicError, GaussianRational, gr
 from .pairing import pair as cantor_pair, unpair as cantor_unpair, decode_tuple, nat_to_gaussian
 from .torus import torus_sup_norm
 
@@ -35,7 +35,7 @@ LOWER_ONLY = "lower_only"
 _TRACE_POWER_CAP = 8  # trace-squaring exponent cap for special-point bounds
 
 
-class PresentationError(Exception):
+class PresentationError(ContlogicError):
     pass
 
 
@@ -474,7 +474,7 @@ class CantorSpacePresentation(Presentation):
         depth = (n & -n).bit_length() - 1
         j = ((n >> depth) - 1) // 2
         count = 1 << depth
-        codes = decode_tuple(j, count) if count > 1 else [j]
+        codes = decode_tuple(j, count)
         leaves = []
         for code in codes:
             z = nat_to_gaussian(code)
@@ -520,12 +520,3 @@ def presentation_CstarLambda(spec: G.GroupSpec) -> ReducedCstarPresentation:
 
 def presentation_C2w() -> CantorSpacePresentation:
     return CantorSpacePresentation()
-
-
-def rational_points(presentation: Presentation, index: int) -> RationalPoint:
-    return presentation.rational_point(index)
-
-
-def norm_oracle(presentation: Presentation, point: RationalPoint, k: int,
-                budget: Optional[int] = None) -> NormResult:
-    return presentation.norm_oracle(point, k, budget=budget)

@@ -15,7 +15,7 @@ import heapq
 from fractions import Fraction
 
 from .dyadic import sqrt_interval
-from .gaussian import GaussianRational
+from .gaussian import ContlogicError, GaussianRational
 
 Vector = tuple[int, ...]
 Interval = tuple[Fraction, Fraction]
@@ -23,7 +23,7 @@ Interval = tuple[Fraction, Fraction]
 _MAX_BOXES = 200000
 
 
-class TorusBoundFailure(Exception):
+class TorusBoundFailure(ContlogicError):
     pass
 
 

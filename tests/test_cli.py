@@ -217,3 +217,15 @@ def test_complex_moment_is_a_typed_error(tmp_path, monkeypatch):
     assert json.loads(err[0]) == {
         "error": "complexmoment", "message": "moment of a positive element must be real"
     }
+
+
+def test_element_zero_denominator_is_a_parse_error(tmp_path):
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text(GROUP_CFG)
+    for text in ("1/0*u", "(1/0)*u", "(1+1/0i)*u"):
+        status, out, err = _typed_error(["norm", "--group", str(cfg), "--element", text])
+        assert status == 1 and out == ""
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "parse-error"
+        assert "zero denominator" in record["message"]

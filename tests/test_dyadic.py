@@ -4,8 +4,6 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from contlogic.dyadic import (
-    dyadic_ceil,
-    dyadic_floor,
     int_nth_root,
     is_dyadic,
     nth_root_lower_grid,
@@ -18,12 +16,6 @@ def test_is_dyadic():
     assert is_dyadic(Fraction(3, 8))
     assert is_dyadic(Fraction(5))
     assert not is_dyadic(Fraction(1, 3))
-
-
-def test_floor_ceil_grid():
-    assert dyadic_floor(Fraction(5, 3), 2) == Fraction(6, 4)
-    assert dyadic_ceil(Fraction(5, 3), 2) == Fraction(7, 4)
-    assert dyadic_floor(Fraction(3, 4), 2) == Fraction(3, 4) == dyadic_ceil(Fraction(3, 4), 2)
 
 
 @given(st.integers(0, 10**12), st.integers(1, 9))

@@ -263,6 +263,22 @@ def test_eval_lower_only_presentation_still_sound():
     assert res.certified_lower == 0
 
 
+def _slack_bound(formula: F.Formula, k: int) -> Fraction:
+    """Static width bound: oracle atoms contribute 2^-k each, truncated
+    subtraction adds sides, halving halves."""
+    if isinstance(formula, F.Atomic):
+        return Fraction(1, 2**k) if formula.pred == "d" else Fraction(0)
+    if isinstance(formula, (F.Zero, F.One)):
+        return Fraction(0)
+    if isinstance(formula, F.Half):
+        return _slack_bound(formula.body, k) / 2
+    if isinstance(formula, F.DotMinus):
+        return _slack_bound(formula.left, k) + _slack_bound(formula.right, k)
+    if isinstance(formula, (F.Sup, F.Inf)):
+        return _slack_bound(formula.body, k)
+    raise E.EvalError(f"not a formula: {formula!r}")
+
+
 def test_slack_bound_reported():
     t = line_structure([Fraction(0), Fraction(1, 2)])
     pres = E.TestStructurePresentation(t)
@@ -272,7 +288,7 @@ def test_slack_bound_reported():
         {1: P.PSpecial(0), 2: P.PSpecial(1)},
     )
     assert res.slack == 0  # exact tables have no oracle noise
-    assert res.slack <= E._slack_bound(f, 10)
+    assert res.slack <= _slack_bound(f, 10)
 
 
 def test_classify_examples():

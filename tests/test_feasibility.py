@@ -8,12 +8,20 @@ from contlogic.feasibility import (
     OPTIMAL,
     UNBOUNDED,
     LinExpr,
-    feasible_margin,
     maximize,
 )
 
 C = LinExpr.constant
 V = LinExpr.var
+EPS = V("__eps__")
+
+
+def margin_lp(nonstrict, strict):
+    """The strict-margin LP that forcing solves inline: maximize eps subject
+    to the nonstrict rows, each strict lhs < rhs as lhs + eps <= rhs, and
+    eps <= 1.  The strict system is solvable iff the optimum is positive."""
+    rows = list(nonstrict) + [(lhs + EPS, rhs) for lhs, rhs in strict]
+    return maximize(EPS, rows + [(EPS, C(1))])
 
 
 def test_simple_maximum():
@@ -97,7 +105,7 @@ def test_degenerate_cycling_guard():
 
 def test_feasible_margin_positive():
     # 0 < x < 1 has margin 1/2
-    res = feasible_margin([], [(C(0), V("x")), (V("x"), C(1))])
+    res = margin_lp([], [(C(0), V("x")), (V("x"), C(1))])
     assert res.status == OPTIMAL
     assert res.value == Fraction(1, 2)
     assert 0 < res.point["x"] < 1
@@ -105,7 +113,7 @@ def test_feasible_margin_positive():
 
 def test_feasible_margin_zero_boundary():
     # x <= 0 and x > 0 is unsolvable: margin 0
-    res = feasible_margin([(V("x"), C(0))], [(C(0), V("x"))])
+    res = margin_lp([(V("x"), C(0))], [(C(0), V("x"))])
     assert res.status == OPTIMAL
     assert res.value == 0
 
@@ -113,7 +121,7 @@ def test_feasible_margin_zero_boundary():
 def test_margin_point_satisfies_strictly():
     nonstrict = [(V("x") + V("y"), C(1))]
     strict = [(V("y"), V("x")), (C(Fraction(1, 8)), V("y"))]
-    res = feasible_margin(nonstrict, strict)
+    res = margin_lp(nonstrict, strict)
     assert res.status == OPTIMAL and res.value > 0
     x, y = res.point["x"], res.point["y"]
     assert x + y <= 1 and y < x and y > Fraction(1, 8)

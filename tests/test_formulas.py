@@ -71,44 +71,6 @@ def test_classify_prefix_after_prenex_never_errors():
         F.classify_prefix(F.prenex(f))  # must not raise
 
 
-def test_modulus_examples():
-    m = F.modulus_of(d(x, c1), "x", F.METRIC)
-    assert m(3) == 3
-    m = F.modulus_of(F.Half(d(x, c1)), "x", F.METRIC)
-    assert m(3) == 2
-    m = F.modulus_of(F.DotMinus(d(x, c1), d(x, c2)), "x", F.METRIC)
-    assert m(3) == 4
-
-
-def test_modulus_brute_force_on_five_point_space():
-    # 5 points on a line with distances |i-j|/4, truncated at 1
-    pts = list(range(5))
-
-    def dist(a, b):
-        return min(Fraction(abs(a - b), 4), Fraction(1))
-
-    formula = F.DotMinus(d(x, c1), d(x, c2))
-    m = F.modulus_of(formula, "x", F.METRIC)
-    k = 3
-
-    def value(p):
-        a = dist(p, 0)  # c1 bound to point 0
-        b = dist(p, 1)  # c2 bound to point 1
-        return F.dot_minus_value(a, b)
-
-    tol_in = Fraction(1, 2 ** m(k))
-    tol_out = Fraction(1, 2**k)
-    for p in pts:
-        for q in pts:
-            if dist(p, q) <= tol_in:
-                assert abs(value(p) - value(q)) <= tol_out
-
-
-def test_modulus_requires_free_var():
-    with pytest.raises(F.FormulaError):
-        F.modulus_of(F.Sup("x", d(x, x)), "x", F.METRIC)
-
-
 def test_dyadic_constant_values():
     # exact evaluation of the constant formulas
     def const_value(f):

@@ -27,7 +27,7 @@ def random_vector(rng: random.Random, n: int):
 
 def test_normalized_trace_identity():
     for n in (1, 2, 5):
-        assert M.normalized_trace(M.Matrix.identity(n)) == gr(1)
+        assert M.Matrix.identity(n).normalized_trace() == gr(1)
 
 
 def test_conj_transpose_involution():
@@ -41,7 +41,7 @@ def test_trace_cyclic():
     rng = random.Random(3)
     for _ in range(20):
         a, b = random_matrix(rng, 3), random_matrix(rng, 3)
-        assert M.normalized_trace(a * b) == M.normalized_trace(b * a)
+        assert (a * b).normalized_trace() == (b * a).normalized_trace()
 
 
 def test_size_mismatch():
@@ -123,7 +123,7 @@ def test_embed_dyadic():
         a, b = random_matrix(rng, 2), random_matrix(rng, 2)
         ea, eb = M.embed_dyadic(a), M.embed_dyadic(b)
         assert M.embed_dyadic(a * b) == ea * eb
-        assert M.normalized_trace(ea) == M.normalized_trace(a)
+        assert ea.normalized_trace() == a.normalized_trace()
         assert M.two_norm(ea, 14) == M.two_norm(a, 14)
     with pytest.raises(M.NotDyadicSize):
         M.embed_dyadic(M.Matrix.identity(3))

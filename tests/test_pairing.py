@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from contlogic import coding
 from contlogic.gaussian import GaussianRational, gr
 from contlogic.pairing import (
     decode_list,
@@ -25,20 +26,31 @@ def test_pair_unpair_roundtrip():
             assert unpair(pair(a, b)) == (a, b)
 
 
+# the folds run over the Cantor pairing (the default) and over the
+# Elias-delta pairing of Goedel codes
+PAIRINGS = [(pair, unpair), (coding.pair, coding.unpair)]
+
+
 def test_list_codes():
-    rng = random.Random(3)
-    for _ in range(200):
-        items = [rng.randint(0, 50) for _ in range(rng.randint(0, 6))]
-        assert decode_list(encode_list(items)) == items
-    assert encode_list([]) == 0
+    for fold, unfold in PAIRINGS:
+        rng = random.Random(3)
+        for _ in range(200):
+            items = [rng.randint(0, 50) for _ in range(rng.randint(0, 6))]
+            assert decode_list(encode_list(items, fold), unfold) == items
+        assert encode_list([], fold) == 0
+    assert encode_list([1, 2]) == pair(1, pair(2, 0) + 1) + 1
+    assert encode_list([1, 2], coding.pair) == coding.pair(1, coding.pair(2, 0) + 1) + 1
 
 
 def test_tuple_codes():
-    rng = random.Random(4)
-    for _ in range(200):
-        arity = rng.randint(1, 5)
-        items = [rng.randint(0, 30) for _ in range(arity)]
-        assert decode_tuple(encode_tuple(items), arity) == items
+    for fold, unfold in PAIRINGS:
+        rng = random.Random(4)
+        for _ in range(200):
+            arity = rng.randint(1, 5)
+            items = [rng.randint(0, 30) for _ in range(arity)]
+            assert decode_tuple(encode_tuple(items, fold), arity, unfold) == items
+    assert encode_tuple([1, 2, 3]) == pair(pair(1, 2), 3)
+    assert encode_tuple([1, 2, 3], coding.pair) == coding.pair(coding.pair(1, 2), 3)
 
 
 def test_rat_bijection_small_values():

@@ -402,6 +402,8 @@ def main(argv=None) -> int:
         return _fail("bad-item", str(exc))
     except (ContlogicError, ValueError) as exc:
         return _fail(type(exc).__name__.lower(), str(exc))
+    except RecursionError:
+        return _fail("too-deep", "input nests too deeply")
 
 
 if __name__ == "__main__":

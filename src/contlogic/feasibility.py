@@ -23,6 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
+from .gaussian import ContlogicError
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -171,6 +173,11 @@ class _Unbounded(Exception):
     pass
 
 
+class PhaseOneUnbounded(ContlogicError):
+    """Phase 1 minimizes a sum of nonnegative artificials, so it is bounded;
+    an unbounded phase 1 means the tableau is corrupt."""
+
+
 def maximize(objective: LinExpr,
              constraints: list[tuple[LinExpr, LinExpr]]) -> LPResult:
     """Maximize `objective` subject to lhs <= rhs constraints, variables >= 0."""
@@ -213,8 +220,8 @@ def maximize(objective: LinExpr,
         artificial = {j: Fraction(-1) for j in range(total, total + n_art)}
         try:
             _run_simplex(rows, basis, artificial, total + n_art, width)
-        except _Unbounded:  # pragma: no cover - phase 1 is bounded
-            raise AssertionError("phase 1 cannot be unbounded")
+        except _Unbounded:
+            raise PhaseOneUnbounded("phase 1 cannot be unbounded") from None
         if any(row[-1] for row, j in zip(rows, basis) if j >= total):
             return LPResult(INFEASIBLE)
         # drive leftover artificials out of the basis

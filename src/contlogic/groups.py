@@ -1,11 +1,13 @@
-"""Word-problem backends and exact arithmetic in the group algebra Q(i)G.
+"""Group kinds and exact arithmetic in the group algebra Q(i)G.
 
 Words are tuples of (generator, exponent) runs with nonzero exponents.  A
-GroupSpec couples generator names with a backend that solves the word problem
-(free groups, free abelian groups, finite multiplication tables, and
-user-certified terminating rewriting systems).  Algebra elements are finitely
-supported maps from normal-form words to Gaussian rationals; the canonical
-trace reads off the identity coefficient.
+GroupSpec is a computable presentation of a finitely generated group: a
+solver for its word problem together with an effective numbering of its
+normal forms.  There is one subclass per group kind (free groups, free
+abelian groups, finite multiplication tables, and user-certified terminating
+rewriting systems).  Algebra elements are finitely supported maps from
+normal-form words to Gaussian rationals; the canonical trace reads off the
+identity coefficient.
 
 Norm bounds: `two_norm` computes sqrt(tau(a* a)) from the exact radicand,
 `l1_norm` gives the certified operator-norm upper bound sum |coeff|, and
@@ -26,8 +28,8 @@ of a), h^j is an integer element over E^j, and tau(h^j) is read over E^j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .dyadic import nth_root_lower_grid, sqrt_interval
@@ -87,53 +89,159 @@ def _compress(letters: list[tuple[str, int]]) -> Word:
     return tuple(out)
 
 
-def invert_word(word: Word) -> Word:
-    return tuple((name, -exp) for name, exp in reversed(word))
-
-
 # ---------------------------------------------------------------------------
-# backends
+# group kinds
 # ---------------------------------------------------------------------------
 
 
-class FreeBackend:
-    """Free group: normal form is the freely reduced word."""
+class GroupSpec:
+    """A finitely generated group with a word-problem solver.
 
-    finite_words = None  # infinitely many normal forms
-
-    def __init__(self, generators: tuple[str, ...]):
-        self.generators = generators
-
-    def normal_form(self, word: Word, generators: tuple[str, ...]) -> Word:
-        return _compress(list(word))
-
-
-class FreeAbelianBackend:
-    """Free abelian group: normal form sorts the exponent vector."""
-
-    finite_words = None
-
-    def __init__(self, generators: tuple[str, ...]):
-        self.generators = generators
-
-    def normal_form(self, word: Word, generators: tuple[str, ...]) -> Word:
-        totals = {g: 0 for g in generators}
-        for name, exp in word:
-            totals[name] += exp
-        return tuple((g, totals[g]) for g in generators if totals[g] != 0)
-
-
-class TableBackend:
-    """Finite group given by a multiplication table over named elements.
-
-    Normal forms are the identity word () or a single (element_name, 1) run;
-    every element name is a legal letter.  Group axioms are verified at
-    construction.
+    Each group kind defines `normal_form` and numbers its normal forms by
+    `word_at(index)` and its inverse `index_of(word)` (docs/encodings.md).
+    `finite_words` is the number of normal forms of a table group, whose
+    algebra elements get tuple codes; it is None for the other kinds, finite
+    rewriting groups included, whose elements get list codes.
     """
 
+    name: str
+    finite_words: Optional[int] = None
+
+    def __init__(self, generators: tuple[str, ...]):
+        self.generators = tuple(generators)
+
+    def normal_form(self, word: Word) -> Word:
+        raise NotImplementedError
+
+    def word_at(self, index: int) -> Word:
+        raise NotImplementedError
+
+    def index_of(self, word: Word) -> int:
+        raise NotImplementedError
+
+    def mul(self, a: Word, b: Word) -> Word:
+        return self.normal_form(a + b)
+
+    def inv(self, a: Word) -> Word:
+        return self.normal_form(tuple((name, -exp) for name, exp in reversed(a)))
+
+    def _check_generators(self, word: Word) -> None:
+        for name, _ in word:
+            if name not in self.generators:
+                raise UnknownGenerator(f"unknown generator {name!r}")
+
+
+def _trivial_word_at(index: int) -> Word:
+    if index:
+        raise GroupError(f"word index {index} exceeds the trivial group")
+    return IDENTITY
+
+
+class FreeGroup(GroupSpec):
+    """Free group: normal form is the freely reduced word.
+
+    Reduced words are numbered by length, then lexicographically in the
+    letter order g1, g1^-1, g2, g2^-1, ...
+    """
+
+    name = "free"
+
+    def __init__(self, generators: tuple[str, ...]):
+        super().__init__(generators)
+        self.letters = [(g, step) for g in self.generators for step in (1, -1)]
+
+    def normal_form(self, word: Word) -> Word:
+        self._check_generators(word)
+        return _compress(list(word))
+
+    def _allowed(self, prev: Optional[tuple[str, int]]) -> list[tuple[str, int]]:
+        if prev is None:
+            return self.letters
+        return [t for t in self.letters if t != (prev[0], -prev[1])]
+
+    def index_of(self, word: Word) -> int:
+        seq = [(name, 1 if exp > 0 else -1) for name, exp in word for _ in range(abs(exp))]
+        if not seq:
+            return 0
+        k2 = len(self.letters)
+        index = 1 + sum(k2 * (k2 - 1) ** (j - 1) for j in range(1, len(seq)))
+        lex = 0
+        prev = None
+        for letter in seq:
+            allowed = self._allowed(prev)
+            lex = lex * len(allowed) + allowed.index(letter)
+            prev = letter
+        return index + lex
+
+    def word_at(self, index: int) -> Word:
+        if index == 0 or not self.letters:
+            return _trivial_word_at(index)
+        k2 = len(self.letters)
+        index -= 1
+        length = 1
+        while index >= k2 * (k2 - 1) ** (length - 1):
+            index -= k2 * (k2 - 1) ** (length - 1)
+            length += 1
+        digits = []
+        for size in [k2 - 1] * (length - 1) + [k2]:
+            index, digit = divmod(index, size)
+            digits.append(digit)
+        seq: list[tuple[str, int]] = []
+        prev = None
+        for digit in reversed(digits):
+            prev = self._allowed(prev)[digit]
+            seq.append(prev)
+        return _compress(seq)
+
+
+def _zigzag(e: int) -> int:
+    return 2 * e - 1 if e > 0 else -2 * e
+
+
+def _unzigzag(n: int) -> int:
+    return (n + 1) // 2 if n % 2 == 1 else -(n // 2)
+
+
+class FreeAbelianGroup(GroupSpec):
+    """Free abelian group: normal form sorts the exponent vector.
+
+    Normal forms are numbered by the Cantor tuple fold of the zigzagged
+    exponents.
+    """
+
+    name = "free_abelian"
+
+    def normal_form(self, word: Word) -> Word:
+        self._check_generators(word)
+        totals = dict.fromkeys(self.generators, 0)
+        for name, exp in word:
+            totals[name] += exp
+        return tuple((g, totals[g]) for g in self.generators if totals[g] != 0)
+
+    def word_at(self, index: int) -> Word:
+        if not self.generators:
+            return _trivial_word_at(index)
+        exps = [_unzigzag(v) for v in decode_tuple(index, len(self.generators))]
+        return tuple((g, e) for g, e in zip(self.generators, exps) if e != 0)
+
+    def index_of(self, word: Word) -> int:
+        totals = dict(word)
+        exps = [_zigzag(totals.get(g, 0)) for g in self.generators]
+        return encode_tuple(exps) if exps else 0
+
+
+class TableGroup(GroupSpec):
+    """Finite group given by a multiplication table over named elements.
+
+    The non-identity elements are the generators, though every element name
+    is a legal letter.  Normal forms are the identity word () or a single
+    (element_name, 1) run, numbered identity first and then in the declared
+    element order.  Group axioms are verified at construction.
+    """
+
+    name = "table"
+
     def __init__(self, elements: tuple[str, ...], identity: str, table: list[list[str]]):
-        self.elements = elements
-        self.identity = identity
         index = {name: i for i, name in enumerate(elements)}
         if len(index) != len(elements):
             raise GroupError("duplicate element names")
@@ -142,55 +250,66 @@ class TableBackend:
         n = len(elements)
         if len(table) != n or any(len(row) != n for row in table):
             raise GroupError("table must be square over the element list")
-        self._mul = [[index[table[i][j]] for j in range(n)] for i in range(n)]
-        self._index = index
+        mul = [[index[table[i][j]] for j in range(n)] for i in range(n)]
         e = index[identity]
         for i in range(n):
-            if self._mul[e][i] != i or self._mul[i][e] != i:
+            if mul[e][i] != i or mul[i][e] != i:
                 raise GroupError("identity row/column mismatch")
-        self._inv = [None] * n
         for i in range(n):
-            for j in range(n):
-                if self._mul[i][j] == e:
-                    self._inv[i] = j
-            if self._inv[i] is None:
+            if e not in mul[i]:
                 raise GroupError(f"element {elements[i]!r} has no inverse")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if self._mul[self._mul[i][j]][k] != self._mul[i][self._mul[j][k]]:
+                    if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
                         raise GroupError("table is not associative")
+        super().__init__(name for name in elements if name != identity)
+        self.elements = tuple(elements)
+        self.finite_words = n
+        self._e = e
+        self._mul = mul
+        self._index = index
+        self._words = [IDENTITY] + [((g, 1),) for g in self.generators]
 
-    @property
-    def finite_words(self) -> int:
-        return len(self.elements)
-
-    def normal_form(self, word: Word, generators: tuple[str, ...]) -> Word:
-        e = self._index[self.identity]
-        acc = e
+    def normal_form(self, word: Word) -> Word:
+        acc = self._e
         for name, exp in word:
             if name not in self._index:
                 raise UnknownGenerator(f"unknown element {name!r}")
             x = self._index[name]
-            if exp < 0:
-                x = self._inv[x]
-                exp = -exp
-            for _ in range(exp):
+            # x^|G| is the identity (Lagrange), so the exponent counts mod |G|
+            for _ in range(exp % self.finite_words):
                 acc = self._mul[acc][x]
-        if acc == e:
+        if acc == self._e:
             return IDENTITY
         return ((self.elements[acc], 1),)
 
+    def word_at(self, index: int) -> Word:
+        return self._words[index]
 
-class RewritingBackend:
+    def index_of(self, word: Word) -> int:
+        return self._words.index(word)
+
+
+def _to_string(word: Word) -> str:
+    return "".join((name if exp > 0 else name.upper()) * abs(exp) for name, exp in word)
+
+
+def _to_word(s: str) -> Word:
+    return _compress([(ch.lower(), 1 if ch.islower() else -1) for ch in s])
+
+
+class RewritingGroup(GroupSpec):
     """String rewriting over single-letter generators (inverse = uppercase).
 
     Rules "lhs -> rhs" are applied together with the free-reduction rules
     until a fixed point; termination is the caller's certificate, and a step
-    budget rejects runaway systems with RewritingDiverged.
+    budget rejects runaway systems (and words longer than the budget) with
+    RewritingDiverged.  Normal forms are the irreducible strings, numbered by
+    length then lexicographically over the alphabet g1, G1, g2, G2, ...
     """
 
-    finite_words = None
+    name = "rewriting"
 
     def __init__(self, generators: tuple[str, ...], rules: list[tuple[str, str]],
                  max_steps: int = 10000):
@@ -199,18 +318,25 @@ class RewritingBackend:
                 raise GroupError(
                     f"rewriting generators must be single lowercase letters, got {g!r}"
                 )
-        self.generators = generators
-        alphabet = set(generators) | {g.upper() for g in generators}
+        super().__init__(generators)
+        self.alphabet = [ch for g in self.generators for ch in (g, g.upper())]
         for lhs, rhs in rules:
             if not lhs:
                 raise GroupError("empty rule left-hand side")
             for ch in lhs + rhs:
-                if ch not in alphabet:
+                if ch not in self.alphabet:
                     raise GroupError(f"rule uses letter {ch!r} outside the alphabet")
-        reduction = [(g + g.upper(), "") for g in generators]
-        reduction += [(g.upper() + g, "") for g in generators]
+        reduction = [(g + g.upper(), "") for g in self.generators]
+        reduction += [(g.upper() + g, "") for g in self.generators]
         self.rules = reduction + list(rules)
         self.max_steps = max_steps
+        # the normal forms numbered so far: all those shorter than _next_length
+        self._words: list[Word] = [IDENTITY]
+        self._positions: dict[Word, int] = {IDENTITY: 0}
+        self._next_length = 1
+        # every substring of an irreducible string is irreducible, so a
+        # length level with no new normal forms proves none longer exist
+        self._exhausted = False
 
     def _reduce(self, s: str) -> str:
         # one leftmost application of the first matching rule per step, so the
@@ -230,60 +356,60 @@ class RewritingBackend:
             else:
                 return s
 
-    def word_to_string(self, word: Word) -> str:
-        out = []
-        for name, exp in word:
-            letter = name if exp > 0 else name.upper()
-            out.append(letter * abs(exp))
-        return "".join(out)
-
-    def string_to_word(self, s: str) -> Word:
-        return _compress([(ch.lower(), 1 if ch.islower() else -1) for ch in s])
-
-    def normal_form(self, word: Word, generators: tuple[str, ...]) -> Word:
-        return self.string_to_word(self._reduce(self.word_to_string(word)))
-
-
-@dataclass(frozen=True, eq=False)
-class GroupSpec:
-    """A finitely generated group with a word-problem solver."""
-
-    generators: tuple[str, ...]
-    backend: object
-    name: str = "group"
-
     def normal_form(self, word: Word) -> Word:
-        for name, exp in word:
-            if not isinstance(self.backend, TableBackend) and name not in self.generators:
-                raise UnknownGenerator(f"unknown generator {name!r}")
-        return self.backend.normal_form(tuple(word), self.generators)
+        self._check_generators(word)
+        length = sum(abs(exp) for _, exp in word)
+        if length > self.max_steps:
+            raise RewritingDiverged(
+                f"a word of {length} letters exceeds the {self.max_steps}-step budget"
+            )
+        return _to_word(self._reduce(_to_string(word)))
 
-    def mul(self, a: Word, b: Word) -> Word:
-        return self.normal_form(a + b)
+    def _grow(self) -> None:
+        """Number the irreducible strings of the next length, in lex order."""
+        known = len(self._words)
+        for letters in product(self.alphabet, repeat=self._next_length):
+            s = "".join(letters)
+            if self._reduce(s) == s:
+                self._positions[_to_word(s)] = len(self._words)
+                self._words.append(_to_word(s))
+        self._next_length += 1
+        self._exhausted = len(self._words) == known
 
-    def inv(self, a: Word) -> Word:
-        return self.normal_form(invert_word(a))
+    def word_at(self, index: int) -> Word:
+        while index >= len(self._words):
+            if self._exhausted:
+                raise GroupError(
+                    f"word index {index} exceeds the {len(self._words)} normal "
+                    "forms of this finite rewriting group"
+                )
+            self._grow()
+        return self._words[index]
+
+    def index_of(self, word: Word) -> int:
+        while word not in self._positions:
+            if self._exhausted:
+                raise GroupError(f"word {word!r} is not a normal form")
+            self._grow()
+        return self._positions[word]
 
 
-def free_group(*generators: str) -> GroupSpec:
-    return GroupSpec(tuple(generators), FreeBackend(tuple(generators)), "free")
+def free_group(*generators: str) -> FreeGroup:
+    return FreeGroup(generators)
 
 
-def free_abelian(*generators: str) -> GroupSpec:
-    return GroupSpec(tuple(generators), FreeAbelianBackend(tuple(generators)), "free_abelian")
+def free_abelian(*generators: str) -> FreeAbelianGroup:
+    return FreeAbelianGroup(generators)
 
 
-def table_group(elements: tuple[str, ...], identity: str, table: list[list[str]],
-                generators: tuple[str, ...] | None = None) -> GroupSpec:
-    backend = TableBackend(tuple(elements), identity, table)
-    gens = tuple(generators) if generators else tuple(e for e in elements if e != identity)
-    return GroupSpec(gens, backend, "table")
+def table_group(elements: tuple[str, ...], identity: str,
+                table: list[list[str]]) -> TableGroup:
+    return TableGroup(tuple(elements), identity, table)
 
 
 def rewriting_group(generators: tuple[str, ...], rules: list[tuple[str, str]],
-                    max_steps: int = 10000) -> GroupSpec:
-    return GroupSpec(tuple(generators), RewritingBackend(tuple(generators), rules, max_steps),
-                     "rewriting")
+                    max_steps: int = 10000) -> RewritingGroup:
+    return RewritingGroup(tuple(generators), rules, max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +689,7 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     """
     if n < 1:
         raise ValueError("moments need n >= 1")
-    if isinstance(a.spec.backend, FreeBackend):
+    if isinstance(a.spec, FreeGroup):
         wa = _letter_weights(a)
         if wa is not None:
             wstar = _letter_weights(a.adjoint())
@@ -606,190 +732,6 @@ def lambda_norm_lower_sweep(a: AlgebraElement, n: int, k: int) -> list[Fraction]
 # ---------------------------------------------------------------------------
 
 
-def _zigzag(e: int) -> int:
-    return 2 * e - 1 if e > 0 else -2 * e
-
-
-def _unzigzag(n: int) -> int:
-    return (n + 1) // 2 if n % 2 == 1 else -(n // 2)
-
-
-class _WordOrder:
-    """Deterministic numbering of normal-form words for one GroupSpec."""
-
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-        backend = spec.backend
-        if isinstance(backend, FreeBackend):
-            self.kind = "free"
-            self.letters = []
-            for g in spec.generators:
-                self.letters.append((g, 1))
-                self.letters.append((g, -1))
-        elif isinstance(backend, FreeAbelianBackend):
-            self.kind = "abelian"
-        elif isinstance(backend, TableBackend):
-            self.kind = "table"
-            self.words = [IDENTITY] + [
-                ((name, 1),) for name in backend.elements if name != backend.identity
-            ]
-        elif isinstance(backend, RewritingBackend):
-            self.kind = "rewriting"
-            self._cache: list[Word] = [IDENTITY]
-            self._cache_index: dict[Word, int] = {IDENTITY: 0}
-            self._next_length = 1
-            # every substring of an irreducible string is irreducible, so a
-            # length level with no new normal forms proves none longer exist
-            self._exhausted = False
-        else:
-            raise GroupError(f"unsupported backend {backend!r}")
-
-    @property
-    def finite_count(self) -> Optional[int]:
-        backend = self.spec.backend
-        return backend.finite_words if isinstance(backend, TableBackend) else None
-
-    # free group: words of length L ordered lexicographically in letter order
-
-    def _free_letter_seq(self, word: Word) -> list[tuple[str, int]]:
-        out = []
-        for name, exp in word:
-            step = 1 if exp > 0 else -1
-            out.extend([(name, step)] * abs(exp))
-        return out
-
-    def _free_index(self, word: Word) -> int:
-        seq = self._free_letter_seq(word)
-        k2 = len(self.letters)
-        if not seq:
-            return 0
-        length = len(seq)
-        index = 1
-        for length_j in range(1, length):
-            index += k2 * (k2 - 1) ** (length_j - 1)
-        lex = 0
-        prev = None
-        remaining = length
-        for letter in seq:
-            allowed = (
-                self.letters
-                if prev is None
-                else [t for t in self.letters if t != (prev[0], -prev[1])]
-            )
-            lex = lex * len(allowed) + allowed.index(letter)
-            prev = letter
-            remaining -= 1
-        return index + lex
-
-    def _free_word(self, index: int) -> Word:
-        if index == 0:
-            return IDENTITY
-        k2 = len(self.letters)
-        index -= 1
-        length = 1
-        while True:
-            count = k2 * (k2 - 1) ** (length - 1)
-            if index < count:
-                break
-            index -= count
-            length += 1
-        seq: list[tuple[str, int]] = []
-        sizes = [k2] + [k2 - 1] * (length - 1)
-        digits = []
-        for size in reversed(sizes):
-            index, digit = divmod(index, size)
-            digits.append(digit)
-        digits.reverse()
-        prev = None
-        for digit in digits:
-            allowed = (
-                self.letters
-                if prev is None
-                else [t for t in self.letters if t != (prev[0], -prev[1])]
-            )
-            letter = allowed[digit]
-            seq.append(letter)
-            prev = letter
-        return _compress(seq)
-
-    # rewriting: irreducible strings by length then lex over the alphabet
-
-    def _rewriting_alphabet(self) -> list[str]:
-        out = []
-        for g in self.spec.generators:
-            out.append(g)
-            out.append(g.upper())
-        return out
-
-    def _rewriting_grow(self) -> int:
-        backend = self.spec.backend
-        alphabet = self._rewriting_alphabet()
-        length = self._next_length
-        frontier = [""]
-        for _ in range(length):
-            frontier = [s + ch for s in frontier for ch in alphabet]
-        added = 0
-        for s in frontier:
-            word = backend.string_to_word(s)
-            if backend.normal_form(word, self.spec.generators) == word and (
-                backend.word_to_string(word) == s
-            ):
-                if word not in self._cache_index:
-                    self._cache_index[word] = len(self._cache)
-                    self._cache.append(word)
-                    added += 1
-        self._next_length += 1
-        if added == 0:
-            self._exhausted = True
-        return added
-
-    def word_at(self, index: int) -> Word:
-        if self.kind == "free":
-            return self._free_word(index)
-        if self.kind == "abelian":
-            d = len(self.spec.generators)
-            if d == 0:
-                return IDENTITY
-            exps = [_unzigzag(v) for v in decode_tuple(index, d)]
-            return tuple(
-                (g, e) for g, e in zip(self.spec.generators, exps) if e != 0
-            )
-        if self.kind == "table":
-            return self.words[index]
-        while index >= len(self._cache):
-            if self._exhausted:
-                raise GroupError(
-                    f"word index {index} exceeds the {len(self._cache)} normal "
-                    "forms of this finite rewriting group"
-                )
-            self._rewriting_grow()
-        return self._cache[index]
-
-    def index_of(self, word: Word) -> int:
-        if self.kind == "free":
-            return self._free_index(word)
-        if self.kind == "abelian":
-            totals = dict(word)
-            exps = [_zigzag(totals.get(g, 0)) for g in self.spec.generators]
-            return encode_tuple(exps) if exps else 0
-        if self.kind == "table":
-            return self.words.index(word)
-        while word not in self._cache_index:
-            if self._exhausted:
-                raise GroupError(f"word {word!r} is not a normal form")
-            self._rewriting_grow()
-        return self._cache_index[word]
-
-
-def _word_order(spec: GroupSpec) -> _WordOrder:
-    """The spec's word order, cached on the spec so that it dies with it."""
-    order = getattr(spec, "_word_order", None)
-    if order is None:
-        order = _WordOrder(spec)
-        object.__setattr__(spec, "_word_order", order)
-    return order
-
-
 def enumerate_group_algebra(spec: GroupSpec, index: int) -> AlgebraElement:
     """Deterministic enumeration of all finitely supported elements.
 
@@ -799,30 +741,27 @@ def enumerate_group_algebra(spec: GroupSpec, index: int) -> AlgebraElement:
     element (0 = absent).  Both are bijections, so the enumeration never
     repeats an element.  Index 0 is the zero element.
     """
-    order = _word_order(spec)
-    finite = order.finite_count
     coeffs: dict[Word, GaussianRational] = {}
-    if finite is None:
+    if spec.finite_words is None:
         items = decode_list(index)
         word_index = -1
         for item in items:
             gap, coeff_code = unpair(item)
             word_index += gap + 1
-            coeffs[order.word_at(word_index)] = nat_to_gaussian(coeff_code + 1)
+            coeffs[spec.word_at(word_index)] = nat_to_gaussian(coeff_code + 1)
     else:
-        codes = decode_tuple(index, finite)
+        codes = decode_tuple(index, spec.finite_words)
         for i, code in enumerate(codes):
             if code != 0:
-                coeffs[order.word_at(i)] = nat_to_gaussian(code)
+                coeffs[spec.word_at(i)] = nat_to_gaussian(code)
     return AlgebraElement(spec, coeffs, _canonical=True)
 
 
 def group_algebra_index(a: AlgebraElement) -> int:
     """Inverse of `enumerate_group_algebra` (documents element positions)."""
-    order = _word_order(a.spec)
-    finite = order.finite_count
-    if finite is None:
-        indexed = sorted((order.index_of(w), c) for w, c in a.coeffs.items())
+    spec = a.spec
+    if spec.finite_words is None:
+        indexed = sorted((spec.index_of(w), c) for w, c in a.coeffs.items())
         items = []
         prev = -1
         for word_index, coeff in indexed:
@@ -830,9 +769,9 @@ def group_algebra_index(a: AlgebraElement) -> int:
             items.append(pair(gap, gaussian_to_nat(coeff) - 1))
             prev = word_index
         return encode_list(items)
-    codes = [0] * finite
+    codes = [0] * spec.finite_words
     for w, c in a.coeffs.items():
-        codes[order.index_of(w)] = gaussian_to_nat(c)
+        codes[spec.index_of(w)] = gaussian_to_nat(c)
     return encode_tuple(codes)
 
 
@@ -844,12 +783,14 @@ def group_algebra_index(a: AlgebraElement) -> int:
 def load_group_config(text: str) -> GroupSpec:
     """Parse the plain-text group description format.
 
-    Keys: `backend:` (free | free_abelian | table | rewriting), `generators:`
-    (space-separated), plus `elements:`/`identity:`/`table:` rows for tables
-    and `rules:` lines ("lhs -> rhs", empty rhs allowed) for rewriting;
-    optional `max_steps:` caps rewriting passes.
+    Keys: `backend:` names the group kind (free | free_abelian | table |
+    rewriting), `generators:` (space-separated), plus
+    `elements:`/`identity:`/`table:` rows for tables and `rules:` lines
+    ("lhs -> rhs", empty rhs allowed) for rewriting; optional `max_steps:`
+    caps rewrite steps and word length.  A table's generators are its non-identity
+    elements, so a `generators:` line on a table is accepted and not read.
     """
-    backend = None
+    kind = None
     generators: tuple[str, ...] = ()
     elements: tuple[str, ...] = ()
     identity = None
@@ -868,7 +809,7 @@ def load_group_config(text: str) -> GroupSpec:
             if key in ("backend", "generators", "elements", "identity", "max_steps"):
                 mode = None
                 if key == "backend":
-                    backend = value
+                    kind = value
                 elif key == "generators":
                     generators = tuple(value.split())
                 elif key == "elements":
@@ -894,15 +835,14 @@ def load_group_config(text: str) -> GroupSpec:
             rules.append((lhs.strip(), rhs.strip()))
             continue
         raise GroupError(f"unrecognized config line {line!r}")
-    if backend == "free":
+    if kind == "free":
         return free_group(*generators)
-    if backend == "free_abelian":
+    if kind == "free_abelian":
         return free_abelian(*generators)
-    if backend == "table":
+    if kind == "table":
         if identity is None or not elements:
             raise GroupError("table backend needs elements: and identity:")
-        return table_group(elements, identity, table_rows,
-                           generators or None)
-    if backend == "rewriting":
+        return table_group(elements, identity, table_rows)
+    if kind == "rewriting":
         return rewriting_group(generators, rules, max_steps)
-    raise GroupError(f"unknown backend {backend!r}")
+    raise GroupError(f"unknown backend {kind!r}")

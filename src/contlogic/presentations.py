@@ -289,28 +289,24 @@ class MatrixTowerPresentation(Presentation):
 # ---------------------------------------------------------------------------
 
 
-def _normalized_algebra_special(spec: G.GroupSpec, index: int) -> G.AlgebraElement:
-    g = G.enumerate_group_algebra(spec, index)
-    bound = G.l1_norm(g)
-    if bound > 1:
-        return g.scale(gr(Fraction(1) / bound))
-    return g
+class GroupAlgebraPresentation(Presentation):
+    """Shared by L(Gamma) and C*_lambda(Gamma): special points are enumerated
+    algebra elements normalized by their l1 bound, under the algebra's own
+    product, adjoint and combinations."""
 
-
-class GroupVonNeumannPresentation(Presentation):
-    """L(Gamma): special points are enumerated algebra elements normalized by
-    their l1 bound; the 2-norm oracle is exact via the canonical trace."""
-
-    signature = TVNA
-    mode = TWO_SIDED
+    label: str
 
     def __init__(self, spec: G.GroupSpec):
         super().__init__()
         self.spec = spec
-        self.name = f"L({spec.name})"
+        self.name = f"{self.label}({spec.name})"
 
     def _special(self, index: int):
-        return _normalized_algebra_special(self.spec, index)
+        g = G.enumerate_group_algebra(self.spec, index)
+        bound = G.l1_norm(g)
+        if bound > 1:
+            return g.scale(gr(Fraction(1) / bound))
+        return g
 
     def _mul(self, a, b):
         return a * b
@@ -320,6 +316,14 @@ class GroupVonNeumannPresentation(Presentation):
 
     def _comb(self, lam, mu, a, b):
         return a.scale(lam) + b.scale(mu)
+
+
+class GroupVonNeumannPresentation(GroupAlgebraPresentation):
+    """L(Gamma): the 2-norm oracle is exact via the canonical trace."""
+
+    label = "L"
+    signature = TVNA
+    mode = TWO_SIDED
 
     def norm_interval(self, obj, k, budget=None):
         return G.two_norm(obj, k)
@@ -328,34 +332,21 @@ class GroupVonNeumannPresentation(Presentation):
         return obj.trace()
 
 
-class ReducedCstarPresentation(Presentation):
+class ReducedCstarPresentation(GroupAlgebraPresentation):
     """C*_lambda(Gamma): moment lower bounds against the l1 upper bound.
 
     Over free abelian groups the lambda norm is the torus sup-norm of the
     attached trigonometric polynomial, which upgrades the oracle to TwoSided.
     """
 
+    label = "Cstar_lambda"
     signature = CSTAR
     default_budget = 8
 
     def __init__(self, spec: G.GroupSpec):
-        super().__init__()
-        self.spec = spec
-        self.name = f"Cstar_lambda({spec.name})"
-        self.abelian = isinstance(spec.backend, G.FreeAbelianBackend)
+        super().__init__(spec)
+        self.abelian = isinstance(spec, G.FreeAbelianGroup)
         self.mode = TWO_SIDED if self.abelian else LOWER_ONLY
-
-    def _special(self, index: int):
-        return _normalized_algebra_special(self.spec, index)
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _adj(self, a):
-        return a.adjoint()
-
-    def _comb(self, lam, mu, a, b):
-        return a.scale(lam) + b.scale(mu)
 
     def _torus_support(self, obj: G.AlgebraElement):
         gens = self.spec.generators

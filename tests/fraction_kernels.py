@@ -14,7 +14,7 @@ from typing import Optional
 
 from contlogic.dyadic import nth_root_upper_grid
 from contlogic.gaussian import GaussianRational, gr
-from contlogic.groups import IDENTITY, AlgebraElement, FreeBackend
+from contlogic.groups import IDENTITY, AlgebraElement, FreeGroup
 from contlogic.matrices import Matrix
 
 
@@ -115,7 +115,7 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     """
     if n < 1:
         raise ValueError("moments need n >= 1")
-    if isinstance(a.spec.backend, FreeBackend):
+    if isinstance(a.spec, FreeGroup):
         wa = _letter_weights(a)
         if wa is not None:
             wstar = _letter_weights(a.adjoint())

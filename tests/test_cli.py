@@ -229,3 +229,50 @@ def test_element_zero_denominator_is_a_parse_error(tmp_path):
         record = json.loads(err[0])
         assert record["error"] == "parse-error"
         assert "zero denominator" in record["message"]
+
+
+def test_deep_nesting_is_a_typed_error():
+    status, out, err = _typed_error(["parse"], "half(" * 600 + "1" + ")" * 600)
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    assert json.loads(err[0]) == {"error": "too-deep", "message": "input nests too deeply"}
+    status, out, err = _typed_error(["parse"], "half(" * 50 + "1" + ")" * 50)
+    assert status == 0 and err == []
+
+
+def test_unbounded_phase_one_is_a_typed_error(monkeypatch):
+    from fractions import Fraction
+
+    from contlogic import feasibility, forcing
+    from contlogic.formulas import METRIC
+    from contlogic.parser import parse_formula
+
+    def unbounded(*args):
+        raise feasibility._Unbounded()
+
+    monkeypatch.setattr(feasibility, "_run_simplex", unbounded)
+    # 1 -. d(c1, c2) < 1/2 puts a row with a negative right-hand side in
+    # the margin LP, so its first solve runs phase 1
+    item = (parse_formula("1 -. d(c1, c2)", METRIC), Fraction(1, 2))
+    code = forcing.Condition.of([item]).code()
+    status, out, err = _typed_error(["force", "check-condition", "--condition", str(code)])
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "phaseoneunbounded", "message": "phase 1 cannot be unbounded"
+    }
+
+
+def test_rewriting_exponent_beyond_the_budget_is_a_typed_error(tmp_path):
+    cfg = tmp_path / "z4.cfg"
+    cfg.write_text("backend: rewriting\ngenerators: a\nrules:\naaaa ->\nA -> aaa\n")
+    status, out, err = _typed_error(
+        ["norm", "--group", str(cfg), "--element", "a^1000000000000"])
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "rewritingdiverged",
+        "message": "a word of 1000000000000 letters exceeds the 10000-step budget",
+    }
+    status, out, err = _typed_error(["norm", "--group", str(cfg), "--element", "a^10000"])
+    assert status == 0 and err == []

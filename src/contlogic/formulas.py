@@ -251,10 +251,6 @@ def dot_minus_value(a: Fraction, b: Fraction) -> Fraction:
     return max(a - b, Fraction(0))
 
 
-def half_value(a: Fraction) -> Fraction:
-    return a / 2
-
-
 # ---------------------------------------------------------------------------
 # construction helpers and validation
 # ---------------------------------------------------------------------------

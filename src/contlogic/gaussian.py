@@ -95,9 +95,6 @@ class GaussianRational:
 
     # -- misc ----------------------------------------------------------------
 
-    def sort_key(self) -> tuple:
-        return (self.re, self.im)
-
     def __str__(self) -> str:
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
 
@@ -131,5 +128,3 @@ def gr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
 
 
 ZERO = gr(0)
-ONE = gr(1)
-I = gr(0, 1)

@@ -29,7 +29,6 @@ of a), h^j is an integer element over E^j, and tau(h^j) is read over E^j.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .dyadic import nth_root_lower_grid, sqrt_interval
@@ -58,6 +57,10 @@ class UnknownGenerator(GroupError):
 
 
 class RewritingDiverged(GroupError):
+    pass
+
+
+class NotConfluent(GroupError):
     pass
 
 
@@ -303,10 +306,12 @@ class RewritingGroup(GroupSpec):
     """String rewriting over single-letter generators (inverse = uppercase).
 
     Rules "lhs -> rhs" are applied together with the free-reduction rules
-    until a fixed point; termination is the caller's certificate, and a step
-    budget rejects runaway systems (and words longer than the budget) with
-    RewritingDiverged.  Normal forms are the irreducible strings, numbered by
-    length then lexicographically over the alphabet g1, G1, g2, G2, ...
+    until a fixed point.  Termination is the caller's certificate; a step budget
+    rejects runaway systems (and words longer than it) with RewritingDiverged.
+    Confluence is checked at construction (Newman's lemma; Knuth & Bendix 1970):
+    a critical pair with two normal forms raises NotConfluent, one out of budget
+    is left to RewritingDiverged.  Normal forms are the irreducible strings,
+    numbered by length then lexicographically over the alphabet g1, G1, g2, G2, ...
     """
 
     name = "rewriting"
@@ -330,13 +335,31 @@ class RewritingGroup(GroupSpec):
         reduction += [(g.upper() + g, "") for g in self.generators]
         self.rules = reduction + list(rules)
         self.max_steps = max_steps
-        # the normal forms numbered so far: all those shorter than _next_length
+        self._check_critical_pairs()
+        # the normal forms numbered so far, and the longest ones among them;
+        # every prefix of an irreducible string is irreducible, so an empty
+        # level proves that no longer normal forms exist
         self._words: list[Word] = [IDENTITY]
         self._positions: dict[Word, int] = {IDENTITY: 0}
-        self._next_length = 1
-        # every substring of an irreducible string is irreducible, so a
-        # length level with no new normal forms proves none longer exist
-        self._exhausted = False
+        self._level = [""]
+
+    def _check_critical_pairs(self) -> None:
+        for l1, r1 in self.rules:
+            for l2, r2 in self.rules:
+                # (word, its two reducts): l2 inside l1, or l1 = xy, l2 = yz
+                pairs = [(l1, r1, l1[:i] + r2 + l1[i + len(l2):])
+                         for i in range(len(l1) - len(l2) + 1)
+                         if l1.startswith(l2, i) and (l1, r1) != (l2, r2)]
+                pairs += [(l1 + l2[j:], r1 + l2[j:], l1[:-j] + r2)
+                          for j in range(1, min(len(l1), len(l2))) if l1.endswith(l2[:j])]
+                for word, one, two in pairs:
+                    try:
+                        one, two = self._reduce(one), self._reduce(two)
+                    except RewritingDiverged:
+                        continue
+                    if one != two:
+                        raise NotConfluent(f"critical pair of {l1!r} and {l2!r} on "
+                                           f"{word!r} reduces to {one!r} and {two!r}")
 
     def _reduce(self, s: str) -> str:
         # one leftmost application of the first matching rule per step, so the
@@ -366,19 +389,17 @@ class RewritingGroup(GroupSpec):
         return _to_word(self._reduce(_to_string(word)))
 
     def _grow(self) -> None:
-        """Number the irreducible strings of the next length, in lex order."""
-        known = len(self._words)
-        for letters in product(self.alphabet, repeat=self._next_length):
-            s = "".join(letters)
-            if self._reduce(s) == s:
-                self._positions[_to_word(s)] = len(self._words)
-                self._words.append(_to_word(s))
-        self._next_length += 1
-        self._exhausted = len(self._words) == known
+        """Number the irreducible strings of the next length, in lex order:
+        the last level's, each extended by a letter that ends no left-hand side."""
+        self._level = [s + ch for s in self._level for ch in self.alphabet
+                       if not any((s + ch).endswith(lhs) for lhs, _ in self.rules)]
+        for s in self._level:
+            self._positions[_to_word(s)] = len(self._words)
+            self._words.append(_to_word(s))
 
     def word_at(self, index: int) -> Word:
         while index >= len(self._words):
-            if self._exhausted:
+            if not self._level:
                 raise GroupError(
                     f"word index {index} exceeds the {len(self._words)} normal "
                     "forms of this finite rewriting group"
@@ -388,7 +409,7 @@ class RewritingGroup(GroupSpec):
 
     def index_of(self, word: Word) -> int:
         while word not in self._positions:
-            if self._exhausted:
+            if not self._level:
                 raise GroupError(f"word {word!r} is not a normal form")
             self._grow()
         return self._positions[word]
@@ -787,8 +808,10 @@ def load_group_config(text: str) -> GroupSpec:
     rewriting), `generators:` (space-separated), plus
     `elements:`/`identity:`/`table:` rows for tables and `rules:` lines
     ("lhs -> rhs", empty rhs allowed) for rewriting; optional `max_steps:`
-    caps rewrite steps and word length.  A table's generators are its non-identity
-    elements, so a `generators:` line on a table is accepted and not read.
+    caps rewrite steps and word length.  Rewriting needs two certificates:
+    termination is the caller's, backed by the step budget, and confluence is
+    checked.  A table's generators are its non-identity elements, so a
+    `generators:` line on a table is accepted and not read.
     """
     kind = None
     generators: tuple[str, ...] = ()

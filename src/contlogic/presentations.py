@@ -209,11 +209,6 @@ class Presentation:
         lo, hi = self.norm_interval(obj, k, budget=budget)
         return NormResult(LOWER_ONLY, lower=lo, upper=hi)
 
-    def norm_two_sided(self, point: RationalPoint, k: int) -> Fraction:
-        if self.mode != TWO_SIDED:
-            raise ModeMismatch(f"{self.name} certifies lower bounds only")
-        return self.norm_oracle(point, k).value
-
     # -- atomic predicate evaluation (used by the evaluator) -------------------
 
     def atom_interval(self, pred: str, objs: list, k: int,
@@ -349,12 +344,8 @@ class ReducedCstarPresentation(GroupAlgebraPresentation):
         self.mode = TWO_SIDED if self.abelian else LOWER_ONLY
 
     def _torus_support(self, obj: G.AlgebraElement):
-        gens = self.spec.generators
-        support = {}
-        for word, coeff in obj.coeffs.items():
-            exps = dict(word)
-            support[tuple(exps.get(g, 0) for g in gens)] = coeff
-        return support
+        return {tuple(dict(word).get(g, 0) for g in self.spec.generators): coeff
+                for word, coeff in obj.coeffs.items()}
 
     def norm_interval(self, obj, k, budget=None):
         if self.abelian:

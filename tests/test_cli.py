@@ -157,6 +157,16 @@ def _typed_error(args, stdin_text=""):
     return status, out.getvalue(), err.getvalue().splitlines()
 
 
+def test_non_confluent_rewriting_config_is_a_typed_error(tmp_path):
+    cfg = tmp_path / "ab.cfg"
+    cfg.write_text("backend: rewriting\ngenerators: a b\nrules:\nab -> ba\n")
+    status, out, err = _typed_error(["norm", "--group", str(cfg), "--element", "a"])
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "notconfluent" and "'Aab'" in record["message"]
+
+
 def test_torus_failure_is_a_typed_error(tmp_path, monkeypatch):
     from contlogic import presentations
     from contlogic.torus import TorusBoundFailure

@@ -123,7 +123,6 @@ unit = st.fractions(min_value=0, max_value=1)
 @given(unit, unit)
 def test_connectives_stay_in_unit_interval(a, b):
     assert 0 <= F.dot_minus_value(a, b) <= 1
-    assert 0 <= F.half_value(a) <= 1
 
 
 def test_consistency_sentence_shape():

@@ -96,6 +96,11 @@ def test_rewriting_backend_z2():
     assert spec.normal_form((("a", -1),)) == (("a", 1),)
 
 
+def test_rewriting_refuses_a_non_confluent_system():
+    with pytest.raises(G.NotConfluent, match="on 'Aab'"):
+        G.rewriting_group(("a", "b"), [("ab", "ba")])
+
+
 def test_rewriting_divergence_budget():
     spec = G.rewriting_group(("a", "b"), [("ab", "ba"), ("ba", "ab")], max_steps=50)
     with pytest.raises(G.RewritingDiverged):
@@ -325,6 +330,8 @@ rules:
 aa ->
 bb ->
 ba -> ab
+A -> a
+B -> b
 """
     spec = G.load_group_config(text)
     assert spec.normal_form((("b", 1), ("a", 1))) == (("a", 1), ("b", 1))

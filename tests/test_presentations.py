@@ -148,11 +148,6 @@ def test_f2_lower_only_monotone(pres_cstar_f2):
     assert lo >= Fraction(70, 100)
 
 
-def test_lower_only_rejects_two_sided_queries(pres_cstar_f2):
-    with pytest.raises(P.ModeMismatch):
-        pres_cstar_f2.norm_two_sided(P.PSpecial(1), 8)
-
-
 def test_z2_table_projection_norm():
     spec = G.table_group(("e", "a"), "e", [["e", "a"], ["a", "e"]])
     pres = P.presentation_CstarLambda(spec)

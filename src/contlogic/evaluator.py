@@ -52,6 +52,8 @@ class EvalBudget:
     def __post_init__(self):
         if self.points < 1 or self.precision_k < 0:
             raise ValueError("budget needs points >= 1 and precision_k >= 0")
+        if self.oracle_budget is not None and self.oracle_budget < 1:
+            raise ValueError(f"oracle budget must be >= 1, got {self.oracle_budget}")
 
     def points_for(self, quantifier_position: int) -> int:
         return self.overrides.get(quantifier_position, self.points)

@@ -576,20 +576,12 @@ def exists_pinning_strategy() -> Strategy:
 
 def _mentioned_pairs(p: Condition) -> list[tuple[int, int]]:
     pairs: set[tuple[int, int]] = set()
-
-    def walk_terms(formula: F.Formula):
-        if isinstance(formula, F.Atomic):
-            i, j = (_term_const(t) for t in formula.args)
-            if i != j:
-                pairs.add((min(i, j), max(i, j)))
-        elif isinstance(formula, F.Half):
-            walk_terms(formula.body)
-        elif isinstance(formula, F.DotMinus):
-            walk_terms(formula.left)
-            walk_terms(formula.right)
-
     for formula, _ in p.items:
-        walk_terms(formula)
+        for f in F.subformulas(formula):
+            if isinstance(f, F.Atomic):
+                i, j = sorted(_term_const(t) for t in f.args)
+                if i != j:
+                    pairs.add((i, j))
     return sorted(pairs)
 
 
@@ -775,13 +767,8 @@ def _fp_rec(p: Condition, prefix, matrix, inst, depth, budget) -> FpBounds:
     candidates = used[: max(depth, 1)] + _fresh_constant(set(used))
     results = []
     for c in candidates:
-        instantiated = F.substitute(
-            _rebuild(rest, matrix), {var: F.CConst(c)}
-        )
-        inner_prefix, inner_matrix = F.prefix_of(F.prenex(instantiated))
-        results.append(
-            _fp_rec(p, inner_prefix, inner_matrix, inst, depth - 1, budget)
-        )
+        instance = F.substitute(matrix, {var: F.CConst(c)})
+        results.append(_fp_rec(p, rest, instance, inst, depth - 1, budget))
     estimates = [r.estimate for r in results]
     if kind is F.Inf:
         uppers = [r.upper for r in results if r.upper is not None]
@@ -791,9 +778,3 @@ def _fp_rec(p: Condition, prefix, matrix, inst, depth, budget) -> FpBounds:
     lower = max(lowers) if lowers else None
     return FpBounds(lower, None, max(estimates) if estimates else Fraction(1, 2))
 
-
-def _rebuild(prefix, matrix) -> F.Formula:
-    out = matrix
-    for kind, var in reversed(prefix):
-        out = kind(var, out)
-    return out

@@ -6,7 +6,10 @@ quantifiers sup/inf ranging over the unit ball of a structure.  Terms are
 closed under signature functions and, in algebra signatures, the rounded
 combination comb(l, t, m, s) = l*t + m*s with |l|+|m| <= 1 over Q(i).
 
-Everything here is an immutable value; all operations are pure.
+Everything here is an immutable value; all operations are pure.  The walks
+`subformulas` and `subterms` visit the nodes of the two trees parents first;
+the inspections (variables, constants, quantifier-freeness, validation) are
+written on them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .dyadic import is_dyadic
 from .gaussian import ContlogicError, GaussianRational
@@ -252,6 +255,46 @@ def dot_minus_value(a: Fraction, b: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# walks
+# ---------------------------------------------------------------------------
+
+
+def subterms(term: Term) -> Iterator[Term]:
+    """Every subterm of `term`, parents first and left to right.
+
+    Raises FormulaError on reaching something that is not a term.
+    """
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.extend(reversed(t.args))
+        elif isinstance(t, Comb):
+            stack += (t.right, t.left)
+        elif not isinstance(t, (Var, CConst, NamedConst)):
+            raise FormulaError(f"not a term: {t!r}")
+        yield t
+
+
+def subformulas(formula: Formula) -> Iterator[Formula]:
+    """Every subformula of `formula`, parents first and left to right; the
+    terms inside atomic formulas are left to `subterms`.
+
+    Raises FormulaError on reaching something that is not a formula.
+    """
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (Half, Sup, Inf)):
+            stack.append(f.body)
+        elif isinstance(f, DotMinus):
+            stack += (f.right, f.left)
+        elif not isinstance(f, (Atomic, Zero, One)):
+            raise FormulaError(f"not a formula: {f!r}")
+        yield f
+
+
+# ---------------------------------------------------------------------------
 # construction helpers and validation
 # ---------------------------------------------------------------------------
 
@@ -296,61 +339,35 @@ def consistency_sentence() -> Formula:
 
 def validate(formula: Formula, sig: Signature) -> None:
     """Raise if the formula is not well-formed over `sig`."""
-
-    def check_term(t: Term) -> None:
-        if isinstance(t, Var):
-            if not IDENT_RE.match(t.name):
-                raise FormulaError(f"bad variable name {t.name!r}")
-        elif isinstance(t, CConst):
-            if t.index < 1:
-                raise FormulaError("C-constant index must be >= 1")
-        elif isinstance(t, NamedConst):
-            if t.name not in sig.constants:
-                raise UnknownSymbol(f"unknown constant {t.name!r}")
-        elif isinstance(t, App):
-            f = sig.function(t.func)
-            if len(t.args) != f.arity:
-                raise ArityMismatch(
-                    f"{t.func} expects {f.arity} arguments, got {len(t.args)}"
-                )
-            for a in t.args:
-                check_term(a)
-        elif isinstance(t, Comb):
-            if not sig.allow_comb:
-                raise UnknownSymbol(
-                    f"rounded combinations not available in signature {sig.name}"
-                )
-            if not rounded_bound_ok(t.lam, t.mu):
-                raise RoundedBoundViolation(f"|{t.lam}| + |{t.mu}| > 1")
-            check_term(t.left)
-            check_term(t.right)
-        else:
-            raise FormulaError(f"not a term: {t!r}")
-
-    def check(f: Formula) -> None:
-        if isinstance(f, Atomic):
-            p = sig.predicate(f.pred)
-            if len(f.args) != p.arity:
-                raise ArityMismatch(
-                    f"{f.pred} expects {p.arity} arguments, got {len(f.args)}"
-                )
-            for a in f.args:
-                check_term(a)
-        elif isinstance(f, (Zero, One)):
-            pass
-        elif isinstance(f, Half):
-            check(f.body)
-        elif isinstance(f, DotMinus):
-            check(f.left)
-            check(f.right)
-        elif isinstance(f, (Sup, Inf)):
-            if not IDENT_RE.match(f.var):
-                raise FormulaError(f"bad variable name {f.var!r}")
-            check(f.body)
-        else:
-            raise FormulaError(f"not a formula: {f!r}")
-
-    check(formula)
+    for f in subformulas(formula):
+        if isinstance(f, (Sup, Inf)) and not IDENT_RE.match(f.var):
+            raise FormulaError(f"bad variable name {f.var!r}")
+        if not isinstance(f, Atomic):
+            continue
+        p = sig.predicate(f.pred)
+        if len(f.args) != p.arity:
+            raise ArityMismatch(f"{f.pred} expects {p.arity} arguments, got {len(f.args)}")
+        for a in f.args:
+            for t in subterms(a):
+                if isinstance(t, Var) and not IDENT_RE.match(t.name):
+                    raise FormulaError(f"bad variable name {t.name!r}")
+                if isinstance(t, CConst) and t.index < 1:
+                    raise FormulaError("C-constant index must be >= 1")
+                if isinstance(t, NamedConst) and t.name not in sig.constants:
+                    raise UnknownSymbol(f"unknown constant {t.name!r}")
+                if isinstance(t, App):
+                    g = sig.function(t.func)
+                    if len(t.args) != g.arity:
+                        raise ArityMismatch(
+                            f"{t.func} expects {g.arity} arguments, got {len(t.args)}"
+                        )
+                if isinstance(t, Comb):
+                    if not sig.allow_comb:
+                        raise UnknownSymbol(
+                            f"rounded combinations not available in signature {sig.name}"
+                        )
+                    if not rounded_bound_ok(t.lam, t.mu):
+                        raise RoundedBoundViolation(f"|{t.lam}| + |{t.mu}| > 1")
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +376,7 @@ def validate(formula: Formula, sig: Signature) -> None:
 
 
 def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (CConst, NamedConst)):
-        return set()
-    if isinstance(t, App):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(t, Comb):
-        return term_vars(t.left) | term_vars(t.right)
-    raise FormulaError(f"not a term: {t!r}")
+    return {s.name for s in subterms(t) if isinstance(s, Var)}
 
 
 def free_vars(formula: Formula) -> set[str]:
@@ -392,33 +398,12 @@ def free_vars(formula: Formula) -> set[str]:
 
 def constants_of(formula: Formula) -> set[int]:
     """Indices of C-constants occurring in the formula."""
-
-    def term_consts(t: Term) -> set[int]:
-        if isinstance(t, CConst):
-            return {t.index}
-        if isinstance(t, App):
-            out: set[int] = set()
-            for a in t.args:
-                out |= term_consts(a)
-            return out
-        if isinstance(t, Comb):
-            return term_consts(t.left) | term_consts(t.right)
-        return set()
-
-    if isinstance(formula, Atomic):
-        out: set[int] = set()
-        for a in formula.args:
-            out |= term_consts(a)
-        return out
-    if isinstance(formula, (Zero, One)):
-        return set()
-    if isinstance(formula, Half):
-        return constants_of(formula.body)
-    if isinstance(formula, DotMinus):
-        return constants_of(formula.left) | constants_of(formula.right)
-    if isinstance(formula, (Sup, Inf)):
-        return constants_of(formula.body)
-    raise FormulaError(f"not a formula: {formula!r}")
+    return {
+        t.index
+        for f in subformulas(formula) if isinstance(f, Atomic)
+        for a in f.args
+        for t in subterms(a) if isinstance(t, CConst)
+    }
 
 
 def uses_base_only(formula: Formula) -> bool:
@@ -491,20 +476,9 @@ def prenex(formula: Formula) -> Formula:
             if name not in avoid:
                 return name
 
-    def rename_term(t: Term, env: dict[str, str]) -> Term:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, (CConst, NamedConst)):
-            return t
-        if isinstance(t, App):
-            return App(t.func, tuple(rename_term(a, env) for a in t.args))
-        if isinstance(t, Comb):
-            return Comb(t.lam, t.mu, rename_term(t.left, env), rename_term(t.right, env))
-        raise FormulaError(f"not a term: {t!r}")
-
-    def rename(f: Formula, env: dict[str, str]) -> Formula:
+    def rename(f: Formula, env: dict[str, Term]) -> Formula:
         if isinstance(f, Atomic):
-            return Atomic(f.pred, tuple(rename_term(a, env) for a in f.args))
+            return Atomic(f.pred, tuple(_subst_term(a, env) for a in f.args))
         if isinstance(f, (Zero, One)):
             return f
         if isinstance(f, Half):
@@ -513,7 +487,7 @@ def prenex(formula: Formula) -> Formula:
             return DotMinus(rename(f.left, env), rename(f.right, env))
         if isinstance(f, (Sup, Inf)):
             new = fresh()
-            return type(f)(new, rename(f.body, {**env, f.var: new}))
+            return type(f)(new, rename(f.body, {**env, f.var: Var(new)}))
         raise FormulaError(f"not a formula: {f!r}")
 
     def pull(f: Formula) -> tuple[list[tuple[type, str]], Formula]:
@@ -540,15 +514,7 @@ def prenex(formula: Formula) -> Formula:
 
 
 def is_quantifier_free(formula: Formula) -> bool:
-    if isinstance(formula, (Atomic, Zero, One)):
-        return True
-    if isinstance(formula, Half):
-        return is_quantifier_free(formula.body)
-    if isinstance(formula, DotMinus):
-        return is_quantifier_free(formula.left) and is_quantifier_free(formula.right)
-    if isinstance(formula, (Sup, Inf)):
-        return False
-    raise FormulaError(f"not a formula: {formula!r}")
+    return not any(isinstance(f, (Sup, Inf)) for f in subformulas(formula))
 
 
 def prefix_of(formula: Formula) -> tuple[list[tuple[type, str]], Formula]:

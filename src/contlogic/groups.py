@@ -18,12 +18,14 @@ excursion DP over cone types of the Cayley tree: the generic power has
 exponentially many words, while the DP is polynomial in n and agrees with it
 exactly.
 
-Both moment routes run on Gaussian integers (re, im) over one common
-denominator.  In the DP, D is the common denominator of the letter weights
-and table entry m (walks of length m) is D^m times its value, so
-tau((a* a)^j) is entry 2j over D^(2j).  In the convolution route, E is the
-common denominator of h = a* a (a divisor of D^2 for the common denominator D
-of a), h^j is an integer element over E^j, and tau(h^j) is read over E^j.
+The product and both moment routes run on Gaussian integers (re, im) over
+one common denominator.  The product of elements over D1 and D2 is convolved
+as integers and read over D1*D2.  In the DP, D is the common denominator of
+the letter weights and table entry m (walks of length m) is D^m times its
+value, so tau((a* a)^j) is entry 2j over D^(2j).  In the convolution route,
+E is the common denominator of h = a* a (a divisor of D^2 for the common
+denominator D of a), h^j is an integer element over E^j, and tau(h^j) is
+read over E^j.
 """
 
 from __future__ import annotations
@@ -498,16 +500,11 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        acc: dict[Word, GaussianRational] = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = self.spec.mul(w1, w2)
-                c = c1 * c2
-                total = acc.get(w, gr(0)) + c
-                if total.is_zero():
-                    acc.pop(w, None)
-                else:
-                    acc[w] = total
+        d1, x = _integer_coeffs(self)
+        d2, y = _integer_coeffs(other)
+        d = d1 * d2
+        acc = {w: GaussianRational(Fraction(re, d), Fraction(im, d))
+               for w, (re, im) in _convolve(self.spec, x, y).items()}
         return AlgebraElement(self.spec, acc, _canonical=True)
 
     def adjoint(self) -> "AlgebraElement":
@@ -515,6 +512,11 @@ class AlgebraElement:
         for w, c in self.coeffs.items():
             acc[self.spec.inv(w)] = c.conjugate()
         return AlgebraElement(self.spec, acc)
+
+    def comb(self, lam: GaussianRational, mu: GaussianRational,
+             other: "AlgebraElement") -> "AlgebraElement":
+        """The combination lam*self + mu*other."""
+        return self.scale(lam) + other.scale(mu)
 
     # -- inspection -----------------------------------------------------------
 
@@ -681,6 +683,12 @@ def _convolve(spec: GroupSpec, x: dict[Word, GaussInt],
     return {w: c for w, c in acc.items() if c != (0, 0)}
 
 
+def _integer_coeffs(a: AlgebraElement) -> tuple[int, dict[Word, GaussInt]]:
+    """(D, x) with D the common denominator of a's coefficients and x = D*a."""
+    d, parts = over_common_denominator(a.coeffs.values())
+    return d, dict(zip(a.coeffs, parts))
+
+
 def _pair_trace(spec: GroupSpec, x: dict[Word, GaussInt],
                 y: dict[Word, GaussInt]) -> GaussInt:
     """tau(x * y) = sum_w x(w) y(w^-1), without forming the product."""
@@ -717,8 +725,8 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
             d, traces = _free_walk_traces(wstar, wa, 2 * n)
             return [_real_trace(traces[2 * j], d ** (2 * j)) for j in range(1, n + 1)]
     h = a.adjoint() * a
-    e, parts = over_common_denominator(h.coeffs.values())
-    powers = [{IDENTITY: (1, 0)}, dict(zip(h.coeffs, parts))]
+    e, h_int = _integer_coeffs(h)
+    powers = [{IDENTITY: (1, 0)}, h_int]
     while len(powers) <= (n + 1) // 2:
         powers.append(_convolve(a.spec, powers[-1], powers[1]))
     return [

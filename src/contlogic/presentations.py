@@ -14,6 +14,10 @@ group von Neumann algebras (2-norm), reduced group C*-algebras (moment lower
 bounds under an l1 upper bound, upgraded to TwoSided over free abelian groups
 via the torus sup-norm), and the commutative algebra of locally constant
 functions on Cantor space (exact sup-norm).
+
+Points are evaluated with their objects' own `*`, `adjoint()` and `comb()`;
+only the matrix tower overrides these, to bring matrices to one size first.
+Each presentation computes every point object, special points included, once.
 """
 
 from __future__ import annotations
@@ -137,21 +141,21 @@ class Presentation:
     mode: str
 
     def __init__(self):
-        self._special_cache: dict[int, object] = {}
         self._point_cache: dict[RationalPoint, object] = {}
 
-    # subclasses implement these four
+    # subclasses implement `_special` and `norm_interval`; the algebra
+    # operations default to the objects' own `*`, `adjoint()` and `comb()`
     def _special(self, index: int):
         raise NotImplementedError
 
     def _mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def _adj(self, a):
-        raise NotImplementedError
+        return a.adjoint()
 
     def _comb(self, lam, mu, a, b):
-        raise NotImplementedError
+        return a.comb(lam, mu, b)
 
     def norm_interval(self, obj, k: int, budget: Optional[int] = None
                       ) -> tuple[Fraction, Fraction]:
@@ -164,9 +168,7 @@ class Presentation:
     # -- shared machinery -----------------------------------------------------
 
     def special_object(self, index: int):
-        if index not in self._special_cache:
-            self._special_cache[index] = self._special(index)
-        return self._special_cache[index]
+        return self.point_object(PSpecial(index))
 
     def rational_point(self, index: int) -> RationalPoint:
         if self.signature.allow_comb:
@@ -181,7 +183,7 @@ class Presentation:
         if point in self._point_cache:
             return self._point_cache[point]
         if isinstance(point, PSpecial):
-            obj = self.special_object(point.index)
+            obj = self._special(point.index)
         elif isinstance(point, PAdj):
             obj = self._adj(self.point_object(point.arg))
         elif isinstance(point, PMul):
@@ -303,15 +305,6 @@ class GroupAlgebraPresentation(Presentation):
             return g.scale(gr(Fraction(1) / bound))
         return g
 
-    def _mul(self, a, b):
-        return a * b
-
-    def _adj(self, a):
-        return a.adjoint()
-
-    def _comb(self, lam, mu, a, b):
-        return a.scale(lam) + b.scale(mu)
-
 
 class GroupVonNeumannPresentation(GroupAlgebraPresentation):
     """L(Gamma): the 2-norm oracle is exact via the canonical trace."""
@@ -350,7 +343,8 @@ class ReducedCstarPresentation(GroupAlgebraPresentation):
     def norm_interval(self, obj, k, budget=None):
         if self.abelian:
             return torus_sup_norm(self._torus_support(obj), k)
-        budget = budget or self.default_budget
+        if budget is None:
+            budget = self.default_budget
         if obj.is_zero():
             return (Fraction(0), Fraction(0))
         lower = max(G.lambda_norm_lower_sweep(obj, budget, k))
@@ -414,7 +408,7 @@ class CantorFn:
 
         return CantorFn.from_tree(walk(self.tree))
 
-    def mul(self, other: "CantorFn") -> "CantorFn":
+    def __mul__(self, other: "CantorFn") -> "CantorFn":
         return CantorFn.from_tree(CantorFn._zip(self.tree, other.tree, lambda x, y: x * y))
 
     def comb(self, lam, mu, other: "CantorFn") -> "CantorFn":
@@ -422,7 +416,7 @@ class CantorFn:
             CantorFn._zip(self.tree, other.tree, lambda x, y: x * lam + y * mu)
         )
 
-    def adj(self) -> "CantorFn":
+    def adjoint(self) -> "CantorFn":
         return self._map(lambda z: z.conjugate())
 
     def leaves(self) -> list[GaussianRational]:
@@ -467,15 +461,6 @@ class CantorSpacePresentation(Presentation):
         while len(tree) > 1:
             tree = [(tree[i], tree[i + 1]) for i in range(0, len(tree), 2)]
         return CantorFn.from_tree(tree[0])
-
-    def _mul(self, a: CantorFn, b: CantorFn):
-        return a.mul(b)
-
-    def _adj(self, a: CantorFn):
-        return a.adj()
-
-    def _comb(self, lam, mu, a: CantorFn, b: CantorFn):
-        return a.comb(lam, mu, b)
 
     def norm_interval(self, obj: CantorFn, k, budget=None):
         from .dyadic import sqrt_interval

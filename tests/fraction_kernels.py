@@ -1,10 +1,11 @@
-"""The Fraction trace-power kernels: test oracles.
+"""The Fraction kernels: test oracles.
 
 These are `matrices.opnorm_upper`, `groups.moments_up_to` (with its excursion
-DP) and `dyadic.nth_root_lower_grid` as they were before the kernels moved to
-integers over a common denominator, kept verbatim so that differential tests
-can check that the integer kernels return the same exact values.  Only the
-imports were edited.
+DP), `dyadic.nth_root_lower_grid` and the body of `AlgebraElement.__mul__` as
+they were before the kernels moved to integers over a common denominator,
+kept verbatim so that differential tests can check that the integer kernels
+return the same exact values.  Only the imports were edited, `__mul__` became
+the function `algebra_mul`, and `moments_up_to` multiplies with it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 
 from contlogic.dyadic import nth_root_upper_grid
 from contlogic.gaussian import GaussianRational, gr
-from contlogic.groups import IDENTITY, AlgebraElement, FreeGroup
+from contlogic.groups import IDENTITY, AlgebraElement, FreeGroup, Word
 from contlogic.matrices import Matrix
 
 
@@ -35,6 +36,21 @@ def opnorm_upper(a: Matrix, m: int, prec: int = 16) -> Fraction:
     if t.im != 0 or t.re < 0:
         raise AssertionError("trace of a power of A*A must be real nonnegative")
     return nth_root_upper_grid(t.re, 2 ** (m + 1), prec)
+
+
+def algebra_mul(self: AlgebraElement, other: AlgebraElement) -> AlgebraElement:
+    self._check(other)
+    acc: dict[Word, GaussianRational] = {}
+    for w1, c1 in self.coeffs.items():
+        for w2, c2 in other.coeffs.items():
+            w = self.spec.mul(w1, w2)
+            c = c1 * c2
+            total = acc.get(w, gr(0)) + c
+            if total.is_zero():
+                acc.pop(w, None)
+            else:
+                acc[w] = total
+    return AlgebraElement(self.spec, acc, _canonical=True)
 
 
 Letter = Optional[tuple[str, int]]  # None stands for the identity self-loop
@@ -121,12 +137,12 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
             wstar = _letter_weights(a.adjoint())
             traces = _free_walk_traces(wstar, wa, 2 * n)
             return [_real_trace(traces[2 * j]) for j in range(1, n + 1)]
-    h = a.adjoint() * a
+    h = algebra_mul(a.adjoint(), a)
     out = []
     power = h
     out.append(_real_trace(power.trace()))
     for _ in range(n - 1):
-        power = power * h
+        power = algebra_mul(power, h)
         out.append(_real_trace(power.trace()))
     return out
 

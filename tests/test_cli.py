@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from contlogic.cli import main
 
 GROUP_CFG = """\
@@ -286,3 +288,18 @@ def test_rewriting_exponent_beyond_the_budget_is_a_typed_error(tmp_path):
     }
     status, out, err = _typed_error(["norm", "--group", str(cfg), "--element", "a^10000"])
     assert status == 0 and err == []
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_oracle_budget_below_one_is_a_typed_error(tmp_path, budget):
+    cfg = tmp_path / "f2.cfg"
+    cfg.write_text("backend: free\ngenerators: u v\n")
+    status, out, err = _typed_error(
+        ["eval", "--presentation", "Cstar", "--group", str(cfg),
+         "--budget-points", "3", "--oracle-budget", budget],
+        "sup x . d(x, c1)")
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    assert json.loads(err[0]) == {
+        "error": "valueerror", "message": f"oracle budget must be >= 1, got {budget}"
+    }

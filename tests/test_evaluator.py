@@ -132,7 +132,7 @@ def test_eval_projection_sentence_on_cantor():
     witness_point = pres.rational_point(res.witnesses[0])
     obj = pres.point_object(witness_point)
     # the witness is an exact projection of norm 1
-    assert obj.mul(obj.adj()) == obj
+    assert obj * obj.adjoint() == obj
     assert obj.sup_abs_sq() == 1
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from contlogic import forcing as FC
 from contlogic import formulas as F
+from contlogic import selftest
 from contlogic.evaluator import eval_exact
 
 d = lambda i, j: F.Atomic("d", (F.CConst(i), F.CConst(j)))
@@ -397,3 +399,36 @@ def test_fp_estimate_inf_block_upper_only():
     # instance x := c1 gives upper 0; the lower side needs exhaustion
     assert bounds.lower is None
     assert bounds.upper == 0
+
+
+# sha256 of the fp_estimate brackets below, captured before `_fp_rec` stopped
+# re-prenexing each instance; the benchmark and the other tests never reach
+# mixed prefixes or inf blocks below the first quantifier
+FP_PIN_DIGEST = "b14cc390a56762904b7b15803497bd1ee341e426e8404c6baa83f9e1cd3a793e"
+
+
+def _fp_pin_sentences():
+    """20 seeded random sentences each with 1, 2 and 3 quantifiers."""
+    rng = random.Random("fp-pin")
+    quota = {1: 20, 2: 20, 3: 20}
+    out = []
+    while any(quota.values()):
+        f = selftest._random_sentence(rng, F.METRIC, depth=5)
+        prefix, _ = F.prefix_of(F.prenex(f))
+        if quota.get(len(prefix)):
+            quota[len(prefix)] -= 1
+            out.append((f, prefix))
+    return out
+
+
+def test_fp_estimate_pinned_on_random_sentences():
+    p = FC.Condition.of([(d(1, 2), Fraction(1, 4)), (d(2, 3), Fraction(1, 2)),
+                         (F.DotMinus(F.dyadic_constant(Fraction(1, 2)), d(1, 3)),
+                          Fraction(1, 8))])
+    sentences = _fp_pin_sentences()
+    kinds = [{kind for kind, _ in prefix} for _, prefix in sentences]
+    assert sum(F.Inf in k for k in kinds) >= 30
+    assert sum(len(k) == 2 for k in kinds) >= 10
+    brackets = [FC.fp_estimate(p, f, budget=6) for f, _ in sentences]
+    text = "\n".join(f"{b.lower} {b.upper} {b.estimate}" for b in brackets)
+    assert hashlib.sha256(text.encode()).hexdigest() == FP_PIN_DIGEST

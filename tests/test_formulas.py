@@ -105,6 +105,20 @@ def test_rounded_bound_decision():
     )
 
 
+def test_walks_yield_parents_first_and_reject_non_nodes():
+    half = gr(Fraction(1, 2))
+    comb = F.Comb(half, half, c1, y)
+    term = F.App("mul", (x, comb))
+    assert list(F.subterms(term)) == [term, x, comb, c1, y]
+    atom = d(term, c2)
+    f = F.DotMinus(F.Half(atom), F.Sup("x", F.One()))
+    assert list(F.subformulas(f)) == [f, f.left, atom, f.right, F.One()]
+    with pytest.raises(F.FormulaError):
+        list(F.subterms(F.App("adj", ("x",))))
+    with pytest.raises(F.FormulaError):
+        list(F.subformulas(F.Half("phi")))
+
+
 def test_validate_catches_errors():
     with pytest.raises(F.UnknownSymbol):
         F.validate(F.Atomic("nope", (x,)), F.METRIC)

@@ -2,8 +2,9 @@
 
 `fraction_kernels` holds the Fraction kernels the integer ones replaced:
 the `Matrix.__mul__` trace-power chain, the Fraction excursion DP and the
-bisection for grid n-th roots.  The moment routes are also checked against
-plain `AlgebraElement` power products.  Every value compared is exact.
+bisection for grid n-th roots, and the Fraction group-algebra product.  The
+moment routes are also checked against power products formed with that
+product.  Every value compared is exact.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from contlogic import matrices as M
 from contlogic.dyadic import nth_root_lower_grid
 from contlogic.gaussian import GaussianRational
 
+UNITS = st.integers(-1, 1).map(Fraction)
 INTEGERS = st.integers(-6, 6).map(Fraction)
 RATIONALS = st.one_of(INTEGERS, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
 
@@ -66,12 +68,12 @@ def test_opnorm_upper_sweep_edges():
 
 
 def _power_products(a, n):
-    """[tau((a* a)^j) for j = 1..n] from AlgebraElement products alone."""
-    h = a.adjoint() * a
+    """[tau((a* a)^j) for j = 1..n] from Fraction algebra products alone."""
+    h = fraction_kernels.algebra_mul(a.adjoint(), a)
     power, out = h, []
     for _ in range(n):
         out.append(power.trace().re)
-        power = power * h
+        power = fraction_kernels.algebra_mul(power, h)
     return out
 
 
@@ -87,20 +89,52 @@ def _s3():
 
 F2 = G.free_group("u", "v")
 LETTERS = [(("u", 1),), (("u", -1),), (("v", 1),), (("v", -1),), ()]
+Z4 = G.rewriting_group(("a",), [("aaaa", ""), ("A", "aaa")])
 # (spec, support pool, largest n): power products on F2 words grow
 # exponentially, tenfold per step past n = 3
 CONV_GROUPS = [
     (G.free_abelian("u"), [(("u", 1),), (("u", -1),), (("u", 3),), ()], 6),
     (F2, [(("u", 1), ("v", 1)), (("u", -1),), (("v", -1), ("u", 1)), ()], 3),
     (_s3(), [(("r", 1),), (("s", 1),), (("sr", 1),), ()], 6),
-    (G.rewriting_group(("a",), [("aaaa", ""), ("A", "aaa")]), [(("a", 1),), (("a", 2),), ()], 6),
+    (Z4, [(("a", 1),), (("a", 2),), ()], 6),
 ]
 
 
 @st.composite
-def elements(draw, spec, pool):
+def elements(draw, spec, pool, parts=RATIONALS):
     words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
-    return G.element(spec, [(draw(_gaussians(RATIONALS)), w) for w in words])
+    return G.element(spec, [(draw(_gaussians(parts)), w) for w in words])
+
+
+# (spec, generator, support pool): groups where many products land on one
+# word, so that with UNITS coefficients partial sums often cancel
+PRODUCT_GROUPS = [
+    (F2, "u", LETTERS + [(("u", 1), ("v", 1)), (("v", -1), ("u", 1))]),
+    (G.free_abelian("u", "v"), "u",
+     [(("u", 1),), (("u", -1),), (("v", 1),), (("u", 1), ("v", -1)), ()]),
+    (_s3(), "r", [(("r", 1),), (("r2", 1),), (("s", 1),), (("sr", 1),), ()]),
+    (Z4, "a", [(("a", 1),), (("a", 2),), (("a", 3),), ()]),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(PRODUCT_GROUPS), st.sampled_from([UNITS, INTEGERS, RATIONALS]))
+def test_product_matches_fraction_product(data, group, parts):
+    spec, _, pool = group
+    a, b = data.draw(elements(spec, pool, parts)), data.draw(elements(spec, pool, parts))
+    assert a * b == fraction_kernels.algebra_mul(a, b)
+
+
+def test_product_drops_cancelled_terms():
+    for spec, g, _ in PRODUCT_GROUPS:
+        up, down = ((g, 1),), ((g, -1),)
+        a = G.element(spec, [(1, up), (1, down)])
+        b = G.element(spec, [(1, up), (-1, down)])
+        # (g + g^-1)(g - g^-1) = g^2 - 1 + 1 - g^-2
+        product = a * b
+        assert product == fraction_kernels.algebra_mul(a, b)
+        assert product == G.element(spec, [(1, up + up), (-1, down + down)])
+        assert G.IDENTITY not in product.coeffs
 
 
 @settings(max_examples=40, deadline=None)

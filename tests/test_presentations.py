@@ -96,7 +96,7 @@ def test_cantor_presentation_examples(pres_c2w):
     # disjoint cylinders multiply to zero
     a = P.CantorFn.indicator("0", gr(1))
     b = P.CantorFn.indicator("1", gr(1))
-    prod = a.mul(b)
+    prod = a * b
     assert pres_c2w.norm_interval(prod, 10) == (0, 0)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import formulas as F
@@ -97,18 +98,20 @@ class TestStructure:
         n = len(self.distances)
         if any(len(row) != n for row in self.distances):
             raise ValueError("distance table must be square")
-        for i in range(n):
-            if self.distances[i][i] != 0:
+        # checked on the integer numerators over one common denominator
+        rows = [[Fraction(x) for x in row] for row in self.distances]
+        den = lcm(*(x.denominator for row in rows for x in row))
+        table = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        for i, row in enumerate(table):
+            if row[i] != 0:
                 raise ValueError("d(x,x) must be 0")
-            for j in range(n):
-                dij = self.distances[i][j]
-                if not (0 <= dij <= 1):
+            for j, dij in enumerate(row):
+                if not (0 <= dij <= den):
                     raise ValueError("distances must lie in [0,1]")
-                if dij != self.distances[j][i]:
+                if dij != table[j][i]:
                     raise ValueError("distance table must be symmetric")
-                for k in range(n):
-                    if self.distances[i][k] > dij + self.distances[j][k]:
-                        raise ValueError("triangle inequality violated")
+                if any(dik > dij + djk for dik, djk in zip(row, table[j])):
+                    raise ValueError("triangle inequality violated")
 
     @property
     def size(self) -> int:

@@ -9,8 +9,14 @@ out first) and divides a row by its gcd whenever its multiple grows; sign
 tests read the integers, ratios are compared by cross-multiplying,
 and values are read off the basis as rhs/scale.  Every choice is made on the
 same rational values as a dense Fraction tableau, so the same optimal vertex
-comes back.  Problems are stated over named variables that are implicitly
->= 0; constraints are LinExpr <= LinExpr.  Strict systems are decided
+comes back.
+
+`maximize_rows` is the one tableau builder.  Its problems are over named
+variables, implicitly >= 0, with integer rows (coeffs, b, den): each the
+constraint sum (coeffs[v]/den)*v <= b/den over a positive denominator, which
+is the row's multiple of the rational row and so also the entry of its slack
+and artificial.  `maximize` takes LinExpr <= LinExpr constraints and puts
+each over the lcm of its denominators.  Strict systems are decided
 through their margin LP: maximize eps subject to the strict constraints
 tightened by eps; the system has a solution iff the optimum is positive,
 and the optimal basic solution is an exact rational witness.
@@ -69,19 +75,6 @@ class LinExpr:
             Fraction(0),
         )
 
-    def substitute(self, values: dict[str, Fraction]) -> "LinExpr":
-        """Replace some variables by constants, folding them into `const`."""
-        if not values:
-            return self
-        kept = []
-        const = self.const
-        for name, c in self.coeffs:
-            if name in values:
-                const += c * values[name]
-            else:
-                kept.append((name, c))
-        return LinExpr(tuple(kept), const)
-
 
 @dataclass(frozen=True)
 class LPResult:
@@ -123,24 +116,23 @@ def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int) -> list[tupl
 
 
 def _reduced_costs(rows: list[list[int]], basis: list[int],
-                   cost: dict[int, Fraction], width: int) -> list[int]:
+                   cost: dict[int, int], width: int) -> list[int]:
     """A positive multiple of the reduced-cost row z_j - c_j (rhs last)."""
     terms = [(r, cost[b]) for r, b in enumerate(basis) if b in cost]
-    den = lcm(*(c.denominator for c in cost.values()),
-              *(c.denominator * rows[r][basis[r]] for r, c in terms))
+    den = lcm(*(rows[r][basis[r]] for r, _ in terms))
     z = [0] * width
     for j, c in cost.items():
-        z[j] = -c.numerator * (den // c.denominator)
+        z[j] = -c * den
     for r, c in terms:
         row = rows[r]
-        k = c.numerator * (den // (c.denominator * row[basis[r]]))
+        k = c * (den // row[basis[r]])
         z = [v + k * w for v, w in zip(z, row)]
     g = gcd(*z)
     return [v // g for v in z] if g > 1 else z
 
 
 def _run_simplex(rows: list[list[int]], basis: list[int],
-                 cost: dict[int, Fraction], allowed_cols: int, width: int) -> None:
+                 cost: dict[int, int], allowed_cols: int, width: int) -> None:
     """Maximize sum cost[j]*x_j over the tableau in place.
 
     Bland's rule on both choices: the lowest column with a negative reduced
@@ -178,69 +170,90 @@ class PhaseOneUnbounded(ContlogicError):
     an unbounded phase 1 means the tableau is corrupt."""
 
 
-def maximize(objective: LinExpr,
-             constraints: list[tuple[LinExpr, LinExpr]]) -> LPResult:
-    """Maximize `objective` subject to lhs <= rhs constraints, variables >= 0."""
-    objective_coeffs = objective.as_dict()
-    sides = [(lhs.as_dict(), rhs.as_dict(), rhs.const - lhs.const)
-             for lhs, rhs in constraints]
-    names = sorted(set(objective_coeffs).union(
-        *(left.keys() | right.keys() for left, right, _ in sides)
-    ))
+Row = tuple[dict[str, int], int, int]
+
+
+def maximize_rows(cost: dict[str, int], rows: list[Row]) -> LPResult:
+    """Maximize sum cost[v]*v subject to the integer rows, variables >= 0.
+
+    The columns are every variable named in `cost` or in a row, in sorted
+    order, then one slack per row, then one artificial per row with b < 0.
+    The value is that of the integer objective.
+    """
+    names = sorted(set(cost).union(*(coeffs for coeffs, _, _ in rows)))
     col = {name: j for j, name in enumerate(names)}
-    n, m = len(names), len(sides)
+    n, m = len(names), len(rows)
     # equality form with slacks; rows with negative rhs are negated and get
     # an artificial, since their slack then points the wrong way
     total = n + m
-    n_art = sum(b < 0 for _, _, b in sides)
+    n_art = sum(b < 0 for _, b, _ in rows)
     width = total + n_art + 1
-    rows: list[list[int]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
     next_artificial = total
-    for i, (left, right, b) in enumerate(sides):
-        # row = scale * (left - right | b) with a positive integer scale
-        scale = lcm(b.denominator, *(c.denominator for c in left.values()),
-                    *(c.denominator for c in right.values()))
+    for i, (coeffs, b, den) in enumerate(rows):
         sign = -1 if b < 0 else 1
         row = [0] * width
-        for name, c in left.items():
-            row[col[name]] = sign * c.numerator * (scale // c.denominator)
-        for name, c in right.items():
-            row[col[name]] -= sign * c.numerator * (scale // c.denominator)
-        row[-1] = sign * b.numerator * (scale // b.denominator)
-        row[n + i] = sign * scale
+        for name, a in coeffs.items():
+            row[col[name]] = sign * a
+        row[n + i] = sign * den
+        row[-1] = sign * b
         if b < 0:
             basis.append(next_artificial)
             next_artificial += 1
         else:
             basis.append(n + i)
-        row[basis[-1]] = scale
-        rows.append(row)
+        row[basis[-1]] = den
+        tableau.append(row)
     if n_art:
-        artificial = {j: Fraction(-1) for j in range(total, total + n_art)}
+        artificial = dict.fromkeys(range(total, total + n_art), -1)
         try:
-            _run_simplex(rows, basis, artificial, total + n_art, width)
+            _run_simplex(tableau, basis, artificial, total + n_art, width)
         except _Unbounded:
             raise PhaseOneUnbounded("phase 1 cannot be unbounded") from None
-        if any(row[-1] for row, j in zip(rows, basis) if j >= total):
+        if any(row[-1] for row, j in zip(tableau, basis) if j >= total):
             return LPResult(INFEASIBLE)
         # drive leftover artificials out of the basis
         for r in range(m):
             if basis[r] >= total:
                 for j in range(total):
-                    if rows[r][j] != 0:
-                        if rows[r][j] < 0:
-                            rows[r] = [-v for v in rows[r]]
-                        _pivot(rows, basis, r, j)
+                    if tableau[r][j] != 0:
+                        if tableau[r][j] < 0:
+                            tableau[r] = [-v for v in tableau[r]]
+                        _pivot(tableau, basis, r, j)
                         break
-    cost = {col[name]: c for name, c in objective_coeffs.items()}
     try:
         # artificials stay frozen at zero: entering columns restricted
-        _run_simplex(rows, basis, cost, total, width)
+        _run_simplex(tableau, basis, {col[name]: c for name, c in cost.items()},
+                     total, width)
     except _Unbounded:
         return LPResult(UNBOUNDED)
     point = dict.fromkeys(names, Fraction(0))
-    for row, j in zip(rows, basis):
+    for row, j in zip(tableau, basis):
         if j < n:
             point[names[j]] = Fraction(row[-1], row[j])
-    return LPResult(OPTIMAL, objective.value_at(point), point)
+    value = sum((c * point[name] for name, c in cost.items()), Fraction(0))
+    return LPResult(OPTIMAL, value, point)
+
+
+def _over_lcm(coeffs: dict[str, Fraction], b: Fraction) -> Row:
+    den = lcm(b.denominator, *(c.denominator for c in coeffs.values()))
+    return ({name: c.numerator * (den // c.denominator) for name, c in coeffs.items()},
+            b.numerator * (den // b.denominator), den)
+
+
+def maximize(objective: LinExpr,
+             constraints: list[tuple[LinExpr, LinExpr]]) -> LPResult:
+    """Maximize `objective` subject to lhs <= rhs constraints, variables >= 0."""
+    rows = []
+    for lhs, rhs in constraints:
+        # a variable on both sides keeps its (possibly zero) column
+        coeffs = lhs.as_dict()
+        for name, c in rhs.as_dict().items():
+            coeffs[name] = coeffs.get(name, 0) - c
+        rows.append(_over_lcm(coeffs, rhs.const - lhs.const))
+    cost, _, _ = _over_lcm(objective.as_dict(), Fraction(0))
+    result = maximize_rows(cost, rows)
+    if result.status != OPTIMAL:
+        return result
+    return LPResult(OPTIMAL, objective.value_at(result.point), result.point)

@@ -26,20 +26,19 @@ whose condition set is only semi-decidable means replacing the LP oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Callable, Optional
 
 from . import coding
 from . import formulas as F
 from .dyadic import is_dyadic
 from .evaluator import TestStructure, eval_exact
-from .feasibility import LinExpr, OPTIMAL
+from .feasibility import OPTIMAL, Row, maximize_rows
 from .formulas import METRIC
 from .gaussian import ContlogicError
-
-C = LinExpr.constant
-V = LinExpr.var
 
 
 class ForcingError(ContlogicError):
@@ -82,31 +81,34 @@ def _validate_item(formula: F.Formula, bound: Fraction) -> None:
 
 @dataclass(frozen=True)
 class Condition:
-    """A finite set of strict bounds {phi < r}, canonically sorted."""
+    """A finite set of strict bounds {phi < r}, canonically sorted.
+
+    `keys` holds (Goedel code of phi, r) for each item, in the same order: the
+    sort key, kept so that only new items are ever validated and encoded."""
 
     items: tuple[tuple[F.Formula, Fraction], ...]
+    keys: tuple[tuple[int, Fraction], ...] = field(compare=False, repr=False)
 
     @staticmethod
     def of(items) -> "Condition":
-        canon = []
-        for formula, bound in items:
-            bound = Fraction(bound)
-            _validate_item(formula, bound)
-            canon.append((formula, bound))
-        keyed = sorted(
-            set((coding.encode(f, METRIC), f, r) for f, r in canon)
-        )
-        return Condition(tuple((f, r) for _, f, r in keyed))
+        return Condition.empty().extend(items)
 
     @staticmethod
     def empty() -> "Condition":
-        return Condition(())
+        return Condition((), ())
 
     def extend(self, items) -> "Condition":
-        return Condition.of(list(self.items) + list(items))
+        # the code determines the formula, so (code, r) identifies an item
+        by_key = dict(zip(self.keys, (f for f, _ in self.items)))
+        for formula, bound in items:
+            bound = Fraction(bound)
+            _validate_item(formula, bound)
+            by_key[coding.encode(formula, METRIC), bound] = formula
+        keys = tuple(sorted(by_key))
+        return Condition(tuple((by_key[k], k[1]) for k in keys), keys)
 
     def extends(self, other: "Condition") -> bool:
-        return set(other.items) <= set(self.items)
+        return set(other.keys) <= set(self.keys)
 
     def constants(self) -> list[int]:
         out: set[int] = set()
@@ -115,9 +117,7 @@ class Condition:
         return sorted(out)
 
     def code(self) -> int:
-        return coding.encode_precondition(
-            [(coding.encode(f, METRIC), r) for f, r in self.items]
-        )
+        return coding.encode_precondition(list(self.keys))
 
     @staticmethod
     def from_code(code: int) -> "Condition":
@@ -164,87 +164,75 @@ def _term_const(term: F.Term) -> int:
     raise NonMetricSignature(f"metric conditions allow only constants, got {term!r}")
 
 
-def _atom_expr(formula: F.Atomic) -> LinExpr:
-    i, j = (_term_const(t) for t in formula.args)
-    return C(0) if i == j else V(_pair_var(i, j))
+EPS = "__eps__"
+
+# A bound is an integer affine form (coeffs, const, den): the value
+# (sum coeffs[v]*v + const)/den over the pair variables d_*, the branch
+# variables z_* and the margin __eps__.  Rows built from it share its den.
+Form = tuple[dict[str, int], int, int]
 
 
-Rows = list[tuple[LinExpr, LinExpr]]
+def _leaf_row(formula: F.Formula, bound: Form, sign: int) -> Optional[Row]:
+    """The row sign*(value - bound) <= 0 for an atom, Zero or One, else None."""
+    if isinstance(formula, F.Atomic):
+        i, j = (_term_const(t) for t in formula.args)
+        var, k = (None if i == j else _pair_var(i, j)), 0
+    elif isinstance(formula, (F.Zero, F.One)):
+        var, k = None, (1 if isinstance(formula, F.One) else 0)
+    else:
+        return None
+    coeffs, const, den = bound
+    row = {v: -sign * c for v, c in coeffs.items()}
+    if var:
+        row[var] = sign * den
+    return row, sign * (const - k * den), den
 
 
-def _le_alternatives(formula: F.Formula, bound: LinExpr,
-                     fresh: list[int]) -> list[Rows]:
-    """Disjunctive row sets equivalent to value(formula) <= bound.
+def _alternatives(formula: F.Formula, bound: Form, sign: int,
+                  fresh: list[int]) -> list[list[Row]]:
+    """Disjunctive row sets equivalent to value(formula) <= bound (sign 1)
+    or value(formula) >= bound (sign -1).
 
     Upper-side constraints on max(l - r, 0) split into l - r <= bound and
     0 <= bound, so positive polarity never branches; the lower value of the
-    right operand is carried by a fresh nonnegative variable.  Branching
-    happens only in `_ge_alternatives` where a truncated subtraction must be
-    bounded from below.
+    right operand is carried by a fresh nonnegative variable z, which enters
+    the bound with the bound's denominator as coefficient.  Branching happens
+    only where a truncated subtraction must be bounded from below: either
+    bound <= 0, or l - r >= bound.
     """
-    if isinstance(formula, F.Atomic):
-        return [[(_atom_expr(formula), bound)]]
-    if isinstance(formula, F.Zero):
-        return [[(C(0), bound)]]
-    if isinstance(formula, F.One):
-        return [[(C(1), bound)]]
+    row = _leaf_row(formula, bound, sign)
+    if row is not None:
+        return [[row]]
+    coeffs, const, den = bound
     if isinstance(formula, F.Half):
-        return _le_alternatives(formula.body, bound.scale(2), fresh)
-    if isinstance(formula, F.DotMinus):
-        fresh[0] += 1
-        z = V(f"z_{fresh[0]}")
-        left_alts = _le_alternatives(formula.left, bound + z, fresh)
-        right_alts = _ge_alternatives(formula.right, z, fresh)
-        out = []
-        for la in left_alts:
-            for ra in right_alts:
-                out.append([(C(0), bound)] + la + ra)
-        return out
-    raise ForcingError("quantifier in a qf compilation")
+        doubled = ({v: 2 * c for v, c in coeffs.items()}, 2 * const, den)
+        return _alternatives(formula.body, doubled, sign, fresh)
+    if not isinstance(formula, F.DotMinus):
+        raise ForcingError("quantifier in a qf compilation")
+    zero = _leaf_row(F.Zero(), bound, sign)
+    fresh[0] += 1
+    z = f"z_{fresh[0]}"
+    left_alts = _alternatives(formula.left, ({**coeffs, z: den}, const, den), sign, fresh)
+    right_alts = _alternatives(formula.right, ({z: 1}, 0, 1), -sign, fresh)
+    combos = [la + ra for la in left_alts for ra in right_alts]
+    return [[zero] + c for c in combos] if sign > 0 else [[zero]] + combos
 
 
-def _ge_alternatives(formula: F.Formula, bound: LinExpr,
-                     fresh: list[int]) -> list[Rows]:
-    """Disjunctive row sets equivalent to value(formula) >= bound."""
-    if isinstance(formula, F.Atomic):
-        return [[(bound, _atom_expr(formula))]]
-    if isinstance(formula, F.Zero):
-        return [[(bound, C(0))]]
-    if isinstance(formula, F.One):
-        return [[(bound, C(1))]]
-    if isinstance(formula, F.Half):
-        return _ge_alternatives(formula.body, bound.scale(2), fresh)
-    if isinstance(formula, F.DotMinus):
-        # max(l - r, 0) >= bound: either bound <= 0, or l - r >= bound
-        trivial: Rows = [(bound, C(0))]
-        fresh[0] += 1
-        z = V(f"z_{fresh[0]}")
-        left_alts = _ge_alternatives(formula.left, bound + z, fresh)
-        right_alts = _le_alternatives(formula.right, z, fresh)
-        out = [trivial]
-        for la in left_alts:
-            for ra in right_alts:
-                out.append(la + ra)
-        return out
-    raise ForcingError("quantifier in a qf compilation")
-
-
-def _metric_axioms(constants: list[int]) -> list[tuple[LinExpr, LinExpr]]:
-    out: list[tuple[LinExpr, LinExpr]] = []
+@lru_cache(maxsize=32)
+def _metric_axioms(constants: tuple[int, ...]) -> tuple[Row, ...]:
+    """d <= 1 per pair, then the triangle inequalities; shared by every
+    caller, so never mutated."""
+    out: list[Row] = []
     for idx, i in enumerate(constants):
         for j in constants[idx + 1:]:
-            out.append((V(_pair_var(i, j)), C(1)))
+            out.append(({_pair_var(i, j): 1}, 1, 1))
     for i in constants:
         for j in constants:
             for k in constants:
                 if i < k and j != i and j != k:
-                    out.append(
-                        (
-                            V(_pair_var(i, k)),
-                            V(_pair_var(i, j)) + V(_pair_var(j, k)),
-                        )
-                    )
-    return out
+                    out.append(({_pair_var(i, k): 1, _pair_var(i, j): -1,
+                                 _pair_var(j, k): -1}, 0, 1))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -271,24 +259,22 @@ class BoundSystem:
         return out
 
 
-def _system_alternatives(system: BoundSystem, inst: MetricInstance) -> list[Rows]:
-    eps = V("__eps__")
+def _system_alternatives(system: BoundSystem,
+                         inst: MetricInstance) -> list[list[Row]]:
     fresh = [0]
-    per_item: list[list[Rows]] = []
-    for formula, bound in system.le:
-        per_item.append(_le_alternatives(formula, C(bound), fresh))
-    for formula, bound in system.lt:
-        per_item.append(_le_alternatives(formula, C(bound) - eps, fresh))
-    for formula, bound in system.ge:
-        per_item.append(_ge_alternatives(formula, C(bound), fresh))
-    for formula, bound in system.gt:
-        per_item.append(_ge_alternatives(formula, C(bound) + eps, fresh))
+    per_item: list[list[list[Row]]] = []
+    for group, sign, eps in ((system.le, 1, 0), (system.lt, 1, -1),
+                             (system.ge, -1, 0), (system.gt, -1, 1)):
+        for formula, bound in group:
+            q = Fraction(bound)
+            form = ({EPS: eps * q.denominator} if eps else {}, q.numerator, q.denominator)
+            per_item.append(_alternatives(formula, form, sign, fresh))
     total = 1
     for alts in per_item:
         total *= len(alts)
         if total > inst.branch_cap:
             raise BranchOverflow(f"more than {inst.branch_cap} branch combinations")
-    combos: list[Rows] = [[]]
+    combos: list[list[Row]] = [[]]
     for alts in per_item:
         combos = [got + alt for got in combos for alt in alts]
     return combos
@@ -302,13 +288,11 @@ def _solve_system(system: BoundSystem, constants: list[int],
     model iff some branch combination admits a positive margin.  The witness
     point is the margin-maximal assignment of the first such combination.
     """
-    from .feasibility import maximize
-
-    base = _metric_axioms(sorted(set(constants) | system.constants()))
-    eps = V("__eps__")
+    base = _metric_axioms(tuple(sorted(set(constants) | system.constants())))
+    cap = Fraction(inst.margin_cap)
+    cap_row = ({EPS: cap.denominator}, cap.numerator, cap.denominator)
     for rows in _system_alternatives(system, inst):
-        all_rows = base + rows + [(eps, C(inst.margin_cap))]
-        result = maximize(eps, all_rows)
+        result = maximize_rows({EPS: 1}, [*base, *rows, cap_row])
         if result.status == OPTIMAL and result.value > 0:
             point = {
                 k: v for k, v in result.point.items() if k.startswith("d_")
@@ -630,7 +614,7 @@ def compile_transcript(t: Transcript,
     slack = verdict.margin / 2
     nonstrict = tuple((formula, bound - slack) for formula, bound in final.items)
     alternatives = _system_alternatives(BoundSystem(le=nonstrict), inst)
-    base = _metric_axioms(constants)
+    base = _metric_axioms(tuple(constants))
     assignment: dict[str, Fraction] = {}
     pairs = [
         (a, b)
@@ -648,32 +632,31 @@ def compile_transcript(t: Transcript,
     return space
 
 
-def _lex_minimize(base: Rows, alternatives: list[Rows], var: str,
+def _lex_minimize(base: tuple[Row, ...], alternatives: list[list[Row]], var: str,
                   fixed: dict[str, Fraction]) -> Fraction:
     """Minimum of `var` over the union of the alternative regions, with the
     already-minimized variables substituted by their values (shrinking every
-    successive LP instead of pinning with equality rows)."""
-    from .feasibility import maximize
-
+    successive LP instead of pinning with equality rows).  A row that mentions
+    a fixed variable is put over the lcm of the fixed values' denominators."""
     best: Optional[Fraction] = None
     for alt in alternatives:
         rows = []
-        infeasible = False
-        for lhs, rhs in base + alt:
-            lhs, rhs = lhs.substitute(fixed), rhs.substitute(fixed)
-            if not lhs.coeffs and not rhs.coeffs:
-                if lhs.const > rhs.const:
-                    infeasible = True
-                    break
-                continue
-            rows.append((lhs, rhs))
-        if infeasible:
-            continue
-        result = maximize(V(var).scale(-1), rows)
-        if result.status == OPTIMAL:
-            value = -result.value
-            if best is None or value < best:
-                best = value
+        for coeffs, b, den in (*base, *alt):
+            touched = [v for v in coeffs if v in fixed]
+            if touched:
+                scale = lcm(*(fixed[v].denominator for v in touched))
+                b = b * scale - sum(coeffs[v] * fixed[v].numerator
+                                    * (scale // fixed[v].denominator) for v in touched)
+                coeffs = {v: c * scale for v, c in coeffs.items() if v not in fixed}
+                den *= scale
+            if coeffs:
+                rows.append((coeffs, b, den))
+            elif b < 0:
+                break  # a violated constant row: this branch is infeasible
+        else:
+            result = maximize_rows({var: -1}, rows)
+            if result.status == OPTIMAL and (best is None or -result.value < best):
+                best = -result.value
     if best is None:
         raise Infeasible("no feasible branch during compilation")
     return best

@@ -557,7 +557,8 @@ def element(spec: GroupSpec, terms: list[tuple[GaussianRational | Fraction | int
             c = gr(Fraction(c))
         nf = spec.normal_form(w)
         coeffs[nf] = coeffs.get(nf, gr(0)) + c
-    return AlgebraElement(spec, coeffs)
+    return AlgebraElement(spec, {w: c for w, c in coeffs.items() if not c.is_zero()},
+                          _canonical=True)
 
 
 def identity_element(spec: GroupSpec) -> AlgebraElement:

@@ -47,6 +47,26 @@ def test_structure_validation():
         )
 
 
+@pytest.mark.parametrize("table, message", [
+    (((0, 1), (1,)), "distance table must be square"),
+    (((0, Fraction(1, 3)), (Fraction(1, 3), Fraction(1, 6))), r"d\(x,x\) must be 0"),
+    (((0, Fraction(7, 6)), (Fraction(7, 6), 0)), r"distances must lie in \[0,1\]"),
+    (((0, Fraction(1, 3)), (Fraction(2, 6) + Fraction(1, 9), 0)), "must be symmetric"),
+    (((0, Fraction(1, 3), Fraction(5, 6)),
+      (Fraction(1, 3), 0, Fraction(1, 2) - Fraction(1, 100)),
+      (Fraction(5, 6), Fraction(1, 2) - Fraction(1, 100), 0)), "triangle inequality violated"),
+])
+def test_structure_validation_messages(table, message):
+    with pytest.raises(ValueError, match=message):
+        E.TestStructure(table)
+
+
+def test_structure_validation_accepts_tight_triangles_over_mixed_denominators():
+    # d(0,2) = d(0,1) + d(1,2) exactly, with denominators 3, 6 and 2
+    third, sixth, half = Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)
+    E.TestStructure(((0, third, half), (third, 0, sixth), (half, sixth, 0)))
+
+
 def test_eval_exact_examples():
     t = line_structure([Fraction(0), Fraction(1, 2), Fraction(1)])
     assert E.eval_exact(F.Sup("x", d(x, x)), t) == 0

@@ -127,6 +127,23 @@ def test_ratio_ties_go_to_the_lowest_basic_column():
     assert res.point == {"x0": 0, "x1": Fraction(1, 2), "x2": 0, "x3": 0}
 
 
+def test_row_denominator_is_the_slack_and_artificial_entry():
+    # phase 1 minimizes the sum of the rational rows' artificials; were the
+    # slack and artificial entries of a row over denominator den 1 instead of
+    # den, phase 1 would weigh that row's artificial by den and end at
+    # another basis, here the vertex with x0 = 0 and x1 = 47/20
+    V, C = LinExpr.var, LinExpr.constant
+    constraints = [
+        (V("x2", Fraction(41, 12)) + C(Fraction(3, 5)),
+         V("x1") + V("x0", Fraction(3, 4)) + V("x2", Fraction(1, 2)) + C(Fraction(-7, 4))),
+        (V("x0", -1) + V("x1", Fraction(-5, 6)) + C(Fraction(-7, 4)), C(0)),
+        (V("x1") + V("x3", Fraction(-1, 3)) + V("x2", 3) + C(4),
+         V("x0", Fraction(-5, 6)) + V("x2", 3) + C(-2)),
+    ]
+    res = _assert_same(C(-2), constraints)
+    assert res.point == {"x0": Fraction(47, 15), "x1": 0, "x2": 0, "x3": Fraction(155, 6)}
+
+
 # ---------------------------------------------------------------------------
 # brute-force vertex enumeration
 # ---------------------------------------------------------------------------

@@ -96,6 +96,17 @@ def test_rewriting_backend_z2():
     assert spec.normal_form((("a", -1),)) == (("a", 1),)
 
 
+def test_element_puts_each_word_into_normal_form_once(monkeypatch):
+    spec = G.rewriting_group(("a",), [("aaa", ""), ("A", "aa")])
+    calls = []
+    normal_form = spec.normal_form
+    monkeypatch.setattr(spec, "normal_form", lambda w: calls.append(w) or normal_form(w))
+    x = G.element(spec, [(1, (("a", 1),)), (2, (("a", 4),)), (-3, (("a", -2),)), (5, ())])
+    assert len(calls) == 4
+    # a + 2a - 3a cancel: only the identity term is left
+    assert x.coeffs == {(): gr(5)}
+
+
 def test_rewriting_refuses_a_non_confluent_system():
     with pytest.raises(G.NotConfluent, match="on 'Aab'"):
         G.rewriting_group(("a", "b"), [("ab", "ba")])

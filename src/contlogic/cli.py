@@ -39,7 +39,9 @@ def _fail(kind: str, message: str) -> int:
     return 1
 
 
-def _frac(q) -> str:
+def _frac(q) -> str | None:
+    if q is None:
+        return None
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
@@ -183,12 +185,8 @@ def _cmd_eval(args) -> int:
         {
             "kind": "eval",
             "presentation": pres.name,
-            "certified_lower": _frac(res.certified_lower)
-            if res.certified_lower is not None
-            else None,
-            "certified_upper": _frac(res.certified_upper)
-            if res.certified_upper is not None
-            else None,
+            "certified_lower": _frac(res.certified_lower),
+            "certified_upper": _frac(res.certified_upper),
             "estimate": _frac(res.estimate),
             "approx": float(res.estimate),
             "witnesses": {str(k): v for k, v in sorted(res.witnesses.items())},
@@ -299,8 +297,8 @@ def _cmd_force(args) -> int:
         _emit(
             {
                 "kind": "fp",
-                "lower": _frac(bounds.lower) if bounds.lower is not None else None,
-                "upper": _frac(bounds.upper) if bounds.upper is not None else None,
+                "lower": _frac(bounds.lower),
+                "upper": _frac(bounds.upper),
                 "estimate": _frac(bounds.estimate),
             }
         )

@@ -41,12 +41,16 @@ def sqrt_interval(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
 
 
 def int_nth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) by Newton iteration, exact for any nonnegative int."""
+    """floor(x ** (1/n)), exact for any nonnegative int.
+
+    Each factor 2 of n is one `isqrt`, exact since floor(sqrt(floor(y))) =
+    floor(sqrt(y)); Newton iteration takes only the odd part of n.
+    """
     if x < 0 or n < 1:
         raise ValueError("int_nth_root needs x >= 0, n >= 1")
-    if x == 0:
-        return 0
-    if n == 1:
+    while n % 2 == 0:
+        x, n = isqrt(x), n // 2
+    if x == 0 or n == 1:
         return x
     # Initial guess from bit length; Newton descends monotonically from above.
     guess = 1 << -(-x.bit_length() // n)

@@ -7,7 +7,9 @@ points lie in the unit ball, so any sampled value is a witness), an inf block
 only an upper bound, and alternations thin the certified sides out
 accordingly; the other side is reported as an uncertified estimate.  This
 one-sidedness is not an implementation shortcut: without density rates for
-the rational points no finite sweep can certify the missing side.
+the rational points no finite sweep can certify the missing side.  One call
+computes each atom and term of the prenex matrix once per assignment of the
+variables it mentions, and keeps nothing after it returns.
 
 `TestStructure` is a finite exact-table metric structure with an exhaustive
 evaluator (`eval_exact`) used as the oracle for prenex equivalence and for
@@ -156,10 +158,8 @@ def eval_exact(formula: F.Formula, structure: TestStructure,
             eval_exact(formula.right, structure, env),
         )
     if isinstance(formula, (F.Sup, F.Inf)):
-        values = [
-            eval_exact(formula.body, structure, {**env, formula.var: p})
-            for p in range(structure.size)
-        ]
+        values = [eval_exact(formula.body, structure, {**env, formula.var: p})
+                  for p in range(structure.size)]
         return max(values) if isinstance(formula, F.Sup) else min(values)
     raise EvalError(f"not a formula: {formula!r}")
 
@@ -198,45 +198,87 @@ class TestStructurePresentation(Presentation):
 # ---------------------------------------------------------------------------
 
 
-def _term_object(term: F.Term, pres: Presentation, env: dict, bindings: dict):
+class _Evaluation:
+    """One call's evaluation state for the matrix of a prenexed formula.
+
+    `env` binds each swept variable to (point index, point object).  Every
+    atom and every term but a variable gets a slot, shared by value-equal
+    nodes, and the variables it mentions; `value` computes a node once per
+    assignment of those variables and keeps the result for the call.
+    """
+
+    def __init__(self, formula: F.Formula, pres: Presentation, k: int, bindings: dict,
+                 budget: Optional[int]):
+        self.prefix, self.matrix = F.prefix_of(F.prenex(formula))
+        self.pres, self.k, self.bindings, self.budget = pres, k, bindings, budget
+        self.env: dict[str, tuple[int, object]] = {}
+        self.memo: dict = {}
+        self.plan: dict[int, tuple[int, tuple[str, ...]]] = {}
+        atoms = [f for f in F.subformulas(self.matrix) if isinstance(f, F.Atomic)]
+        terms = [t for f in atoms for a in f.args for t in F.subterms(a)
+                 if not isinstance(t, F.Var)]
+        slots: dict = {}  # plan keys are ids: self.matrix keeps every node alive
+        for node in atoms + terms:
+            mentioned = F.free_vars(node) if isinstance(node, F.Atomic) else F.term_vars(node)
+            self.plan[id(node)] = (slots.setdefault(node, len(slots)),
+                                   tuple(v for _, v in self.prefix if v in mentioned))
+
+    def value(self, node, compute):
+        slot, names = self.plan[id(node)]
+        key = (slot, tuple([self.env[v][0] for v in names]))
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = compute(node, self)
+        return out
+
+
+def _term_object(term: F.Term, m: _Evaluation):
     if isinstance(term, F.Var):
-        if term.name not in env:
+        if term.name not in m.env:
             raise EvalError(f"unbound variable {term.name!r}")
-        return env[term.name]
+        return m.env[term.name][1]
+    return m.value(term, _build_term)
+
+
+def _build_term(term: F.Term, m: _Evaluation):
+    pres = m.pres
     if isinstance(term, F.CConst):
-        point = bindings.get(term.index) or pres.default_constant_point(term.index)
+        point = m.bindings.get(term.index) or pres.default_constant_point(term.index)
         if point is None:
             raise UnboundConstant(f"constant c{term.index} is not bound to a point")
         return pres.point_object(point)
     if isinstance(term, F.App):
-        args = [_term_object(a, pres, env, bindings) for a in term.args]
+        args = [_term_object(a, m) for a in term.args]
         if term.func == "adj":
             return pres._adj(args[0])
         if term.func == "mul":
             return pres._mul(args[0], args[1])
         raise EvalError(f"unknown function {term.func!r}")
     if isinstance(term, F.Comb):
-        left = _term_object(term.left, pres, env, bindings)
-        right = _term_object(term.right, pres, env, bindings)
+        left = _term_object(term.left, m)
+        right = _term_object(term.right, m)
         return pres._comb(term.lam, term.mu, left, right)
     raise EvalError(f"not a term: {term!r}")
 
 
-def _interval_qf(formula: F.Formula, pres: Presentation, k: int, env: dict,
-                 bindings: dict, budget: Optional[int]) -> Interval:
+def _atom_interval(formula: F.Atomic, m: _Evaluation) -> Interval:
+    objs = [_term_object(t, m) for t in formula.args]
+    return m.pres.atom_interval(formula.pred, objs, m.k, budget=m.budget)
+
+
+def _interval_qf(formula: F.Formula, m: _Evaluation) -> Interval:
     if isinstance(formula, F.Atomic):
-        objs = [_term_object(t, pres, env, bindings) for t in formula.args]
-        return pres.atom_interval(formula.pred, objs, k, budget=budget)
+        return m.value(formula, _atom_interval)
     if isinstance(formula, F.Zero):
         return (Fraction(0), Fraction(0))
     if isinstance(formula, F.One):
         return (Fraction(1), Fraction(1))
     if isinstance(formula, F.Half):
-        lo, hi = _interval_qf(formula.body, pres, k, env, bindings, budget)
+        lo, hi = _interval_qf(formula.body, m)
         return (lo / 2, hi / 2)
     if isinstance(formula, F.DotMinus):
-        llo, lhi = _interval_qf(formula.left, pres, k, env, bindings, budget)
-        rlo, rhi = _interval_qf(formula.right, pres, k, env, bindings, budget)
+        llo, lhi = _interval_qf(formula.left, m)
+        rlo, rhi = _interval_qf(formula.right, m)
         return (max(llo - rhi, Fraction(0)), max(lhi - rlo, Fraction(0)))
     raise EvalError("quantifier below a connective in a qf evaluation")
 
@@ -255,7 +297,8 @@ def eval_qf(formula: F.Formula, pres: Presentation, k: int,
         raise EvalError("eval_qf needs a quantifier-free sentence")
     if F.free_vars(formula):
         raise EvalError("eval_qf needs a closed sentence")
-    return _interval_qf(formula, pres, k, {}, bindings or {}, None)
+    m = _Evaluation(formula, pres, k, bindings or {}, None)
+    return _interval_qf(m.matrix, m)
 
 
 def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
@@ -265,74 +308,55 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
     Certified sides follow the quantifier pattern: sampled sup blocks
     propagate lower bounds, sampled inf blocks upper bounds; a side that
     would need density rates of the rational-point enumeration is left
-    uncertified and only the deterministic estimate is reported.
+    uncertified and only the deterministic estimate is reported.  Each
+    quantifier's point objects are built once.
     """
     if F.free_vars(formula):
         raise EvalError("eval needs a closed sentence")
-    bindings = bindings or {}
-    prenexed = F.prenex(formula)
-    prefix, matrix = F.prefix_of(prenexed)
-    k = budget.precision_k
+    m = _Evaluation(formula, pres, budget.precision_k, bindings or {}, budget.oracle_budget)
+    points: list[list] = [[] for _ in m.prefix]
 
-    def sweep(position: int, env: dict):
-        if position == len(prefix):
-            lo, hi = _interval_qf(matrix, pres, k, env, bindings, budget.oracle_budget)
+    def sweep(position: int):
+        if position == len(m.prefix):
+            lo, hi = _interval_qf(m.matrix, m)
             return EvalResult(lo, hi, (lo + hi) / 2, {}, hi - lo)
-        kind, var = prefix[position]
-        n_points = budget.points_for(position)
+        kind, var = m.prefix[position]
+        objects = points[position]
         results = []
-        for i in range(n_points):
-            obj = pres.point_object(pres.rational_point(i))
-            results.append((i, sweep(position + 1, {**env, var: obj})))
+        for i in range(budget.points_for(position)):
+            if i == len(objects):
+                objects.append(pres.point_object(pres.rational_point(i)))
+            m.env[var] = (i, objects[i])
+            results.append((i, sweep(position + 1)))
         is_sup = kind is F.Sup
-        estimates = [r.estimate for _, r in results]
-        best_estimate = max(estimates) if is_sup else min(estimates)
-        if is_sup:
-            lowers = [r.certified_lower for _, r in results if r.certified_lower is not None]
-            lower = max(lowers) if lowers else None
-            upper = None
-            bound = lower
-            key = lambda r: r.certified_lower
-        else:
-            uppers = [r.certified_upper for _, r in results if r.certified_upper is not None]
-            upper = min(uppers) if uppers else None
-            lower = None
-            bound = upper
-            key = lambda r: r.certified_upper
+        pick = max if is_sup else min
+        side = "certified_lower" if is_sup else "certified_upper"
+        bounds = [getattr(r, side) for _, r in results if getattr(r, side) is not None]
+        bound = pick(bounds) if bounds else None
+        best_estimate = pick(r.estimate for _, r in results)
         # the witness names the branch attaining the certified bound, so
         # pinning reproduces the bound; without one it tracks the estimate
         if bound is not None:
-            best_index, best = next(
-                (i, r) for i, r in results if key(r) == bound
-            )
+            best_index, best = next((i, r) for i, r in results if getattr(r, side) == bound)
         else:
-            best_index, best = next(
-                (i, r) for i, r in results if r.estimate == best_estimate
-            )
-        witnesses = {position: best_index}
-        witnesses.update(best.witnesses)
+            best_index, best = next((i, r) for i, r in results if r.estimate == best_estimate)
+        witnesses = {position: best_index, **best.witnesses}
         slack = max(r.slack for _, r in results)
-        estimate = best_estimate
-        if lower is not None:
-            estimate = max(estimate, lower)
-        if upper is not None:
-            estimate = min(estimate, upper)
-        return EvalResult(lower, upper, estimate, witnesses, slack)
+        estimate = best_estimate if bound is None else pick(best_estimate, bound)
+        return EvalResult(bound if is_sup else None, None if is_sup else bound,
+                          estimate, witnesses, slack)
 
-    return sweep(0, {})
+    return sweep(0)
 
 
 def pin_witnesses(formula: F.Formula, pres: Presentation, budget: EvalBudget,
                   witnesses: dict, bindings: Optional[dict] = None) -> Interval:
     """Re-evaluate with every quantifier pinned to its reported witness."""
-    prenexed = F.prenex(formula)
-    prefix, matrix = F.prefix_of(prenexed)
-    env = {}
-    for position, (kind, var) in enumerate(prefix):
+    m = _Evaluation(formula, pres, budget.precision_k, bindings or {}, budget.oracle_budget)
+    for position, (kind, var) in enumerate(m.prefix):
         index = witnesses[position]
-        env[var] = pres.point_object(pres.rational_point(index))
-    return _interval_qf(matrix, pres, budget.precision_k, env, bindings or {},
-                        budget.oracle_budget)
+        m.env[var] = (index, pres.point_object(pres.rational_point(index)))
+    return _interval_qf(m.matrix, m)
 
 
 # ---------------------------------------------------------------------------

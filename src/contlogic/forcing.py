@@ -84,10 +84,13 @@ class Condition:
     """A finite set of strict bounds {phi < r}, canonically sorted.
 
     `keys` holds (Goedel code of phi, r) for each item, in the same order: the
-    sort key, kept so that only new items are ever validated and encoded."""
+    sort key, kept so that only new items are ever validated and encoded.
+    `mentioned` holds the constants of every item, likewise filled from new
+    items only."""
 
     items: tuple[tuple[F.Formula, Fraction], ...]
     keys: tuple[tuple[int, Fraction], ...] = field(compare=False, repr=False)
+    mentioned: frozenset[int] = field(compare=False, repr=False)
 
     @staticmethod
     def of(items) -> "Condition":
@@ -95,26 +98,25 @@ class Condition:
 
     @staticmethod
     def empty() -> "Condition":
-        return Condition((), ())
+        return Condition((), (), frozenset())
 
     def extend(self, items) -> "Condition":
         # the code determines the formula, so (code, r) identifies an item
         by_key = dict(zip(self.keys, (f for f, _ in self.items)))
+        mentioned = set(self.mentioned)
         for formula, bound in items:
             bound = Fraction(bound)
             _validate_item(formula, bound)
             by_key[coding.encode(formula, METRIC), bound] = formula
+            mentioned |= F.constants_of(formula)
         keys = tuple(sorted(by_key))
-        return Condition(tuple((by_key[k], k[1]) for k in keys), keys)
+        return Condition(tuple((by_key[k], k[1]) for k in keys), keys, frozenset(mentioned))
 
     def extends(self, other: "Condition") -> bool:
         return set(other.keys) <= set(self.keys)
 
     def constants(self) -> list[int]:
-        out: set[int] = set()
-        for formula, _ in self.items:
-            out |= F.constants_of(formula)
-        return sorted(out)
+        return sorted(self.mentioned)
 
     def code(self) -> int:
         return coding.encode_precondition(list(self.keys))
@@ -251,13 +253,6 @@ class BoundSystem:
     ge: tuple = ()  # nonstrict lower bounds
     gt: tuple = ()  # strict lower bounds
 
-    def constants(self) -> set[int]:
-        out: set[int] = set()
-        for group in (self.le, self.lt, self.ge, self.gt):
-            for formula, _ in group:
-                out |= F.constants_of(formula)
-        return out
-
 
 def _system_alternatives(system: BoundSystem,
                          inst: MetricInstance) -> list[list[Row]]:
@@ -287,8 +282,10 @@ def _solve_system(system: BoundSystem, constants: list[int],
     Strict bounds are tightened by a shared margin variable; the system has a
     model iff some branch combination admits a positive margin.  The witness
     point is the margin-maximal assignment of the first such combination.
+    `constants` must hold every constant the system mentions; each caller
+    has them already, so the system is not walked for them again.
     """
-    base = _metric_axioms(tuple(sorted(set(constants) | system.constants())))
+    base = _metric_axioms(tuple(sorted(set(constants))))
     cap = Fraction(inst.margin_cap)
     cap_row = ({EPS: cap.denominator}, cap.numerator, cap.denominator)
     for rows in _system_alternatives(system, inst):

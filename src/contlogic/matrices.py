@@ -123,11 +123,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
 
-    def apply(self, v: tuple[GaussianRational, ...]) -> tuple[GaussianRational, ...]:
-        if len(v) != self.n:
-            raise SizeMismatch(f"vector length {len(v)} vs size {self.n}")
-        return tuple(sum((a * x for a, x in zip(row, v)), gr(0)) for row in self.rows)
-
 
 def two_norm(a: Matrix, k: int) -> tuple[Fraction, Fraction]:
     """Dyadic interval of width <= 2^-k around sqrt(tr(A* A)/n).
@@ -182,12 +177,18 @@ def _trace_powers(re: IntRows, im: IntRows, ms: int) -> list[int]:
     return traces[:ms]
 
 
-def _scaled_traces(a: Matrix, ms: int) -> tuple[int, list[int]]:
-    """D and [tr(H^(2^m)) for m in range(ms)], H = (DA)(DA)*, each checked >= 0."""
+def _integer_rows(a: Matrix) -> tuple[int, IntRows, IntRows]:
+    """D and the real and imaginary rows of the Gaussian-integer matrix DA."""
     d, parts = over_common_denominator(e for row in a.rows for e in row)
     n = a.n
     re = [[z[0] for z in parts[i * n:(i + 1) * n]] for i in range(n)]
     im = [[z[1] for z in parts[i * n:(i + 1) * n]] for i in range(n)]
+    return d, re, im
+
+
+def _scaled_traces(a: Matrix, ms: int) -> tuple[int, list[int]]:
+    """D and [tr(H^(2^m)) for m in range(ms)], H = (DA)(DA)*, each checked >= 0."""
+    d, re, im = _integer_rows(a)
     traces = _trace_powers(re, im, ms)
     for m, t in enumerate(traces):
         if t < 0:
@@ -224,13 +225,23 @@ def opnorm_upper(a: Matrix, m: int, prec: int = 16) -> Fraction:
 
 
 def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fraction:
-    """Certified dyadic lower bound |Av|_2 / |v|_2 <= |A| (Rayleigh witness)."""
-    vv = sum((x.abs_sq() for x in v), Fraction(0))
-    if vv == 0:
+    """Certified dyadic lower bound |Av|_2 / |v|_2 <= |A| (Rayleigh witness).
+
+    With A = B/D and v = w/E over common denominators, the squared ratio is
+    the integer |Bw|^2 over D^2 |w|^2.
+    """
+    _, w = over_common_denominator(v)
+    wr, wi = [z[0] for z in w], [z[1] for z in w]
+    ww = sum(map(mul, wr, wr)) + sum(map(mul, wi, wi))
+    if ww == 0:
         raise ZeroVector("Rayleigh witness must be nonzero")
-    av = a.apply(v)
-    ratio = sum((x.abs_sq() for x in av), Fraction(0)) / vv
-    return sqrt_interval(ratio, k)[0]
+    if len(v) != a.n:
+        raise SizeMismatch(f"vector length {len(v)} vs size {a.n}")
+    d, re, im = _integer_rows(a)
+    bw = sum((sum(map(mul, r, wr)) - sum(map(mul, s, wi))) ** 2
+             + (sum(map(mul, r, wi)) + sum(map(mul, s, wr))) ** 2
+             for r, s in zip(re, im))
+    return sqrt_interval(Fraction(bw, d * d * ww), k)[0]
 
 
 def embed_dyadic(a: Matrix) -> Matrix:

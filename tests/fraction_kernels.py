@@ -1,11 +1,14 @@
 """The Fraction kernels: test oracles.
 
-These are `matrices.opnorm_upper`, `groups.moments_up_to` (with its excursion
-DP), `dyadic.nth_root_lower_grid` and the body of `AlgebraElement.__mul__` as
-they were before the kernels moved to integers over a common denominator,
-kept verbatim so that differential tests can check that the integer kernels
-return the same exact values.  Only the imports were edited, `__mul__` became
-the function `algebra_mul`, and `moments_up_to` multiplies with it.
+These are `matrices.opnorm_upper`, `matrices.opnorm_lower`,
+`groups.moments_up_to` (with its excursion DP), `dyadic.nth_root_lower_grid`
+and the body of `AlgebraElement.__mul__` as they were before the kernels moved
+to integers over a common denominator, and `dyadic.int_nth_root` as it was
+before square roots took the factors 2 of n, kept verbatim so that
+differential tests can check that the new kernels return the same exact
+values.  Only the imports were edited, `__mul__` became the function
+`algebra_mul`, `moments_up_to` multiplies with it, and `Matrix.apply` became
+the function `matrix_apply`, which `opnorm_lower` calls.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from contlogic.dyadic import nth_root_upper_grid
+from contlogic.dyadic import nth_root_upper_grid, sqrt_interval
 from contlogic.gaussian import GaussianRational, gr
 from contlogic.groups import IDENTITY, AlgebraElement, FreeGroup, Word
-from contlogic.matrices import Matrix
+from contlogic.matrices import Matrix, SizeMismatch, ZeroVector
 
 
 def opnorm_upper(a: Matrix, m: int, prec: int = 16) -> Fraction:
@@ -168,3 +171,39 @@ def nth_root_lower_grid(x: Fraction, n: int, k: int, hi_pow2: int) -> Fraction:
         else:
             hi = mid
     return lo
+
+
+def int_nth_root(x: int, n: int) -> int:
+    """floor(x ** (1/n)) by Newton iteration, exact for any nonnegative int."""
+    if x < 0 or n < 1:
+        raise ValueError("int_nth_root needs x >= 0, n >= 1")
+    if x == 0:
+        return 0
+    if n == 1:
+        return x
+    # Initial guess from bit length; Newton descends monotonically from above.
+    guess = 1 << -(-x.bit_length() // n)
+    while True:
+        nxt = ((n - 1) * guess + x // guess ** (n - 1)) // n
+        if nxt >= guess:
+            break
+        guess = nxt
+    while guess ** n > x:
+        guess -= 1
+    return guess
+
+
+def matrix_apply(self: Matrix, v: tuple[GaussianRational, ...]) -> tuple[GaussianRational, ...]:
+    if len(v) != self.n:
+        raise SizeMismatch(f"vector length {len(v)} vs size {self.n}")
+    return tuple(sum((a * x for a, x in zip(row, v)), gr(0)) for row in self.rows)
+
+
+def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fraction:
+    """Certified dyadic lower bound |Av|_2 / |v|_2 <= |A| (Rayleigh witness)."""
+    vv = sum((x.abs_sq() for x in v), Fraction(0))
+    if vv == 0:
+        raise ZeroVector("Rayleigh witness must be nonzero")
+    av = matrix_apply(a, v)
+    ratio = sum((x.abs_sq() for x in av), Fraction(0)) / vv
+    return sqrt_interval(ratio, k)[0]

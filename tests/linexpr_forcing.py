@@ -3,9 +3,10 @@
 This is how `contlogic.forcing` compiled bound systems before it emitted
 integer rows: `_le_alternatives`, `_ge_alternatives`, `_metric_axioms`,
 `_system_alternatives`, `_solve_system` and `_lex_minimize` are kept verbatim
-on `LinExpr` rows (with `LinExpr.substitute` as the function `_substitute`),
-and solve with `dense_simplex.maximize`, the dense Fraction tableau, so that
-no part of the integer-row path is shared.  Differential tests check that the
+on `LinExpr` rows (with `LinExpr.substitute` as the function `_substitute`
+and `BoundSystem.constants` as the function `system_constants`), and solve
+with `dense_simplex.maximize`, the dense Fraction tableau, so that no part of
+the integer-row path is shared.  Differential tests check that the
 integer rows give the same verdicts, margins, witness points and lexicographic
 minima.
 """
@@ -31,6 +32,14 @@ from dense_simplex import maximize
 
 C = LinExpr.constant
 V = LinExpr.var
+
+
+def system_constants(system: BoundSystem) -> set[int]:
+    out: set[int] = set()
+    for group in (system.le, system.lt, system.ge, system.gt):
+        for formula, _ in group:
+            out |= F.constants_of(formula)
+    return out
 
 
 def _substitute(expr: LinExpr, values: dict[str, Fraction]) -> LinExpr:
@@ -161,7 +170,7 @@ def _solve_system(system: BoundSystem, constants: list[int],
     model iff some branch combination admits a positive margin.  The witness
     point is the margin-maximal assignment of the first such combination.
     """
-    base = _metric_axioms(sorted(set(constants) | system.constants()))
+    base = _metric_axioms(sorted(set(constants) | system_constants(system)))
     eps = V("__eps__")
     for rows in _system_alternatives(system, inst):
         all_rows = base + rows + [(eps, C(inst.margin_cap))]

@@ -1,0 +1,190 @@
+"""Differential tests of the memoised evaluator sweep against the naive one.
+
+`naive_evaluator` holds the sweep that re-evaluated the whole prenex matrix
+at every point tuple.  `eval_sentence` now computes each atom and compound
+term once per assignment of the variables it mentions; on seeded sentences
+with one to three quantifiers, repeated atoms and closed compound terms, the
+`EvalResult` (bounds, estimate, witnesses, slack) and the pinned witnesses
+must come out identical on every presentation.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import naive_evaluator as naive
+from contlogic import evaluator as E
+from contlogic import formulas as F
+from contlogic import groups as G
+from contlogic import presentations as P
+from contlogic.parser import parse_formula
+from helpers import SMALL_COEFFS
+
+VARS = ["x", "y", "z"]
+
+
+def _structure():
+    pts = [0, 1, 3, 4, 7, 8, 12, 16]
+    return E.TestStructure(tuple(tuple(Fraction(abs(p - q), 16) for q in pts) for p in pts))
+
+
+# name -> (presentation factory, precision, oracle budget)
+PRESENTATIONS = {
+    "R": (P.presentation_R, 4, None),
+    "L(F2)": (lambda: P.presentation_L(G.free_group("u", "v")), 4, None),
+    "C2w": (P.presentation_C2w, 4, None),
+    "Cstar(F2)": (lambda: P.presentation_CstarLambda(G.free_group("u", "v")), 3, 1),
+    "Cstar(Z)": (lambda: P.presentation_CstarLambda(G.free_abelian("u")), 2, None),
+    "test(8)": (lambda: E.TestStructurePresentation(_structure()), 8, None),
+}
+
+# points per quantifier by quantifier count: most low-numbered algebra
+# points are 0, and the first nonzero ones sit at indices 4, 8 and 20
+POINTS = {1: 24, 2: 9, 3: 5}
+
+
+def _term(rng, sig, scope, depth):
+    """A variable, a constant, or (depth permitting) a compound term; with
+    an empty scope the compound term is closed."""
+    kinds = ["var", "const"]
+    if depth and sig.functions:
+        kinds += ["app", "app", "closed"]
+    if depth and sig.allow_comb:
+        kinds.append("comb")
+    kind = rng.choice(kinds)
+    if kind == "var" and scope:
+        return F.Var(rng.choice(scope))
+    if kind == "closed":
+        return _term(rng, sig, [], depth)
+    if kind == "app":
+        f = rng.choice(sig.functions)
+        return F.App(f.name, tuple(_term(rng, sig, scope, depth - 1) for _ in range(f.arity)))
+    if kind == "comb":
+        lam = rng.choice(SMALL_COEFFS)
+        mu = rng.choice([m for m in SMALL_COEFFS if F.rounded_bound_ok(lam, m)])
+        return F.Comb(lam, mu, _term(rng, sig, scope, depth - 1),
+                      _term(rng, sig, scope, depth - 1))
+    return F.CConst(rng.randint(1, 3))
+
+
+def _matrix(rng, atoms, depth):
+    kind = rng.choice(["atom", "atom", "half", "dotminus", "dotminus"] if depth else ["atom"])
+    if kind == "atom":
+        return rng.choice(atoms)  # drawn with replacement, so atoms repeat
+    if kind == "half":
+        return F.Half(_matrix(rng, atoms, depth - 1))
+    return F.DotMinus(_matrix(rng, atoms, depth - 1), _matrix(rng, atoms, depth - 1))
+
+
+def _sentence(rng, sig, quantifiers):
+    scope = VARS[:quantifiers]
+    atoms = []
+    for _ in range(rng.randint(2, 4)):
+        pred = rng.choice(sig.predicates)
+        atoms.append(F.Atomic(pred.name, tuple(_term(rng, sig, scope, 2)
+                                               for _ in range(pred.arity))))
+    body = _matrix(rng, atoms, 3)
+    for var in reversed(scope):
+        body = (F.Sup if rng.random() < 0.5 else F.Inf)(var, body)
+    return body
+
+
+def _cases(name):
+    rng = random.Random(f"evaluator-differential/{name}")
+    factory, k, oracle_budget = PRESENTATIONS[name]
+    pres = factory()
+    bindings = ({} if name.startswith("test") else
+                {c: pres.rational_point(i) for c, i in zip((1, 2, 3), (20, 32, 17))})
+    for quantifiers in (1, 2, 3) * 8:
+        sentence = _sentence(rng, pres.signature, quantifiers)
+        budget = E.EvalBudget(points=POINTS[quantifiers], precision_k=k,
+                              oracle_budget=oracle_budget)
+        yield pres, sentence, budget, bindings
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except E.EvalError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_eval_sentence_matches_naive_sweep(name):
+    for pres, sentence, budget, bindings in _cases(name):
+        got = _outcome(E.eval_sentence, sentence, pres, budget, bindings)
+        want = _outcome(naive.eval_sentence, sentence, pres, budget, bindings)
+        assert got == want, sentence
+        if isinstance(got, E.EvalResult) and got.witnesses:
+            pinned = E.pin_witnesses(sentence, pres, budget, got.witnesses, bindings)
+            assert pinned == naive.pin_witnesses(sentence, pres, budget, got.witnesses,
+                                                 bindings)
+
+
+def test_repeated_and_closed_nodes_match_naive_sweep():
+    pres = P.presentation_C2w()
+    bindings = {1: pres.rational_point(20), 2: pres.rational_point(32)}
+    budget = E.EvalBudget(points=6, precision_k=6)
+    for text in ["sup x . inf y . (d(x, c1) -. half(d(x, c1) -. d(mul(c1, c2), y)))",
+                 "inf x . sup y . (d(mul(x, y), mul(c1, c2)) -. d(mul(y, x), mul(c1, c2)))",
+                 "sup x . inf y . sup z . (d(comb(1/2+0i, x, 1/2+0i, z), y) -. d(x, z))"]:
+        sentence = parse_formula(text, pres.signature)
+        res = E.eval_sentence(sentence, pres, budget, bindings)
+        assert res == naive.eval_sentence(sentence, pres, budget, bindings)
+        assert (E.pin_witnesses(sentence, pres, budget, res.witnesses, bindings)
+                == naive.pin_witnesses(sentence, pres, budget, res.witnesses, bindings))
+
+
+def _counting(pres, method):
+    calls = []
+    inner = getattr(pres, method)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    setattr(pres, method, wrapper)
+    return calls
+
+
+def test_each_atom_is_evaluated_once_per_assignment_of_its_variables():
+    # d(x, c1) does not mention y and d(y, c1) not x: 5 + 5 calls, not 5 * 5 * 2
+    sentence = F.Sup("x", F.Sup("y", F.DotMinus(
+        F.Atomic("d", (F.Var("x"), F.CConst(1))), F.Atomic("d", (F.Var("y"), F.CConst(1))))))
+    budget = E.EvalBudget(points=5, precision_k=6)
+    for evaluate, expected in ((E.eval_sentence, 10), (naive.eval_sentence, 50)):
+        pres = P.presentation_C2w()
+        calls = _counting(pres, "atom_interval")
+        evaluate(sentence, pres, budget, {1: pres.rational_point(20)})
+        assert len(calls) == expected
+
+
+def test_closed_compound_terms_are_built_once_per_call():
+    sentence = F.Sup("x", F.Atomic("d", (F.Var("x"), F.App("mul", (F.CConst(1), F.CConst(2))))))
+    budget = E.EvalBudget(points=6, precision_k=6)
+    for evaluate, expected in ((E.eval_sentence, 1), (naive.eval_sentence, 6)):
+        pres = P.presentation_C2w()
+        bindings = {1: pres.rational_point(20), 2: pres.rational_point(32)}
+        for i in range(6):  # build the points first, so only the term multiplies
+            pres.point_object(pres.rational_point(i))
+        for point in bindings.values():
+            pres.point_object(point)
+        calls = _counting(pres, "_mul")
+        evaluate(sentence, pres, budget, bindings)
+        assert len(calls) == expected
+        calls.clear()
+        evaluate(sentence, pres, budget, bindings)
+        assert len(calls) == expected  # nothing outlives a call
+
+
+def test_eval_qf_shares_repeated_closed_nodes():
+    pres = P.presentation_C2w()
+    bindings = {1: pres.rational_point(20), 2: pres.rational_point(32)}
+    atom = F.Atomic("d", (F.App("mul", (F.CConst(1), F.CConst(2))), F.CConst(1)))
+    sentence = F.DotMinus(atom, F.Half(atom))
+    calls = _counting(pres, "atom_interval")
+    lo, hi = E.eval_qf(sentence, pres, 8, bindings)
+    assert len(calls) == 1
+    a_lo, a_hi = E.eval_qf(atom, pres, 8, bindings)
+    assert (lo, hi) == (max(a_lo - a_hi / 2, 0), max(a_hi - a_lo / 2, 0))

@@ -45,6 +45,20 @@ def test_condition_canonicalization_and_code():
     assert FC.Condition.from_code(a.code()) == a
 
 
+def test_is_condition_walks_no_formula_for_its_constants(monkeypatch):
+    # a condition keeps the constants of its items, filled from new items only
+    p = triangle_violating_triple()
+    calls = []
+    walk = F.constants_of
+    monkeypatch.setattr(F, "constants_of", lambda f: calls.append(f) or walk(f))
+    assert not FC.is_condition(p, INST)
+    assert calls == []
+    q = p.extend([(d(3, 4), Fraction(1, 2)), (d(1, 2), Fraction(1, 4))])
+    assert len(calls) == 2
+    assert q.constants() == [1, 2, 3, 4]
+    assert FC.Condition.empty().constants() == []
+
+
 def test_condition_validation():
     with pytest.raises(FC.ForcingError):
         FC.Condition.of([(F.Sup("x", d(1, 2)), Fraction(1, 2))])

@@ -90,7 +90,7 @@ def test_every_branch_lp_matches_linexpr_compiler(case):
         assert got == want
         return
     assert len(got) == len(want)
-    constants = tuple(sorted(set(constants) | system.constants()))
+    constants = tuple(sorted(set(constants) | oracle.system_constants(system)))
     eps = oracle.V("__eps__")
     for rows, linexpr_rows in zip(got, want):
         result = maximize_rows({"__eps__": 1}, [*FC._metric_axioms(constants), *rows,

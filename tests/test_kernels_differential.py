@@ -1,8 +1,9 @@
 """Differential tests of the integer trace-power kernels against Fraction ones.
 
 `fraction_kernels` holds the Fraction kernels the integer ones replaced:
-the `Matrix.__mul__` trace-power chain, the Fraction excursion DP and the
-bisection for grid n-th roots, and the Fraction group-algebra product.  The
+the `Matrix.__mul__` trace-power chain, the Gaussian Rayleigh quotient, the
+Fraction excursion DP and the bisection for grid n-th roots, and the Fraction
+group-algebra product; also the all-Newton integer n-th root.  The
 moment routes are also checked against power products formed with that
 product.  Every value compared is exact.
 """
@@ -10,13 +11,14 @@ product.  Every value compared is exact.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_kernels
 from contlogic import groups as G
 from contlogic import matrices as M
-from contlogic.dyadic import nth_root_lower_grid
+from contlogic.dyadic import int_nth_root, nth_root_lower_grid
 from contlogic.gaussian import GaussianRational
 
 UNITS = st.integers(-1, 1).map(Fraction)
@@ -55,6 +57,30 @@ def test_opnorm_upper_matches_fraction_chain(a, m):
 @given(matrices())
 def test_opnorm_upper_sweep_matches_single_calls(a):
     assert M.opnorm_upper_sweep(a, 9) == [M.opnorm_upper(a, m) for m in range(9)]
+
+
+def _rayleigh(fn, a, v, k):
+    try:
+        return fn(a, v, k)
+    except M.MatrixError as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def rayleigh_cases(draw):
+    a = draw(matrices())
+    parts = draw(st.sampled_from([UNITS, INTEGERS, RATIONALS]))
+    # mostly the matrix's own size; another length must raise SizeMismatch
+    n = draw(st.one_of(st.just(a.n), st.integers(0, 5)))
+    v = tuple(draw(_gaussians(parts)) for _ in range(n))
+    return a, v, draw(st.integers(0, 24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rayleigh_cases())
+def test_opnorm_lower_matches_gaussian_rayleigh(case):
+    assert (_rayleigh(M.opnorm_lower, *case)
+            == _rayleigh(fraction_kernels.opnorm_lower, *case))
 
 
 def test_opnorm_upper_sweep_edges():
@@ -202,3 +228,32 @@ def test_nth_root_lower_grid_edges():
     for case in [(Fraction(-1), 2, 4, 1), (Fraction(5), 2, 4, 1)]:
         assert _outcome(nth_root_lower_grid, *case) == _outcome(
             fraction_kernels.nth_root_lower_grid, *case)
+
+
+# -- integer roots ---------------------------------------------------------
+
+
+@st.composite
+def int_root_cases(draw):
+    n = draw(st.integers(1, 600))
+    kind = draw(st.sampled_from(["any", "power", "below", "above"]))
+    if kind == "any":
+        return draw(st.integers(0, 2 ** draw(st.integers(0, 4000)))), n
+    r = draw(st.integers(0 if kind == "power" else 1, 40))
+    return r**n + {"power": 0, "below": -1, "above": 1}[kind], n
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_root_cases())
+def test_int_nth_root_matches_newton(case):
+    x, n = case
+    assert int_nth_root(x, n) == fraction_kernels.int_nth_root(x, n)
+
+
+def test_int_nth_root_edges():
+    for x, n in [(0, 1), (0, 512), (1, 512), (2**512, 512), (2**512 - 1, 512),
+                 (3**40, 40), (3**40 - 1, 40), (10**100, 600), (7, 1)]:
+        assert int_nth_root(x, n) == fraction_kernels.int_nth_root(x, n)
+    for x, n in [(-1, 2), (4, 0)]:
+        with pytest.raises(ValueError):
+            int_nth_root(x, n)

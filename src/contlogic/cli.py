@@ -40,10 +40,7 @@ def _fail(kind: str, message: str) -> int:
 
 
 def _frac(q) -> str | None:
-    if q is None:
-        return None
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    return None if q is None else str(Fraction(q))
 
 
 def _interval(pair) -> dict:
@@ -377,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     force.add_argument("--rounds", type=int, default=4)
     force.add_argument("--seed", type=int, default=0)
     force.add_argument("--strategy-forall", default="random",
-                       help="random | pass")
+                       help="random | pass | pinning")
     force.add_argument("--strategy-exists", default="pinning",
-                       help="pinning | pass")
+                       help="random | pass | pinning")
     force.set_defaults(func=_cmd_force)
 
     st = sub.add_parser("selftest", help="run the acceptance suite")

@@ -15,7 +15,7 @@ it, documented bit-exactly so stored codes stay valid across versions:
                          6 Atomic |pair(name, args)|
   term                 = pair(tag, payload) with term tags
                          0 Var |name|, 1 CConst |index-1|,
-                         2 NamedConst |name|,
+                         2 reserved (never decodes),
                          3 App |pair(name, args)|,
                          4 Comb |pair(pair(lam, mu), pair(left, right))|
   name                 = int.from_bytes(utf8), valid identifiers only
@@ -60,7 +60,7 @@ PRESET_TAGS = {"metric": 0, "cstar": 1, "tvna": 2}
 TAG_PRESETS = {v: k for k, v in PRESET_TAGS.items()}
 
 _F_ZERO, _F_ONE, _F_HALF, _F_DOTMINUS, _F_SUP, _F_INF, _F_ATOMIC = range(7)
-_T_VAR, _T_CCONST, _T_NAMED, _T_APP, _T_COMB = range(5)
+_T_VAR, _T_CCONST, _T_APP, _T_COMB = 0, 1, 3, 4  # term tag 2 is reserved
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +130,6 @@ def _encode_term(t: F.Term, sig: F.Signature) -> int:
         return pair(_T_VAR, _encode_name(t.name))
     if isinstance(t, F.CConst):
         return pair(_T_CCONST, t.index - 1)
-    if isinstance(t, F.NamedConst):
-        if t.name not in sig.constants:
-            raise F.UnknownSymbol(f"unknown constant {t.name!r}")
-        return pair(_T_NAMED, _encode_name(t.name))
     if isinstance(t, F.App):
         sym = sig.function(t.func)
         args = encode_tuple([_encode_term(a, sig) for a in t.args], pair)
@@ -151,11 +147,6 @@ def _decode_term(code: int, sig: F.Signature) -> F.Term:
         return F.Var(_decode_name(payload))
     if tag == _T_CCONST:
         return F.CConst(payload + 1)
-    if tag == _T_NAMED:
-        name = _decode_name(payload)
-        if name not in sig.constants:
-            raise NotACode(f"constant {name!r} not in signature {sig.name}")
-        return F.NamedConst(name)
     if tag == _T_APP:
         name_code, args_code = unpair(payload)
         name = _decode_name(name_code)

@@ -45,11 +45,10 @@ class WrongPrefixClass(EvalError):
 
 @dataclass(frozen=True)
 class EvalBudget:
-    """Point cutoff per quantifier, oracle precision, per-quantifier overrides."""
+    """Point cutoff per quantifier, oracle precision, LowerOnly search depth."""
 
     points: int = 8
     precision_k: int = 10
-    overrides: dict = field(default_factory=dict)
     oracle_budget: Optional[int] = None  # LowerOnly norm search depth
 
     def __post_init__(self):
@@ -57,9 +56,6 @@ class EvalBudget:
             raise ValueError("budget needs points >= 1 and precision_k >= 0")
         if self.oracle_budget is not None and self.oracle_budget < 1:
             raise ValueError(f"oracle budget must be >= 1, got {self.oracle_budget}")
-
-    def points_for(self, quantifier_position: int) -> int:
-        return self.overrides.get(quantifier_position, self.points)
 
 
 @dataclass(frozen=True)
@@ -323,7 +319,7 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
         kind, var = m.prefix[position]
         objects = points[position]
         results = []
-        for i in range(budget.points_for(position)):
+        for i in range(budget.points):
             if i == len(objects):
                 objects.append(pres.point_object(pres.rational_point(i)))
             m.env[var] = (i, objects[i])

@@ -146,7 +146,6 @@ class MetricInstance:
     """Solver configuration for the bounded-metric base theory."""
 
     branch_cap: int = 4096
-    margin_cap: Fraction = Fraction(1)
     sweep_cap: int = 256  # hypothesis-slice members tested before the limit LP
 
 
@@ -286,8 +285,7 @@ def _solve_system(system: BoundSystem, constants: list[int],
     has them already, so the system is not walked for them again.
     """
     base = _metric_axioms(tuple(sorted(set(constants))))
-    cap = Fraction(inst.margin_cap)
-    cap_row = ({EPS: cap.denominator}, cap.numerator, cap.denominator)
+    cap_row = ({EPS: 1}, 1, 1)  # eps <= 1
     for rows in _system_alternatives(system, inst):
         result = maximize_rows({EPS: 1}, [*base, *rows, cap_row])
         if result.status == OPTIMAL and result.value > 0:
@@ -470,16 +468,15 @@ def play_game(forall_strategy: Strategy, exists_strategy: Strategy,
     return Transcript(moves)
 
 
+def _pass_move(prev: Condition) -> Condition:
+    """`prev` plus the trivially satisfiable bound d(c, c) < 1/2 for a fresh c."""
+    c = F.CConst(_fresh_constant(set(prev.constants()))[0])
+    return prev.extend([(F.Atomic("d", (c, c)), Fraction(1, 2))])
+
+
 def pass_through_strategy() -> Strategy:
     """Repeat the previous condition plus one fresh trivially satisfiable bound."""
-
-    def move(transcript: Transcript, inst: MetricInstance) -> Condition:
-        prev = transcript.last()
-        fresh = _fresh_constant(set(prev.constants()))[0]
-        c = F.CConst(fresh)
-        return prev.extend([(F.Atomic("d", (c, c)), Fraction(1, 2))])
-
-    return move
+    return lambda transcript, inst: _pass_move(transcript.last())
 
 
 def random_forall_strategy(seed: int) -> Strategy:
@@ -510,8 +507,7 @@ def random_forall_strategy(seed: int) -> Strategy:
                 candidate = prev.extend([(atom, bound)])
             if is_condition(candidate, inst):
                 return candidate
-        c = F.CConst(fresh)
-        return prev.extend([(F.Atomic("d", (c, c)), Fraction(1, 2))])
+        return _pass_move(prev)
 
     return move
 
@@ -526,9 +522,7 @@ def exists_pinning_strategy() -> Strategy:
         round_no = transcript.rounds()
         pairs = _mentioned_pairs(prev)
         if not pairs:
-            fresh = _fresh_constant(set(prev.constants()))[0]
-            c = F.CConst(fresh)
-            return prev.extend([(F.Atomic("d", (c, c)), Fraction(1, 2))])
+            return _pass_move(prev)
         verdict = _solve_system(
             BoundSystem(lt=tuple(prev.items)), prev.constants(), inst
         )

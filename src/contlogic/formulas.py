@@ -8,7 +8,7 @@ combination comb(l, t, m, s) = l*t + m*s with |l|+|m| <= 1 over Q(i).
 
 Everything here is an immutable value; all operations are pure.  The walks
 `subformulas` and `subterms` visit the nodes of the two trees parents first;
-the inspections (variables, constants, quantifier-freeness, validation) are
+the inspections (variables, C-constants, quantifier-freeness, validation) are
 written on them.
 """
 
@@ -67,14 +67,13 @@ class Signature:
     """A computable continuous signature.
 
     The countable fresh constant set C = {c1, c2, ...} is implicitly part of
-    every signature; named constants are extra.  `allow_comb` enables the
-    rounded-combination term former (algebra signatures only).
+    every signature and is its only kind of constant.  `allow_comb` enables
+    the rounded-combination term former (algebra signatures only).
     """
 
     name: str
     predicates: tuple[PredicateSymbol, ...]
     functions: tuple[FunctionSymbol, ...] = ()
-    constants: tuple[str, ...] = ()
     allow_comb: bool = False
 
     def predicate(self, name: str) -> PredicateSymbol:
@@ -152,11 +151,6 @@ class CConst:
 
 
 @dataclass(frozen=True)
-class NamedConst:
-    name: str
-
-
-@dataclass(frozen=True)
 class App:
     func: str
     args: tuple["Term", ...]
@@ -172,7 +166,7 @@ class Comb:
     right: "Term"
 
 
-Term = Union[Var, CConst, NamedConst, App, Comb]
+Term = Union[Var, CConst, App, Comb]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +265,7 @@ def subterms(term: Term) -> Iterator[Term]:
             stack.extend(reversed(t.args))
         elif isinstance(t, Comb):
             stack += (t.right, t.left)
-        elif not isinstance(t, (Var, CConst, NamedConst)):
+        elif not isinstance(t, (Var, CConst)):
             raise FormulaError(f"not a term: {t!r}")
         yield t
 
@@ -297,12 +291,6 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
 # ---------------------------------------------------------------------------
 # construction helpers and validation
 # ---------------------------------------------------------------------------
-
-
-def comb(lam: GaussianRational, left: Term, mu: GaussianRational, right: Term) -> Comb:
-    if not rounded_bound_ok(lam, mu):
-        raise RoundedBoundViolation(f"|{lam}| + |{mu}| > 1")
-    return Comb(lam, mu, left, right)
 
 
 def dyadic_constant(q: Fraction) -> Formula:
@@ -353,8 +341,6 @@ def validate(formula: Formula, sig: Signature) -> None:
                     raise FormulaError(f"bad variable name {t.name!r}")
                 if isinstance(t, CConst) and t.index < 1:
                     raise FormulaError("C-constant index must be >= 1")
-                if isinstance(t, NamedConst) and t.name not in sig.constants:
-                    raise UnknownSymbol(f"unknown constant {t.name!r}")
                 if isinstance(t, App):
                     g = sig.function(t.func)
                     if len(t.args) != g.arity:
@@ -419,7 +405,7 @@ def uses_base_only(formula: Formula) -> bool:
 def _subst_term(t: Term, mapping: dict[str, Term]) -> Term:
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    if isinstance(t, (CConst, NamedConst)):
+    if isinstance(t, CConst):
         return t
     if isinstance(t, App):
         return App(t.func, tuple(_subst_term(a, mapping) for a in t.args))

@@ -441,30 +441,17 @@ def rewriting_group(generators: tuple[str, ...], rules: list[tuple[str, str]],
 
 
 class AlgebraElement:
-    """Finitely supported map normal-form word -> Gaussian rational."""
+    """Finitely supported map normal-form word -> Gaussian rational.
+
+    The constructor trusts its dict: normal-form keys, no zero values.
+    `element` is the constructor that normalizes arbitrary words.
+    """
 
     __slots__ = ("spec", "coeffs")
 
-    def __init__(self, spec: GroupSpec, coeffs: dict[Word, GaussianRational],
-                 *, _canonical: bool = False):
+    def __init__(self, spec: GroupSpec, coeffs: dict[Word, GaussianRational]):
         self.spec = spec
-        if _canonical:
-            self.coeffs = coeffs
-            return
-        acc: dict[Word, GaussianRational] = {}
-        for word, c in coeffs.items():
-            if c.is_zero():
-                continue
-            nf = spec.normal_form(word)
-            if nf in acc:
-                total = acc[nf] + c
-                if total.is_zero():
-                    del acc[nf]
-                else:
-                    acc[nf] = total
-            else:
-                acc[nf] = c
-        self.coeffs = acc
+        self.coeffs = coeffs
 
     # -- ring operations ------------------------------------------------------
 
@@ -481,7 +468,7 @@ class AlgebraElement:
                 acc.pop(w, None)
             else:
                 acc[w] = total
-        return AlgebraElement(self.spec, acc, _canonical=True)
+        return AlgebraElement(self.spec, acc)
 
     def __neg__(self) -> "AlgebraElement":
         return self.scale(gr(-1))
@@ -493,10 +480,8 @@ class AlgebraElement:
         if not isinstance(lam, GaussianRational):
             lam = gr(Fraction(lam))
         if lam.is_zero():
-            return AlgebraElement(self.spec, {}, _canonical=True)
-        return AlgebraElement(
-            self.spec, {w: c * lam for w, c in self.coeffs.items()}, _canonical=True
-        )
+            return AlgebraElement(self.spec, {})
+        return AlgebraElement(self.spec, {w: c * lam for w, c in self.coeffs.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -505,13 +490,12 @@ class AlgebraElement:
         d = d1 * d2
         acc = {w: GaussianRational(Fraction(re, d), Fraction(im, d))
                for w, (re, im) in _convolve(self.spec, x, y).items()}
-        return AlgebraElement(self.spec, acc, _canonical=True)
+        return AlgebraElement(self.spec, acc)
 
     def adjoint(self) -> "AlgebraElement":
-        acc: dict[Word, GaussianRational] = {}
-        for w, c in self.coeffs.items():
-            acc[self.spec.inv(w)] = c.conjugate()
-        return AlgebraElement(self.spec, acc)
+        # inversion permutes the normal forms, so the keys stay normal and distinct
+        inv = self.spec.inv
+        return AlgebraElement(self.spec, {inv(w): c.conjugate() for w, c in self.coeffs.items()})
 
     def comb(self, lam: GaussianRational, mu: GaussianRational,
              other: "AlgebraElement") -> "AlgebraElement":
@@ -557,8 +541,7 @@ def element(spec: GroupSpec, terms: list[tuple[GaussianRational | Fraction | int
             c = gr(Fraction(c))
         nf = spec.normal_form(w)
         coeffs[nf] = coeffs.get(nf, gr(0)) + c
-    return AlgebraElement(spec, {w: c for w, c in coeffs.items() if not c.is_zero()},
-                          _canonical=True)
+    return AlgebraElement(spec, {w: c for w, c in coeffs.items() if not c.is_zero()})
 
 
 def identity_element(spec: GroupSpec) -> AlgebraElement:
@@ -736,7 +719,8 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     ]
 
 
-def _moment_root_lower(a: AlgebraElement, m: Fraction, n: int, k: int) -> Fraction:
+def moment_root_lower(a: AlgebraElement, m: Fraction, n: int, k: int) -> Fraction:
+    """Grid floor of m^(1/2n) for the moment m = tau((a* a)^n) of `a`."""
     upper = max(l1_norm(a), Fraction(1))
     hi_pow2 = (upper.numerator // upper.denominator + 1).bit_length()
     return nth_root_lower_grid(m, 2 * n, k, hi_pow2=hi_pow2)
@@ -746,13 +730,13 @@ def lambda_norm_lower(a: AlgebraElement, n: int, k: int) -> Fraction:
     """Dyadic q with q <= tau((a* a)^n)^(1/2n) <= q + 2^-k (grid floor)."""
     if n < 1:
         raise ValueError("lambda_norm_lower needs n >= 1")
-    return _moment_root_lower(a, moments_up_to(a, n)[-1], n, k)
+    return moment_root_lower(a, moments_up_to(a, n)[-1], n, k)
 
 
 def lambda_norm_lower_sweep(a: AlgebraElement, n: int, k: int) -> list[Fraction]:
     """[lambda_norm_lower(a, j, k) for j = 1..n] from a single moment pass."""
     return [
-        _moment_root_lower(a, m, j, k)
+        moment_root_lower(a, m, j, k)
         for j, m in enumerate(moments_up_to(a, n), start=1)
     ]
 
@@ -784,7 +768,7 @@ def enumerate_group_algebra(spec: GroupSpec, index: int) -> AlgebraElement:
         for i, code in enumerate(codes):
             if code != 0:
                 coeffs[spec.word_at(i)] = nat_to_gaussian(code)
-    return AlgebraElement(spec, coeffs, _canonical=True)
+    return AlgebraElement(spec, coeffs)
 
 
 def group_algebra_index(a: AlgebraElement) -> int:

@@ -196,24 +196,24 @@ def _scaled_traces(a: Matrix, ms: int) -> tuple[int, list[int]]:
     return d, traces
 
 
-def _root_bound(t: int, d: int, m: int, prec: int) -> Fraction:
-    """(t / D^(2^(m+1)))^(1/2^(m+1)), ceiled to the 2^-prec grid."""
+def _root_bound(t: int, d: int, m: int) -> Fraction:
+    """(t / D^(2^(m+1)))^(1/2^(m+1)), ceiled to the 2^-16 grid."""
     root = 2 ** (m + 1)
-    return nth_root_upper_grid(Fraction(t, d**root), root, prec)
+    return nth_root_upper_grid(Fraction(t, d**root), root, 16)
 
 
-def opnorm_upper_sweep(a: Matrix, ms: int, prec: int = 16) -> list[Fraction]:
-    """[opnorm_upper(a, m, prec) for m in range(ms)] from one squaring chain."""
+def opnorm_upper_sweep(a: Matrix, ms: int) -> list[Fraction]:
+    """[opnorm_upper(a, m) for m in range(ms)] from one squaring chain."""
     if ms < 0:
         raise ValueError("ms must be a natural")
     d, traces = _scaled_traces(a, ms)
-    return [_root_bound(t, d, m, prec) for m, t in enumerate(traces)]
+    return [_root_bound(t, d, m) for m, t in enumerate(traces)]
 
 
-def opnorm_upper(a: Matrix, m: int, prec: int = 16) -> Fraction:
+def opnorm_upper(a: Matrix, m: int) -> Fraction:
     """Certified rational p >= |A| (operator norm) from m trace squarings.
 
-    p = (tr(H^(2^m)))^(1/2^(m+1)) with H = A* A, ceiled to the 2^-prec grid.
+    p = (tr(H^(2^m)))^(1/2^(m+1)) with H = A* A, ceiled to the 2^-16 grid.
     Since sum of the 2^m-th eigenvalue powers dominates the largest one and
     grid ceiling is monotone, p is sound and nonincreasing in m.  It runs the
     squaring chain of `opnorm_upper_sweep` and takes only the last root.
@@ -221,7 +221,7 @@ def opnorm_upper(a: Matrix, m: int, prec: int = 16) -> Fraction:
     if m < 0:
         raise ValueError("m must be a natural")
     d, traces = _scaled_traces(a, m + 1)
-    return _root_bound(traces[-1], d, m, prec)
+    return _root_bound(traces[-1], d, m)
 
 
 def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fraction:

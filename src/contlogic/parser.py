@@ -178,19 +178,23 @@ class _Parser:
         if not self.sig.has_predicate(name.text):
             self.fail("unknown-symbol", f"unknown predicate {name.text!r}", name)
         arity = self.sig.predicate(name.text).arity
-        self.expect("LPAREN", f"'(' after predicate {name.text}")
+        return F.Atomic(name.text, self.arguments(name, arity, "predicate"))
+
+    def arguments(self, name: Token, arity: int, what: str) -> tuple[F.Term, ...]:
+        """The parenthesized argument list of the symbol `name`."""
+        self.expect("LPAREN", f"'(' after {what} {name.text}")
         args = [self.term()]
         while self.peek().kind == "COMMA":
             self.next()
             args.append(self.term())
-        close = self.expect("RPAREN", "')'")
+        self.expect("RPAREN", "')'")
         if len(args) != arity:
             raise ParseError(
                 "arity-mismatch",
                 f"{name.text} expects {arity} arguments, got {len(args)}",
                 name.line, name.col,
             )
-        return F.Atomic(name.text, tuple(args))
+        return tuple(args)
 
     # -- terms ----------------------------------------------------------------
 
@@ -211,24 +215,10 @@ class _Parser:
         if self.sig.has_function(tok.text):
             name = self.next()
             arity = self.sig.function(name.text).arity
-            self.expect("LPAREN", f"'(' after function {name.text}")
-            args = [self.term()]
-            while self.peek().kind == "COMMA":
-                self.next()
-                args.append(self.term())
-            self.expect("RPAREN", "')'")
-            if len(args) != arity:
-                raise ParseError(
-                    "arity-mismatch",
-                    f"{name.text} expects {arity} arguments, got {len(args)}",
-                    name.line, name.col,
-                )
-            return F.App(name.text, tuple(args))
+            return F.App(name.text, self.arguments(name, arity, "function"))
         self.next()
         if self._is_cconst(tok.text):
             return F.CConst(int(tok.text[1:]))
-        if tok.text in self.sig.constants:
-            return F.NamedConst(tok.text)
         if tok.text in KEYWORDS:
             self.fail("syntax", f"{tok.text!r} cannot be a term", tok)
         return F.Var(tok.text)
@@ -379,28 +369,16 @@ def parse_element(text: str, spec: G.GroupSpec) -> G.AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-def _print_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _print_gaussian(z: GaussianRational) -> str:
-    sign = "+" if z.im >= 0 else "-"
-    return f"{_print_rational(z.re)}{sign}{_print_rational(abs(z.im))}i"
-
-
 def _print_term(t: F.Term) -> str:
     if isinstance(t, F.Var):
         return t.name
     if isinstance(t, F.CConst):
         return f"c{t.index}"
-    if isinstance(t, F.NamedConst):
-        return t.name
     if isinstance(t, F.App):
         return f"{t.func}({', '.join(_print_term(a) for a in t.args)})"
     if isinstance(t, F.Comb):
         return (
-            f"comb({_print_gaussian(t.lam)}, {_print_term(t.left)}, "
-            f"{_print_gaussian(t.mu)}, {_print_term(t.right)})"
+            f"comb({t.lam}, {_print_term(t.left)}, {t.mu}, {_print_term(t.right)})"
         )
     raise F.FormulaError(f"not a term: {t!r}")
 

@@ -251,13 +251,6 @@ class MatrixTowerPresentation(Presentation):
         bound = M.opnorm_upper(a, min(m, _TRACE_POWER_CAP))
         return a.scale(gr(Fraction(1) / bound))
 
-    def special_bound(self, index: int) -> Fraction:
-        m, n = cantor_unpair(index)
-        a = M.enumerate_matrices(n)
-        if a.is_zero():
-            return Fraction(0)
-        return M.opnorm_upper(a, min(m, _TRACE_POWER_CAP))
-
     @staticmethod
     def _align(a: M.Matrix, b: M.Matrix) -> tuple[M.Matrix, M.Matrix]:
         n = max(a.n, b.n)

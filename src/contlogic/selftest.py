@@ -22,11 +22,6 @@ from . import presentations as P
 from .gaussian import GaussianRational
 
 
-def _frac(q) -> str:
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
-
-
 def _record(criterion: int, name: str, ok: bool, detail: dict) -> dict:
     return {"criterion": criterion, "name": name, "pass": bool(ok), "detail": detail}
 
@@ -155,11 +150,11 @@ def criterion_3_integer_group_moments() -> dict:
     for n in range(1, 41):
         if moments[n - 1] != math.comb(2 * n, n):
             return _record(3, "integer-group-moments", False, {"failed_n": n})
-    q = G.lambda_norm_lower(a, 40, 20)
+    q = G.moment_root_lower(a, moments[-1], 40, 20)
     ok = Fraction(193, 100) <= q <= Fraction(2)
     return _record(
         3, "integer-group-moments", ok,
-        {"moments_checked": 40, "root_lower_n40_k20": _frac(q)},
+        {"moments_checked": 40, "root_lower_n40_k20": str(q)},
     )
 
 
@@ -174,7 +169,7 @@ def criterion_4_free_group_walks() -> dict:
     for n in range(1, 26):
         if moments[n - 1] != counts[2 * n]:
             return _record(4, "free-group-walks", False, {"failed_n": n})
-    lowers = G.lambda_norm_lower_sweep(a, 25, 12)
+    lowers = [G.moment_root_lower(a, m, n, 12) for n, m in enumerate(moments, start=1)]
     monotone = all(x <= y for x, y in zip(lowers, lowers[1:]))
     final = lowers[-1]
     in_window = Fraction(31, 10) <= final <= Fraction(34642, 10000)
@@ -182,7 +177,7 @@ def criterion_4_free_group_walks() -> dict:
         4, "free-group-walks", monotone and in_window,
         {
             "moments_checked": 25,
-            "root_lower_n25": _frac(final),
+            "root_lower_n25": str(final),
             "monotone": monotone,
         },
     )
@@ -201,13 +196,12 @@ def criterion_5_torus_upgrade() -> dict:
         and hi - lo <= Fraction(1, 2**10)
         and abs(lo - 1) <= Fraction(1, 2**10)
     )
-    moment_ok = True
-    for n in (1, 2, 4, 8, 12):
-        if G.lambda_norm_lower(a, n, 10) > hi + Fraction(1, 2**10):
-            moment_ok = False
+    moments = G.moments_up_to(a, 12)
+    moment_ok = all(G.moment_root_lower(a, moments[n - 1], n, 10) <= hi + Fraction(1, 2**10)
+                    for n in (1, 2, 4, 8, 12))
     return _record(
         5, "torus-upgrade", two_sided_ok and moment_ok,
-        {"interval": [_frac(lo), _frac(hi)], "moments_below": moment_ok},
+        {"interval": [str(lo), str(hi)], "moments_below": moment_ok},
     )
 
 
@@ -281,7 +275,7 @@ def criterion_6_matrix_bounds() -> dict:
         if gap > Fraction(2, 100):
             return _record(
                 6, "matrix-bounds", False,
-                {"sample": sample, "reason": "gap", "gap": _frac(gap)},
+                {"sample": sample, "reason": "gap", "gap": str(gap)},
             )
         lo, hi = M.two_norm(a, 12)
         if lo > bounds[8] + Fraction(1, 2**10):
@@ -289,7 +283,7 @@ def criterion_6_matrix_bounds() -> dict:
                            {"sample": sample, "reason": "two-norm above opnorm"})
     return _record(
         6, "matrix-bounds", True,
-        {"samples": 50, "worst_relative_gap": _frac(worst_gap)},
+        {"samples": 50, "worst_relative_gap": str(worst_gap)},
     )
 
 

@@ -53,7 +53,7 @@ def algebra_mul(self: AlgebraElement, other: AlgebraElement) -> AlgebraElement:
                 acc.pop(w, None)
             else:
                 acc[w] = total
-    return AlgebraElement(self.spec, acc, _canonical=True)
+    return AlgebraElement(self.spec, acc)
 
 
 Letter = Optional[tuple[str, int]]  # None stands for the identity self-loop

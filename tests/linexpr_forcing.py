@@ -173,7 +173,7 @@ def _solve_system(system: BoundSystem, constants: list[int],
     base = _metric_axioms(sorted(set(constants) | system_constants(system)))
     eps = V("__eps__")
     for rows in _system_alternatives(system, inst):
-        all_rows = base + rows + [(eps, C(inst.margin_cap))]
+        all_rows = base + rows + [(eps, C(1))]
         result = maximize(eps, all_rows)
         if result.status == OPTIMAL and result.value > 0:
             point = {

@@ -81,7 +81,7 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
             lo, hi = _interval_qf(matrix, pres, k, env, bindings, budget.oracle_budget)
             return EvalResult(lo, hi, (lo + hi) / 2, {}, hi - lo)
         kind, var = prefix[position]
-        n_points = budget.points_for(position)
+        n_points = budget.points
         results = []
         for i in range(n_points):
             obj = pres.point_object(pres.rational_point(i))

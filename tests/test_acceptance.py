@@ -1,10 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Criteria 1-8 call the shared implementations in contlogic.selftest (each
-encodes its tolerances exactly); criterion 9 runs the installed CLI twice
-and compares raw bytes, with each other and with the golden sha256 in
-tests/golden/.  One line per criterion is printed so a failing run names its
-criterion directly.  The goldens also pin the stdout of 8-round forcing
+encodes its tolerances exactly); criterion 9 runs the installed CLI twice,
+the second time under `python -O`, and compares raw bytes, with each other
+and with the golden sha256 in tests/golden/.  One line per criterion is
+printed so a failing run names its criterion directly.  The goldens also pin the stdout of 8-round forcing
 games, whose compiled distances depend on the exact LP vertices.
 """
 
@@ -52,9 +52,10 @@ def test_acceptance_criterion(criterion):
 def test_acceptance_criterion_9_determinism():
     start = time.monotonic()
     runs = []
-    for _ in range(2):
+    # the second run strips asserts, so no check may rely on them
+    for flags in ([], ["-O"]):
         proc = subprocess.run(
-            [sys.executable, "-m", "contlogic.cli", "selftest"],
+            [sys.executable, *flags, "-m", "contlogic.cli", "selftest"],
             capture_output=True,
         )
         assert proc.returncode == 0, proc.stderr.decode()

@@ -303,3 +303,19 @@ def test_oracle_budget_below_one_is_a_typed_error(tmp_path, budget):
     assert json.loads(err[0]) == {
         "error": "valueerror", "message": f"oracle budget must be >= 1, got {budget}"
     }
+
+
+def test_force_strategy_flags_take_every_strategy(capsys):
+    with pytest.raises(SystemExit):
+        main(["force", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for flag in ("--strategy-forall", "--strategy-exists"):
+        metavar = flag[2:].upper().replace("-", "_")
+        assert f"{flag} {metavar} random | pass | pinning" in help_text
+    for forall, exists in (("pinning", "random"), ("pass", "pass")):
+        status, out = run_cli(["force", "game", "--rounds", "2",
+                               "--strategy-forall", forall, "--strategy-exists", exists])
+        assert status == 0 and [r["player"] for r in out if r["kind"] == "move"] == ["A", "E"]
+    status, out, err = _typed_error(["force", "game", "--strategy-exists", "greedy"])
+    assert status == 1 and out == ""
+    assert json.loads(err[0]) == {"error": "usage", "message": "unknown strategy 'greedy'"}

@@ -118,6 +118,17 @@ def test_code_predicates():
     assert flags.prefix_class == F.forall_n(2)
 
 
+def test_term_tag_2_is_reserved():
+    # metric d(t, t) where t is a tag-2 term carrying the name "e"
+    code = 7633592922443432212650973997546
+    t = coding.pair(2, int.from_bytes(b"e", "big"))
+    assert code == coding.pair(0, coding.pair(6, coding.pair(
+        int.from_bytes(b"d", "big"), coding.pair(t, t))))
+    with pytest.raises(coding.NotACode, match="unknown term tag 2"):
+        coding.decode(code)
+    assert not coding.code_predicates(code).is_formula
+
+
 def test_code_predicates_total():
     rng = random.Random(41)
     for _ in range(500):

@@ -107,6 +107,20 @@ def test_element_puts_each_word_into_normal_form_once(monkeypatch):
     assert x.coeffs == {(): gr(5)}
 
 
+def test_adjoint_puts_each_word_into_normal_form_once(monkeypatch):
+    rules = [("ba", "ab"), ("bA", "Ab"), ("Ba", "aB"), ("BA", "AB")]
+    spec = G.rewriting_group(("a", "b"), rules)
+    x = G.element(spec, [(1, (("a", 1), ("b", 1))), (Fraction(1, 2), (("b", -2),)),
+                         (gr(0, 3), (("a", 2), ("b", -1)))])
+    calls = []
+    normal_form = spec.normal_form
+    monkeypatch.setattr(spec, "normal_form", lambda w: calls.append(w) or normal_form(w))
+    y = x.adjoint()
+    assert len(calls) == 3
+    assert y.coeffs == {(("a", -1), ("b", -1)): gr(1), (("b", 2),): gr(Fraction(1, 2)),
+                        (("a", -2), ("b", 1)): gr(0, -3)}
+
+
 def test_rewriting_refuses_a_non_confluent_system():
     with pytest.raises(G.NotConfluent, match="on 'Aab'"):
         G.rewriting_group(("a", "b"), [("ab", "ba")])

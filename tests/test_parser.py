@@ -51,6 +51,16 @@ def test_parse_errors_carry_position():
             parse_formula(text, F.METRIC)
         assert info.value.kind == kind, text
         assert info.value.line >= 1 and info.value.col >= 1
+    # function argument lists: kind, position and message pinned
+    pinned = [
+        ("d(adj(x, y), x)", "arity-mismatch", 1, 3, "adj expects 1 arguments, got 2"),
+        ("d(mul(x, y x), y)", "syntax", 1, 12, "expected ')', found 'x'"),
+    ]
+    for text, kind, line, col, message in pinned:
+        with pytest.raises(ParseError) as info:
+            parse_formula(text, F.CSTAR)
+        assert (info.value.kind, info.value.line, info.value.col) == (kind, line, col), text
+        assert str(info.value) == f"{line}:{col}: {message}"
 
 
 def test_decimal_scalar_rejected():

@@ -28,11 +28,10 @@ def sqrt_interval(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
     lo = floor(sqrt(x * 4^k)) / 2^k, so lo is the grid floor of sqrt(x); the
     interval collapses to a point when x is a perfect square of a grid value.
     """
-    if x < 0:
+    if x.numerator < 0:
         raise ValueError("negative radicand")
     scale = 1 << k
-    scaled = x * scale * scale
-    n, d = scaled.numerator, scaled.denominator
+    n, d = x.numerator << 2 * k, x.denominator  # x * 4^k, not reduced
     t = isqrt(n // d)
     lo = Fraction(t, scale)
     if t * t * d == n:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from .dyadic import is_dyadic
-from .gaussian import ContlogicError, GaussianRational
+from .gaussian import ContlogicError, GaussianRational, combination
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -122,15 +122,16 @@ PRESETS = {"metric": METRIC, "cstar": CSTAR, "tvna": TVNA}
 
 
 def rounded_bound_ok(lam: GaussianRational, mu: GaussianRational) -> bool:
-    """Decide |lam| + |mu| <= 1 exactly (one nested square root, squared away)."""
-    x, y = lam.abs_sq(), mu.abs_sq()
-    if x > 1 or y > 1:
-        return False
-    rest = 1 - x - y
-    if rest < 0:
-        return False
-    # sqrt(x)+sqrt(y) <= 1  <=>  2 sqrt(xy) <= 1-x-y  <=>  4xy <= (1-x-y)^2
-    return 4 * x * y <= rest * rest
+    """Decide |lam| + |mu| <= 1 exactly, on integer numerators.
+
+    Over one denominator D, lam = a/D and mu = b/D for Gaussian integers a, b.
+    With x = |a|^2 and y = |b|^2, sqrt(x) + sqrt(y) <= D iff r = D^2 - x - y
+    >= 0 and 2 sqrt(xy) <= r, that is 4xy <= r^2 (one root, squared away).
+    """
+    d, ar, ai, br, bi = combination(lam, mu, 1, 1)
+    x, y = ar * ar + ai * ai, br * br + bi * bi
+    rest = d * d - x - y
+    return rest >= 0 and 4 * x * y <= rest * rest
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
-All certified computations in this package reduce to Fraction arithmetic on
-real and imaginary parts.  Moduli |z| are irrational in general, so the module
-exposes exact *bounds* instead: ``abs_sq`` (exact), ``abs_upper`` (|re|+|im|)
-and ``abs_lower`` (max(|re|,|im|)).
+`GaussianRational` is the value type at the package's edges (parser, printer,
+CLI, combination coefficients, traces, readable views of objects).  Moduli
+|z| are irrational in general, so it exposes exact *bounds*: ``abs_sq``
+(exact), ``abs_upper`` (|re|+|im|) and ``abs_lower`` (max(|re|,|im|)).
 
-Hot loops skip Fractions altogether: ``over_common_denominator`` puts a batch
-of values over one denominator D and hands back Gaussian integers (re, im),
-so products need no gcd and the division by a power of D happens once, at
-the end (fraction-free in the spirit of Bareiss 1968).
+Certified computation runs on integers.  Presentation objects hold Gaussian
+integers (re, im) over one denominator D > 0 with gcd(D, every part) = 1, so
+D is their least common denominator and equal objects have equal fields;
+``over_common_denominator`` puts values in that form.  Operations multiply
+and add integers and reduce by one gcd, and kernels divide by powers of D
+once, at the end (fraction-free in the spirit of Bareiss 1968).
 """
 
 from __future__ import annotations
@@ -114,17 +116,31 @@ def over_common_denominator(
 
     Each value z is then exactly the Gaussian integer D*z over D.
     """
-    values = list(values)
-    d = lcm(*(part.denominator for z in values for part in (z.re, z.im)))
-    return d, [
-        (z.re.numerator * (d // z.re.denominator), z.im.numerator * (d // z.im.denominator))
-        for z in values
-    ]
+    ratios = [(z.re.as_integer_ratio(), z.im.as_integer_ratio()) for z in values]
+    d = lcm(*(q for pair in ratios for _, q in pair))
+    return d, [(a * (d // p), b * (d // q)) for (a, p), (b, q) in ratios]
+
+
+def from_gaussian_int(d: int, re: int, im: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, d), Fraction(im, d))
+
+
+def combination(lam, mu, da: int, db: int) -> tuple[int, int, int, int, int]:
+    """(D, lr, li, mr, mi) such that lam*a + mu*b, for Gaussian integers a
+    over da and b over db, is the Gaussian integer (lr + i*li)a + (mr + i*mi)b
+    over D = lcm(da * den(lam), db * den(mu)); lam and mu may be Gaussian
+    rationals, Fractions or ints."""
+    lam, mu = _coerce(lam), _coerce(mu)
+    (a, p), (b, q) = lam.re.as_integer_ratio(), lam.im.as_integer_ratio()
+    (c, r), (e, s) = mu.re.as_integer_ratio(), mu.im.as_integer_ratio()
+    dl, dm = lcm(p, q), lcm(r, s)  # lam = (a*dl/p + i*b*dl/q) / dl, likewise mu
+    da, db = da * dl, db * dm
+    d = lcm(da, db)
+    fa, fb = d // da, d // db
+    return d, a * (dl // p * fa), b * (dl // q * fa), c * (dm // r * fb), e * (dm // s * fb)
 
 
 def gr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
     """Shorthand constructor."""
     return GaussianRational(Fraction(re), Fraction(im))
 
-
-ZERO = gr(0)

@@ -6,8 +6,10 @@ solver for its word problem together with an effective numbering of its
 normal forms.  There is one subclass per group kind (free groups, free
 abelian groups, finite multiplication tables, and user-certified terminating
 rewriting systems).  Algebra elements are finitely supported maps from
-normal-form words to Gaussian rationals; the canonical trace reads off the
-identity coefficient.
+normal-form words to Q(i), held as Gaussian integers over one denominator D
+in lowest terms (so equal elements have equal fields; GaussianRational
+values go in through the constructor and come out through `.coeffs`); the
+canonical trace reads off the identity coefficient.
 
 Norm bounds: `two_norm` computes sqrt(tau(a* a)) from the exact radicand,
 `l1_norm` gives the certified operator-norm upper bound sum |coeff|, and
@@ -18,23 +20,24 @@ excursion DP over cone types of the Cayley tree: the generic power has
 exponentially many words, while the DP is polynomial in n and agrees with it
 exactly.
 
-The product and both moment routes run on Gaussian integers (re, im) over
-one common denominator.  The product of elements over D1 and D2 is convolved
-as integers and read over D1*D2.  In the DP, D is the common denominator of
-the letter weights and table entry m (walks of length m) is D^m times its
-value, so tau((a* a)^j) is entry 2j over D^(2j).  In the convolution route,
-E is the common denominator of h = a* a (a divisor of D^2 for the common
-denominator D of a), h^j is an integer element over E^j, and tau(h^j) is
-read over E^j.
+Everything runs on the integers.  The product of elements over D1 and D2 is
+convolved as integers over D1*D2; the norms read sum |c|^2 over D^2 and
+sum |re|+|im| over D.  In the DP, table entry m (walks of length m) is D^m
+times its value, so tau((a* a)^j) is entry 2j over D^(2j).  In the
+convolution route h = a* a is an integer element over E, h^j one over E^j,
+and tau(h^j) is read over E^j.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from typing import Optional
 
 from .dyadic import nth_root_lower_grid, sqrt_interval
-from .gaussian import ZERO, ContlogicError, GaussianRational, gr, over_common_denominator
+from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int, gr,
+                       over_common_denominator)
 from .pairing import (
     decode_list,
     decode_tuple,
@@ -440,18 +443,36 @@ def rewriting_group(generators: tuple[str, ...], rules: list[tuple[str, str]],
 # ---------------------------------------------------------------------------
 
 
+GaussInt = tuple[int, int]
+
+
 class AlgebraElement:
-    """Finitely supported map normal-form word -> Gaussian rational.
+    """Finitely supported map normal-form word -> Q(i): nonzero Gaussian
+    integers `ints[w]` over d.  `AlgebraElement(spec, coeffs)` takes a dict
+    of GaussianRational with normal-form keys and `.coeffs` gives it back;
+    `element` normalizes arbitrary words, and operations build results with
+    `_make`, which trusts its integers."""
 
-    The constructor trusts its dict: normal-form keys, no zero values.
-    `element` is the constructor that normalizes arbitrary words.
-    """
-
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "d", "ints")
 
     def __init__(self, spec: GroupSpec, coeffs: dict[Word, GaussianRational]):
-        self.spec = spec
-        self.coeffs = coeffs
+        d, parts = over_common_denominator(coeffs.values())
+        self.spec, self.d = spec, d
+        self.ints = {w: z for w, z in zip(coeffs, parts) if z != (0, 0)}
+
+    @staticmethod
+    def _make(spec: GroupSpec, d: int, ints: dict[Word, GaussInt]) -> "AlgebraElement":
+        """sum_w ints[w] w / d, in lowest terms."""
+        g = gcd(d, *chain(*ints.values()))
+        if g > 1:
+            d, ints = d // g, {w: (r // g, i // g) for w, (r, i) in ints.items()}
+        out = object.__new__(AlgebraElement)
+        out.spec, out.d, out.ints = spec, d, ints
+        return out
+
+    @property
+    def coeffs(self) -> dict[Word, GaussianRational]:
+        return {w: from_gaussian_int(self.d, *z) for w, z in self.ints.items()}
 
     # -- ring operations ------------------------------------------------------
 
@@ -460,76 +481,68 @@ class AlgebraElement:
             raise MixedGroups("elements belong to different group specs")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            total = acc.get(w, gr(0)) + c
-            if total.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = total
-        return AlgebraElement(self.spec, acc)
+        return self.comb(1, 1, other)
 
     def __neg__(self) -> "AlgebraElement":
-        return self.scale(gr(-1))
+        return self.scale(-1)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+        return self.comb(1, -1, other)
 
     def scale(self, lam: GaussianRational | Fraction | int) -> "AlgebraElement":
-        if not isinstance(lam, GaussianRational):
-            lam = gr(Fraction(lam))
-        if lam.is_zero():
-            return AlgebraElement(self.spec, {})
-        return AlgebraElement(self.spec, {w: c * lam for w, c in self.coeffs.items()})
+        return self.comb(lam, 0, self)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        d1, x = _integer_coeffs(self)
-        d2, y = _integer_coeffs(other)
-        d = d1 * d2
-        acc = {w: GaussianRational(Fraction(re, d), Fraction(im, d))
-               for w, (re, im) in _convolve(self.spec, x, y).items()}
-        return AlgebraElement(self.spec, acc)
+        return AlgebraElement._make(self.spec, self.d * other.d,
+                                    _convolve(self.spec, self.ints, other.ints))
 
     def adjoint(self) -> "AlgebraElement":
         # inversion permutes the normal forms, so the keys stay normal and distinct
         inv = self.spec.inv
-        return AlgebraElement(self.spec, {inv(w): c.conjugate() for w, c in self.coeffs.items()})
+        return AlgebraElement._make(
+            self.spec, self.d, {inv(w): (r, -i) for w, (r, i) in self.ints.items()})
 
-    def comb(self, lam: GaussianRational, mu: GaussianRational,
-             other: "AlgebraElement") -> "AlgebraElement":
-        """The combination lam*self + mu*other."""
-        return self.scale(lam) + other.scale(mu)
+    def comb(self, lam, mu, other: "AlgebraElement") -> "AlgebraElement":
+        """lam*self + mu*other, over the lcm of both denominators."""
+        self._check(other)
+        d, lr, li, mr, mi = combination(lam, mu, self.d, other.d)
+        acc = {w: (lr * r - li * i, li * r + lr * i) for w, (r, i) in self.ints.items()}
+        for w, (r, i) in other.ints.items():
+            x, y = acc.get(w, (0, 0))
+            acc[w] = (x + mr * r - mi * i, y + mi * r + mr * i)
+        return AlgebraElement._make(self.spec, d, {w: z for w, z in acc.items() if z != (0, 0)})
 
     # -- inspection -----------------------------------------------------------
 
+    def trace_int(self) -> tuple[int, int, int]:
+        """(D, re, im) with the canonical trace (re + i*im)/D."""
+        return self.d, *self.ints.get(IDENTITY, (0, 0))
+
     def trace(self) -> GaussianRational:
-        return self.coeffs.get(IDENTITY, gr(0))
+        return from_gaussian_int(*self.trace_int())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def support(self) -> list[Word]:
-        return sorted(self.coeffs)
+        return sorted(self.ints)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.spec is other.spec
-            and self.coeffs == other.coeffs
-        )
+        return (isinstance(other, AlgebraElement) and self.spec is other.spec
+                and self.d == other.d and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((id(self.spec), tuple(sorted(self.coeffs.items()))))
+        return hash((id(self.spec), self.d, tuple(sorted(self.ints.items()))))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.ints:
             return "0"
+        coeffs = self.coeffs
         parts = []
         for w in self.support():
             word = "*".join(f"{g}^{e}" if e != 1 else g for g, e in w) or "1"
-            parts.append(f"({self.coeffs[w]})*{word}")
+            parts.append(f"({coeffs[w]})*{word}")
         return " + ".join(parts)
 
 
@@ -549,8 +562,8 @@ def identity_element(spec: GroupSpec) -> AlgebraElement:
 
 
 def l1_norm(a: AlgebraElement) -> Fraction:
-    """Certified rational upper bound on the lambda-operator norm."""
-    return sum((c.abs_upper() for c in a.coeffs.values()), Fraction(0))
+    """Certified rational upper bound sum |re|+|im| on the lambda-operator norm."""
+    return Fraction(sum(abs(r) + abs(i) for r, i in a.ints.values()), a.d)
 
 
 def two_norm(a: AlgebraElement, k: int) -> tuple[Fraction, Fraction]:
@@ -558,8 +571,7 @@ def two_norm(a: AlgebraElement, k: int) -> tuple[Fraction, Fraction]:
 
     tau(a* a) = sum |coeff|^2 exactly, so the radicand needs no convolution.
     """
-    radicand = sum((c.abs_sq() for c in a.coeffs.values()), Fraction(0))
-    return sqrt_interval(radicand, k)
+    return sqrt_interval(Fraction(sum(r * r + i * i for r, i in a.ints.values()), a.d * a.d), k)
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +581,11 @@ def two_norm(a: AlgebraElement, k: int) -> tuple[Fraction, Fraction]:
 Letter = Optional[tuple[str, int]]  # None stands for the identity self-loop
 
 
-def _letter_weights(a: AlgebraElement) -> Optional[dict[Letter, GaussianRational]]:
-    """Weight map when every support word is a single letter or the identity."""
-    weights: dict[Letter, GaussianRational] = {}
-    for w, c in a.coeffs.items():
+def _letter_weights(a: AlgebraElement) -> Optional[dict[Letter, GaussInt]]:
+    """Weight map, a's integer coefficients over a.d, when every support word
+    is a single letter or the identity."""
+    weights: dict[Letter, GaussInt] = {}
+    for w, c in a.ints.items():
         if w == IDENTITY:
             weights[None] = c
         elif len(w) == 1 and abs(w[0][1]) == 1:
@@ -582,12 +595,8 @@ def _letter_weights(a: AlgebraElement) -> Optional[dict[Letter, GaussianRational
     return weights
 
 
-GaussInt = tuple[int, int]
-
-
-def _free_walk_traces(w0: dict[Letter, GaussianRational],
-                      w1: dict[Letter, GaussianRational],
-                      steps: int) -> tuple[int, list[GaussInt]]:
+def _free_walk_traces(w0: dict[Letter, GaussInt], w1: dict[Letter, GaussInt],
+                      steps: int) -> list[GaussInt]:
     """Weights of root-to-root walks of every length 0..steps on the Cayley
     tree, where step i draws its letter weight from w0 (i even) or w1.
 
@@ -595,20 +604,15 @@ def _free_walk_traces(w0: dict[Letter, GaussianRational],
     decomposes into self-loops and excursions into children, and every cone of
     the tree looks alike except for the blocked parent direction.
 
-    The DP runs on Gaussian integers: with D the common denominator of the
-    letter weights, every length-m walk weight is a product of m weights, so
-    the table entry for length m is D^m times the exact weight.  Returns D and
-    those integer (re, im) entries for m = 0..steps.
+    The DP runs on Gaussian integers: the weights are integers over one
+    denominator D, every length-m walk weight is a product of m weights, so
+    the table entry for length m is D^m times the exact weight.  Returns those
+    integer (re, im) entries for m = 0..steps.
     """
-    letters = sorted(
-        {s for s in w0 if s is not None} | {s for s in w1 if s is not None}
-    )
+    letters = sorted({s for s in w0 if s is not None} | {s for s in w1 if s is not None})
     # weight keys, and blocked parent directions (None = the root)
     contexts: list[Letter] = letters + [None]
-    d, parts = over_common_denominator(
-        w.get(s, ZERO) for w in (w0, w1) for s in contexts
-    )
-    weight = (dict(zip(contexts, parts)), dict(zip(contexts, parts[len(contexts):])))
+    weight = tuple({s: w.get(s, (0, 0)) for s in contexts} for w in (w0, w1))
     inv = {s: (s[0], -s[1]) for s in letters}
     # dp[p][f][m] = D^m * weight of length-m walks v -> v below v, starting at
     # parity p with direction f blocked
@@ -616,9 +620,7 @@ def _free_walk_traces(w0: dict[Letter, GaussianRational],
     # excursion[p][t][j] = weight of an excursion into child t from parity p
     # whose walk below the child has length j, without the step down (weight
     # [p][t], factored out of the sum over j): that walk times the step back up
-    excursion: list[dict[Letter, list[GaussInt]]] = [
-        {t: [] for t in letters} for _ in (0, 1)
-    ]
+    excursion: list[dict[Letter, list[GaussInt]]] = [{t: [] for t in letters} for _ in (0, 1)]
     for m in range(1, steps + 1):
         for p in (0, 1):
             q = 1 - p
@@ -645,7 +647,7 @@ def _free_walk_traces(w0: dict[Letter, GaussianRational],
                     re += tr * sr - ti * si
                     im += tr * si + ti * sr
                 dp[p][f].append((re, im))
-    return d, dp[0][None]
+    return dp[0][None]
 
 
 def _real_trace(value: GaussInt, denominator: int) -> Fraction:
@@ -665,12 +667,6 @@ def _convolve(spec: GroupSpec, x: dict[Word, GaussInt],
             r, i = acc.get(w, (0, 0))
             acc[w] = (r + r1 * r2 - i1 * i2, i + r1 * i2 + i1 * r2)
     return {w: c for w, c in acc.items() if c != (0, 0)}
-
-
-def _integer_coeffs(a: AlgebraElement) -> tuple[int, dict[Word, GaussInt]]:
-    """(D, x) with D the common denominator of a's coefficients and x = D*a."""
-    d, parts = over_common_denominator(a.coeffs.values())
-    return d, dict(zip(a.coeffs, parts))
 
 
 def _pair_trace(spec: GroupSpec, x: dict[Word, GaussInt],
@@ -705,11 +701,10 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     if isinstance(a.spec, FreeGroup):
         wa = _letter_weights(a)
         if wa is not None:
-            wstar = _letter_weights(a.adjoint())
-            d, traces = _free_walk_traces(wstar, wa, 2 * n)
-            return [_real_trace(traces[2 * j], d ** (2 * j)) for j in range(1, n + 1)]
+            traces = _free_walk_traces(_letter_weights(a.adjoint()), wa, 2 * n)
+            return [_real_trace(traces[2 * j], a.d ** (2 * j)) for j in range(1, n + 1)]
     h = a.adjoint() * a
-    e, h_int = _integer_coeffs(h)
+    e, h_int = h.d, h.ints
     powers = [{IDENTITY: (1, 0)}, h_int]
     while len(powers) <= (n + 1) // 2:
         powers.append(_convolve(a.spec, powers[-1], powers[1]))

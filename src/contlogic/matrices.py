@@ -7,23 +7,27 @@ from trace powers: |A|^2 = |A* A| <= (tr((A* A)^(2^m)))^(1/2^m), with the
 root ceiled onto a fixed dyadic grid so bounds are monotone in m by exact
 comparison.  No floating point appears in any certified path.
 
-The trace powers run on integers.  With D the common denominator of A's
-entries, B = DA is a Gaussian-integer matrix.  H = B B* has the trace powers
-of B* B = D^2 A* A (by cyclicity, tr((B B*)^k) = tr((B* B)^k)), so
-tr((A* A)^(2^m)) is the integer tr(H^(2^m)) over D^(2^(m+1)); that is the
-only division.  One chain of squarings P_0 = H, P_j = P_(j-1)^2 serves every
-m, and the last squaring is never done: each P_j is Hermitian, so by the
-Frobenius identity tr(P_j^2) = sum_ik P_ik conj(P_ik) = sum_ik |P_ik|^2, and
+A matrix A is held as B = DA over its least common denominator D, so equal
+matrices have equal fields; operations run on B with one gcd per result.
+H = B B* has the trace powers of B* B = D^2 A* A (by cyclicity,
+tr((B B*)^k) = tr((B* B)^k)), so tr((A* A)^(2^m)) is the integer
+tr(H^(2^m)) over D^(2^(m+1)); that is the only division.  One chain of
+squarings P_0 = H, P_j = P_(j-1)^2 serves every m, and the last squaring is
+never done: each P_j is Hermitian, so by the Frobenius identity
+tr(P_j^2) = sum_ik P_ik conj(P_ik) = sum_ik |P_ik|^2, and
 tr(H^(2^m)) = |P_(m-1)|_F^2 for m >= 1 (tr H = |B|_F^2 for m = 0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, product
+from math import gcd
 from operator import mul
 
 from .dyadic import nth_root_upper_grid, sqrt_interval
-from .gaussian import ContlogicError, GaussianRational, gr, over_common_denominator
+from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int,
+                       over_common_denominator)
 from .pairing import decode_tuple, encode_tuple, gaussian_to_nat, nat_to_gaussian
 
 
@@ -47,95 +51,114 @@ class NegativeTrace(MatrixError):
     """A trace power of A* A came out negative, so the trace kernel is at fault."""
 
 
-class Matrix:
-    """A square matrix over Q(i); rows are tuples of GaussianRational."""
+IntRows = tuple[tuple[int, ...], ...]
 
-    __slots__ = ("n", "rows")
+
+class Matrix:
+    """A square matrix over Q(i): Gaussian-integer rows re + i*im over d.
+    `Matrix(rows)` takes rows of GaussianRational and `.rows` gives them back;
+    operations build results with `_make`, which trusts its integers."""
+
+    __slots__ = ("n", "d", "re", "im")
 
     def __init__(self, rows):
-        rows = tuple(tuple(entry for entry in row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != len(rows) for row in rows):
             raise SizeMismatch("matrix must be square")
-        self.n = n
-        self.rows = rows
+        d, parts = over_common_denominator(e for row in rows for e in row)
+        self.n, self.d, n = len(rows), d, len(rows)
+        self.re, self.im = (tuple(tuple(z[j] for z in parts[i * n:(i + 1) * n])
+                                  for i in range(n)) for j in (0, 1))
+
+    @staticmethod
+    def _make(d: int, re: IntRows, im: IntRows) -> "Matrix":
+        """(re + i*im)/d, put in lowest terms."""
+        g = gcd(d, *chain(*re, *im))
+        if g > 1:
+            d, re, im = d // g, *(tuple(tuple(x // g for x in r) for r in m) for m in (re, im))
+        out = object.__new__(Matrix)
+        out.n, out.d, out.re, out.im = len(re), d, re, im
+        return out
+
+    @property
+    def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        return tuple(tuple(from_gaussian_int(self.d, x, y) for x, y in zip(r, s))
+                     for r, s in zip(self.re, self.im))
 
     @staticmethod
     def zero(n: int) -> "Matrix":
-        z = gr(0)
-        return Matrix([[z] * n for _ in range(n)])
+        return Matrix.identity(n).scale(0)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        one, z = gr(1), gr(0)
-        return Matrix([[one if i == j else z for j in range(n)] for i in range(n)])
+        ones = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return Matrix._make(1, ones, ((0,) * n,) * n)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return (isinstance(other, Matrix) and self.d == other.d
+                and self.re == other.re and self.im == other.im)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.d, self.re, self.im))
 
     def __repr__(self):
         return f"Matrix({self.n}x{self.n})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _check(self, other: "Matrix") -> None:
         if self.n != other.n:
             raise SizeMismatch(f"{self.n} vs {other.n}")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self.comb(1, 1, other)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.n != other.n:
-            raise SizeMismatch(f"{self.n} vs {other.n}")
-        cols = list(zip(*other.rows))
-        return Matrix(
-            [
-                [sum((a * b for a, b in zip(row, col)), gr(0)) for col in cols]
-                for row in self.rows
-            ]
-        )
+        self._check(other)
+        cols = list(zip(zip(*other.re), zip(*other.im)))
+        rows = list(zip(self.re, self.im))
+        re = tuple(tuple(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for br, bi in cols)
+                   for ar, ai in rows)
+        im = tuple(tuple(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for br, bi in cols)
+                   for ar, ai in rows)
+        return Matrix._make(self.d * other.d, re, im)
 
     def scale(self, lam) -> "Matrix":
-        if not isinstance(lam, GaussianRational):
-            lam = gr(Fraction(lam))
-        return Matrix([[e * lam for e in row] for row in self.rows])
+        return self.comb(lam, 0, self)
+
+    def comb(self, lam, mu, other: "Matrix") -> "Matrix":
+        """lam*self + mu*other, over the lcm of both denominators."""
+        self._check(other)
+        d, lr, li, mr, mi = combination(lam, mu, self.d, other.d)
+        rows = [tuple(zip(*row)) for row in zip(self.re, self.im, other.re, other.im)]
+        return Matrix._make(
+            d, tuple(tuple(lr * a - li * b + mr * c - mi * e for a, b, c, e in row)
+                     for row in rows),
+            tuple(tuple(li * a + lr * b + mi * c + mr * e for a, b, c, e in row)
+                  for row in rows))
 
     def conj_transpose(self) -> "Matrix":
-        return Matrix(
-            [
-                [self.rows[j][i].conjugate() for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
+        return Matrix._make(self.d, tuple(zip(*self.re)),
+                            tuple(tuple(-x for x in col) for col in zip(*self.im)))
 
-    def trace(self) -> GaussianRational:
-        return sum((self.rows[i][i] for i in range(self.n)), gr(0))
+    adjoint = conj_transpose
+
+    def normalized_trace_int(self) -> tuple[int, int, int]:
+        """(D, re, im) with tr(A)/n = (re + i*im)/D."""
+        n = range(self.n)
+        return self.d * self.n, sum(self.re[i][i] for i in n), sum(self.im[i][i] for i in n)
 
     def normalized_trace(self) -> GaussianRational:
-        t = self.trace()
-        return GaussianRational(t.re / self.n, t.im / self.n)
+        return from_gaussian_int(*self.normalized_trace_int())
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not any(chain(*self.re, *self.im))
 
 
 def two_norm(a: Matrix, k: int) -> tuple[Fraction, Fraction]:
     """Dyadic interval of width <= 2^-k around sqrt(tr(A* A)/n).
 
-    The radicand is sum |a_ij|^2 / n, exact and nonnegative.
+    The radicand is sum |a_ij|^2 / n, the integer |DA|_F^2 over D^2 n.
     """
-    radicand = (
-        sum((e.abs_sq() for row in a.rows for e in row), Fraction(0)) / a.n
-    )
-    return sqrt_interval(radicand, k)
-
-
-IntRows = list[list[int]]
+    return sqrt_interval(Fraction(_frobenius_sq(a.re, a.im), a.d * a.d * a.n), k)
 
 
 def _gram(re: IntRows, im: IntRows) -> tuple[IntRows, IntRows]:
@@ -177,19 +200,9 @@ def _trace_powers(re: IntRows, im: IntRows, ms: int) -> list[int]:
     return traces[:ms]
 
 
-def _integer_rows(a: Matrix) -> tuple[int, IntRows, IntRows]:
-    """D and the real and imaginary rows of the Gaussian-integer matrix DA."""
-    d, parts = over_common_denominator(e for row in a.rows for e in row)
-    n = a.n
-    re = [[z[0] for z in parts[i * n:(i + 1) * n]] for i in range(n)]
-    im = [[z[1] for z in parts[i * n:(i + 1) * n]] for i in range(n)]
-    return d, re, im
-
-
 def _scaled_traces(a: Matrix, ms: int) -> tuple[int, list[int]]:
     """D and [tr(H^(2^m)) for m in range(ms)], H = (DA)(DA)*, each checked >= 0."""
-    d, re, im = _integer_rows(a)
-    traces = _trace_powers(re, im, ms)
+    d, traces = a.d, _trace_powers(a.re, a.im, ms)
     for m, t in enumerate(traces):
         if t < 0:
             raise NegativeTrace(f"tr((A*A)^{2 ** m}) came out negative")
@@ -237,7 +250,7 @@ def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fra
         raise ZeroVector("Rayleigh witness must be nonzero")
     if len(v) != a.n:
         raise SizeMismatch(f"vector length {len(v)} vs size {a.n}")
-    d, re, im = _integer_rows(a)
+    d, re, im = a.d, a.re, a.im
     bw = sum((sum(map(mul, r, wr)) - sum(map(mul, s, wi))) ** 2
              + (sum(map(mul, r, wi)) + sum(map(mul, s, wr))) ** 2
              for r, s in zip(re, im))
@@ -246,29 +259,32 @@ def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fra
 
 def embed_dyadic(a: Matrix) -> Matrix:
     """Trace-preserving inclusion A -> A (x) I_2 between dyadic sizes."""
-    if a.n & (a.n - 1) != 0:
-        raise NotDyadicSize(f"size {a.n} is not a power of two")
-    z = gr(0)
-    out = []
-    for row in a.rows:
-        expanded0 = []
-        expanded1 = []
-        for e in row:
-            expanded0.extend([e, z])
-            expanded1.extend([z, e])
-        out.append(expanded0)
-        out.append(expanded1)
-    return Matrix(out)
+    return embed_to_size(a, 2 * a.n)
 
 
 def embed_to_size(a: Matrix, n: int) -> Matrix:
-    """Iterate the dyadic embedding until the matrix has size n."""
-    out = a
-    while out.n < n:
-        out = embed_dyadic(out)
-    if out.n != n:
+    """The dyadic embedding A -> A (x) I_r into size n = r * a.n, in one step.
+
+    Entry (r*i + s, r*j + t) of A (x) I_r is a_ij if s == t and 0 otherwise,
+    so repeated doubling A (x) I_2 (x) ... (x) I_2 gives the same matrix.
+    """
+    if n == a.n:
+        return a
+    if a.n & (a.n - 1) != 0:
+        raise NotDyadicSize(f"size {a.n} is not a power of two")
+    r = n // a.n
+    if r * a.n != n or r & (r - 1) != 0:
         raise NotDyadicSize(f"cannot reach size {n} from {a.n}")
-    return out
+
+    def spread(rows: IntRows) -> IntRows:
+        out = []
+        for row, s in product(rows, range(r)):
+            wide = [0] * n
+            wide[s::r] = row
+            out.append(tuple(wide))
+        return tuple(out)
+
+    return Matrix._make(a.d, spread(a.re), spread(a.im))
 
 
 # ---------------------------------------------------------------------------

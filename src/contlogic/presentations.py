@@ -18,18 +18,27 @@ functions on Cantor space (exact sup-norm).
 Points are evaluated with their objects' own `*`, `adjoint()` and `comb()`;
 only the matrix tower overrides these, to bring matrices to one size first.
 Each presentation computes every point object, special points included, once.
+
+Objects (`matrices.Matrix`, `groups.AlgebraElement`, `CantorFn`) are Gaussian
+integers over one denominator D in lowest terms, so operations run on
+integers and each norm oracle reads its radicand off them (over D^2); the `d`
+atom |(a - b)/2| is one integer combination and its norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Optional, Union
 
 from . import groups as G
 from . import matrices as M
+from .dyadic import sqrt_interval
 from .formulas import CSTAR, TVNA, Signature, rounded_bound_ok
-from .gaussian import ContlogicError, GaussianRational, gr
+from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int, gr,
+                       over_common_denominator)
 from .pairing import pair as cantor_pair, unpair as cantor_unpair, decode_tuple, nat_to_gaussian
 from .torus import torus_sup_norm
 
@@ -37,6 +46,8 @@ TWO_SIDED = "two_sided"
 LOWER_ONLY = "lower_only"
 
 _TRACE_POWER_CAP = 8  # trace-squaring exponent cap for special-point bounds
+_HALF, _MINUS_HALF = gr(Fraction(1, 2)), gr(Fraction(-1, 2))
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class PresentationError(ContlogicError):
@@ -162,8 +173,11 @@ class Presentation:
         """Sound enclosure of the norm; width <= 2^-k in TwoSided mode."""
         raise NotImplementedError
 
-    def trace(self, obj) -> GaussianRational:
+    def trace_int(self, obj) -> tuple[int, int, int]:  # the trace (re + i*im)/D
         raise PresentationError(f"{self.name} has no trace")
+
+    def trace(self, obj) -> GaussianRational:
+        return from_gaussian_int(*self.trace_int(obj))
 
     # -- shared machinery -----------------------------------------------------
 
@@ -216,15 +230,13 @@ class Presentation:
     def atom_interval(self, pred: str, objs: list, k: int,
                       budget: Optional[int] = None) -> tuple[Fraction, Fraction]:
         if pred == "d":
-            half = gr(Fraction(1, 2))
-            obj = self._comb(half, -half, objs[0], objs[1])
+            obj = self._comb(_HALF, _MINUS_HALF, objs[0], objs[1])
             lo, hi = self.norm_interval(obj, k, budget=budget)
-            return (max(lo, Fraction(0)), min(hi, Fraction(1)))
+            return (max(lo, _ZERO), min(hi, _ONE))
         if pred in ("tr_re", "tr_im"):
-            t = self.trace(objs[0])
-            part = t.re if pred == "tr_re" else t.im
-            scaled = (part + 1) / 2
-            scaled = min(max(scaled, Fraction(0)), Fraction(1))
+            d, re, im = self.trace_int(objs[0])
+            # (part + 1)/2 = (D*part + D)/2D, clipped into [0, 1]
+            scaled = Fraction(min(max((re if pred == "tr_re" else im) + d, 0), 2 * d), 2 * d)
             return (scaled, scaled)
         raise PresentationError(f"unknown predicate {pred!r} in {self.name}")
 
@@ -249,7 +261,7 @@ class MatrixTowerPresentation(Presentation):
         if a.is_zero():
             return a
         bound = M.opnorm_upper(a, min(m, _TRACE_POWER_CAP))
-        return a.scale(gr(Fraction(1) / bound))
+        return a.scale(1 / bound)
 
     @staticmethod
     def _align(a: M.Matrix, b: M.Matrix) -> tuple[M.Matrix, M.Matrix]:
@@ -260,18 +272,15 @@ class MatrixTowerPresentation(Presentation):
         a, b = self._align(a, b)
         return a * b
 
-    def _adj(self, a):
-        return a.conj_transpose()
-
     def _comb(self, lam, mu, a, b):
         a, b = self._align(a, b)
-        return a.scale(lam) + b.scale(mu)
+        return a.comb(lam, mu, b)
 
     def norm_interval(self, obj, k, budget=None):
         return M.two_norm(obj, k)
 
-    def trace(self, obj):
-        return obj.normalized_trace()
+    def trace_int(self, obj):
+        return obj.normalized_trace_int()
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +303,7 @@ class GroupAlgebraPresentation(Presentation):
     def _special(self, index: int):
         g = G.enumerate_group_algebra(self.spec, index)
         bound = G.l1_norm(g)
-        if bound > 1:
-            return g.scale(gr(Fraction(1) / bound))
-        return g
+        return g.scale(1 / bound) if bound > 1 else g
 
 
 class GroupVonNeumannPresentation(GroupAlgebraPresentation):
@@ -309,8 +316,8 @@ class GroupVonNeumannPresentation(GroupAlgebraPresentation):
     def norm_interval(self, obj, k, budget=None):
         return G.two_norm(obj, k)
 
-    def trace(self, obj):
-        return obj.trace()
+    def trace_int(self, obj):
+        return obj.trace_int()
 
 
 class ReducedCstarPresentation(GroupAlgebraPresentation):
@@ -349,33 +356,62 @@ class ReducedCstarPresentation(GroupAlgebraPresentation):
 # ---------------------------------------------------------------------------
 
 
+def _is_leaf(tree) -> bool:
+    return type(tree[0]) is int
+
+
+def _leaf_parts(tree) -> tuple[int, ...]:
+    """re, im of every leaf, left to right."""
+    return tree if _is_leaf(tree) else _leaf_parts(tree[0]) + _leaf_parts(tree[1])
+
+
+def _zip_leaves(a, b, op):
+    """op(*leaf_a, *leaf_b) on two trees split alike, where a leaf against a
+    split stands for itself on both sides; equal sibling leaves merge.  On a
+    tree and itself it maps op over the leaves."""
+    if _is_leaf(a) and _is_leaf(b):
+        return op(*a, *b)
+    al, ar = (a, a) if _is_leaf(a) else a
+    bl, br = (b, b) if _is_leaf(b) else b
+    left, right = _zip_leaves(al, bl, op), _zip_leaves(ar, br, op)
+    return left if left == right and _is_leaf(left) else (left, right)
+
+
 @dataclass(frozen=True)
 class CantorFn:
     """Locally constant Q(i)-valued function on 2^omega.
 
-    `tree` is a GaussianRational (constant on the cylinder) or a pair of
-    subtrees (split on the next coordinate); equal siblings are merged, so
-    equality of functions is structural equality.
-    """
+    `tree` is a leaf (re, im) of ints, the value (re + i*im)/d on its
+    cylinder, or a pair of subtrees (split on the next coordinate).  Equal
+    sibling leaves are merged and d is in lowest terms, so equal functions
+    have equal fields.  `CantorFn(d, tree)` trusts its integers; `from_tree`
+    and `leaves()` take and give GaussianRational values."""
 
+    d: int
     tree: object
 
     @staticmethod
-    def constant(z: GaussianRational) -> "CantorFn":
-        return CantorFn(z)
+    def _make(d: int, tree) -> "CantorFn":
+        """tree over d, put in lowest terms."""
+        g = gcd(d, *_leaf_parts(tree))
+        if g > 1:
+            d, tree = d // g, _zip_leaves(tree, tree, lambda r, i, *_: (r // g, i // g))
+        return CantorFn(d, tree)
 
     @staticmethod
-    def _canon(tree):
-        if isinstance(tree, GaussianRational):
-            return tree
-        left, right = CantorFn._canon(tree[0]), CantorFn._canon(tree[1])
-        if isinstance(left, GaussianRational) and left == right:
-            return left
-        return (left, right)
+    def constant(z: GaussianRational) -> "CantorFn":
+        return CantorFn.from_tree(z)
 
     @staticmethod
     def from_tree(tree) -> "CantorFn":
-        return CantorFn(CantorFn._canon(tree))
+        if isinstance(tree, GaussianRational):
+            d, (leaf,) = over_common_denominator([tree])
+            return CantorFn(d, leaf)
+        left, right = CantorFn.from_tree(tree[0]), CantorFn.from_tree(tree[1])
+        d = lcm(left.d, right.d)  # both halves over d stay in lowest terms
+        tl, tr = (_zip_leaves(f.tree, f.tree, lambda r, i, *_, c=d // f.d: (r * c, i * c))
+                  for f in (left, right))
+        return CantorFn(d, tl if tl == tr and _is_leaf(tl) else (tl, tr))
 
     @staticmethod
     def indicator(cylinder: str, value: GaussianRational) -> "CantorFn":
@@ -385,48 +421,27 @@ class CantorFn:
             tree = (tree, gr(0)) if bit == "0" else (gr(0), tree)
         return CantorFn.from_tree(tree)
 
-    @staticmethod
-    def _zip(a, b, op):
-        if isinstance(a, GaussianRational) and isinstance(b, GaussianRational):
-            return op(a, b)
-        al, ar = (a, a) if isinstance(a, GaussianRational) else a
-        bl, br = (b, b) if isinstance(b, GaussianRational) else b
-        return (CantorFn._zip(al, bl, op), CantorFn._zip(ar, br, op))
-
-    def _map(self, op):
-        def walk(t):
-            if isinstance(t, GaussianRational):
-                return op(t)
-            return (walk(t[0]), walk(t[1]))
-
-        return CantorFn.from_tree(walk(self.tree))
-
     def __mul__(self, other: "CantorFn") -> "CantorFn":
-        return CantorFn.from_tree(CantorFn._zip(self.tree, other.tree, lambda x, y: x * y))
+        return CantorFn._make(self.d * other.d, _zip_leaves(
+            self.tree, other.tree, lambda a, b, c, e: (a * c - b * e, a * e + b * c)))
 
     def comb(self, lam, mu, other: "CantorFn") -> "CantorFn":
-        return CantorFn.from_tree(
-            CantorFn._zip(self.tree, other.tree, lambda x, y: x * lam + y * mu)
-        )
+        """lam*self + mu*other, over the lcm of both denominators."""
+        d, lr, li, mr, mi = combination(lam, mu, self.d, other.d)
+        return CantorFn._make(d, _zip_leaves(
+            self.tree, other.tree, lambda a, b, c, e: (lr * a - li * b + mr * c - mi * e,
+                                                       li * a + lr * b + mi * c + mr * e)))
 
     def adjoint(self) -> "CantorFn":
-        return self._map(lambda z: z.conjugate())
+        return CantorFn(self.d, _zip_leaves(self.tree, self.tree, lambda r, i, *_: (r, -i)))
 
     def leaves(self) -> list[GaussianRational]:
-        out = []
-
-        def walk(t):
-            if isinstance(t, GaussianRational):
-                out.append(t)
-            else:
-                walk(t[0])
-                walk(t[1])
-
-        walk(self.tree)
-        return out
+        parts = _leaf_parts(self.tree)
+        return [from_gaussian_int(self.d, r, i) for r, i in zip(parts[::2], parts[1::2])]
 
     def sup_abs_sq(self) -> Fraction:
-        return max(z.abs_sq() for z in self.leaves())
+        sq = [x * x for x in _leaf_parts(self.tree)]
+        return Fraction(max(map(add, sq[::2], sq[1::2])), self.d * self.d)
 
 
 class CantorSpacePresentation(Presentation):
@@ -456,8 +471,6 @@ class CantorSpacePresentation(Presentation):
         return CantorFn.from_tree(tree[0])
 
     def norm_interval(self, obj: CantorFn, k, budget=None):
-        from .dyadic import sqrt_interval
-
         return sqrt_interval(obj.sup_abs_sq(), k)
 
 

@@ -1,4 +1,4 @@
-"""Differential tests of the integer trace-power kernels against Fraction ones.
+"""Differential tests of the integer kernels and objects against Fraction ones.
 
 `fraction_kernels` holds the Fraction kernels the integer ones replaced:
 the `Matrix.__mul__` trace-power chain, the Gaussian Rayleigh quotient, the
@@ -6,9 +6,17 @@ Fraction excursion DP and the bisection for grid n-th roots, and the Fraction
 group-algebra product; also the all-Newton integer n-th root.  The
 moment routes are also checked against power products formed with that
 product.  Every value compared is exact.
+
+The presentation objects (matrices, group-algebra elements, functions on
+Cantor space) are held as Gaussian integers over one denominator; each of
+their operations is checked through its GaussianRational view (`.rows`,
+`.coeffs`, the leaf tree) against the Fraction operations on plain rows,
+dicts and trees in `fraction_kernels`, and every result is checked to be in
+canonical form: denominator positive and prime to every part.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,10 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_kernels
+from contlogic import formulas as F
 from contlogic import groups as G
 from contlogic import matrices as M
+from contlogic import presentations as P
 from contlogic.dyadic import int_nth_root, nth_root_lower_grid
-from contlogic.gaussian import GaussianRational
+from contlogic.gaussian import GaussianRational, from_gaussian_int, gr
 
 UNITS = st.integers(-1, 1).map(Fraction)
 INTEGERS = st.integers(-6, 6).map(Fraction)
@@ -257,3 +267,295 @@ def test_int_nth_root_edges():
     for x, n in [(-1, 2), (4, 0)]:
         with pytest.raises(ValueError):
             int_nth_root(x, n)
+
+
+# -- presentation objects --------------------------------------------------
+
+
+def _parts(obj) -> list[int]:
+    if isinstance(obj, M.Matrix):
+        return [x for rows in (obj.re, obj.im) for row in rows for x in row]
+    if isinstance(obj, G.AlgebraElement):
+        assert (0, 0) not in obj.ints.values()
+        return [x for z in obj.ints.values() for x in z]
+    return list(P._leaf_parts(obj.tree))
+
+
+def _gr_tree(f: P.CantorFn):
+    """f's tree with each integer leaf read over f.d."""
+    if P._is_leaf(f.tree):
+        return from_gaussian_int(f.d, *f.tree)
+    return (_gr_tree(P.CantorFn(f.d, f.tree[0])), _gr_tree(P.CantorFn(f.d, f.tree[1])))
+
+
+def _canonical(obj):
+    """obj, after checking that its fields are in lowest terms."""
+    assert obj.d > 0 and math.gcd(obj.d, *_parts(obj)) == 1
+    if isinstance(obj, P.CantorFn):
+        assert _gr_tree(obj) == fraction_kernels.cantor_canon(_gr_tree(obj))
+    return obj
+
+
+def _same(x, y) -> bool:
+    """Equal values held in equal fields, with equal hashes."""
+    fields = ("n", "re", "im") if isinstance(x, M.Matrix) else ("ints",)
+    if isinstance(x, P.CantorFn):
+        fields = ("tree",)
+    return (x == y and hash(x) == hash(y) and x.d == y.d
+            and all(getattr(x, f) == getattr(y, f) for f in fields))
+
+
+SIZES = st.sampled_from([1, 2, 4, 8])
+COEFFICIENTS = st.one_of(_gaussians(RATIONALS),
+                         st.sampled_from([gr(0), gr(1), gr(-1), gr(Fraction(1, 2))]))
+
+
+@st.composite
+def matrix_rows(draw, n=None):
+    n = draw(SIZES) if n is None else n
+    parts = draw(st.sampled_from([UNITS, RATIONALS]))
+    shape = draw(st.sampled_from(["general", "zero", "diagonal"]))
+    z = gr(0)
+    if shape == "zero":
+        return tuple((z,) * n for _ in range(n))
+    if shape == "diagonal":
+        diag = [draw(_gaussians(parts)) for _ in range(n)]
+        return tuple(tuple(diag[i] if i == j else z for j in range(n)) for i in range(n))
+    return tuple(tuple(draw(_gaussians(parts)) for _ in range(n)) for _ in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), SIZES, COEFFICIENTS, COEFFICIENTS, st.integers(0, 20))
+def test_matrix_operations_match_fraction_operations(data, n, lam, mu, k):
+    a, b = data.draw(matrix_rows(n)), data.draw(matrix_rows(n))
+    ma, mb = M.Matrix(a), M.Matrix(b)
+    assert _canonical(ma).rows == a
+    fk = fraction_kernels
+    assert _canonical(ma + mb).rows == fk.matrix_add(a, b)
+    assert _canonical(ma * mb).rows == fk.matrix_mul(a, b)
+    assert _canonical(ma.scale(lam)).rows == fk.matrix_scale(a, lam)
+    assert _canonical(ma.comb(lam, mu, mb)).rows == fk.matrix_add(
+        fk.matrix_scale(a, lam), fk.matrix_scale(b, mu))
+    assert _canonical(ma.conj_transpose()).rows == fk.matrix_conj_transpose(a)
+    trace = fk.matrix_trace(a)
+    assert ma.normalized_trace() == GaussianRational(trace.re / n, trace.im / n)
+    assert ma.is_zero() == all(e.is_zero() for row in a for e in row)
+    assert M.two_norm(ma, k) == fk.matrix_two_norm(a, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), COEFFICIENTS, COEFFICIENTS)
+def test_tower_operations_on_mixed_sizes(data, lam, mu):
+    a, b = data.draw(matrix_rows()), data.draw(matrix_rows())
+    ma, mb = M.Matrix(a), M.Matrix(b)
+    pres = P.presentation_R()
+    fk = fraction_kernels
+    assert _canonical(pres._mul(ma, mb)).rows == fk.tower_mul(a, b)
+    assert _canonical(pres._comb(lam, mu, ma, mb)).rows == fk.tower_comb(lam, mu, a, b)
+    for n in (len(a), 2 * len(a), 8):
+        if n >= len(a):
+            assert _canonical(M.embed_to_size(ma, n)).rows == fk.matrix_embed_to_size(a, n)
+    assert M.embed_dyadic(ma).rows == fk.matrix_embed_dyadic(a)
+
+
+def test_embedding_rejects_what_doubling_rejects():
+    for size, n in [(3, 6), (2, 6), (4, 2), (2, 12), (1, 3)]:
+        rows = tuple((gr(1),) * size for _ in range(size))
+        with pytest.raises(M.NotDyadicSize):
+            M.embed_to_size(M.Matrix(rows), n)
+        with pytest.raises(M.NotDyadicSize):
+            fraction_kernels.matrix_embed_to_size(rows, n)
+    three = M.Matrix([[gr(1)] * 3] * 3)
+    assert M.embed_to_size(three, 3) is three
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_rows(), COEFFICIENTS)
+def test_matrix_combination_cancels_to_canonical_zero(a, lam):
+    ma = M.Matrix(a)
+    zero = ma.comb(lam, -lam, ma)
+    assert _same(zero, M.Matrix.zero(len(a)))
+    assert zero.d == 1 and zero.is_zero()
+    assert zero.rows == fraction_kernels.matrix_add(
+        fraction_kernels.matrix_scale(a, lam), fraction_kernels.matrix_scale(a, -lam))
+
+
+ALGEBRA_GROUPS = [(spec, pool) for spec, _, pool in PRODUCT_GROUPS]
+
+
+@st.composite
+def algebra_elements(draw, spec, pool):
+    if draw(st.integers(0, 5)) == 0:
+        return G.element(spec, [])
+    return draw(elements(spec, pool, draw(st.sampled_from([UNITS, INTEGERS, RATIONALS]))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(ALGEBRA_GROUPS), COEFFICIENTS, COEFFICIENTS,
+       st.integers(0, 20))
+def test_algebra_operations_match_fraction_operations(data, group, lam, mu, k):
+    spec, pool = group
+    a = data.draw(algebra_elements(spec, pool))
+    b = data.draw(algebra_elements(spec, pool))
+    x, y = a.coeffs, b.coeffs
+    fk = fraction_kernels
+    assert _canonical(a + b).coeffs == fk.algebra_add(x, y)
+    assert _canonical(a - b).coeffs == fk.algebra_comb(gr(1), gr(-1), x, y)
+    assert _canonical(-a).coeffs == fk.algebra_scale(x, gr(-1))
+    assert _canonical(a.scale(lam)).coeffs == fk.algebra_scale(x, lam)
+    assert _canonical(a.comb(lam, mu, b)).coeffs == fk.algebra_comb(lam, mu, x, y)
+    assert _canonical(a.adjoint()).coeffs == fk.algebra_adjoint(spec, x)
+    assert _canonical(a * b).coeffs == fraction_kernels.algebra_mul(a, b).coeffs
+    assert a.trace() == x.get(G.IDENTITY, gr(0))
+    assert G.l1_norm(a) == fk.l1_norm(x)
+    assert G.two_norm(a, k) == fk.algebra_two_norm(x, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(ALGEBRA_GROUPS), COEFFICIENTS)
+def test_algebra_combination_cancels_to_canonical_zero(data, group, lam):
+    spec, pool = group
+    a = data.draw(algebra_elements(spec, pool))
+    zero = a.comb(lam, -lam, a)
+    assert _same(zero, G.element(spec, [])) and zero.d == 1 and zero.is_zero()
+    assert _same(a - a, zero)
+    assert fraction_kernels.algebra_comb(lam, -lam, a.coeffs, a.coeffs) == {}
+
+
+def _trees(parts=RATIONALS):
+    leaf = st.one_of(_gaussians(parts), st.just(gr(0)))
+    return st.recursive(leaf, lambda sub: st.tuples(sub, sub), max_leaves=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trees(), _trees(st.one_of(UNITS, RATIONALS)), COEFFICIENTS, COEFFICIENTS)
+def test_cantor_operations_match_fraction_operations(t, u, lam, mu):
+    f, g = P.CantorFn.from_tree(t), P.CantorFn.from_tree(u)
+    fk = fraction_kernels
+    t, u = fk.cantor_canon(t), fk.cantor_canon(u)
+    assert _gr_tree(_canonical(f)) == t
+    assert f.leaves() == fk.cantor_leaves(t)
+    assert _gr_tree(_canonical(f * g)) == fk.cantor_mul(t, u)
+    assert _gr_tree(_canonical(f.comb(lam, mu, g))) == fk.cantor_comb(lam, mu, t, u)
+    assert _gr_tree(_canonical(f.adjoint())) == fk.cantor_adjoint(t)
+    assert f.sup_abs_sq() == fk.cantor_sup_abs_sq(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_trees(), COEFFICIENTS)
+def test_cantor_combination_cancels_to_canonical_zero(t, lam):
+    f = P.CantorFn.from_tree(t)
+    zero = f.comb(lam, -lam, f)
+    assert _same(zero, P.CantorFn.constant(gr(0))) and zero.tree == (0, 0) and zero.d == 1
+    assert fraction_kernels.cantor_comb(lam, -lam, t, t) == gr(0)
+
+
+# -- the d atom and the rounded-combination bound ---------------------------
+
+F2_POOL = LETTERS + [(("u", 1), ("v", 1)), (("v", -1), ("u", 1))]
+
+
+@st.composite
+def d_atom_cases(draw):
+    kind = draw(st.sampled_from(["R", "L", "C2w", "CstarZ", "CstarF2"]))
+    k = draw(st.integers(0, 12))
+    if kind == "R":
+        a, b = draw(matrix_rows()), draw(matrix_rows())
+        return kind, None, a, b, M.Matrix(a), M.Matrix(b), k, 8
+    if kind == "C2w":
+        t, u = draw(_trees()), draw(_trees())
+        return kind, None, t, u, P.CantorFn.from_tree(t), P.CantorFn.from_tree(u), k, 8
+    spec = G.free_abelian("u") if kind == "CstarZ" else F2
+    pool = ([(("u", 1),), (("u", -1),), (("u", 2),), ()] if kind == "CstarZ"
+            else draw(st.sampled_from([LETTERS, F2_POOL])))
+    a, b = draw(algebra_elements(spec, pool)), draw(algebra_elements(spec, pool))
+    budget = draw(st.integers(1, 6 if pool is LETTERS else 2))
+    return kind, spec, a.coeffs, b.coeffs, a, b, min(k, 8), budget
+
+
+@settings(max_examples=80, deadline=None)
+@given(d_atom_cases())
+def test_d_atom_matches_fraction_atom(case):
+    kind, spec, a, b, obj_a, obj_b, k, budget = case
+    if kind == "R":
+        pres = P.presentation_R()
+    elif kind == "C2w":
+        pres = P.presentation_C2w()
+    elif kind == "L":
+        pres = P.presentation_L(spec)
+    else:
+        pres = P.presentation_CstarLambda(spec)
+    assert (pres.atom_interval("d", [obj_a, obj_b], k, budget=budget)
+            == fraction_kernels.d_atom(kind, a, b, k, spec, budget))
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-13, 13), st.integers(1, 13))
+# pairs on the circle |lam| + |mu| = 1 and near it, where the exact test matters
+BOUNDARY = [(gr(Fraction(3, 5), Fraction(4, 5)), gr(0)), (gr(Fraction(1, 2)), gr(Fraction(1, 2))),
+            (gr(Fraction(3, 10), Fraction(2, 5)), gr(Fraction(1, 2))),
+            (gr(Fraction(3, 10), Fraction(2, 5)), gr(0, Fraction(-1, 2))),
+            (gr(Fraction(3, 10), Fraction(2, 5)), gr(Fraction(51, 100))),
+            (gr(Fraction(5, 13), Fraction(12, 13)), gr(Fraction(1, 10**9))),
+            (gr(-1), gr(0)), (gr(0), gr(0, 1)), (gr(1), gr(0, Fraction(1, 7)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.builds(GaussianRational, SMALL_RATIONALS, SMALL_RATIONALS),
+              st.builds(GaussianRational, SMALL_RATIONALS, SMALL_RATIONALS)),
+    st.sampled_from(BOUNDARY)))
+def test_rounded_bound_matches_fraction_test(pair):
+    lam, mu = pair
+    assert F.rounded_bound_ok(lam, mu) == fraction_kernels.rounded_bound_ok(lam, mu)
+    assert F.rounded_bound_ok(mu, lam) == F.rounded_bound_ok(lam, mu)
+
+
+def test_rounded_bound_boundary_cases():
+    for lam, mu in BOUNDARY:
+        assert F.rounded_bound_ok(lam, mu) == fraction_kernels.rounded_bound_ok(lam, mu)
+    assert [F.rounded_bound_ok(lam, mu) for lam, mu in BOUNDARY] == [
+        True, True, True, True, False, False, True, True, False]
+
+
+# -- canonical form ----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), SIZES, COEFFICIENTS, COEFFICIENTS)
+def test_matrix_canonical_form(data, n, lam, mu):
+    a, b, c = (M.Matrix(data.draw(matrix_rows(n))) for _ in range(3))
+    for x in (a, a * b, a.comb(lam, mu, b), a.conj_transpose()):
+        assert _same(M.Matrix(x.rows), x)
+    assert _same((a + b) + c, a + (b + c))
+    assert _same(a.comb(lam, mu, b), a.scale(lam) + b.scale(mu))
+    assert _same((a * b) * c, a * (b * c))
+    assert _same(M.embed_to_size(M.embed_dyadic(a), 4 * n), M.embed_to_size(a, 4 * n))
+    if not lam.is_zero():
+        assert _same(a.scale(lam).scale(gr(1) / lam), a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(ALGEBRA_GROUPS), COEFFICIENTS, COEFFICIENTS)
+def test_algebra_canonical_form(data, group, lam, mu):
+    spec, pool = group
+    a, b, c = (data.draw(algebra_elements(spec, pool)) for _ in range(3))
+    for x in (a, a * b, a.comb(lam, mu, b), a.adjoint()):
+        assert _same(G.AlgebraElement(spec, x.coeffs), x)
+    assert _same((a + b) + c, a + (b + c))
+    assert _same(a.comb(lam, mu, b), a.scale(lam) + b.scale(mu))
+    assert _same((a * b) * c, a * (b * c))
+    assert _same(a.adjoint().adjoint(), a)
+    if not lam.is_zero():
+        assert _same(a.scale(lam).scale(gr(1) / lam), a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_trees(), _trees(), _trees(), COEFFICIENTS, COEFFICIENTS)
+def test_cantor_canonical_form(t, u, v, lam, mu):
+    f, g, h = (P.CantorFn.from_tree(x) for x in (t, u, v))
+    for x in (f, f * g, f.comb(lam, mu, g), f.adjoint()):
+        assert _same(P.CantorFn.from_tree(_gr_tree(x)), x)
+    one = P.CantorFn.constant(gr(1))
+    assert _same(f.comb(lam, mu, g), f.comb(lam, 0, one).comb(1, mu, g))
+    assert _same((f * g) * h, f * (g * h))
+    assert _same(f.adjoint().adjoint(), f)

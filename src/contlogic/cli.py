@@ -264,10 +264,7 @@ def _cmd_force(args) -> int:
                     "kind": "move",
                     "player": player,
                     "condition_code": str(condition.code()),
-                    "items": [
-                        [str(coding.encode(f, F.METRIC)), _frac(r)]
-                        for f, r in condition.items
-                    ],
+                    "items": [[str(k), _frac(r)] for k, r in condition.keys],
                 }
             )
         space = FC.compile_transcript(transcript, inst)

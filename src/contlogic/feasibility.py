@@ -11,15 +11,19 @@ and values are read off the basis as rhs/scale.  Every choice is made on the
 same rational values as a dense Fraction tableau, so the same optimal vertex
 comes back.
 
-`maximize_rows` is the one tableau builder.  Its problems are over named
-variables, implicitly >= 0, with integer rows (coeffs, b, den): each the
-constraint sum (coeffs[v]/den)*v <= b/den over a positive denominator, which
-is the row's multiple of the rational row and so also the entry of its slack
-and artificial.  `maximize` takes LinExpr <= LinExpr constraints and puts
-each over the lcm of its denominators.  Strict systems are decided
-through their margin LP: maximize eps subject to the strict constraints
-tightened by eps; the system has a solution iff the optimum is positive,
-and the optimal basic solution is an exact rational witness.
+`_phase_one` is the one tableau builder, under `maximize_rows` and
+`lex_minimize_rows`.  Their problems are over named variables, implicitly
+>= 0, with integer rows (coeffs, b, den): each the constraint
+sum (coeffs[v]/den)*v <= b/den over a positive denominator, which is the
+row's multiple of the rational row and so also the entry of its slack and
+artificial.  `lex_minimize_rows` minimizes variables in turn on one tableau,
+freezing after each the nonbasic columns of positive reduced cost (Isermann,
+Linear lexicographic optimization, 1982).  `maximize` takes LinExpr <=
+LinExpr constraints and puts each over the lcm of its denominators.  Strict
+systems are decided through their margin LP: maximize eps subject to the
+strict constraints tightened by eps; the system has a solution iff the
+optimum is positive, and the optimal basic solution is an exact rational
+witness.
 """
 
 from __future__ import annotations
@@ -131,20 +135,21 @@ def _reduced_costs(rows: list[list[int]], basis: list[int],
     return [v // g for v in z] if g > 1 else z
 
 
-def _run_simplex(rows: list[list[int]], basis: list[int],
-                 cost: dict[int, int], allowed_cols: int, width: int) -> None:
-    """Maximize sum cost[j]*x_j over the tableau in place.
+def _run_simplex(rows: list[list[int]], basis: list[int], cost: dict[int, int],
+                 frozen: set[int], width: int) -> list[int]:
+    """Maximize sum cost[j]*x_j over the tableau in place, the `frozen`
+    columns held at zero; returns the final reduced-cost row.
 
-    Bland's rule on both choices: the lowest column with a negative reduced
-    cost enters; the row with the least ratio rhs/entry leaves, ties going
-    to the lowest basic column.  Ratios are compared by cross-multiplying
-    the integers, since a row's scale cancels.
+    Bland's rule on both choices: the lowest unfrozen column with a negative
+    reduced cost enters; the row with the least ratio rhs/entry leaves, ties
+    going to the lowest basic column.  Ratios are compared by
+    cross-multiplying the integers, since a row's scale cancels.
     """
     z = _reduced_costs(rows, basis, cost, width)
     while True:
-        entering = next((j for j in range(allowed_cols) if z[j] < 0), -1)
+        entering = next((j for j in range(width - 1) if z[j] < 0 and j not in frozen), -1)
         if entering < 0:
-            return
+            return z
         leaving = -1
         for r, row in enumerate(rows):
             a = row[entering]
@@ -173,14 +178,15 @@ class PhaseOneUnbounded(ContlogicError):
 Row = tuple[dict[str, int], int, int]
 
 
-def maximize_rows(cost: dict[str, int], rows: list[Row]) -> LPResult:
-    """Maximize sum cost[v]*v subject to the integer rows, variables >= 0.
+def _phase_one(named, rows: list[Row]):
+    """The tableau of `rows` at a feasible basis, or None if there is none.
 
-    The columns are every variable named in `cost` or in a row, in sorted
-    order, then one slack per row, then one artificial per row with b < 0.
-    The value is that of the integer objective.
+    The columns are every variable in `named` or in a row, in sorted order,
+    then one slack per row, then one artificial per row with b < 0.  Returns
+    (col, tableau, basis, frozen, width): col maps each variable to its
+    column, and `frozen` holds the artificials.
     """
-    names = sorted(set(cost).union(*(coeffs for coeffs, _, _ in rows)))
+    names = sorted(set(named).union(*(coeffs for coeffs, _, _ in rows)))
     col = {name: j for j, name in enumerate(names)}
     n, m = len(names), len(rows)
     # equality form with slacks; rows with negative rhs are negated and get
@@ -205,14 +211,14 @@ def maximize_rows(cost: dict[str, int], rows: list[Row]) -> LPResult:
             basis.append(n + i)
         row[basis[-1]] = den
         tableau.append(row)
+    frozen = set(range(total, total + n_art))
     if n_art:
-        artificial = dict.fromkeys(range(total, total + n_art), -1)
         try:
-            _run_simplex(tableau, basis, artificial, total + n_art, width)
+            _run_simplex(tableau, basis, dict.fromkeys(frozen, -1), set(), width)
         except _Unbounded:
             raise PhaseOneUnbounded("phase 1 cannot be unbounded") from None
         if any(row[-1] for row, j in zip(tableau, basis) if j >= total):
-            return LPResult(INFEASIBLE)
+            return None
         # drive leftover artificials out of the basis
         for r in range(m):
             if basis[r] >= total:
@@ -222,18 +228,48 @@ def maximize_rows(cost: dict[str, int], rows: list[Row]) -> LPResult:
                             tableau[r] = [-v for v in tableau[r]]
                         _pivot(tableau, basis, r, j)
                         break
+    return col, tableau, basis, frozen, width
+
+
+def _basic_point(col: dict[str, int], tableau: list[list[int]],
+                 basis: list[int]) -> dict[str, Fraction]:
+    names = list(col)
+    point = dict.fromkeys(names, Fraction(0))
+    point.update((names[j], Fraction(row[-1], row[j]))
+                 for row, j in zip(tableau, basis) if j < len(names))
+    return point
+
+
+def maximize_rows(cost: dict[str, int], rows: list[Row]) -> LPResult:
+    """Maximize sum cost[v]*v subject to the integer rows, variables >= 0;
+    the value is that of the integer objective."""
+    start = _phase_one(cost, rows)
+    if start is None:
+        return LPResult(INFEASIBLE)
+    col, tableau, basis, frozen, width = start
     try:
-        # artificials stay frozen at zero: entering columns restricted
         _run_simplex(tableau, basis, {col[name]: c for name, c in cost.items()},
-                     total, width)
+                     frozen, width)
     except _Unbounded:
         return LPResult(UNBOUNDED)
-    point = dict.fromkeys(names, Fraction(0))
-    for row, j in zip(tableau, basis):
-        if j < n:
-            point[names[j]] = Fraction(row[-1], row[j])
+    point = _basic_point(col, tableau, basis)
     value = sum((c * point[name] for name, c in cost.items()), Fraction(0))
     return LPResult(OPTIMAL, value, point)
+
+
+def lex_minimize_rows(order: list[str], rows: list[Row]) -> Optional[list[Fraction]]:
+    """The lexicographically least values of `order` subject to the integer
+    rows, variables >= 0, or None if the rows are infeasible.  Freezing the
+    columns holds each minimized variable on its optimal face."""
+    start = _phase_one(order, rows)
+    if start is None:
+        return None
+    col, tableau, basis, frozen, width = start
+    for name in order:
+        z = _run_simplex(tableau, basis, {col[name]: -1}, frozen, width)
+        frozen.update(j for j in range(width - 1) if z[j] > 0)
+    point = _basic_point(col, tableau, basis)
+    return [point[name] for name in order]
 
 
 def _over_lcm(coeffs: dict[str, Fraction], b: Fraction) -> Row:

@@ -19,8 +19,11 @@ the forcing checks:
     matrices and leading sup blocks), certified one-sided instance bounds for
     inf blocks, unknown where only exhaustion over all extensions would do.
 
-The engine is written against this decidable instance; plugging in a theory
-whose condition set is only semi-decidable means replacing the LP oracle.
+A condition keeps its margin verdict per solver instance, so a game solves
+each condition once; compilation lex-minimizes the distances on one tableau
+per branch alternative.  The engine is written against this decidable
+instance; plugging in a theory whose condition set is only semi-decidable
+means replacing the LP oracle.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Callable, Optional
 
 from . import coding
 from . import formulas as F
 from .dyadic import is_dyadic
 from .evaluator import TestStructure, eval_exact
-from .feasibility import OPTIMAL, Row, maximize_rows
+from .feasibility import OPTIMAL, Row, lex_minimize_rows, maximize_rows
 from .formulas import METRIC
 from .gaussian import ContlogicError
 
@@ -86,11 +88,13 @@ class Condition:
     `keys` holds (Goedel code of phi, r) for each item, in the same order: the
     sort key, kept so that only new items are ever validated and encoded.
     `mentioned` holds the constants of every item, likewise filled from new
-    items only."""
+    items only.  `verdicts` holds the margin verdict per MetricInstance,
+    solved on first request (see `_margin_verdict`)."""
 
     items: tuple[tuple[F.Formula, Fraction], ...]
     keys: tuple[tuple[int, Fraction], ...] = field(compare=False, repr=False)
     mentioned: frozenset[int] = field(compare=False, repr=False)
+    verdicts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def of(items) -> "Condition":
@@ -109,6 +113,8 @@ class Condition:
             _validate_item(formula, bound)
             by_key[coding.encode(formula, METRIC), bound] = formula
             mentioned |= F.constants_of(formula)
+        if len(by_key) == len(self.keys):
+            return self  # nothing new, so its verdicts still hold
         keys = tuple(sorted(by_key))
         return Condition(tuple((by_key[k], k[1]) for k in keys), keys, frozenset(mentioned))
 
@@ -296,10 +302,17 @@ def _solve_system(system: BoundSystem, constants: list[int],
     return SystemVerdict(False, Fraction(0), None)
 
 
+def _margin_verdict(p: Condition, inst: MetricInstance) -> SystemVerdict:
+    """The margin verdict of p under inst, solved once and kept on p."""
+    if inst not in p.verdicts:
+        p.verdicts[inst] = _solve_system(BoundSystem(lt=tuple(p.items)),
+                                         p.constants(), inst)
+    return p.verdicts[inst]
+
+
 def is_condition(p: Condition, inst: MetricInstance = MetricInstance()) -> bool:
     """True iff some [0,1]-metric assignment satisfies every bound strictly."""
-    verdict = _solve_system(BoundSystem(lt=tuple(p.items)), p.constants(), inst)
-    return verdict.satisfiable
+    return _margin_verdict(p, inst).satisfiable
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +536,7 @@ def exists_pinning_strategy() -> Strategy:
         pairs = _mentioned_pairs(prev)
         if not pairs:
             return _pass_move(prev)
-        verdict = _solve_system(
-            BoundSystem(lt=tuple(prev.items)), prev.constants(), inst
-        )
+        verdict = _margin_verdict(prev, inst)
         if not verdict.satisfiable:
             raise Infeasible("previous condition is not satisfiable")
         grid = round_no + 3  # pin width 3*2^-grid < 2^-round
@@ -590,67 +601,32 @@ def compile_transcript(t: Transcript,
                        inst: MetricInstance = MetricInstance()) -> CompiledSpace:
     """Deterministic finite model of the final condition.
 
-    Solves the margin LP, fixes half the optimal margin as slack, then
-    lexicographically minimizes the distances in sorted pair order; the
-    result satisfies every played bound strictly and the metric axioms
-    exactly (re-checked by exact evaluation).
+    Takes the final condition's margin verdict, fixes half the optimal
+    margin as slack, then lexicographically minimizes the distances in
+    sorted pair order: the least of the per-alternative lex minima, since
+    the lex minimum of a union is the least of its parts'.  The result
+    satisfies every played bound strictly and the metric axioms exactly
+    (re-checked by exact evaluation).
     """
     final = t.last()
     constants = final.constants()
     if not constants:
         return CompiledSpace((), {})
-    verdict = _solve_system(BoundSystem(lt=tuple(final.items)), constants, inst)
+    verdict = _margin_verdict(final, inst)
     if not verdict.satisfiable:
         raise Infeasible("final condition is not satisfiable")
     slack = verdict.margin / 2
     nonstrict = tuple((formula, bound - slack) for formula, bound in final.items)
-    alternatives = _system_alternatives(BoundSystem(le=nonstrict), inst)
     base = _metric_axioms(tuple(constants))
-    assignment: dict[str, Fraction] = {}
-    pairs = [
-        (a, b)
-        for idx, a in enumerate(constants)
-        for b in constants[idx + 1:]
-    ]
-    for a, b in pairs:
-        var = _pair_var(a, b)
-        assignment[var] = _lex_minimize(base, alternatives, var, assignment)
-    space = CompiledSpace(
-        tuple(constants),
-        {(a, b): assignment[_pair_var(a, b)] for a, b in pairs},
-    )
+    pairs = [(a, b) for idx, a in enumerate(constants) for b in constants[idx + 1:]]
+    order = [_pair_var(a, b) for a, b in pairs]
+    minima = [values for alt in _system_alternatives(BoundSystem(le=nonstrict), inst)
+              if (values := lex_minimize_rows(order, [*base, *alt])) is not None]
+    if not minima:
+        raise Infeasible("no feasible branch during compilation")
+    space = CompiledSpace(tuple(constants), dict(zip(pairs, min(minima))))
     _verify_compiled(space, final)
     return space
-
-
-def _lex_minimize(base: tuple[Row, ...], alternatives: list[list[Row]], var: str,
-                  fixed: dict[str, Fraction]) -> Fraction:
-    """Minimum of `var` over the union of the alternative regions, with the
-    already-minimized variables substituted by their values (shrinking every
-    successive LP instead of pinning with equality rows).  A row that mentions
-    a fixed variable is put over the lcm of the fixed values' denominators."""
-    best: Optional[Fraction] = None
-    for alt in alternatives:
-        rows = []
-        for coeffs, b, den in (*base, *alt):
-            touched = [v for v in coeffs if v in fixed]
-            if touched:
-                scale = lcm(*(fixed[v].denominator for v in touched))
-                b = b * scale - sum(coeffs[v] * fixed[v].numerator
-                                    * (scale // fixed[v].denominator) for v in touched)
-                coeffs = {v: c * scale for v, c in coeffs.items() if v not in fixed}
-                den *= scale
-            if coeffs:
-                rows.append((coeffs, b, den))
-            elif b < 0:
-                break  # a violated constant row: this branch is infeasible
-        else:
-            result = maximize_rows({var: -1}, rows)
-            if result.status == OPTIMAL and (best is None or -result.value < best):
-                best = -result.value
-    if best is None:
-        raise Infeasible("no feasible branch during compilation")
-    return best
 
 
 def _verify_compiled(space: CompiledSpace, condition: Condition) -> None:

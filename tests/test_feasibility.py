@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from contlogic import feasibility
 from contlogic.feasibility import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinExpr,
+    PhaseOneUnbounded,
+    lex_minimize_rows,
     maximize,
 )
 
@@ -64,6 +67,25 @@ def test_negative_rhs_phase1():
     assert res.status == OPTIMAL
     assert res.value == Fraction(-1, 2)
     assert res.point["x"] == Fraction(1, 2)
+
+
+def test_lex_minimize_rows_in_each_order():
+    # x + y >= 1 as -x - y <= -1, y <= 3/4
+    rows = [({"x": -1, "y": -1}, -1, 1), ({"y": 4}, 3, 4)]
+    assert lex_minimize_rows(["x", "y"], rows) == [Fraction(1, 4), Fraction(3, 4)]
+    assert lex_minimize_rows(["y", "x"], rows) == [0, 1]
+    assert lex_minimize_rows(["w", "x"], rows) == [0, Fraction(1, 4)]
+    assert lex_minimize_rows(["x"], rows + [({"x": 1}, 0, 1)]) is None
+
+
+def test_lex_minimize_rows_unbounded_phase_one_is_typed(monkeypatch):
+    def unbounded(*args):
+        raise feasibility._Unbounded()
+
+    monkeypatch.setattr(feasibility, "_run_simplex", unbounded)
+    # x >= 1 has a negative right-hand side, so phase 1 runs
+    with pytest.raises(PhaseOneUnbounded):
+        lex_minimize_rows(["x"], [({"x": -1}, -1, 1)])
 
 
 def test_equality_via_two_inequalities():

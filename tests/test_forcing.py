@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from contlogic import feasibility
 from contlogic import forcing as FC
 from contlogic import formulas as F
 from contlogic import selftest
@@ -309,6 +310,37 @@ def test_play_game_rejects_non_extension():
     with pytest.raises(FC.IllegalMove) as info:
         FC.play_game(forall, exists, 2, INST)
     assert info.value.player == "E"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_game_and_compilation_solve_each_system_once(monkeypatch, seed):
+    solved = []
+    solve = FC._solve_system
+    monkeypatch.setattr(FC, "_solve_system", lambda system, constants, inst: (
+        solved.append((system, tuple(constants))) or solve(system, constants, inst)))
+    t = FC.play_game(FC.random_forall_strategy(seed), FC.exists_pinning_strategy(), 5, INST)
+    alternatives, tableaux = [], []
+    expand, phase_one = FC._system_alternatives, feasibility._phase_one
+    monkeypatch.setattr(FC, "_system_alternatives", lambda *args: (
+        alternatives.append(expand(*args)) or alternatives[-1]))
+    monkeypatch.setattr(feasibility, "_phase_one", lambda *args: (
+        tableaux.append(args) or phase_one(*args)))
+    FC.compile_transcript(t, INST)
+    assert solved and len(set(solved)) == len(solved)
+    # the final condition's verdict is read, not solved again
+    assert len(alternatives) == 1
+    assert len(tableaux) == len(alternatives[0])
+
+
+def test_kept_verdict_is_per_instance():
+    # one strict bound whose right operand is bounded below: 2 combinations
+    p = FC.Condition.of([(F.DotMinus(d(1, 2), F.DotMinus(d(2, 3), d(1, 3))), Fraction(1, 2))])
+    assert len(FC._system_alternatives(FC.BoundSystem(lt=p.items), INST)) == 2
+    assert FC.is_condition(p, INST)
+    with pytest.raises(FC.BranchOverflow):
+        FC.is_condition(p, FC.MetricInstance(branch_cap=1))
+    assert p.extend([(d(1, 2), Fraction(1, 2))]) is not p
+    assert p.extend(p.items) is p
 
 
 CANNED_TRANSCRIPT = [

@@ -19,7 +19,7 @@ import dense_simplex
 import linexpr_forcing as oracle
 from contlogic import forcing as FC
 from contlogic import formulas as F
-from contlogic.feasibility import maximize_rows
+from contlogic.feasibility import lex_minimize_rows, maximize_rows
 
 POOL = [1, 2, 3, 9, 10, 11, 12]
 BOUNDS = [Fraction(k, 8) for k in range(9)] + [Fraction(1, 3), Fraction(5, 7)]
@@ -101,21 +101,53 @@ def test_every_branch_lp_matches_linexpr_compiler(case):
         assert list(result.point.items()) == list(expected.point.items())
 
 
-def _lex_chain(module, items, constants):
-    """compile_transcript's lexicographic minimization, step by step."""
+def _nonstrict_alternatives(module, items, constants):
+    """compile_transcript's alternatives: the items less half the margin."""
     verdict = module._solve_system(FC.BoundSystem(lt=items), constants, INST)
     if not verdict.satisfiable:
         return None
     slack = verdict.margin / 2
     nonstrict = tuple((formula, bound - slack) for formula, bound in items)
-    alternatives = module._system_alternatives(FC.BoundSystem(le=nonstrict), INST)
-    base = module._metric_axioms(tuple(constants))
+    return module._system_alternatives(FC.BoundSystem(le=nonstrict), INST)
+
+
+def _pairs(constants):
+    return [FC._pair_var(a, b) for i, a in enumerate(constants) for b in constants[i + 1:]]
+
+
+def _substitution_chain(base, alternatives, order):
+    """The oracle's lexicographic minimization over the union, one variable
+    at a time with the minimized ones substituted.  The redundant rows
+    0 <= v keep an LP nonempty when every other row is substituted away."""
+    base = base + [(oracle.C(0), oracle.V(var)) for var in order]
     assignment = {}
-    for idx, a in enumerate(constants):
-        for b in constants[idx + 1:]:
-            var = FC._pair_var(a, b)
-            assignment[var] = module._lex_minimize(base, alternatives, var, assignment)
-    return list(assignment.items())
+    for var in order:
+        assignment[var] = oracle._lex_minimize(base, alternatives, var, assignment)
+    return [assignment[var] for var in order]
+
+
+def _lex_least(base, alternatives, order):
+    """The least of lex_minimize_rows over the alternatives."""
+    minima = [v for alt in alternatives
+              if (v := lex_minimize_rows(order, [*base, *alt])) is not None]
+    if not minima:
+        raise FC.Infeasible("no feasible branch during compilation")
+    return min(minima)
+
+
+def _lex_chain(module, items, constants):
+    """compile_transcript's lexicographic minimization: the oracle's
+    substitution chain, or the one-tableau path of `forcing`."""
+    alternatives = _nonstrict_alternatives(module, items, constants)
+    if alternatives is None:
+        return None
+    if module is oracle:
+        values = _substitution_chain(oracle._metric_axioms(constants), alternatives,
+                                     _pairs(constants))
+    else:
+        values = _lex_least(FC._metric_axioms(tuple(constants)), alternatives,
+                            _pairs(constants))
+    return list(zip(_pairs(constants), values))
 
 
 @st.composite
@@ -139,19 +171,44 @@ def test_lex_minimize_matches_linexpr_compiler(case):
     assert got == _outcome(_lex_chain, oracle, items, constants)
 
 
-@settings(max_examples=100, deadline=None)
-@given(systems(), st.data())
-def test_lex_minimize_matches_on_arbitrary_fixed_values(case, data):
-    system, constants = case
-    pairs = [FC._pair_var(a, b) for i, a in enumerate(constants) for b in constants[i + 1:]]
-    var = data.draw(st.sampled_from(pairs))
-    values = st.sampled_from(BOUNDS + [Fraction(2, 9), Fraction(7, 12)])
-    fixed = {v: data.draw(values) for v in pairs if v != var and data.draw(st.booleans())}
+@st.composite
+def lex_cases(draw):
+    """A nonstrict system and a random order of a random subset of its
+    variables (z_* included, some absent from a given branch)."""
+    system, constants = draw(systems())
     nonstrict = FC.BoundSystem(le=system.le + system.lt, ge=system.ge + system.gt)
-    got = _outcome(lambda: FC._lex_minimize(
-        FC._metric_axioms(tuple(constants)),
-        FC._system_alternatives(nonstrict, INST), var, fixed))
-    want = _outcome(lambda: oracle._lex_minimize(
-        oracle._metric_axioms(constants),
-        oracle._system_alternatives(nonstrict, INST), var, fixed))
-    assert got == want
+    try:
+        alternatives = FC._system_alternatives(nonstrict, INST)
+    except FC.BranchOverflow:
+        alternatives = []
+    names = sorted(set(_pairs(constants)).union(
+        *(coeffs for alt in alternatives for coeffs, _, _ in alt)))
+    order = draw(st.permutations(names))[:draw(st.integers(1, len(names)))]
+    return nonstrict, constants, order
+
+
+# z_1 <= 0 or z_1 <= d(2,3) - d(1,3): two feasible branch alternatives
+TWO_WAY = FC.BoundSystem(le=((F.DotMinus(d(1, 2), F.DotMinus(d(2, 3), d(1, 3))),
+                              Fraction(1, 4)),),
+                         ge=((d(1, 2), Fraction(1, 8)),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lex_cases())
+@example((TWO_WAY, [1, 2, 3], ["z_1", "d_2_3", "d_1_3", "d_1_2"]))
+def test_lex_minimize_rows_matches_substitution_chain(case):
+    # per alternative, and the least over them against the chain over the union
+    system, constants, order = case
+    got_alts = _outcome(FC._system_alternatives, system, INST)
+    want_alts = _outcome(oracle._system_alternatives, system, INST)
+    if isinstance(got_alts, str) or isinstance(want_alts, str):
+        assert got_alts == want_alts
+        return
+    base = FC._metric_axioms(tuple(constants))
+    oracle_base = oracle._metric_axioms(constants)
+    for alt, linexpr_alt in zip(got_alts, want_alts, strict=True):
+        want = _outcome(_substitution_chain, oracle_base, [linexpr_alt], order)
+        assert lex_minimize_rows(order, [*base, *alt]) == (
+            None if want == "Infeasible" else want)
+    assert _outcome(_lex_least, base, got_alts, order) == _outcome(
+        _substitution_chain, oracle_base, want_alts, order)

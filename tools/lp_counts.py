@@ -1,0 +1,72 @@
+"""Count the exact-simplex work of the `games` benchmark jobs.
+
+    python3 tools/lp_counts.py [--root CHECKOUT] [--seed 1] [--jobs 600]
+
+Runs the first --jobs jobs of `perfbench.workloads.generate("games", seed)`
+from the checkout at --root (default: the one holding this script) and
+prints one JSON line: tableaux built (calls of `feasibility.maximize_rows`
+and `feasibility.lex_minimize_rows`, where it exists), pivots (calls of
+`feasibility._pivot`), `forcing._solve_system` calls and those that repeat
+an earlier (system, constants, instance) of the same job, all per job, plus
+the number of jobs whose oracle checks failed.  The counts are
+deterministic, so one run per checkout is enough.  Wrapping is done here,
+outside the benchmark, by rebinding module names.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=600)
+    args = ap.parse_args(argv)
+    root = Path(args.root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from contlogic import feasibility, forcing
+    from perfbench import workloads
+
+    counts = dict.fromkeys(["tableaux", "pivots", "solves", "repeated_solves"], 0)
+    seen: set = set()
+
+    def counted(fn, key):
+        def wrapper(*a, **kw):
+            counts[key] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    for name in ("maximize_rows", "lex_minimize_rows"):
+        if hasattr(feasibility, name):
+            wrapped = counted(getattr(feasibility, name), "tableaux")
+            for module in (feasibility, forcing):
+                if hasattr(module, name):
+                    setattr(module, name, wrapped)
+    feasibility._pivot = counted(feasibility._pivot, "pivots")
+    solve = forcing._solve_system
+
+    def solve_system(system, constants, inst):
+        key = (system, tuple(constants), inst)
+        counts["repeated_solves"] += key in seen
+        seen.add(key)
+        return solve(system, constants, inst)
+
+    forcing._solve_system = counted(solve_system, "solves")
+    failed = 0
+    jobs = workloads.generate("games", args.seed)[:args.jobs]
+    for job in jobs:
+        seen.clear()
+        failed += bool(workloads.check_job(job, workloads.run_job(job)))
+    out = {"seed": args.seed, "jobs": len(jobs), "failed_jobs": failed}
+    out.update({f"{k}_per_job": round(v / len(jobs), 3) for k, v in counts.items()})
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -494,7 +494,8 @@ def pass_through_strategy() -> Strategy:
 
 def random_forall_strategy(seed: int) -> Strategy:
     """Legal random universal player: tries random new strict bounds, keeps
-    the first that stays a condition, falls back to a pass-through bound."""
+    the first that stays a condition, falls back to a pass-through bound.
+    A candidate drawn again after its rejection in a move is skipped."""
     rng = random.Random(seed)
 
     def move(transcript: Transcript, inst: MetricInstance) -> Condition:
@@ -502,6 +503,7 @@ def random_forall_strategy(seed: int) -> Strategy:
         constants = prev.constants()
         fresh = _fresh_constant(set(constants))[0]
         pool = constants + [fresh]
+        rejected = set()
         for _ in range(8):
             i = rng.choice(pool)
             j = rng.choice(pool)
@@ -510,8 +512,12 @@ def random_forall_strategy(seed: int) -> Strategy:
             bound = rng.choice(
                 [Fraction(1, 4), Fraction(3, 8), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
             )
-            atom = F.Atomic("d", (F.CConst(min(i, j)), F.CConst(max(i, j))))
-            if rng.random() < 0.3:
+            i, j, lower = min(i, j), max(i, j), rng.random() < 0.3
+            if (i, j, bound, lower) in rejected:
+                continue
+            rejected.add((i, j, bound, lower))
+            atom = F.Atomic("d", (F.CConst(i), F.CConst(j)))
+            if lower:
                 # lower bound: d > bound - 1/8 via (bound -. d) < 1/8
                 candidate = prev.extend(
                     [(F.DotMinus(F.dyadic_constant(bound), atom), Fraction(1, 8))]

@@ -133,6 +133,10 @@ class GroupSpec:
     def inv(self, a: Word) -> Word:
         return self.normal_form(tuple((name, -exp) for name, exp in reversed(a)))
 
+    # trusted product and inverse of normal forms; a kind may override them
+    _mul_normal = mul
+    _inv_normal = inv
+
     def _check_generators(self, word: Word) -> None:
         for name, _ in word:
             if name not in self.generators:
@@ -161,6 +165,18 @@ class FreeGroup(GroupSpec):
     def normal_form(self, word: Word) -> Word:
         self._check_generators(word)
         return _compress(list(word))
+
+    def _mul_normal(self, a: Word, b: Word) -> Word:
+        # reduced words cancel only at the join, run against run
+        while a and b and a[-1][0] == b[0][0]:
+            exp = a[-1][1] + b[0][1]
+            if exp:
+                return a[:-1] + ((b[0][0], exp),) + b[1:]
+            a, b = a[:-1], b[1:]
+        return a + b
+
+    def _inv_normal(self, a: Word) -> Word:
+        return tuple((name, -exp) for name, exp in reversed(a))
 
     def _allowed(self, prev: Optional[tuple[str, int]]) -> list[tuple[str, int]]:
         if prev is None:
@@ -225,6 +241,19 @@ class FreeAbelianGroup(GroupSpec):
         for name, exp in word:
             totals[name] += exp
         return tuple((g, totals[g]) for g in self.generators if totals[g] != 0)
+
+    def _mul_normal(self, a: Word, b: Word) -> Word:
+        # exponents add in generator order; two runs on one generator are common
+        if len(a) == len(b) == 1 and a[0][0] == b[0][0]:
+            exp = a[0][1] + b[0][1]
+            return ((a[0][0], exp),) if exp else IDENTITY
+        totals = dict(a)
+        for name, exp in b:
+            totals[name] = totals.get(name, 0) + exp
+        return tuple([(g, e) for g in self.generators if (e := totals.get(g))])
+
+    def _inv_normal(self, a: Word) -> Word:
+        return tuple((name, -exp) for name, exp in a)
 
     def word_at(self, index: int) -> Word:
         if not self.generators:
@@ -451,13 +480,13 @@ class AlgebraElement:
     integers `ints[w]` over d.  `AlgebraElement(spec, coeffs)` takes a dict
     of GaussianRational with normal-form keys and `.coeffs` gives it back;
     `element` normalizes arbitrary words, and operations build results with
-    `_make`, which trusts its integers."""
+    `_make`, which trusts its integers.  `_moments`: see `moments_up_to`."""
 
-    __slots__ = ("spec", "d", "ints")
+    __slots__ = ("spec", "d", "ints", "_moments")
 
     def __init__(self, spec: GroupSpec, coeffs: dict[Word, GaussianRational]):
         d, parts = over_common_denominator(coeffs.values())
-        self.spec, self.d = spec, d
+        self.spec, self.d, self._moments = spec, d, []
         self.ints = {w: z for w, z in zip(coeffs, parts) if z != (0, 0)}
 
     @staticmethod
@@ -467,7 +496,7 @@ class AlgebraElement:
         if g > 1:
             d, ints = d // g, {w: (r // g, i // g) for w, (r, i) in ints.items()}
         out = object.__new__(AlgebraElement)
-        out.spec, out.d, out.ints = spec, d, ints
+        out.spec, out.d, out.ints, out._moments = spec, d, ints, []
         return out
 
     @property
@@ -499,7 +528,7 @@ class AlgebraElement:
 
     def adjoint(self) -> "AlgebraElement":
         # inversion permutes the normal forms, so the keys stay normal and distinct
-        inv = self.spec.inv
+        inv = self.spec._inv_normal
         return AlgebraElement._make(
             self.spec, self.d, {inv(w): (r, -i) for w, (r, i) in self.ints.items()})
 
@@ -661,9 +690,10 @@ def _convolve(spec: GroupSpec, x: dict[Word, GaussInt],
               y: dict[Word, GaussInt]) -> dict[Word, GaussInt]:
     """The product x * y of integer-coefficient elements, zeros dropped."""
     acc: dict[Word, GaussInt] = {}
+    mul = spec._mul_normal
     for w1, (r1, i1) in x.items():
         for w2, (r2, i2) in y.items():
-            w = spec.mul(w1, w2)
+            w = mul(w1, w2)
             r, i = acc.get(w, (0, 0))
             acc[w] = (r + r1 * r2 - i1 * i2, i + r1 * i2 + i1 * r2)
     return {w: c for w, c in acc.items() if c != (0, 0)}
@@ -673,15 +703,17 @@ def _pair_trace(spec: GroupSpec, x: dict[Word, GaussInt],
                 y: dict[Word, GaussInt]) -> GaussInt:
     """tau(x * y) = sum_w x(w) y(w^-1), without forming the product."""
     re = im = 0
+    inv = spec._inv_normal
     for w, (r1, i1) in x.items():
-        r2, i2 = y.get(spec.inv(w), (0, 0))
+        r2, i2 = y.get(inv(w), (0, 0))
         re += r1 * r2 - i1 * i2
         im += r1 * i2 + i1 * r2
     return re, im
 
 
 def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
-    """[tau((a* a)^j) for j = 1..n], exact.
+    """[tau((a* a)^j) for j = 1..n], exact, as a new list: a prefix of the
+    longest moment list computed for `a`, which `a` keeps.
 
     Letter-supported elements over a free group take the excursion DP route
     (one table serves every j, tau((a* a)^j) being its entry 2j over D^(2j));
@@ -698,6 +730,12 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     """
     if n < 1:
         raise ValueError("moments need n >= 1")
+    if len(a._moments) < n:
+        a._moments = _moments(a, n)
+    return a._moments[:n]
+
+
+def _moments(a: AlgebraElement, n: int) -> list[Fraction]:
     if isinstance(a.spec, FreeGroup):
         wa = _letter_weights(a)
         if wa is not None:

@@ -15,7 +15,8 @@ tr(H^(2^m)) over D^(2^(m+1)); that is the only division.  One chain of
 squarings P_0 = H, P_j = P_(j-1)^2 serves every m, and the last squaring is
 never done: each P_j is Hermitian, so by the Frobenius identity
 tr(P_j^2) = sum_ik P_ik conj(P_ik) = sum_ik |P_ik|^2, and
-tr(H^(2^m)) = |P_(m-1)|_F^2 for m >= 1 (tr H = |B|_F^2 for m = 0).
+tr(H^(2^m)) = |P_(m-1)|_F^2 for m >= 1 (tr H = |B|_F^2 for m = 0).  The
+matrix keeps its chain (traces so far, last P_j) for all its later bounds.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ IntRows = tuple[tuple[int, ...], ...]
 class Matrix:
     """A square matrix over Q(i): Gaussian-integer rows re + i*im over d.
     `Matrix(rows)` takes rows of GaussianRational and `.rows` gives them back;
-    operations build results with `_make`, which trusts its integers."""
+    operations build results with `_make`, which trusts its integers.
+    `_traces`, `_power`: the squaring chain (`_trace_chain`), not compared."""
 
-    __slots__ = ("n", "d", "re", "im")
+    __slots__ = ("n", "d", "re", "im", "_traces", "_power")
 
     def __init__(self, rows):
         rows = [tuple(row) for row in rows]
@@ -69,6 +71,7 @@ class Matrix:
         self.n, self.d, n = len(rows), d, len(rows)
         self.re, self.im = (tuple(tuple(z[j] for z in parts[i * n:(i + 1) * n])
                                   for i in range(n)) for j in (0, 1))
+        self._traces, self._power = [], (self.re, self.im)
 
     @staticmethod
     def _make(d: int, re: IntRows, im: IntRows) -> "Matrix":
@@ -77,7 +80,7 @@ class Matrix:
         if g > 1:
             d, re, im = d // g, *(tuple(tuple(x // g for x in r) for r in m) for m in (re, im))
         out = object.__new__(Matrix)
-        out.n, out.d, out.re, out.im = len(re), d, re, im
+        out.n, out.d, out.re, out.im, out._traces, out._power = len(re), d, re, im, [], (re, im)
         return out
 
     @property
@@ -158,7 +161,7 @@ def two_norm(a: Matrix, k: int) -> tuple[Fraction, Fraction]:
 
     The radicand is sum |a_ij|^2 / n, the integer |DA|_F^2 over D^2 n.
     """
-    return sqrt_interval(Fraction(_frobenius_sq(a.re, a.im), a.d * a.d * a.n), k)
+    return sqrt_interval(Fraction(_trace_chain(a, 1)[0], a.d * a.d * a.n), k)
 
 
 def _gram(re: IntRows, im: IntRows) -> tuple[IntRows, IntRows]:
@@ -187,26 +190,22 @@ def _frobenius_sq(re: IntRows, im: IntRows) -> int:
     return sum(sum(map(mul, r, r)) + sum(map(mul, s, s)) for r, s in zip(re, im))
 
 
-def _trace_powers(re: IntRows, im: IntRows, ms: int) -> list[int]:
-    """[tr(H^(2^m)) for m in range(ms)] with H = R R*, for Gaussian-integer R.
+def _trace_chain(a: Matrix, ms: int) -> list[int]:
+    """a's [tr(H^(2^m)) for m in range(ms)] or more, H = (DA)(DA)*.
 
-    tr H = |R|_F^2; for m >= 1, tr(H^(2^m)) = |P|_F^2 with the Hermitian
+    tr H = |DA|_F^2; for m >= 1, tr(H^(2^m)) = |P|_F^2 with the Hermitian
     P = H^(2^(m-1)), so the chain stops one squaring short of the last power.
+    The chain grows on `a` (a's own list is returned); new traces are checked.
     """
-    traces = [_frobenius_sq(re, im)]
-    for m in range(1, ms):
-        re, im = _gram(re, im)
-        traces.append(_frobenius_sq(re, im))
-    return traces[:ms]
-
-
-def _scaled_traces(a: Matrix, ms: int) -> tuple[int, list[int]]:
-    """D and [tr(H^(2^m)) for m in range(ms)], H = (DA)(DA)*, each checked >= 0."""
-    d, traces = a.d, _trace_powers(a.re, a.im, ms)
-    for m, t in enumerate(traces):
+    traces = a._traces
+    while len(traces) < ms:
+        power = _gram(*a._power) if traces else a._power
+        t = _frobenius_sq(*power)
         if t < 0:
-            raise NegativeTrace(f"tr((A*A)^{2 ** m}) came out negative")
-    return d, traces
+            raise NegativeTrace(f"tr((A*A)^{2 ** len(traces)}) came out negative")
+        a._power = power
+        traces.append(t)
+    return traces
 
 
 def _root_bound(t: int, d: int, m: int) -> Fraction:
@@ -216,11 +215,10 @@ def _root_bound(t: int, d: int, m: int) -> Fraction:
 
 
 def opnorm_upper_sweep(a: Matrix, ms: int) -> list[Fraction]:
-    """[opnorm_upper(a, m) for m in range(ms)] from one squaring chain."""
+    """[opnorm_upper(a, m) for m in range(ms)], from a's squaring chain."""
     if ms < 0:
         raise ValueError("ms must be a natural")
-    d, traces = _scaled_traces(a, ms)
-    return [_root_bound(t, d, m) for m, t in enumerate(traces)]
+    return [_root_bound(t, a.d, m) for m, t in enumerate(_trace_chain(a, ms)[:ms])]
 
 
 def opnorm_upper(a: Matrix, m: int) -> Fraction:
@@ -228,13 +226,12 @@ def opnorm_upper(a: Matrix, m: int) -> Fraction:
 
     p = (tr(H^(2^m)))^(1/2^(m+1)) with H = A* A, ceiled to the 2^-16 grid.
     Since sum of the 2^m-th eigenvalue powers dominates the largest one and
-    grid ceiling is monotone, p is sound and nonincreasing in m.  It runs the
-    squaring chain of `opnorm_upper_sweep` and takes only the last root.
+    grid ceiling is monotone, p is sound and nonincreasing in m.  It extends
+    a's squaring chain to m and takes one root.
     """
     if m < 0:
         raise ValueError("m must be a natural")
-    d, traces = _scaled_traces(a, m + 1)
-    return _root_bound(traces[-1], d, m)
+    return _root_bound(_trace_chain(a, m + 1)[m], a.d, m)
 
 
 def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fraction:

@@ -150,7 +150,7 @@ def criterion_3_integer_group_moments() -> dict:
     for n in range(1, 41):
         if moments[n - 1] != math.comb(2 * n, n):
             return _record(3, "integer-group-moments", False, {"failed_n": n})
-    q = G.moment_root_lower(a, moments[-1], 40, 20)
+    q = G.lambda_norm_lower(a, 40, 20)
     ok = Fraction(193, 100) <= q <= Fraction(2)
     return _record(
         3, "integer-group-moments", ok,
@@ -169,7 +169,7 @@ def criterion_4_free_group_walks() -> dict:
     for n in range(1, 26):
         if moments[n - 1] != counts[2 * n]:
             return _record(4, "free-group-walks", False, {"failed_n": n})
-    lowers = [G.moment_root_lower(a, m, n, 12) for n, m in enumerate(moments, start=1)]
+    lowers = G.lambda_norm_lower_sweep(a, 25, 12)
     monotone = all(x <= y for x, y in zip(lowers, lowers[1:]))
     final = lowers[-1]
     in_window = Fraction(31, 10) <= final <= Fraction(34642, 10000)
@@ -196,9 +196,8 @@ def criterion_5_torus_upgrade() -> dict:
         and hi - lo <= Fraction(1, 2**10)
         and abs(lo - 1) <= Fraction(1, 2**10)
     )
-    moments = G.moments_up_to(a, 12)
-    moment_ok = all(G.moment_root_lower(a, moments[n - 1], n, 10) <= hi + Fraction(1, 2**10)
-                    for n in (1, 2, 4, 8, 12))
+    lowers = G.lambda_norm_lower_sweep(a, 12, 10)
+    moment_ok = all(lowers[n - 1] <= hi + Fraction(1, 2**10) for n in (1, 2, 4, 8, 12))
     return _record(
         5, "torus-upgrade", two_sided_ok and moment_ok,
         {"interval": [str(lo), str(hi)], "moments_below": moment_ok},

@@ -207,7 +207,7 @@ def test_matrix_error_is_a_typed_error(monkeypatch):
 def test_negative_trace_is_a_typed_error(monkeypatch):
     from contlogic import matrices
 
-    monkeypatch.setattr(matrices, "_trace_powers", lambda re, im, ms: [-1] * ms)
+    monkeypatch.setattr(matrices, "_frobenius_sq", lambda re, im: -1)
     status, out, err = _typed_error(["norm", "--matrix-index", "3"])
     assert status == 1 and out == ""
     assert len(err) == 1

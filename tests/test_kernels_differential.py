@@ -13,6 +13,10 @@ their operations is checked through its GaussianRational view (`.rows`,
 `.coeffs`, the leaf tree) against the Fraction operations on plain rows,
 dicts and trees in `fraction_kernels`, and every result is checked to be in
 canonical form: denominator positive and prime to every part.
+
+The squaring chain a matrix keeps and the moments an element keeps are
+checked against fresh objects and by counting kernel calls, and the trusted
+products of normal-form words against `normal_form`.
 """
 
 import itertools
@@ -98,6 +102,57 @@ def test_opnorm_upper_sweep_edges():
     assert M.opnorm_upper_sweep(M.Matrix.identity(2), 0) == []
     one = M.Matrix([[GaussianRational(Fraction(0), Fraction(-3, 4))]])
     assert M.opnorm_upper_sweep(one, 5) == [Fraction(3, 4)] * 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(), st.permutations(range(7)))
+def test_opnorm_upper_in_any_order_matches_fresh_chains(a, order):
+    bounds = {m: M.opnorm_upper(a, m) for m in order}
+    for m in range(7):
+        assert bounds[m] == M.opnorm_upper(M.Matrix(a.rows), m)
+        assert bounds[m] == fraction_kernels.opnorm_upper(a, m)
+    assert M.opnorm_upper_sweep(a, 7) == [bounds[m] for m in range(7)]
+
+
+def _counting(monkeypatch, owner, names):
+    """Count the calls of owner.<name> for each name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_matrix_keeps_its_squaring_chain(monkeypatch):
+    a = M.Matrix([[gr(1), gr(Fraction(1, 2), 1)], [gr(0, -2), gr(Fraction(3, 4))]])
+    calls = _counting(monkeypatch, M, ["_gram", "_frobenius_sq"])
+    first = M.opnorm_upper(a, 5)
+    assert calls == {"_gram": 5, "_frobenius_sq": 6}
+    assert M.opnorm_upper(a, 5) == first
+    sweep = M.opnorm_upper_sweep(a, 6)
+    assert sweep[5] == first and sweep == [M.opnorm_upper(a, m) for m in range(6)]
+    M.two_norm(a, 12)
+    assert calls == {"_gram": 5, "_frobenius_sq": 6}
+    M.opnorm_upper(a, 7)
+    assert calls == {"_gram": 7, "_frobenius_sq": 8}
+    # value-equal matrices compare equal whatever their chains hold
+    fresh = M.Matrix(a.rows)
+    assert fresh == a and hash(fresh) == hash(a)
+
+
+def test_negative_trace_on_extending_the_chain(monkeypatch):
+    a = M.Matrix([[gr(1), gr(2)], [gr(0, 1), gr(Fraction(-1, 3))]])
+    expected = [M.opnorm_upper(M.Matrix(a.rows), m) for m in range(6)]
+    assert M.opnorm_upper(a, 2) == expected[2]
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "_frobenius_sq", lambda re, im: -1)
+        with pytest.raises(M.NegativeTrace, match=r"tr\(\(A\*A\)\^8\) came out negative"):
+            M.opnorm_upper(a, 4)
+        assert M.opnorm_upper(a, 1) == expected[1]
+    # the failed extension left the chain as it was
+    assert M.opnorm_upper_sweep(a, 6) == expected
 
 
 # -- trace moments ---------------------------------------------------------
@@ -195,6 +250,72 @@ def test_convolution_route_matches_power_products(data, group):
     a = data.draw(elements(spec, pool))
     n = data.draw(st.integers(1, max_n))
     assert G.moments_up_to(a, n) == _power_products(a, n)
+
+
+def test_element_keeps_its_moments(monkeypatch):
+    letters = G.element(F2, [(1, (("u", 1),)), (Fraction(1, 2), (("v", -1),)), (gr(0, 1), ())])
+    z = G.element(G.free_abelian("u"), [(1, (("u", 1),)), (Fraction(-1, 3), (("u", -2),))])
+    calls = _counting(monkeypatch, G, ["_free_walk_traces", "_convolve", "_pair_trace"])
+    for a, route in ((letters, {"_free_walk_traces": 1, "_convolve": 0, "_pair_trace": 0}),
+                     (z, {"_free_walk_traces": 1, "_convolve": 3, "_pair_trace": 6})):
+        moments = G.moments_up_to(a, 6)
+        assert moments == _power_products(a, 3) + moments[3:]
+        assert calls == route
+        assert G.moments_up_to(a, 6) == moments and G.moments_up_to(a, 2) == moments[:2]
+        assert G.lambda_norm_lower_sweep(a, 6, 10) == [
+            G.moment_root_lower(a, m, j, 10) for j, m in enumerate(moments, start=1)]
+        assert G.lambda_norm_lower(a, 4, 10) == G.moment_root_lower(a, moments[3], 4, 10)
+        assert calls == route
+        # value-equal elements compare equal whatever moments they hold
+        fresh = G.AlgebraElement(a.spec, a.coeffs)
+        assert fresh == a and hash(fresh) == hash(a)
+
+
+def test_returned_moments_are_new_lists():
+    a = G.element(G.free_abelian("u"), [(1, (("u", 1),)), (gr(0, 1), ())])
+    moments = G.moments_up_to(a, 5)
+    expected = list(moments)
+    moments[0] = Fraction(99)
+    moments.append(Fraction(7))
+    assert G.moments_up_to(a, 5) == expected
+    assert G.moments_up_to(a, 3) == expected[:3]
+    longer = G.moments_up_to(a, 8)
+    assert longer[:5] == expected and longer == _power_products(a, 8)
+    assert G.moments_up_to(a, 8) is not G.moments_up_to(a, 8)
+
+
+# -- products of normal forms ------------------------------------------------
+
+
+GENERATOR_SETS = [("u",), ("u", "v"), ("a", "b", "c")]
+
+
+@st.composite
+def normal_forms(draw, spec):
+    runs = draw(st.lists(st.tuples(st.sampled_from(spec.generators),
+                                   st.integers(-3, 3).filter(bool)), max_size=6))
+    return spec.normal_form(tuple(runs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(GENERATOR_SETS), st.sampled_from([G.free_group, G.free_abelian]))
+def test_normal_form_products_match_normal_form(data, generators, kind):
+    spec = kind(*generators)
+    a, b = data.draw(normal_forms(spec)), data.draw(normal_forms(spec))
+    product = spec._mul_normal(a, b)
+    assert product == spec.normal_form(a + b) == spec.mul(a, b)
+    assert spec._inv_normal(a) == spec.inv(a)
+    assert spec._mul_normal(a, spec._inv_normal(a)) == G.IDENTITY
+    # cancel a drawn tail of a, in part or whole, at the join
+    tail = a[data.draw(st.integers(0, len(a))):]
+    assert spec._mul_normal(a, spec._inv_normal(tail)) == spec.normal_form(a + spec.inv(tail))
+
+
+def test_other_kinds_multiply_normal_forms_by_normal_form():
+    for spec, _, pool in PRODUCT_GROUPS[2:]:
+        for a, b in itertools.product(pool, repeat=2):
+            assert spec._mul_normal(a, b) == spec.normal_form(a + b)
+            assert spec._inv_normal(a) == spec.inv(a)
 
 
 # -- grid roots ------------------------------------------------------------

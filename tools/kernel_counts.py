@@ -1,0 +1,113 @@
+"""Count the norm-kernel work of the benchmark jobs.
+
+    python3 tools/kernel_counts.py [--root CHECKOUT] [--seed 1] [--jobs 420]
+        [--workloads norms,queries,games]
+
+Runs the first --jobs jobs of `perfbench.workloads.generate(workload, seed)`
+for each workload from the checkout at --root (default: the one holding this
+script) and prints one JSON line.  For `norms` it gives, per job kind and per
+job, the calls of the squaring step `matrices._gram`, the excursion DP
+`groups._free_walk_traces`, the convolution kernels `groups._convolve` and
+`groups._pair_trace`, and the word products and inverses (`mul`, `inv` and,
+where they exist, `_mul_normal`, `_inv_normal` of every group kind).  For
+every workload it gives the calls of the norm entry points `opnorm_upper`,
+`opnorm_upper_sweep` and `moments_up_to`, how many were repeats (their
+object was passed to an entry point before in the same job) and how many
+were memo hits (they ran none of those kernels, nor `matrices._frobenius_sq`),
+plus the number of jobs whose oracle checks failed.  The counts are
+deterministic, so one run per checkout is enough.  Wrapping is done here,
+outside the benchmark, by rebinding module and class names.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from collections import Counter, defaultdict
+from pathlib import Path
+
+KERNELS = ("_gram", "_free_walk_traces", "_convolve", "_pair_trace", "word_products")
+ENTRIES = ("opnorm_upper", "opnorm_upper_sweep", "moments_up_to")
+WORD_METHODS = ("mul", "inv", "_mul_normal", "_inv_normal")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--jobs", type=int, default=420)
+    ap.add_argument("--workloads", default="norms,queries,games")
+    args = ap.parse_args(argv)
+    root = Path(args.root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from contlogic import groups, matrices
+    from perfbench import workloads
+
+    counts: Counter = Counter()
+    seen: dict = {}  # id -> object, kept alive so that ids are not reused
+
+    def counted(fn, key):
+        def wrapper(*a, **kw):
+            counts[key] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    for owner, name, key in ((matrices, "_gram", "_gram"),
+                             (matrices, "_frobenius_sq", "_frobenius_sq"),
+                             (groups, "_free_walk_traces", "_free_walk_traces"),
+                             (groups, "_convolve", "_convolve"),
+                             (groups, "_pair_trace", "_pair_trace")):
+        setattr(owner, name, counted(getattr(owner, name), key))
+    for cls in vars(groups).values():
+        if isinstance(cls, type) and issubclass(cls, groups.GroupSpec):
+            for name in WORD_METHODS:
+                if name in vars(cls):
+                    setattr(cls, name, counted(vars(cls)[name], "word_products"))
+
+    def kernel_total():
+        return sum(counts[k] for k in KERNELS + ("_frobenius_sq",))
+
+    def entry(fn, name):
+        def wrapper(*a, **kw):
+            counts[f"{name}.repeats"] += id(a[0]) in seen
+            seen[id(a[0])] = a[0]
+            before = kernel_total()
+            try:
+                return fn(*a, **kw)
+            finally:
+                counts[f"{name}.calls"] += 1
+                counts[f"{name}.hits"] += kernel_total() == before
+        return wrapper
+
+    for owner, name in ((matrices, "opnorm_upper"), (matrices, "opnorm_upper_sweep"),
+                        (groups, "moments_up_to")):
+        setattr(owner, name, entry(getattr(owner, name), name))
+
+    out: dict = {"seed": args.seed, "jobs": args.jobs}
+    for workload in args.workloads.split(","):
+        jobs = workloads.generate(workload, args.seed)[:args.jobs]
+        per_kind: dict = defaultdict(Counter)
+        totals: Counter = Counter()
+        failed = 0
+        for job in jobs:
+            counts.clear()
+            seen.clear()
+            failed += bool(workloads.check_job(job, workloads.run_job(job)))
+            per_kind[job["kind"]].update(counts)
+            per_kind[job["kind"]]["jobs"] += 1
+            totals.update(counts)
+        report = {"jobs": len(jobs), "failed_jobs": failed,
+                  "memo": {name: {k: totals[f"{name}.{k}"] for k in ("calls", "repeats", "hits")}
+                           for name in ENTRIES}}
+        if workload == "norms":
+            report["per_job"] = {
+                kind: {k: round(c[k] / c["jobs"], 3) for k in KERNELS}
+                for kind, c in per_kind.items()}
+        out[workload] = report
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

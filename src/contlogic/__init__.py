@@ -33,7 +33,6 @@ from .coding import (  # noqa: F401
 from .gaussian import ContlogicError  # noqa: F401
 from .parser import ParseError, parse_formula, print_formula  # noqa: F401
 from .presentations import (  # noqa: F401
-    NormResult,
     Presentation,
     presentation_C2w,
     presentation_CstarLambda,
@@ -46,7 +45,6 @@ from .evaluator import (  # noqa: F401
     TestStructure,
     classify,
     eval_exact,
-    eval_qf,
     eval_sentence,
 )
 from .forcing import (  # noqa: F401

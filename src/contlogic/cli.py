@@ -84,6 +84,10 @@ def _presentation(name: str, group_config: str | None):
 
 
 def _cmd_code(args) -> int:
+    flags = {"encode": (), "g": ("code", "q")}.get(args.action, ("code",))
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        return _fail("usage", f"code {args.action} needs {' and '.join(missing)}")
     if args.action == "encode":
         sig = _signature(args.signature)
         formula = parse_formula(_read_text(args.formula), sig)
@@ -217,6 +221,8 @@ def _cmd_classify(args) -> int:
 def _cmd_force(args) -> int:
     inst = FC.MetricInstance()
     if args.action == "check-condition":
+        if args.condition is None:
+            return _fail("usage", "force check-condition needs --condition")
         condition = FC.Condition.from_code(int(args.condition))
         _emit(
             {
@@ -392,7 +398,7 @@ def main(argv=None) -> int:
         return _fail("not-a-code", str(exc))
     except coding.BadItem as exc:
         return _fail("bad-item", str(exc))
-    except (ContlogicError, ValueError) as exc:
+    except (ContlogicError, ValueError, ZeroDivisionError, OSError) as exc:
         return _fail(type(exc).__name__.lower(), str(exc))
     except RecursionError:
         return _fail("too-deep", "input nests too deeply")

@@ -125,18 +125,17 @@ def _decode_name(code: int) -> str:
     return name
 
 
-def _encode_term(t: F.Term, sig: F.Signature) -> int:
+def _encode_term(t: F.Term) -> int:
     if isinstance(t, F.Var):
         return pair(_T_VAR, _encode_name(t.name))
     if isinstance(t, F.CConst):
         return pair(_T_CCONST, t.index - 1)
     if isinstance(t, F.App):
-        sym = sig.function(t.func)
-        args = encode_tuple([_encode_term(a, sig) for a in t.args], pair)
+        args = encode_tuple([_encode_term(a) for a in t.args], pair)
         return pair(_T_APP, pair(_encode_name(t.func), args))
     if isinstance(t, F.Comb):
         coeffs = pair(gaussian_to_nat(t.lam), gaussian_to_nat(t.mu))
-        sides = pair(_encode_term(t.left, sig), _encode_term(t.right, sig))
+        sides = pair(_encode_term(t.left), _encode_term(t.right))
         return pair(_T_COMB, pair(coeffs, sides))
     raise F.FormulaError(f"not a term: {t!r}")
 
@@ -168,22 +167,21 @@ def _decode_term(code: int, sig: F.Signature) -> F.Term:
     raise NotACode(f"unknown term tag {tag}")
 
 
-def _encode_node(f: F.Formula, sig: F.Signature) -> int:
+def _encode_node(f: F.Formula) -> int:
     if isinstance(f, F.Zero):
         return pair(_F_ZERO, 0)
     if isinstance(f, F.One):
         return pair(_F_ONE, 0)
     if isinstance(f, F.Half):
-        return pair(_F_HALF, _encode_node(f.body, sig))
+        return pair(_F_HALF, _encode_node(f.body))
     if isinstance(f, F.DotMinus):
-        return pair(_F_DOTMINUS, pair(_encode_node(f.left, sig), _encode_node(f.right, sig)))
+        return pair(_F_DOTMINUS, pair(_encode_node(f.left), _encode_node(f.right)))
     if isinstance(f, F.Sup):
-        return pair(_F_SUP, pair(_encode_name(f.var), _encode_node(f.body, sig)))
+        return pair(_F_SUP, pair(_encode_name(f.var), _encode_node(f.body)))
     if isinstance(f, F.Inf):
-        return pair(_F_INF, pair(_encode_name(f.var), _encode_node(f.body, sig)))
+        return pair(_F_INF, pair(_encode_name(f.var), _encode_node(f.body)))
     if isinstance(f, F.Atomic):
-        sym = sig.predicate(f.pred)
-        args = encode_tuple([_encode_term(a, sig) for a in f.args], pair)
+        args = encode_tuple([_encode_term(a) for a in f.args], pair)
         return pair(_F_ATOMIC, pair(_encode_name(f.pred), args))
     raise F.FormulaError(f"not a formula: {f!r}")
 
@@ -228,7 +226,7 @@ def encode(formula: F.Formula, sig: F.Signature) -> int:
     if sig.name not in PRESET_TAGS:
         raise F.UnknownSymbol(f"signature {sig.name!r} is not registered for coding")
     F.validate(formula, sig)
-    return pair(PRESET_TAGS[sig.name], _encode_node(formula, sig))
+    return pair(PRESET_TAGS[sig.name], _encode_node(formula))
 
 
 def decode_full(code: int) -> tuple[F.Signature, F.Formula]:
@@ -285,7 +283,7 @@ def code_predicates(code: int) -> CodeFlags:
         return CodeFlags(False, False, False, False, None)
     sentence = not F.free_vars(formula)
     qf = F.is_quantifier_free(formula)
-    base = F.uses_base_only(formula)
+    base = not F.constants_of(formula)
     try:
         pc: Optional[F.PrefixClass] = F.classify_prefix(formula)
     except F.NotPrenex:

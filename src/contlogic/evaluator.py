@@ -26,7 +26,7 @@ from typing import Optional
 from . import formulas as F
 from .coding import NotACode, decode_full
 from .gaussian import ContlogicError
-from .presentations import ModeMismatch, Presentation, PSpecial, TWO_SIDED
+from .presentations import Presentation, PSpecial, TWO_SIDED
 
 Interval = tuple[Fraction, Fraction]
 
@@ -279,24 +279,6 @@ def _interval_qf(formula: F.Formula, m: _Evaluation) -> Interval:
     raise EvalError("quantifier below a connective in a qf evaluation")
 
 
-def eval_qf(formula: F.Formula, pres: Presentation, k: int,
-            bindings: Optional[dict] = None) -> Interval:
-    """Two-sided interval for a closed quantifier-free sentence.
-
-    The width is at most 2^-(k - s) where the slack s counts how many oracle
-    intervals the connective tree can stack (each truncated subtraction adds
-    the widths of its sides).  Requires a TwoSided presentation.
-    """
-    if pres.mode != TWO_SIDED:
-        raise ModeMismatch("two-sided evaluation needs a TwoSided presentation")
-    if not F.is_quantifier_free(formula):
-        raise EvalError("eval_qf needs a quantifier-free sentence")
-    if F.free_vars(formula):
-        raise EvalError("eval_qf needs a closed sentence")
-    m = _Evaluation(formula, pres, k, bindings or {}, None)
-    return _interval_qf(m.matrix, m)
-
-
 def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
                   bindings: Optional[dict] = None) -> EvalResult:
     """Budget-bounded evaluation of a closed sentence (prenexed first).
@@ -343,16 +325,6 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
                           estimate, witnesses, slack)
 
     return sweep(0)
-
-
-def pin_witnesses(formula: F.Formula, pres: Presentation, budget: EvalBudget,
-                  witnesses: dict, bindings: Optional[dict] = None) -> Interval:
-    """Re-evaluate with every quantifier pinned to its reported witness."""
-    m = _Evaluation(formula, pres, budget.precision_k, bindings or {}, budget.oracle_budget)
-    for position, (kind, var) in enumerate(m.prefix):
-        index = witnesses[position]
-        m.env[var] = (index, pres.point_object(pres.rational_point(index)))
-    return _interval_qf(m.matrix, m)
 
 
 # ---------------------------------------------------------------------------

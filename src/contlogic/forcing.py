@@ -705,13 +705,7 @@ def fp_estimate(p: Condition, formula: F.Formula,
 
 
 def _fp_rec(p: Condition, prefix, matrix, inst, depth, budget) -> FpBounds:
-    if not prefix:
-        lo, hi = _bisect_value(
-            lambda r: _decide_block_leq(p, matrix, [], r, inst), budget
-        )
-        return FpBounds(lo, hi, (lo + hi) / 2)
-    kinds = {k for k, _ in prefix}
-    if kinds == {F.Sup}:
+    if all(kind is F.Sup for kind, _ in prefix):
         sup_vars = [v for _, v in prefix]
         lo, hi = _bisect_value(
             lambda r: _decide_block_leq(p, matrix, sup_vars, r, inst), budget

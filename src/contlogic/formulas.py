@@ -320,12 +320,6 @@ def half_power_one(n: int) -> Formula:
     return f
 
 
-def consistency_sentence() -> Formula:
-    """(1 -. sup_x d(x,x)) -. 1/2, the canonical satisfiable test sentence."""
-    body = Sup("x", Atomic("d", (Var("x"), Var("x"))))
-    return DotMinus(DotMinus(One(), body), dyadic_constant(Fraction(1, 2)))
-
-
 def validate(formula: Formula, sig: Signature) -> None:
     """Raise if the formula is not well-formed over `sig`."""
     for f in subformulas(formula):
@@ -391,11 +385,6 @@ def constants_of(formula: Formula) -> set[int]:
         for a in f.args
         for t in subterms(a) if isinstance(t, CConst)
     }
-
-
-def uses_base_only(formula: Formula) -> bool:
-    """True when no C-constant occurs (the formula is over L, not L(C))."""
-    return not constants_of(formula)
 
 
 # ---------------------------------------------------------------------------

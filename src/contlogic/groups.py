@@ -478,13 +478,17 @@ GaussInt = tuple[int, int]
 class AlgebraElement:
     """Finitely supported map normal-form word -> Q(i): nonzero Gaussian
     integers `ints[w]` over d.  `AlgebraElement(spec, coeffs)` takes a dict
-    of GaussianRational with normal-form keys and `.coeffs` gives it back;
-    `element` normalizes arbitrary words, and operations build results with
-    `_make`, which trusts its integers.  `_moments`: see `moments_up_to`."""
+    of GaussianRational, refusing a key that is not a normal form, and
+    `.coeffs` gives it back; `element` normalizes arbitrary words, and it and
+    the operations build results with `_make`, which trusts its integers.
+    `_moments`: see `moments_up_to`."""
 
     __slots__ = ("spec", "d", "ints", "_moments")
 
     def __init__(self, spec: GroupSpec, coeffs: dict[Word, GaussianRational]):
+        for w in coeffs:
+            if spec.normal_form(w) != w:
+                raise GroupError(f"key {w!r} is not a normal form")
         d, parts = over_common_denominator(coeffs.values())
         self.spec, self.d, self._moments = spec, d, []
         self.ints = {w: z for w, z in zip(coeffs, parts) if z != (0, 0)}
@@ -554,9 +558,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self.ints
 
-    def support(self) -> list[Word]:
-        return sorted(self.ints)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement) and self.spec is other.spec
                 and self.d == other.d and self.ints == other.ints)
@@ -569,7 +570,7 @@ class AlgebraElement:
             return "0"
         coeffs = self.coeffs
         parts = []
-        for w in self.support():
+        for w in sorted(self.ints):
             word = "*".join(f"{g}^{e}" if e != 1 else g for g, e in w) or "1"
             parts.append(f"({coeffs[w]})*{word}")
         return " + ".join(parts)
@@ -583,11 +584,8 @@ def element(spec: GroupSpec, terms: list[tuple[GaussianRational | Fraction | int
             c = gr(Fraction(c))
         nf = spec.normal_form(w)
         coeffs[nf] = coeffs.get(nf, gr(0)) + c
-    return AlgebraElement(spec, {w: c for w, c in coeffs.items() if not c.is_zero()})
-
-
-def identity_element(spec: GroupSpec) -> AlgebraElement:
-    return element(spec, [(1, IDENTITY)])
+    d, parts = over_common_denominator(coeffs.values())  # keys are normal forms
+    return AlgebraElement._make(spec, d, {w: z for w, z in zip(coeffs, parts) if z != (0, 0)})
 
 
 def l1_norm(a: AlgebraElement) -> Fraction:

@@ -138,11 +138,9 @@ class Matrix:
             tuple(tuple(li * a + lr * b + mi * c + mr * e for a, b, c, e in row)
                   for row in rows))
 
-    def conj_transpose(self) -> "Matrix":
+    def adjoint(self) -> "Matrix":
         return Matrix._make(self.d, tuple(zip(*self.re)),
                             tuple(tuple(-x for x in col) for col in zip(*self.im)))
-
-    adjoint = conj_transpose
 
     def normalized_trace_int(self) -> tuple[int, int, int]:
         """(D, re, im) with tr(A)/n = (re + i*im)/D."""
@@ -252,11 +250,6 @@ def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fra
              + (sum(map(mul, r, wi)) + sum(map(mul, s, wr))) ** 2
              for r, s in zip(re, im))
     return sqrt_interval(Fraction(bw, d * d * ww), k)[0]
-
-
-def embed_dyadic(a: Matrix) -> Matrix:
-    """Trace-preserving inclusion A -> A (x) I_2 between dyadic sizes."""
-    return embed_to_size(a, 2 * a.n)
 
 
 def embed_to_size(a: Matrix, n: int) -> Matrix:

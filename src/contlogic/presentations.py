@@ -39,7 +39,7 @@ from .dyadic import sqrt_interval
 from .formulas import CSTAR, TVNA, Signature, rounded_bound_ok
 from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int, gr,
                        over_common_denominator)
-from .pairing import pair as cantor_pair, unpair as cantor_unpair, decode_tuple, nat_to_gaussian
+from .pairing import unpair as cantor_unpair, decode_tuple, nat_to_gaussian
 from .torus import torus_sup_norm
 
 TWO_SIDED = "two_sided"
@@ -51,10 +51,6 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class PresentationError(ContlogicError):
-    pass
-
-
-class ModeMismatch(PresentationError):
     pass
 
 
@@ -90,20 +86,6 @@ class PComb:
 RationalPoint = Union[PSpecial, PAdj, PMul, PComb]
 
 
-def point_rounded_bounds_ok(point: RationalPoint) -> bool:
-    if isinstance(point, PSpecial):
-        return True
-    if isinstance(point, PAdj):
-        return point_rounded_bounds_ok(point.arg)
-    if isinstance(point, PMul):
-        return point_rounded_bounds_ok(point.left) and point_rounded_bounds_ok(point.right)
-    return (
-        rounded_bound_ok(point.lam, point.mu)
-        and point_rounded_bounds_ok(point.left)
-        and point_rounded_bounds_ok(point.right)
-    )
-
-
 def algebra_point_at(index: int) -> RationalPoint:
     """Term enumeration for algebra presentations.
 
@@ -127,21 +109,6 @@ def algebra_point_at(index: int) -> RationalPoint:
         lam, mu = gr(1), gr(0)
     a, b = cantor_unpair(sides)
     return PComb(lam, mu, algebra_point_at(a), algebra_point_at(b))
-
-
-def product_point_index(i: int, j: int) -> int:
-    """Documented position of the product of points i and j."""
-    return 4 * cantor_pair(i, j) + 2
-
-
-@dataclass(frozen=True)
-class NormResult:
-    """Norm oracle output; `value` is set in TwoSided mode only."""
-
-    mode: str
-    lower: Fraction
-    upper: Fraction
-    value: Optional[Fraction] = None
 
 
 class Presentation:
@@ -170,7 +137,9 @@ class Presentation:
 
     def norm_interval(self, obj, k: int, budget: Optional[int] = None
                       ) -> tuple[Fraction, Fraction]:
-        """Sound enclosure of the norm; width <= 2^-k in TwoSided mode."""
+        """The norm oracle: a sound enclosure, of width <= 2^-k in TwoSided
+        mode; in LowerOnly mode a lower bound nondecreasing in `budget`
+        under a certified global upper bound."""
         raise NotImplementedError
 
     def trace_int(self, obj) -> tuple[int, int, int]:  # the trace (re + i*im)/D
@@ -180,9 +149,6 @@ class Presentation:
         return from_gaussian_int(*self.trace_int(obj))
 
     # -- shared machinery -----------------------------------------------------
-
-    def special_object(self, index: int):
-        return self.point_object(PSpecial(index))
 
     def rational_point(self, index: int) -> RationalPoint:
         if self.signature.allow_comb:
@@ -213,17 +179,6 @@ class Presentation:
             raise PresentationError(f"not a rational point: {point!r}")
         self._point_cache[point] = obj
         return obj
-
-    def norm_oracle(self, point: RationalPoint, k: int,
-                    budget: Optional[int] = None) -> NormResult:
-        """Per-mode oracle: a dyadic value within 2^-k (TwoSided), or
-        certified (lower, global upper) bounds (LowerOnly)."""
-        obj = self.point_object(point)
-        if self.mode == TWO_SIDED:
-            lo, hi = self.norm_interval(obj, k + 1)
-            return NormResult(TWO_SIDED, lower=lo, upper=hi, value=lo)
-        lo, hi = self.norm_interval(obj, k, budget=budget)
-        return NormResult(LOWER_ONLY, lower=lo, upper=hi)
 
     # -- atomic predicate evaluation (used by the evaluator) -------------------
 
@@ -399,10 +354,6 @@ class CantorFn:
         return CantorFn(d, tree)
 
     @staticmethod
-    def constant(z: GaussianRational) -> "CantorFn":
-        return CantorFn.from_tree(z)
-
-    @staticmethod
     def from_tree(tree) -> "CantorFn":
         if isinstance(tree, GaussianRational):
             d, (leaf,) = over_common_denominator([tree])
@@ -412,14 +363,6 @@ class CantorFn:
         tl, tr = (_zip_leaves(f.tree, f.tree, lambda r, i, *_, c=d // f.d: (r * c, i * c))
                   for f in (left, right))
         return CantorFn(d, tl if tl == tr and _is_leaf(tl) else (tl, tr))
-
-    @staticmethod
-    def indicator(cylinder: str, value: GaussianRational) -> "CantorFn":
-        """`value` on the cylinder of the given bit string, 0 elsewhere."""
-        tree: object = value
-        for bit in reversed(cylinder):
-            tree = (tree, gr(0)) if bit == "0" else (gr(0), tree)
-        return CantorFn.from_tree(tree)
 
     def __mul__(self, other: "CantorFn") -> "CantorFn":
         return CantorFn._make(self.d * other.d, _zip_leaves(

@@ -213,7 +213,7 @@ def _power_iteration_vector(a: M.Matrix, iterations: int = 64
     """
     n = a.n
     h = [[complex(float(e.re), float(e.im)) for e in row] for row in
-         (a.conj_transpose() * a).rows]
+         (a.adjoint() * a).rows]
     v = [complex(1, 0) for _ in range(n)]
     for _ in range(iterations):
         w = [sum(h[i][j] * v[j] for j in range(n)) for i in range(n)]

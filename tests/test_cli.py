@@ -319,3 +319,21 @@ def test_force_strategy_flags_take_every_strategy(capsys):
     status, out, err = _typed_error(["force", "game", "--strategy-exists", "greedy"])
     assert status == 1 and out == ""
     assert json.loads(err[0]) == {"error": "usage", "message": "unknown strategy 'greedy'"}
+
+
+@pytest.mark.parametrize("args, kind", [
+    (["code", "decode"], "usage"),
+    (["code", "f"], "usage"),
+    (["code", "predicates"], "usage"),
+    (["code", "g", "--code", "5"], "usage"),
+    (["force", "check-condition"], "usage"),
+    (["eval", "--presentation", "R", "--sentence", "{tmp}"], "isadirectoryerror"),
+    (["norm", "--group", "{tmp}/absent.cfg", "--element", "u"], "filenotfounderror"),
+    (["force", "sup-leq", "--bound", "1/0"], "zerodivisionerror"),
+])
+def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
+    args = [a.format(tmp=tmp_path) for a in args]
+    status, out, err = _typed_error(args, "d(x, c1)")
+    assert status == 1 and out == ""
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == kind

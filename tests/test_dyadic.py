@@ -50,6 +50,18 @@ def test_nth_root_upper_grid_is_ceiling():
     assert nth_root_upper_grid(Fraction(9, 4), 2, 4) == Fraction(3, 2)
 
 
+@given(st.integers(0, 10**40), st.integers(1, 10**40), st.integers(1, 512),
+       st.integers(0, 20))
+def test_nth_root_upper_grid_is_least_grid_point_above_the_root(num, den, n, k):
+    # checked by raising grid points to the n-th power, with no root taken
+    x = Fraction(num, den)
+    c = nth_root_upper_grid(x, n, k) * 2**k
+    assert c.denominator == 1
+    assert (c / 2**k) ** n >= x
+    if c > 0:
+        assert ((c - 1) / 2**k) ** n < x
+
+
 def test_nth_root_upper_grid_monotone_in_radicand():
     rng = random.Random(11)
     values = sorted(

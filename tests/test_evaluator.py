@@ -8,6 +8,7 @@ from contlogic import formulas as F
 from contlogic import groups as G
 from contlogic import presentations as P
 
+import naive_evaluator as naive
 from helpers import random_sentence
 
 d = lambda a, b: F.Atomic("d", (a, b))
@@ -77,7 +78,10 @@ def test_eval_exact_examples():
 
 def test_eval_exact_consistency_sentence():
     t = line_structure([Fraction(0), Fraction(1, 4)])
-    assert E.eval_exact(F.consistency_sentence(), t) == Fraction(1, 2)
+    # (1 -. sup_x d(x,x)) -. 1/2, the canonical satisfiable test sentence
+    sentence = F.DotMinus(F.DotMinus(F.One(), F.Sup("x", d(x, x))),
+                          F.dyadic_constant(Fraction(1, 2)))
+    assert E.eval_exact(sentence, t) == Fraction(1, 2)
 
 
 def test_prenex_preserves_exact_value():
@@ -94,21 +98,16 @@ def test_eval_qf_exact_tables():
     # Half(d(c1, c2)) with the default bindings: d = 1/2, so the value is 1/4
     f = F.Half(d(c1, F.CConst(2)))
     bindings = {1: P.PSpecial(0), 2: P.PSpecial(1)}
-    lo, hi = E.eval_qf(f, pres, 10, bindings)
-    assert lo == hi == Fraction(1, 4)
-    assert E.eval_qf(F.One(), pres, 10) == (1, 1)
+    budget = E.EvalBudget(precision_k=10)
+    res = E.eval_sentence(f, pres, budget, bindings)
+    assert res.certified_lower == res.certified_upper == Fraction(1, 4)
+    res = E.eval_sentence(F.One(), pres, budget)
+    assert (res.certified_lower, res.certified_upper) == (1, 1)
 
 
 def test_eval_qf_errors():
-    t = line_structure([Fraction(0)])
-    pres = E.TestStructurePresentation(t)
     with pytest.raises(E.UnboundConstant):
-        E.eval_qf(d(c1, c1), P.presentation_C2w(), 8)
-    with pytest.raises(E.EvalError):
-        E.eval_qf(F.Sup("x", d(x, x)), pres, 8, {1: P.PSpecial(0)})
-    f2 = P.presentation_CstarLambda(G.free_group("u", "v"))
-    with pytest.raises(P.ModeMismatch):
-        E.eval_qf(F.One(), f2, 8)
+        E.eval_sentence(d(c1, c1), P.presentation_C2w(), E.EvalBudget(precision_k=8))
 
 
 def test_eval_inf_reflexivity():
@@ -242,7 +241,7 @@ def test_witness_validity():
     budget = E.EvalBudget(points=3, precision_k=10)
     f = F.Sup("x", F.Inf("y", d(x, y)))
     res = E.eval_sentence(f, pres, budget)
-    lo, hi = E.pin_witnesses(f, pres, budget, res.witnesses)
+    lo, hi = naive.pin_witnesses(f, pres, budget, res.witnesses)
     assert lo <= res.estimate <= hi
 
 
@@ -256,7 +255,7 @@ def test_witness_reproduces_certified_bound_under_noisy_oracle():
     bindings = {1: pres.rational_point(1)}
     res = E.eval_sentence(f, pres, budget, bindings)
     assert res.certified_lower is not None
-    lo, hi = E.pin_witnesses(f, pres, budget, res.witnesses, bindings)
+    lo, hi = naive.pin_witnesses(f, pres, budget, res.witnesses, bindings)
     assert lo == res.certified_lower
 
 

@@ -137,10 +137,3 @@ unit = st.fractions(min_value=0, max_value=1)
 @given(unit, unit)
 def test_connectives_stay_in_unit_interval(a, b):
     assert 0 <= F.dot_minus_value(a, b) <= 1
-
-
-def test_consistency_sentence_shape():
-    f = F.consistency_sentence()
-    assert isinstance(f, F.DotMinus)
-    F.validate(f, F.METRIC)
-    assert F.free_vars(f) == set()

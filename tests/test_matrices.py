@@ -30,11 +30,11 @@ def test_normalized_trace_identity():
         assert M.Matrix.identity(n).normalized_trace() == gr(1)
 
 
-def test_conj_transpose_involution():
+def test_adjoint_involution():
     rng = random.Random(2)
     for _ in range(20):
         a = random_matrix(rng, 3)
-        assert a.conj_transpose().conj_transpose() == a
+        assert a.adjoint().adjoint() == a
 
 
 def test_trace_cyclic():
@@ -117,16 +117,16 @@ def test_two_norm_below_opnorm():
 
 
 def test_embed_dyadic():
-    assert M.embed_dyadic(M.Matrix.identity(2)) == M.Matrix.identity(4)
+    assert M.embed_to_size(M.Matrix.identity(2), 4) == M.Matrix.identity(4)
     rng = random.Random(9)
     for _ in range(10):
         a, b = random_matrix(rng, 2), random_matrix(rng, 2)
-        ea, eb = M.embed_dyadic(a), M.embed_dyadic(b)
-        assert M.embed_dyadic(a * b) == ea * eb
+        ea, eb = M.embed_to_size(a, 4), M.embed_to_size(b, 4)
+        assert M.embed_to_size(a * b, 4) == ea * eb
         assert ea.normalized_trace() == a.normalized_trace()
         assert M.two_norm(ea, 14) == M.two_norm(a, 14)
     with pytest.raises(M.NotDyadicSize):
-        M.embed_dyadic(M.Matrix.identity(3))
+        M.embed_to_size(M.Matrix.identity(3), 6)
 
 
 def test_enumerate_matrices_base_and_positions():

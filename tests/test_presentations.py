@@ -6,6 +6,7 @@ import pytest
 from contlogic import groups as G
 from contlogic import matrices as M
 from contlogic import presentations as P
+from contlogic.formulas import rounded_bound_ok
 from contlogic.gaussian import GaussianRational, gr
 from contlogic.pairing import pair as cantor_pair
 
@@ -43,19 +44,28 @@ def test_point_enumeration_base():
 def test_point_enumeration_closure_products():
     for i in range(21):
         for j in range(21):
-            idx = P.product_point_index(i, j)
+            idx = 4 * cantor_pair(i, j) + 2  # documented in docs/encodings.md
             point = P.algebra_point_at(idx)
             assert point == P.PMul(P.algebra_point_at(i), P.algebra_point_at(j))
 
 
+def _rounded_bounds_ok(point) -> bool:
+    if isinstance(point, P.PSpecial):
+        return True
+    if isinstance(point, P.PAdj):
+        return _rounded_bounds_ok(point.arg)
+    return ((not isinstance(point, P.PComb) or rounded_bound_ok(point.lam, point.mu))
+            and _rounded_bounds_ok(point.left) and _rounded_bounds_ok(point.right))
+
+
 def test_point_enumeration_rounded_bounds_hold():
     for i in range(600):
-        assert P.point_rounded_bounds_ok(P.algebra_point_at(i))
+        assert _rounded_bounds_ok(P.algebra_point_at(i))
 
 
 def test_matrix_presentation_special_in_unit_ball(pres_r):
     for i in range(1, 25):
-        obj = pres_r.special_object(i)
+        obj = pres_r.point_object(P.PSpecial(i))
         if obj.is_zero():
             continue
         # |B| = |A|/p <= 1 is certified by construction; check the 2-norm side
@@ -65,8 +75,7 @@ def test_matrix_presentation_special_in_unit_ball(pres_r):
 
 def test_matrix_presentation_zero_point(pres_r):
     point = P.PSpecial(0)  # (m, n) = (0, 0): the 1x1 zero matrix
-    res = pres_r.norm_oracle(point, 10)
-    assert res.value == 0
+    assert pres_r.norm_interval(pres_r.point_object(point), 11)[0] == 0
 
 
 def test_matrix_presentation_identity_norm(pres_r):
@@ -74,47 +83,48 @@ def test_matrix_presentation_identity_norm(pres_r):
     special = cantor_pair(3, n_i2)  # m = 3
     point = P.PSpecial(special)
     p_bound = M.opnorm_upper(M.Matrix.identity(2), 3)
-    res = pres_r.norm_oracle(point, 10)
+    value = pres_r.norm_interval(pres_r.point_object(point), 11)[0]
     # 2-norm of I2/p is exactly 1/p
-    assert abs(res.value - 1 / p_bound) < Fraction(1, 2**10)
+    assert abs(value - 1 / p_bound) < Fraction(1, 2**10)
     # cross-module equality of the radicand
-    lo, hi = M.two_norm(pres_r.special_object(special), 12)
+    lo, hi = M.two_norm(pres_r.point_object(point), 12)
     assert lo <= 1 / p_bound <= hi
 
 
 def test_cantor_presentation_examples(pres_c2w):
-    one = P.CantorFn.constant(gr(1))
+    one = P.CantorFn.from_tree(gr(1))
     assert pres_c2w.norm_interval(one, 10) == (1, 1)
-    ind = P.CantorFn.indicator("0", gr(Fraction(3, 4)))
+    ind = P.CantorFn.from_tree((gr(Fraction(3, 4)), gr(0)))
     assert pres_c2w.norm_interval(ind, 10) == (Fraction(3, 4), Fraction(3, 4))
     # modulus exactly 1 via the 3-4-5 triple
-    ind345 = P.CantorFn.indicator("01", GaussianRational(Fraction(3, 5), Fraction(4, 5)))
+    ind345 = P.CantorFn.from_tree(
+        ((gr(0), GaussianRational(Fraction(3, 5), Fraction(4, 5))), gr(0)))
     lo, hi = pres_c2w.norm_interval(ind345, 12)
     assert lo <= 1 <= hi and hi - lo <= Fraction(1, 2**12)
     # disjoint cylinders multiply to zero
-    a = P.CantorFn.indicator("0", gr(1))
-    b = P.CantorFn.indicator("1", gr(1))
+    a = P.CantorFn.from_tree((gr(1), gr(0)))
+    b = P.CantorFn.from_tree((gr(0), gr(1)))
     prod = a * b
     assert pres_c2w.norm_interval(prod, 10) == (0, 0)
 
 
 def test_cantor_special_points_clipped(pres_c2w):
     for i in range(80):
-        obj = pres_c2w.special_object(i)
+        obj = pres_c2w.point_object(P.PSpecial(i))
         assert obj.sup_abs_sq() <= 1
 
 
 def test_cantor_merge_canonical():
     f = P.CantorFn.from_tree((gr(1), gr(1)))
-    assert f == P.CantorFn.constant(gr(1))
+    assert f == P.CantorFn.from_tree(gr(1))
 
 
 def test_l_presentation_identity(pres_l_z):
-    ident_idx = G.group_algebra_index(G.identity_element(pres_l_z.spec))
+    ident_idx = G.group_algebra_index(G.element(pres_l_z.spec, [(1, G.IDENTITY)]))
     assert ident_idx == 1
-    res = pres_l_z.norm_oracle(P.PSpecial(1), 10)
-    assert abs(res.value - 1) < Fraction(1, 2**10)
-    assert pres_l_z.trace(pres_l_z.special_object(1)) == gr(1)
+    obj = pres_l_z.point_object(P.PSpecial(1))
+    assert abs(pres_l_z.norm_interval(obj, 11)[0] - 1) < Fraction(1, 2**10)
+    assert pres_l_z.trace(obj) == gr(1)
 
 
 def test_torus_upgrade_two_sided(pres_cstar_z):
@@ -159,10 +169,10 @@ def test_z2_table_projection_norm():
 def test_oracle_consistency_across_precisions(pres_r, pres_c2w, pres_l_z):
     for pres in (pres_r, pres_c2w, pres_l_z):
         for idx in (1, 2, 5, 9):
-            point = pres.rational_point(idx)
-            a = pres.norm_oracle(point, 6)
-            b = pres.norm_oracle(point, 7)
-            assert max(a.lower, b.lower) <= min(a.upper, b.upper)
+            obj = pres.point_object(pres.rational_point(idx))
+            a_lo, a_hi = pres.norm_interval(obj, 6)
+            b_lo, b_hi = pres.norm_interval(obj, 7)
+            assert max(a_lo, b_lo) <= min(a_hi, b_hi)
 
 
 def test_adjoint_invariance(pres_r, pres_c2w, pres_l_z, pres_cstar_f2):
@@ -170,33 +180,35 @@ def test_adjoint_invariance(pres_r, pres_c2w, pres_l_z, pres_cstar_f2):
     for pres in (pres_r, pres_c2w, pres_l_z, pres_cstar_f2):
         for idx in (1, 3, 6, 11):
             point = pres.rational_point(idx)
-            a = pres.norm_oracle(point, k, budget=4)
-            b = pres.norm_oracle(P.PAdj(point), k, budget=4)
+            objs = pres.point_object(point), pres.point_object(P.PAdj(point))
             if pres.mode == P.TWO_SIDED:
-                assert abs(a.value - b.value) <= 2 * Fraction(1, 2**k)
+                a, b = (pres.norm_interval(obj, k + 1)[0] for obj in objs)
+                assert abs(a - b) <= 2 * Fraction(1, 2**k)
             else:
                 # same certified bounds: the norm is *-invariant
-                assert a.lower == b.lower and a.upper == b.upper
+                a, b = (pres.norm_interval(obj, k, budget=4) for obj in objs)
+                assert a == b
 
 
 def test_lower_le_upper_always(pres_cstar_f2):
     rng = random.Random(12)
     for _ in range(10):
         idx = rng.randint(0, 40)
-        res = pres_cstar_f2.norm_oracle(pres_cstar_f2.rational_point(idx), 8, budget=3)
-        assert res.lower <= res.upper
+        obj = pres_cstar_f2.point_object(pres_cstar_f2.rational_point(idx))
+        lo, hi = pres_cstar_f2.norm_interval(obj, 8, budget=3)
+        assert lo <= hi
 
 
 def test_metric_distance_atom(pres_l_z):
     # d(x, x) evaluates to an interval containing 0
-    obj = pres_l_z.special_object(1)
+    obj = pres_l_z.point_object(P.PSpecial(1))
     lo, hi = pres_l_z.atom_interval("d", [obj, obj], 10)
     assert lo == 0
     assert hi <= Fraction(1, 2**9)
 
 
 def test_trace_atoms(pres_l_z):
-    obj = pres_l_z.special_object(1)  # identity
+    obj = pres_l_z.point_object(P.PSpecial(1))  # identity
     lo, hi = pres_l_z.atom_interval("tr_re", [obj], 10)
     assert lo == hi == 1
     lo, hi = pres_l_z.atom_interval("tr_im", [obj], 10)

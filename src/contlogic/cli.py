@@ -39,6 +39,17 @@ def _fail(kind: str, message: str) -> int:
     return 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error for `main`, not exit status 2
+        raise argparse.ArgumentError(None, message)
+
+
+def _natural(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a natural number, got {text!r}")
+    return int(text)
+
+
 def _frac(q) -> str | None:
     return None if q is None else str(Fraction(q))
 
@@ -317,7 +328,7 @@ def _cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="contlogic",
         description="Workbench for computable continuous logic over metric structures.",
     )
@@ -372,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     force.add_argument("--condition", help="pre-condition code")
     force.add_argument("--psi", default="-", help="formula file or - for stdin")
     force.add_argument("--bound", default="1/2", help="dyadic bound, e.g. 1/2")
-    force.add_argument("--budget", type=int, default=4)
-    force.add_argument("--depth", type=int, default=2)
-    force.add_argument("--rounds", type=int, default=4)
+    force.add_argument("--budget", type=_natural, default=4)
+    force.add_argument("--depth", type=_natural, default=2)
+    force.add_argument("--rounds", type=_natural, default=4)
     force.add_argument("--seed", type=int, default=0)
     force.add_argument("--strategy-forall", default="random",
                        help="random | pass | pinning")
@@ -388,10 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        return _fail("usage", str(exc))
     except ParseError as exc:
         return _fail("parse-error", str(exc))
     except coding.NotACode as exc:

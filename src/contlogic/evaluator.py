@@ -9,7 +9,9 @@ accordingly; the other side is reported as an uncertified estimate.  This
 one-sidedness is not an implementation shortcut: without density rates for
 the rational points no finite sweep can certify the missing side.  One call
 computes each atom and term of the prenex matrix once per assignment of the
-variables it mentions, and keeps nothing after it returns.
+variables it mentions, and keeps nothing after it returns.  Inside the sweep an
+interval is a pair of integer numerator/denominator pairs, left unreduced and
+compared by cross-multiplication; Fractions appear only in the `EvalResult`.
 
 `TestStructure` is a finite exact-table metric structure with an exhaustive
 evaluator (`eval_exact`) used as the oracle for prenex equivalence and for
@@ -69,10 +71,11 @@ class EvalResult:
     def __post_init__(self):
         if self.certified_lower is not None and self.certified_upper is not None:
             if not self.certified_lower <= self.estimate <= self.certified_upper:
-                raise EvalError(
-                    f"certified bounds out of order: {self.certified_lower} <= "
-                    f"{self.estimate} <= {self.certified_upper} fails"
-                )
+                raise _out_of_order(self.certified_lower, self.estimate, self.certified_upper)
+
+
+def _out_of_order(lower, estimate, upper) -> EvalError:
+    return EvalError(f"certified bounds out of order: {lower} <= {estimate} <= {upper} fails")
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +260,35 @@ def _build_term(term: F.Term, m: _Evaluation):
     raise EvalError(f"not a term: {term!r}")
 
 
-def _atom_interval(formula: F.Atomic, m: _Evaluation) -> Interval:
+def _atom_interval(formula: F.Atomic, m: _Evaluation) -> tuple[int, int, int, int]:
     objs = [_term_object(t, m) for t in formula.args]
-    return m.pres.atom_interval(formula.pred, objs, m.k, budget=m.budget)
+    lo, hi = m.pres.atom_interval(formula.pred, objs, m.k, budget=m.budget)
+    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
-def _interval_qf(formula: F.Formula, m: _Evaluation) -> Interval:
+def _interval_qf(formula: F.Formula, m: _Evaluation) -> tuple[int, int, int, int]:
+    """(lo_num, lo_den, hi_num, hi_den) with positive, unreduced denominators."""
     if isinstance(formula, F.Atomic):
         return m.value(formula, _atom_interval)
     if isinstance(formula, F.Zero):
-        return (Fraction(0), Fraction(0))
+        return (0, 1, 0, 1)
     if isinstance(formula, F.One):
-        return (Fraction(1), Fraction(1))
+        return (1, 1, 1, 1)
     if isinstance(formula, F.Half):
-        lo, hi = _interval_qf(formula.body, m)
-        return (lo / 2, hi / 2)
+        ln, ld, hn, hd = _interval_qf(formula.body, m)
+        return (ln, 2 * ld, hn, 2 * hd)
     if isinstance(formula, F.DotMinus):
-        llo, lhi = _interval_qf(formula.left, m)
-        rlo, rhi = _interval_qf(formula.right, m)
-        return (max(llo - rhi, Fraction(0)), max(lhi - rlo, Fraction(0)))
+        aln, ald, ahn, ahd = _interval_qf(formula.left, m)
+        bln, bld, bhn, bhd = _interval_qf(formula.right, m)
+        # [max(alo - bhi, 0), max(ahi - blo, 0)]
+        return (max(aln * bhd - bhn * ald, 0), ald * bhd, max(ahn * bld - bln * ahd, 0), ahd * bld)
     raise EvalError("quantifier below a connective in a qf evaluation")
+
+
+def _beats(a: tuple[int, int], b: tuple[int, int], is_sup: bool) -> bool:
+    """a > b (sup) or a < b (inf) on (num, den) pairs with positive den."""
+    x, y = a[0] * b[1], b[0] * a[1]
+    return x > y if is_sup else x < y
 
 
 def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
@@ -286,45 +298,53 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
     Certified sides follow the quantifier pattern: sampled sup blocks
     propagate lower bounds, sampled inf blocks upper bounds; a side that
     would need density rates of the rational-point enumeration is left
-    uncertified and only the deterministic estimate is reported.  Each
-    quantifier's point objects are built once.
+    uncertified and only the deterministic estimate is reported.  Every
+    quantifier sweeps the same points, whose objects are built once.
     """
     if F.free_vars(formula):
         raise EvalError("eval needs a closed sentence")
     m = _Evaluation(formula, pres, budget.precision_k, bindings or {}, budget.oracle_budget)
-    points: list[list] = [[] for _ in m.prefix]
+    objects: list = []
 
+    # a branch is (lower, upper, estimate, slack, witnesses): (num, den) pairs,
+    # None for an uncertified side, witnesses a chain of (position, index)
     def sweep(position: int):
         if position == len(m.prefix):
-            lo, hi = _interval_qf(m.matrix, m)
-            return EvalResult(lo, hi, (lo + hi) / 2, {}, hi - lo)
+            ln, ld, hn, hd = _interval_qf(m.matrix, m)
+            lo, hi, den = ln * hd, hn * ld, ld * hd
+            if lo > hi:
+                raise _out_of_order(Fraction(ln, ld), Fraction(lo + hi, 2 * den), Fraction(hn, hd))
+            return ((ln, ld), (hn, hd), (lo + hi, 2 * den), (hi - lo, den), ())
         kind, var = m.prefix[position]
-        objects = points[position]
-        results = []
+        is_sup = kind is F.Sup
+        side = 0 if is_sup else 1
+        bound_at = estimate_at = None  # (index, branch), the first attaining each
+        slack = (0, 1)
         for i in range(budget.points):
             if i == len(objects):
                 objects.append(pres.point_object(pres.rational_point(i)))
             m.env[var] = (i, objects[i])
-            results.append((i, sweep(position + 1)))
-        is_sup = kind is F.Sup
-        pick = max if is_sup else min
-        side = "certified_lower" if is_sup else "certified_upper"
-        bounds = [getattr(r, side) for _, r in results if getattr(r, side) is not None]
-        bound = pick(bounds) if bounds else None
-        best_estimate = pick(r.estimate for _, r in results)
+            branch = sweep(position + 1)
+            if branch[side] is not None and (
+                    bound_at is None or _beats(branch[side], bound_at[1][side], is_sup)):
+                bound_at = (i, branch)
+            if estimate_at is None or _beats(branch[2], estimate_at[1][2], is_sup):
+                estimate_at = (i, branch)
+            if _beats(branch[3], slack, True):
+                slack = branch[3]
         # the witness names the branch attaining the certified bound, so
         # pinning reproduces the bound; without one it tracks the estimate
-        if bound is not None:
-            best_index, best = next((i, r) for i, r in results if getattr(r, side) == bound)
-        else:
-            best_index, best = next((i, r) for i, r in results if r.estimate == best_estimate)
-        witnesses = {position: best_index, **best.witnesses}
-        slack = max(r.slack for _, r in results)
-        estimate = best_estimate if bound is None else pick(best_estimate, bound)
-        return EvalResult(bound if is_sup else None, None if is_sup else bound,
-                          estimate, witnesses, slack)
+        index, best = estimate_at if bound_at is None else bound_at
+        bound = None if bound_at is None else best[side]
+        estimate = estimate_at[1][2]
+        if bound is not None and _beats(bound, estimate, is_sup):
+            estimate = bound
+        return ((bound, None) if is_sup else (None, bound)) + (
+            estimate, slack, ((position, index),) + best[4])
 
-    return sweep(0)
+    lower, upper, estimate, slack, witnesses = sweep(0)
+    lower, upper = (None if q is None else Fraction(*q) for q in (lower, upper))
+    return EvalResult(lower, upper, Fraction(*estimate), dict(witnesses), Fraction(*slack))
 
 
 # ---------------------------------------------------------------------------

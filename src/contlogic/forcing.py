@@ -71,16 +71,6 @@ class Infeasible(ForcingError):
 # ---------------------------------------------------------------------------
 
 
-def _validate_item(formula: F.Formula, bound: Fraction) -> None:
-    F.validate(formula, METRIC)
-    if not F.is_quantifier_free(formula):
-        raise ForcingError("condition formulas must be quantifier-free")
-    if F.free_vars(formula):
-        raise ForcingError("condition formulas must be sentences")
-    if bound <= 0 or not is_dyadic(bound):
-        raise ForcingError(f"bound must be a positive dyadic, got {bound}")
-
-
 @dataclass(frozen=True)
 class Condition:
     """A finite set of strict bounds {phi < r}, canonically sorted.
@@ -110,8 +100,14 @@ class Condition:
         mentioned = set(self.mentioned)
         for formula, bound in items:
             bound = Fraction(bound)
-            _validate_item(formula, bound)
-            by_key[coding.encode(formula, METRIC), bound] = formula
+            code = coding.encode(formula, METRIC)  # validates the formula
+            if not F.is_quantifier_free(formula):
+                raise ForcingError("condition formulas must be quantifier-free")
+            if F.free_vars(formula):
+                raise ForcingError("condition formulas must be sentences")
+            if bound <= 0 or not is_dyadic(bound):
+                raise ForcingError(f"bound must be a positive dyadic, got {bound}")
+            by_key[code, bound] = formula
             mentioned |= F.constants_of(formula)
         if len(by_key) == len(self.keys):
             return self  # nothing new, so its verdicts still hold

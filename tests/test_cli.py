@@ -330,6 +330,15 @@ def test_force_strategy_flags_take_every_strategy(capsys):
     (["eval", "--presentation", "R", "--sentence", "{tmp}"], "isadirectoryerror"),
     (["norm", "--group", "{tmp}/absent.cfg", "--element", "u"], "filenotfounderror"),
     (["force", "sup-leq", "--bound", "1/0"], "zerodivisionerror"),
+    # argparse's own errors, negative counts included
+    (["eval"], "usage"),
+    (["force", "game", "--rounds", "x"], "usage"),
+    (["code", "bogus"], "usage"),
+    (["parse", "--unknown"], "usage"),
+    ([], "usage"),
+    (["force", "game", "--rounds", "-1"], "usage"),
+    (["force", "fp", "--depth", "-1"], "usage"),
+    (["force", "sup-leq", "--budget", "-2"], "usage"),
 ])
 def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
     args = [a.format(tmp=tmp_path) for a in args]
@@ -337,3 +346,9 @@ def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
     assert status == 1 and out == ""
     assert len(err) == 1
     assert json.loads(err[0])["error"] == kind
+
+
+def test_zero_rounds_is_the_empty_game():
+    status, out = run_cli(["force", "game", "--rounds", "0"])
+    assert status == 0
+    assert out == [{"constants": [], "distances": {}, "kind": "compiled", "schema": 1}]

@@ -5,7 +5,9 @@ at every point tuple.  `eval_sentence` now computes each atom and compound
 term once per assignment of the variables it mentions; on seeded sentences
 with one to three quantifiers, repeated atoms and closed compound terms, the
 `EvalResult` (bounds, estimate, witnesses, slack) and the pinned witnesses
-must come out identical on every presentation.
+must come out identical on every presentation.  A stub presentation with
+seeded, often tied intervals over denominators 3, 5, 7 and 3*2^j checks the
+integer sweep's tie-breaks, witness order and out-of-order error as well.
 """
 
 import random
@@ -124,6 +126,63 @@ def test_eval_sentence_matches_naive_sweep(name):
         assert got == want, sentence
         if isinstance(got, E.EvalResult) and got.witnesses:
             _assert_witnesses_reproduce_bounds(sentence, pres, budget, bindings, got)
+
+
+class _StubPresentation(P.Presentation):
+    """Metric presentation whose `d` oracle reads a seeded table of intervals.
+
+    Endpoints have denominators 3, 5, 7 and 3*2^j; the table repeats a few
+    intervals, some of zero width, across point pairs, so sweeps tie and the
+    first-index tie-breaks decide the witnesses.  `disordered` puts lo > hi
+    at one pair."""
+
+    name, signature, mode = "stub", F.METRIC, P.TWO_SIDED
+
+    def __init__(self, seed, disordered=None):
+        super().__init__()
+        rng = random.Random(f"evaluator-differential/stub/{seed}")
+        values = sorted({Fraction(n, d) for d in (3, 5, 7, 6, 12, 24) for n in range(d + 1)})
+        pool = []
+        for _ in range(5):
+            lo = rng.choice(values)
+            hi = lo if rng.random() < 0.3 else rng.choice([v for v in values if v >= lo])
+            pool.append((lo, hi))
+        self.table = {(a, b): rng.choice(pool) for a in range(10) for b in range(10)}
+        if disordered is not None:
+            self.table[disordered] = (Fraction(5, 7), Fraction(2, 3))
+
+    def _special(self, index):
+        return index
+
+    def default_constant_point(self, index):
+        return P.PSpecial(index)
+
+    def atom_interval(self, pred, objs, k, budget=None):
+        return self.table[objs[0], objs[1]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ties_and_mixed_denominators_match_naive_sweep(seed):
+    rng = random.Random(f"evaluator-differential/stub-sentences/{seed}")
+    pres = _StubPresentation(seed)
+    for quantifiers in (0, 1, 2, 3) * 6:
+        sentence = _sentence(rng, pres.signature, quantifiers)
+        budget = E.EvalBudget(points=rng.randint(4, 7), precision_k=0)
+        got = E.eval_sentence(sentence, pres, budget)
+        want = naive.eval_sentence(sentence, pres, budget)
+        assert got == want, sentence
+        assert list(got.witnesses.items()) == list(want.witnesses.items())
+
+
+def test_disordered_stub_interval_is_the_same_error():
+    budget = E.EvalBudget(points=6, precision_k=0)
+    for text in ["d(c2, c3)", "sup x . d(x, c3)", "inf x . sup y . d(y, c3)"]:
+        sentence = parse_formula(text, F.METRIC)
+        pres = _StubPresentation(0, disordered=(2, 3))
+        got = _outcome(E.eval_sentence, sentence, pres, budget, {})
+        assert got == _outcome(naive.eval_sentence, sentence, pres, budget, {})
+        assert got == ("EvalError",
+                       "certified bounds out of order: 5/7 <= 29/42 <= 2/3 fails"), text
 
 
 def test_repeated_and_closed_nodes_match_naive_sweep():

@@ -69,6 +69,22 @@ def test_condition_validation():
         FC.Condition.of([(F.Atomic("d", (x, F.CConst(1))), Fraction(1, 2))])
 
 
+def test_each_item_is_validated_once(monkeypatch):
+    calls = []
+    validate = F.validate
+    monkeypatch.setattr(F, "validate", lambda f, sig: calls.append(f) or validate(f, sig))
+    p = FC.Condition.of([(d(1, 2), Fraction(1, 2)), (d(2, 3), Fraction(1, 4))])
+    assert calls == [d(1, 2), d(2, 3)]
+    p.extend([(d(3, 4), Fraction(1, 2))])
+    assert calls[2:] == [d(3, 4)]
+    # an ill-formed item still raises the formula error, before the item checks
+    for item, error in (((F.Atomic("d", (F.CConst(0), F.CConst(1))), 1), F.FormulaError),
+                        ((F.Atomic("d", (F.CConst(1),)), Fraction(1, 3)), F.ArityMismatch),
+                        ((F.Atomic("tr_re", (F.CConst(1),)), 1), F.UnknownSymbol)):
+        with pytest.raises(error):
+            p.extend([item])
+
+
 def test_dollar_single_item_granularity_one():
     p = FC.Condition.of([(d(1, 2), Fraction(1, 2))])
     family = FC.dollar(p, 1)

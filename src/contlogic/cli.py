@@ -350,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     parse_cmd.set_defaults(func=_cmd_parse)
 
     norm = sub.add_parser("norm", help="certified norm bounds")
-    norm.add_argument("--matrix-index", type=int)
-    norm.add_argument("--opnorm-power", type=int, default=6)
+    norm.add_argument("--matrix-index", type=_natural)
+    norm.add_argument("--opnorm-power", type=_natural, default=6)
     norm.add_argument("--group", help="group config path")
     norm.add_argument("--element", help="group algebra element expression")
-    norm.add_argument("--lambda-lower", type=int, default=0,
+    norm.add_argument("--lambda-lower", type=_natural, default=0,
                       help="moment sweep depth for lambda-norm lower bounds")
-    norm.add_argument("--precision", type=int, default=10)
+    norm.add_argument("--precision", type=_natural, default=10)
     norm.set_defaults(func=_cmd_norm)
 
     ev = sub.add_parser("eval", help="evaluate a sentence over a presentation")

@@ -68,11 +68,12 @@ _T_VAR, _T_CCONST, _T_APP, _T_COMB = 0, 1, 3, 4  # term tag 2 is reserved
 # ---------------------------------------------------------------------------
 
 
-def _delta_bits(n: int) -> str:
-    """Elias delta code of n >= 1."""
+def _delta(n: int) -> tuple[int, int]:
+    """Elias delta code of n >= 1 as (bits, length): the gamma code of
+    nb = bitlen(n), i.e. bitlen(nb) - 1 zeros and nb, then the nb - 1 low
+    bits of n (its leading 1 dropped)."""
     nb = n.bit_length()
-    gamma = "0" * (nb.bit_length() - 1) + bin(nb)[2:]
-    return gamma + bin(n)[3:]  # low bits of n, leading 1 dropped
+    return (nb << (nb - 1)) | (n ^ (1 << (nb - 1))), 2 * nb.bit_length() + nb - 2
 
 
 def _parse_delta(bits: str, i: int) -> tuple[int, int]:
@@ -93,7 +94,9 @@ def _parse_delta(bits: str, i: int) -> tuple[int, int]:
 def pair(a: int, b: int) -> int:
     if a < 0 or b < 0:
         raise ValueError("pair needs naturals")
-    return int("1" + _delta_bits(a + 1) + _delta_bits(b + 1), 2)
+    da, la = _delta(a + 1)
+    db, lb = _delta(b + 1)
+    return (((1 << la) | da) << lb) | db
 
 
 def unpair(n: int) -> tuple[int, int]:

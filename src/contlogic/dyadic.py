@@ -22,12 +22,19 @@ def is_dyadic(x: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
+def check_precision(k: int) -> None:
+    """Refuse a negative precision k (the 2^-k of a certified width)."""
+    if k < 0:
+        raise ValueError(f"precision must be >= 0, got {k}")
+
+
 def sqrt_interval(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
     """Dyadic lo <= sqrt(x) <= hi with hi - lo <= 2^-k, exact when possible.
 
     lo = floor(sqrt(x * 4^k)) / 2^k, so lo is the grid floor of sqrt(x); the
     interval collapses to a point when x is a perfect square of a grid value.
     """
+    check_precision(k)
     if x.numerator < 0:
         raise ValueError("negative radicand")
     scale = 1 << k

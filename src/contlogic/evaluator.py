@@ -9,7 +9,8 @@ accordingly; the other side is reported as an uncertified estimate.  This
 one-sidedness is not an implementation shortcut: without density rates for
 the rational points no finite sweep can certify the missing side.  One call
 computes each atom and term of the prenex matrix once per assignment of the
-variables it mentions, and keeps nothing after it returns.  Inside the sweep an
+variables it mentions, asks the oracle once per distinct atom (predicate and
+argument objects), and keeps nothing after it returns.  Inside the sweep an
 interval is a pair of integer numerator/denominator pairs, left unreduced and
 compared by cross-multiplication; Fractions appear only in the `EvalResult`.
 
@@ -203,7 +204,12 @@ class _Evaluation:
     `env` binds each swept variable to (point index, point object).  Every
     atom and every term but a variable gets a slot, shared by value-equal
     nodes, and the variables it mentions; `value` computes a node once per
-    assignment of those variables and keeps the result for the call.
+    assignment of those variables and keeps the result in `memo`, which
+    hashes only point indices.  Behind it, `atoms` keys each oracle interval
+    by (predicate, argument objects), so atoms whose arguments evaluate to
+    equal objects (most often the zero object, which many points give) query
+    the oracle once.  Precision and oracle budget are fixed per call, so
+    neither key holds them; both memos die with the call.
     """
 
     def __init__(self, formula: F.Formula, pres: Presentation, k: int, bindings: dict,
@@ -212,6 +218,7 @@ class _Evaluation:
         self.pres, self.k, self.bindings, self.budget = pres, k, bindings, budget
         self.env: dict[str, tuple[int, object]] = {}
         self.memo: dict = {}
+        self.atoms: dict = {}
         self.plan: dict[int, tuple[int, tuple[str, ...]]] = {}
         atoms = [f for f in F.subformulas(self.matrix) if isinstance(f, F.Atomic)]
         terms = [t for f in atoms for a in f.args for t in F.subterms(a)
@@ -262,8 +269,12 @@ def _build_term(term: F.Term, m: _Evaluation):
 
 def _atom_interval(formula: F.Atomic, m: _Evaluation) -> tuple[int, int, int, int]:
     objs = [_term_object(t, m) for t in formula.args]
-    lo, hi = m.pres.atom_interval(formula.pred, objs, m.k, budget=m.budget)
-    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    key = (formula.pred, *objs)
+    out = m.atoms.get(key)
+    if out is None:
+        lo, hi = m.pres.atom_interval(formula.pred, objs, m.k, budget=m.budget)
+        out = m.atoms[key] = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    return out
 
 
 def _interval_qf(formula: F.Formula, m: _Evaluation) -> tuple[int, int, int, int]:
@@ -299,7 +310,9 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
     propagate lower bounds, sampled inf blocks upper bounds; a side that
     would need density rates of the rational-point enumeration is left
     uncertified and only the deterministic estimate is reported.  Every
-    quantifier sweeps the same points, whose objects are built once.
+    quantifier sweeps the same points, whose objects are built once.  Atoms
+    are memoised for the call at two levels (see `_Evaluation`): per
+    assignment of their variables, then per (predicate, argument objects).
     """
     if F.free_vars(formula):
         raise EvalError("eval needs a closed sentence")

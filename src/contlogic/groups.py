@@ -35,7 +35,7 @@ from itertools import chain
 from math import gcd
 from typing import Optional
 
-from .dyadic import nth_root_lower_grid, sqrt_interval
+from .dyadic import check_precision, nth_root_lower_grid, sqrt_interval
 from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int, gr,
                        over_common_denominator)
 from .pairing import (
@@ -752,6 +752,7 @@ def _moments(a: AlgebraElement, n: int) -> list[Fraction]:
 
 def moment_root_lower(a: AlgebraElement, m: Fraction, n: int, k: int) -> Fraction:
     """Grid floor of m^(1/2n) for the moment m = tau((a* a)^n) of `a`."""
+    check_precision(k)
     upper = max(l1_norm(a), Fraction(1))
     hi_pow2 = (upper.numerator // upper.denominator + 1).bit_length()
     return nth_root_lower_grid(m, 2 * n, k, hi_pow2=hi_pow2)

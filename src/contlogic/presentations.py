@@ -184,6 +184,8 @@ class Presentation:
 
     def atom_interval(self, pred: str, objs: list, k: int,
                       budget: Optional[int] = None) -> tuple[Fraction, Fraction]:
+        """A function of (pred, objs by value, k, budget), which the evaluator
+        relies on to ask once per distinct atom of a call."""
         if pred == "d":
             obj = self._comb(_HALF, _MINUS_HALF, objs[0], objs[1])
             lo, hi = self.norm_interval(obj, k, budget=budget)

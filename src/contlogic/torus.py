@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
 
-from .dyadic import sqrt_interval
+from .dyadic import check_precision, sqrt_interval
 from .gaussian import ContlogicError, GaussianRational, over_common_denominator
 
 Vector = tuple[int, ...]
@@ -107,6 +107,7 @@ def _chart_numerator(terms, degrees: list[int], signs: Vector) -> list[int]:
 def torus_sup_norm(support: dict[Vector, GaussianRational], k: int
                    ) -> tuple[Fraction, Fraction]:
     """Interval of width <= 2^-k around sup |sum c_m z^m| over the d-torus."""
+    check_precision(k)
     support = {tuple(v): c for v, c in support.items() if not c.is_zero()}
     if not support:
         return (Fraction(0), Fraction(0))

@@ -339,6 +339,9 @@ def test_force_strategy_flags_take_every_strategy(capsys):
     (["force", "game", "--rounds", "-1"], "usage"),
     (["force", "fp", "--depth", "-1"], "usage"),
     (["force", "sup-leq", "--budget", "-2"], "usage"),
+    (["norm", "--matrix-index", "-1"], "usage"),
+    (["norm", "--matrix-index", "3", "--opnorm-power", "-1"], "usage"),
+    (["norm", "--group", "{tmp}/absent.cfg", "--element", "u", "--lambda-lower", "-1"], "usage"),
 ])
 def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
     args = [a.format(tmp=tmp_path) for a in args]
@@ -346,6 +349,14 @@ def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
     assert status == 1 and out == ""
     assert len(err) == 1
     assert json.loads(err[0])["error"] == kind
+
+
+def test_negative_norm_precision_is_a_usage_error():
+    status, out, err = _typed_error(["norm", "--matrix-index", "3", "--precision", "-2"])
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{
+        "error": "usage",
+        "message": "argument --precision: expected a natural number, got '-2'"}]
 
 
 def test_zero_rounds_is_the_empty_game():

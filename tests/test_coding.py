@@ -5,6 +5,7 @@ import pytest
 
 from contlogic import coding, formulas as F
 
+import delta_strings
 from helpers import random_formula, random_sentence
 
 d = lambda a, b: F.Atomic("d", (a, b))
@@ -46,6 +47,19 @@ def test_decode_total_on_random_naturals():
             assert coding.encode(f, sig) == n
         except coding.NotACode:
             pass
+
+
+def test_integer_pairing_matches_string_pairing():
+    for a in range(300):
+        for b in range(300):
+            assert coding.pair(a, b) == delta_strings.pair(a, b)
+    rng = random.Random(29)
+    for _ in range(20000):
+        a, b = (rng.getrandbits(rng.randint(1, 400)) for _ in range(2))
+        assert coding.pair(a, b) == delta_strings.pair(a, b)
+        assert coding.unpair(coding.pair(a, b)) == (a, b)
+    with pytest.raises(ValueError):
+        coding.pair(-1, 0)
 
 
 def test_decode_zero_is_not_a_code():

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+from contlogic import groups as G
+from contlogic import matrices as M
 from contlogic.dyadic import (
     int_nth_root,
     is_dyadic,
@@ -10,6 +13,8 @@ from contlogic.dyadic import (
     nth_root_upper_grid,
     sqrt_interval,
 )
+from contlogic.gaussian import gr
+from contlogic.torus import torus_sup_norm
 
 
 def test_is_dyadic():
@@ -86,3 +91,24 @@ def test_nth_root_lower_grid_sandwich():
 def test_nth_root_lower_grid_is_grid_floor():
     # value exactly on the grid comes back unchanged
     assert nth_root_lower_grid(Fraction(9, 16), 2, 8, hi_pow2=2) == Fraction(3, 4)
+
+
+_U = G.element(G.free_group("u", "v"), [(1, (("u", 1),))])
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: sqrt_interval(Fraction(2), k),
+    lambda k: torus_sup_norm({(1,): gr(1), (0,): gr(1)}, k),
+    lambda k: torus_sup_norm({}, k),
+    lambda k: G.moment_root_lower(_U, Fraction(1), 1, k),
+    lambda k: G.lambda_norm_lower(_U, 2, k),
+    lambda k: G.lambda_norm_lower_sweep(_U, 3, k),
+    lambda k: G.two_norm(_U, k),
+    lambda k: M.two_norm(M.enumerate_matrices(3), k),
+], ids=["sqrt", "torus", "torus-zero", "moment-root", "lambda", "lambda-sweep",
+        "group-two-norm", "matrix-two-norm"])
+def test_negative_precision_is_refused(call):
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match=f"^precision must be >= 0, got {k}$"):
+            call(k)
+    call(0)

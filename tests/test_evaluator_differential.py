@@ -8,6 +8,9 @@ with one to three quantifiers, repeated atoms and closed compound terms, the
 must come out identical on every presentation.  A stub presentation with
 seeded, often tied intervals over denominators 3, 5, 7 and 3*2^j checks the
 integer sweep's tie-breaks, witness order and out-of-order error as well.
+Behind the per-assignment memo the oracle is asked once per distinct
+(predicate, argument objects) key of a call; a stub whose points repeat
+objects checks that count against the keys the naive sweep asks for.
 """
 
 import random
@@ -134,12 +137,13 @@ class _StubPresentation(P.Presentation):
     Endpoints have denominators 3, 5, 7 and 3*2^j; the table repeats a few
     intervals, some of zero width, across point pairs, so sweeps tie and the
     first-index tie-breaks decide the witnesses.  `disordered` puts lo > hi
-    at one pair."""
+    at one pair; with a `period` point i is the object i % period."""
 
     name, signature, mode = "stub", F.METRIC, P.TWO_SIDED
 
-    def __init__(self, seed, disordered=None):
+    def __init__(self, seed, disordered=None, period=None):
         super().__init__()
+        self.period = period
         rng = random.Random(f"evaluator-differential/stub/{seed}")
         values = sorted({Fraction(n, d) for d in (3, 5, 7, 6, 12, 24) for n in range(d + 1)})
         pool = []
@@ -152,7 +156,7 @@ class _StubPresentation(P.Presentation):
             self.table[disordered] = (Fraction(5, 7), Fraction(2, 3))
 
     def _special(self, index):
-        return index
+        return index if self.period is None else index % self.period
 
     def default_constant_point(self, index):
         return P.PSpecial(index)
@@ -210,16 +214,44 @@ def _counting(pres, method):
     return calls
 
 
+def _keys(calls):
+    return [(pred, *objs) for pred, objs, _ in calls]
+
+
 def test_each_atom_is_evaluated_once_per_assignment_of_its_variables():
-    # d(x, c1) does not mention y and d(y, c1) not x: 5 + 5 calls, not 5 * 5 * 2
+    # d(x, c1) does not mention y and d(y, c2) not x: 5 + 5 calls, not 5 * 5 * 2;
+    # points 0-4 are distinct objects and c1, c2 the points 0 and 1, so the
+    # 10 (predicate, objects) keys are distinct too
     sentence = F.Sup("x", F.Sup("y", F.DotMinus(
-        F.Atomic("d", (F.Var("x"), F.CConst(1))), F.Atomic("d", (F.Var("y"), F.CConst(1))))))
+        F.Atomic("d", (F.Var("x"), F.CConst(1))), F.Atomic("d", (F.Var("y"), F.CConst(2))))))
     budget = E.EvalBudget(points=5, precision_k=6)
     for evaluate, expected in ((E.eval_sentence, 10), (naive.eval_sentence, 50)):
-        pres = P.presentation_C2w()
+        pres = E.TestStructurePresentation(_structure())
         calls = _counting(pres, "atom_interval")
-        evaluate(sentence, pres, budget, {1: pres.rational_point(20)})
+        evaluate(sentence, pres, budget)
         assert len(calls) == expected
+        assert len(set(_keys(calls))) == 10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_distinct_atom_reaches_the_oracle_once_per_call(seed):
+    # points repeat objects (i % 3), so most assignments give a key seen before
+    rng = random.Random(f"evaluator-differential/repeating/{seed}")
+    for quantifiers in (0, 1, 2, 3) * 6:
+        sentence = _sentence(rng, F.METRIC, quantifiers)
+        budget = E.EvalBudget(points=rng.randint(4, 7), precision_k=0)
+        pres, naive_pres = _StubPresentation(seed, period=3), _StubPresentation(seed, period=3)
+        calls, naive_calls = _counting(pres, "atom_interval"), _counting(naive_pres, "atom_interval")
+        got = E.eval_sentence(sentence, pres, budget)
+        want = naive.eval_sentence(sentence, naive_pres, budget)
+        assert got == want, sentence
+        assert list(got.witnesses.items()) == list(want.witnesses.items())
+        keys = _keys(calls)
+        assert len(keys) == len(set(keys)), sentence
+        assert set(keys) == set(_keys(naive_calls)), sentence
+        calls.clear()
+        assert E.eval_sentence(sentence, pres, budget) == got
+        assert len(calls) == len(keys)  # the memo died with the first call
 
 
 def test_closed_compound_terms_are_built_once_per_call():

@@ -14,8 +14,11 @@ every workload it gives the calls of the norm entry points `opnorm_upper`,
 `opnorm_upper_sweep` and `moments_up_to`, how many were repeats (their
 object was passed to an entry point before in the same job) and how many
 were memo hits (they ran none of those kernels, nor `matrices._frobenius_sq`),
-plus the number of jobs whose oracle checks failed.  The counts are
-deterministic, so one run per checkout is enough.  Wrapping is done here,
+plus the number of jobs whose oracle checks failed.  For `queries` it gives,
+per presentation kind, the calls of the oracles `Presentation.atom_interval`
+and `norm_interval` and how many of them had a key not seen before in the
+same job: (predicate, argument objects, k, budget) and (object, k, budget).
+The counts are deterministic, so one run per checkout is enough.  Wrapping is done here,
 outside the benchmark, by rebinding module and class names.
 """
 
@@ -41,8 +44,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
-    from contlogic import groups, matrices
+    from contlogic import groups, matrices, presentations
     from perfbench import workloads
+    from perfbench.tracing import _presentation_kind
 
     counts: Counter = Counter()
     seen: dict = {}  # id -> object, kept alive so that ids are not reused
@@ -84,15 +88,38 @@ def main(argv=None) -> int:
                         (groups, "moments_up_to")):
         setattr(owner, name, entry(getattr(owner, name), name))
 
+    oracle_counts: Counter = Counter()  # (kind, oracle, "calls" | "keys")
+    oracle_keys: set = set()  # (kind, oracle, key) seen in this job
+
+    def oracle(fn, name, key_of):
+        def wrapper(pres, *a, budget=None):
+            kind = _presentation_kind(pres)
+            key = (kind, name, key_of(*a), budget)
+            oracle_counts[kind, name, "calls"] += 1
+            oracle_counts[kind, name, "keys"] += key not in oracle_keys
+            oracle_keys.add(key)
+            return fn(pres, *a, budget=budget)
+        return wrapper
+
+    base = presentations.Presentation
+    base.atom_interval = oracle(base.atom_interval, "atom_interval",
+                                lambda pred, objs, k: (pred, *objs, k))
+    for cls in vars(presentations).values():
+        if isinstance(cls, type) and issubclass(cls, base) and "norm_interval" in vars(cls):
+            cls.norm_interval = oracle(vars(cls)["norm_interval"], "norm_interval",
+                                       lambda obj, k: (obj, k))
+
     out: dict = {"seed": args.seed, "jobs": args.jobs}
     for workload in args.workloads.split(","):
         jobs = workloads.generate(workload, args.seed)[:args.jobs]
         per_kind: dict = defaultdict(Counter)
         totals: Counter = Counter()
         failed = 0
+        oracle_counts.clear()
         for job in jobs:
             counts.clear()
             seen.clear()
+            oracle_keys.clear()
             failed += bool(workloads.check_job(job, workloads.run_job(job)))
             per_kind[job["kind"]].update(counts)
             per_kind[job["kind"]]["jobs"] += 1
@@ -100,6 +127,12 @@ def main(argv=None) -> int:
         report = {"jobs": len(jobs), "failed_jobs": failed,
                   "memo": {name: {k: totals[f"{name}.{k}"] for k in ("calls", "repeats", "hits")}
                            for name in ENTRIES}}
+        if workload == "queries":
+            oracles: dict = defaultdict(lambda: defaultdict(Counter))
+            for (kind, name, what), n in sorted(oracle_counts.items()):
+                oracles[kind][name][what] = n
+                oracles["all"][name][what] += n
+            report["oracles"] = oracles
         if workload == "norms":
             report["per_job"] = {
                 kind: {k: round(c[k] / c["jobs"], 3) for k in KERNELS}

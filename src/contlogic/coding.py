@@ -76,19 +76,20 @@ def _delta(n: int) -> tuple[int, int]:
     return (nb << (nb - 1)) | (n ^ (1 << (nb - 1))), 2 * nb.bit_length() + nb - 2
 
 
-def _parse_delta(bits: str, i: int) -> tuple[int, int]:
-    zeros = 0
-    while i < len(bits) and bits[i] == "0":
-        zeros += 1
-        i += 1
-    if i + zeros + 1 > len(bits):
+def _read_delta(n: int, rem: int) -> tuple[int, int]:
+    """Read the delta code at the top of n's low `rem` bits: (value, bits
+    left below it)."""
+    low = n & ((1 << rem) - 1)
+    width = low.bit_length()
+    zeros = rem - width  # the header is zeros + 1 bits from low's leading 1
+    if zeros + 1 > width:
         raise NotACode("truncated delta header")
-    nb = int(bits[i : i + zeros + 1], 2)
-    i += zeros + 1
-    if nb == 0 or i + nb - 1 > len(bits):
+    rem = width - zeros - 1
+    nb = low >> rem
+    if nb - 1 > rem:
         raise NotACode("truncated delta payload")
-    n = int("1" + bits[i : i + nb - 1], 2)
-    return n, i + nb - 1
+    rem -= nb - 1
+    return (1 << (nb - 1)) | ((low >> rem) & ((1 << (nb - 1)) - 1)), rem
 
 
 def pair(a: int, b: int) -> int:
@@ -103,10 +104,9 @@ def unpair(n: int) -> tuple[int, int]:
     """Inverse of `pair` on its image; raises NotACode elsewhere."""
     if n <= 0:
         raise NotACode("not in the pairing image")
-    bits = bin(n)[3:]  # strip '0b1' sentinel
-    a, i = _parse_delta(bits, 0)
-    b, i = _parse_delta(bits, i)
-    if i != len(bits):
+    a, rem = _read_delta(n, n.bit_length() - 1)  # below the leading 1
+    b, rem = _read_delta(n, rem)
+    if rem:
         raise NotACode("trailing bits after pair")
     return a - 1, b - 1
 

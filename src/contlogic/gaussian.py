@@ -37,8 +37,10 @@ class GaussianRational:
     im: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     # -- arithmetic ---------------------------------------------------------
 

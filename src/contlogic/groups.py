@@ -25,7 +25,9 @@ convolved as integers over D1*D2; the norms read sum |c|^2 over D^2 and
 sum |re|+|im| over D.  In the DP, table entry m (walks of length m) is D^m
 times its value, so tau((a* a)^j) is entry 2j over D^(2j).  In the
 convolution route h = a* a is an integer element over E, h^j one over E^j,
-and tau(h^j) is read over E^j.
+and tau(h^j) is read over E^j.  Over Z (one generator) a product of
+integer elements is a product of Laurent polynomials, done as four big
+integer products by Kronecker substitution (`_convolve_packed`).
 """
 
 from __future__ import annotations
@@ -686,7 +688,17 @@ def _real_trace(value: GaussInt, denominator: int) -> Fraction:
 
 def _convolve(spec: GroupSpec, x: dict[Word, GaussInt],
               y: dict[Word, GaussInt]) -> dict[Word, GaussInt]:
-    """The product x * y of integer-coefficient elements, zeros dropped."""
+    """The product x * y of integer-coefficient elements, zeros dropped.
+
+    Over a free abelian group of rank 1 the product is one of polynomials
+    in u and u^-1, taken by Kronecker substitution (`_convolve_packed`);
+    every other spec, and a sparse operand there, takes the loop over pairs
+    of words.
+    """
+    if isinstance(spec, FreeAbelianGroup) and len(spec.generators) == 1:
+        packed = _convolve_packed(spec.generators[0], x, y)
+        if packed is not None:
+            return packed
     acc: dict[Word, GaussInt] = {}
     mul = spec._mul_normal
     for w1, (r1, i1) in x.items():
@@ -695,6 +707,58 @@ def _convolve(spec: GroupSpec, x: dict[Word, GaussInt],
             r, i = acc.get(w, (0, 0))
             acc[w] = (r + r1 * r2 - i1 * i2, i + r1 * i2 + i1 * r2)
     return {w: c for w, c in acc.items() if c != (0, 0)}
+
+
+# an operand spreading over more than this many exponents per term stays on
+# the loop over pairs, so that a packed integer is at most a few times the
+# size of the dict it stands for
+_PACK_SPREAD = 8
+
+
+def _convolve_packed(g: str, x: dict[Word, GaussInt],
+                     y: dict[Word, GaussInt]) -> Optional[dict[Word, GaussInt]]:
+    """x * y over the free abelian group on g, or None for a sparse operand.
+
+    Each part of each operand becomes one integer, coefficient k of the
+    polynomial (exponent less the operand's least exponent) in a signed limb
+    of B bits at bit B*k (Kronecker substitution; Harvey, J. Symb. Comp. 44,
+    2009); four big products give the parts of x * y.  A limb of the product
+    holds at most min(|x|, |y|) products of two parts per term, twice over,
+    so it stays under 2^(B-1) in size when B covers both operands' part bit
+    lengths, the bit length of the shorter term count and two bits more.
+    Adding 2^(B-1) to every limb makes each one a B-bit digit, from which
+    the coefficient is read back by taking that bias off again.
+    """
+    if not x or not y:
+        return {}
+    ex = [w[0][1] if w else 0 for w in x]
+    ey = [w[0][1] if w else 0 for w in y]
+    lo_x, lo_y = min(ex), min(ey)
+    span_x, span_y = max(ex) - lo_x + 1, max(ey) - lo_y + 1
+    if span_x > _PACK_SPREAD * len(x) or span_y > _PACK_SPREAD * len(y):
+        return None
+    bits = (sum(max(map(abs, chain(*z.values()))).bit_length() for z in (x, y))
+            + min(len(x), len(y)).bit_length() + 2)
+    size = (bits + 7) // 8  # bytes per limb: limbs are read back as byte slices
+    step = 8 * size
+
+    def pack(z, exps, lo, part):
+        return sum(c[part] << (step * (e - lo)) for e, c in zip(exps, z.values()))
+
+    xr, xi = pack(x, ex, lo_x, 0), pack(x, ex, lo_x, 1)
+    yr, yi = pack(y, ey, lo_y, 0), pack(y, ey, lo_y, 1)
+    limbs = span_x + span_y - 1
+    bias = int.from_bytes((b"\0" * (size - 1) + b"\x80") * limbs, "little")
+    half = 1 << (step - 1)
+
+    def unpack(v):
+        data = (v + bias).to_bytes(size * limbs, "little")
+        return [int.from_bytes(data[j:j + size], "little") - half
+                for j in range(0, size * limbs, size)]
+
+    re, im = unpack(xr * yr - xi * yi), unpack(xr * yi + xi * yr)
+    return {((g, e),) if e else IDENTITY: (r, i)
+            for e, r, i in zip(range(lo_x + lo_y, lo_x + lo_y + limbs), re, im) if r or i}
 
 
 def _pair_trace(spec: GroupSpec, x: dict[Word, GaussInt],
@@ -725,6 +789,7 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     denominator D of a's), and convolves Gaussian-integer coefficients, so
     h^j is an integer element over E^j.  Only powers up to ceil(n/2) are
     formed: tau(h^j) = tau(h^ceil(j/2) h^floor(j/2)) is one pairing of them.
+    Over Z each of those products is packed (see `_convolve`).
     """
     if n < 1:
         raise ValueError("moments need n >= 1")

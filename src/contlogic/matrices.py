@@ -17,6 +17,9 @@ never done: each P_j is Hermitian, so by the Frobenius identity
 tr(P_j^2) = sum_ik P_ik conj(P_ik) = sum_ik |P_ik|^2, and
 tr(H^(2^m)) = |P_(m-1)|_F^2 for m >= 1 (tr H = |B|_F^2 for m = 0).  The
 matrix keeps its chain (traces so far, last P_j) for all its later bounds.
+Each squaring takes three integer dot products per entry above the diagonal
+(Gauss's complex product) and each |P_j|_F^2 reads P_j's upper triangle;
+only the first trace, of B itself, sums every entry.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .dyadic import nth_root_upper_grid, sqrt_interval
 from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int,
@@ -162,29 +165,49 @@ def two_norm(a: Matrix, k: int) -> tuple[Fraction, Fraction]:
     return sqrt_interval(Fraction(_trace_chain(a, 1)[0], a.d * a.d * a.n), k)
 
 
+class _HermitianRows(list):
+    """The real rows of a Hermitian `_gram` result, marked so that
+    `_frobenius_sq` may read only its upper triangle."""
+
+    __slots__ = ()
+
+
 def _gram(re: IntRows, im: IntRows) -> tuple[IntRows, IntRows]:
     """G = R R* for the Gaussian-integer rows R = re + i*im.
 
-    G_ij = sum_k R_ik conj(R_jk) is Hermitian, so only i <= j is computed.
+    G_ij = sum_k R_ik conj(R_jk) is Hermitian, so only i <= j is computed,
+    from three dot products per off-diagonal entry (Gauss's product, Knuth,
+    TAOCP vol. 2, 4.6.4): with A = ri.rj, B = ii.ij and
+    S = (ri + ii).(rj - ij), Re G_ij = A + B and Im G_ij = S - A + B.
     For Hermitian R this is R^2.
     """
     n = len(re)
-    g_re = [[0] * n for _ in range(n)]
+    sums = [list(map(add, r, s)) for r, s in zip(re, im)]
+    diffs = [list(map(sub, r, s)) for r, s in zip(re, im)]
+    g_re = _HermitianRows([0] * n for _ in range(n))
     g_im = [[0] * n for _ in range(n)]
     for i in range(n):
-        ri, ii = re[i], im[i]
-        for j in range(i, n):
-            rj, ij = re[j], im[j]
-            real = sum(map(mul, ri, rj)) + sum(map(mul, ii, ij))
-            g_re[i][j] = g_re[j][i] = real
-            if i != j:
-                imag = sum(map(mul, ii, rj)) - sum(map(mul, ri, ij))
-                g_im[i][j], g_im[j][i] = imag, -imag
+        ri, ii, si = re[i], im[i], sums[i]
+        g_re[i][i] = sum(map(mul, ri, ri)) + sum(map(mul, ii, ii))
+        for j in range(i + 1, n):
+            a = sum(map(mul, ri, re[j]))
+            b = sum(map(mul, ii, im[j]))
+            g_re[i][j] = g_re[j][i] = a + b
+            imag = sum(map(mul, si, diffs[j])) - a + b
+            g_im[i][j], g_im[j][i] = imag, -imag
     return g_re, g_im
 
 
 def _frobenius_sq(re: IntRows, im: IntRows) -> int:
-    """sum_ik |R_ik|^2 = tr(R R*)."""
+    """sum_ik |R_ik|^2 = tr(R R*).
+
+    For a Hermitian `_gram` result P this is sum_i P_ii^2 plus twice the
+    sum over i < k of |P_ik|^2, which reads the upper triangle only.
+    """
+    if isinstance(re, _HermitianRows):
+        upper = sum(sum(map(mul, r[i + 1:], r[i + 1:])) + sum(map(mul, s[i + 1:], s[i + 1:]))
+                    for i, (r, s) in enumerate(zip(re, im)))
+        return sum(r[i] * r[i] for i, r in enumerate(re)) + 2 * upper
     return sum(sum(map(mul, r, r)) + sum(map(mul, s, s)) for r, s in zip(re, im))
 
 

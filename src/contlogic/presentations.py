@@ -160,8 +160,9 @@ class Presentation:
         return None
 
     def point_object(self, point: RationalPoint):
-        if point in self._point_cache:
-            return self._point_cache[point]
+        obj = self._point_cache.get(point)  # no object is None
+        if obj is not None:
+            return obj
         if isinstance(point, PSpecial):
             obj = self._special(point.index)
         elif isinstance(point, PAdj):

@@ -18,15 +18,19 @@ chart starts from its 2^d half-boxes split at t = 0.  Ratios at corners are
 exact lower bounds.  The box of greatest upper bound is split at its midpoint
 until the square roots of both bounds are pinned to width 2^-k.  Conversion
 (C(n,i) b_i = sum_q C(n-q, i-q) c_q) and de Casteljau splits (scaled by
-2^degree) stay in the integers.
+2^degree) stay in the integers.  The conversion weights of each degree are
+built once per process (`_bernstein_weights`), and the sign flips of the
+half-boxes once per call.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, lcm, prod
+from operator import mul
 
 from .dyadic import check_precision, sqrt_interval
 from .gaussian import ContlogicError, GaussianRational, over_common_denominator
@@ -50,17 +54,22 @@ def _chart_factor(m: int, e: int) -> list[tuple[int, int]]:
     return poly
 
 
+@lru_cache(maxsize=16)
+def _bernstein_weights(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row i: C(n-q, i-q) * lcm_j C(n,j) / C(n,i) for q = 0..i."""
+    scale = lcm(*(comb(n, i) for i in range(n + 1)))
+    return tuple(tuple(comb(n - q, i - q) * (scale // comb(n, i)) for q in range(i + 1))
+                 for i in range(n + 1))
+
+
 def _to_bernstein(coeffs: list[int], fibers: list[list[int]]) -> list[int]:
     """Power to Bernstein coefficients on [0,1] along one axis, times lcm_i C(n,i)."""
-    n = len(fibers[0]) - 1
-    scale = lcm(*(comb(n, i) for i in range(n + 1)))
-    weights = [[comb(n - q, i - q) * (scale // comb(n, i)) for q in range(i + 1)]
-               for i in range(n + 1)]
+    weights = _bernstein_weights(len(fibers[0]) - 1)
     out = coeffs[:]
     for fiber in fibers:
         row = [coeffs[f] for f in fiber]
         for f, w in zip(fiber, weights):
-            out[f] = sum(a * b for a, b in zip(w, row))
+            out[f] = sum(map(mul, w, row))
     return out
 
 
@@ -150,12 +159,14 @@ def torus_sup_norm(support: dict[Vector, GaussianRational], k: int
         if ub > best_lb:  # otherwise the box holds nothing above best_lb
             heapq.heappush(heap, (-ub, boxes, depths, coeffs, qs))
 
+    # the half t <= 0 is t = -u with u in [0,1]: a coefficient flips sign
+    # when its degrees in the axes taken negative sum to an odd number
+    halves = [[sum(a for a, h in zip(idx, half) if h < 0) % 2 for idx in digits]
+              for half in product((1, -1), repeat=dims)]
     for signs in product((1, -1), repeat=dims):
         numerator = _chart_numerator(zip(support, ints), degrees, signs)
-        for halves in product((1, -1), repeat=dims):
-            # the half t <= 0 is t = -u with u in [0,1]
-            coeffs = [-c if sum(a for a, h in zip(idx, halves) if h < 0) % 2 else c
-                      for c, idx in zip(numerator, digits)]
+        for flips in halves:
+            coeffs = [-c if f else c for c, f in zip(numerator, flips)]
             for fib in fibers:
                 coeffs = _to_bernstein(coeffs, fib)
             push((0,) * dims, coeffs, q_start)

@@ -58,8 +58,27 @@ def test_integer_pairing_matches_string_pairing():
         a, b = (rng.getrandbits(rng.randint(1, 400)) for _ in range(2))
         assert coding.pair(a, b) == delta_strings.pair(a, b)
         assert coding.unpair(coding.pair(a, b)) == (a, b)
+        assert delta_strings.unpair(coding.pair(a, b)) == (a, b)
     with pytest.raises(ValueError):
         coding.pair(-1, 0)
+    # every natural decodes alike, or fails with the same message
+    for n in list(range(-2, 5000)) + [rng.getrandbits(rng.randint(1, 300)) for _ in range(5000)]:
+        assert _unpair_outcome(coding.unpair, n) == _unpair_outcome(delta_strings.unpair, n)
+    # after the '1' sentinel: "000" has no header, "010" announces one payload
+    # bit that is missing, and "111" is pair(0, 0) followed by one bit more
+    for n, message in [(0b1000, "truncated delta header"), (0b101, "truncated delta header"),
+                       (0b1010, "truncated delta payload"), (0b10010011, "truncated delta payload"),
+                       (0b1111, "trailing bits after pair"), (0, "not in the pairing image")]:
+        for unpair in (coding.unpair, delta_strings.unpair):
+            with pytest.raises(coding.NotACode, match=message):
+                unpair(n)
+
+
+def _unpair_outcome(unpair, n):
+    try:
+        return unpair(n)
+    except coding.NotACode as exc:
+        return str(exc)
 
 
 def test_decode_zero_is_not_a_code():

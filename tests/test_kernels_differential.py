@@ -16,7 +16,10 @@ canonical form: denominator positive and prime to every part.
 
 The squaring chain a matrix keeps and the moments an element keeps are
 checked against fresh objects and by counting kernel calls, and the trusted
-products of normal-form words against `normal_form`.
+products of normal-form words against `normal_form`.  The fast paths of the
+norm kernels each have their own oracle: `_gram` a four-product schoolbook
+R R*, the one-triangle `_frobenius_sq` the full sum, and the packed product
+over Z the Fraction product.
 """
 
 import itertools
@@ -140,6 +143,61 @@ def test_matrix_keeps_its_squaring_chain(monkeypatch):
     # value-equal matrices compare equal whatever their chains hold
     fresh = M.Matrix(a.rows)
     assert fresh == a and hash(fresh) == hash(a)
+
+
+def _schoolbook_gram(re, im):
+    """R R* entry by entry, four products per term: (a + ib)(c - id)."""
+    n = len(re)
+    g_re = [[sum(a * c + b * d for a, b, c, d in zip(re[i], im[i], re[j], im[j]))
+             for j in range(n)] for i in range(n)]
+    g_im = [[sum(b * c - a * d for a, b, c, d in zip(re[i], im[i], re[j], im[j]))
+             for j in range(n)] for i in range(n)]
+    return g_re, g_im
+
+
+def _full_frobenius_sq(re, im):
+    return sum(x * x for rows in (re, im) for row in rows for x in row)
+
+
+BIG_PARTS = st.one_of(st.integers(-3, 3), st.integers(-2**120, 2**120))
+
+
+@st.composite
+def int_rows(draw):
+    """Gaussian-integer rows of a square matrix, not Hermitian in general,
+    with some rows zero."""
+    n = draw(st.integers(1, 6))
+    zero = draw(st.sets(st.integers(0, n - 1)))
+    rows = [[tuple(0 if i in zero else draw(BIG_PARTS) for _ in range(n)) for i in range(n)]
+            for _ in range(2)]
+    return tuple(rows[0]), tuple(rows[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows())
+def test_gram_matches_four_product_schoolbook(rows):
+    re, im = rows
+    g_re, g_im = M._gram(re, im)
+    assert (list(map(list, g_re)), list(map(list, g_im))) == _schoolbook_gram(re, im)
+    # the Gram matrix is Hermitian, so its Frobenius sum may read one triangle
+    assert M._frobenius_sq(g_re, g_im) == _full_frobenius_sq(g_re, g_im)
+    # the rows of a matrix, Hermitian or not, are summed in full
+    assert M._frobenius_sq(re, im) == _full_frobenius_sq(re, im)
+    # a Gram matrix of a Gram matrix is its square
+    h_re, h_im = M._gram(g_re, g_im)
+    assert M._frobenius_sq(h_re, h_im) == _full_frobenius_sq(*_schoolbook_gram(g_re, g_im))
+
+
+def test_gram_edges():
+    assert M._gram(((0,),), ((0,),)) == ([[0]], [[0]])
+    assert M._gram(((3,),), ((-4,),)) == ([[25]], [[0]])
+    assert M._frobenius_sq(*M._gram(((3,),), ((-4,),))) == 625
+    # rows (1, 2) and (0, 0) are not Hermitian: |R|_F^2 = 5, where one
+    # triangle counted twice would give 1 + 2 * 4 = 9
+    assert M._frobenius_sq(((1, 2), (0, 0)), ((0, 0), (0, 0))) == 5
+    assert M._gram(((1, 2), (0, 0)), ((0, 0), (0, 0))) == ([[5, 0], [0, 0]], [[0, 0], [0, 0]])
+    # rows (1, i) and (i, 0): G_01 = 1 * conj(i) + i * 0 = -i
+    assert M._gram(((1, 0), (0, 0)), ((0, 1), (1, 0))) == ([[2, 0], [0, 1]], [[0, -1], [1, 0]])
 
 
 def test_negative_trace_on_extending_the_chain(monkeypatch):
@@ -282,6 +340,89 @@ def test_returned_moments_are_new_lists():
     longer = G.moments_up_to(a, 8)
     assert longer[:5] == expected and longer == _power_products(a, 8)
     assert G.moments_up_to(a, 8) is not G.moments_up_to(a, 8)
+
+
+# -- the packed product over Z ------------------------------------------------
+
+
+Z = G.free_abelian("u")
+Z_PARTS = st.one_of(st.integers(-3, 3), st.integers(-2**200, 2**200),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def z_elements(draw, exponents=st.integers(-40, 40)):
+    """Elements of Q(i)Z: zero, or a few terms with exponents in +-40 and
+    parts from -3..3 up to 2^200 in size, mixed in sign, some with small
+    denominators."""
+    terms = draw(st.dictionaries(exponents, _gaussians(Z_PARTS), max_size=12))
+    return G.element(Z, [(c, (("u", e),) if e else ()) for e, c in terms.items()])
+
+
+def _dense(a) -> bool:
+    return G._convolve_packed("u", a.ints, a.ints) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_elements(), z_elements())
+def test_packed_product_matches_fraction_product(a, b):
+    product = a * b
+    assert product == fraction_kernels.algebra_mul(a, b)
+    assert (0, 0) not in product.ints.values()
+    assert product.is_zero() == (a.is_zero() or b.is_zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(z_elements(st.integers(-6, 6)), z_elements(st.integers(-6, 6)))
+def test_packed_product_drops_what_cancels(a, b):
+    # (a + b)(a - b) = a^2 - b^2: the cross terms cancel coefficient by coefficient
+    assert (a + b) * (a - b) == fraction_kernels.algebra_mul(a + b, a - b)
+    assert (a + b) * (a - b) == a * a - b * b
+    # a* a is the packed convolution of two dense operands
+    h = a.adjoint() * a
+    assert h == fraction_kernels.algebra_mul(a.adjoint(), a)
+    assert a.is_zero() or _dense(a)
+
+
+@pytest.mark.parametrize("bits", [3, 199])
+def test_packed_limbs_hold_the_largest_coefficients(bits):
+    # 16 terms whose parts all have the largest size of their bit length: the
+    # middle coefficients of these products are 32 (2^bits - 1)^2, which needs
+    # every bit of the limb width (2 * bits + 2 is a multiple of 8 for both)
+    top = 2**bits - 1
+    for lam, mu in [(gr(top, top), gr(top, top)), (gr(top, top), gr(top, -top)),
+                    (gr(-top, top), gr(top, top))]:
+        a = G.element(Z, [(lam, (("u", e),) if e else ()) for e in range(-8, 8)])
+        b = G.element(Z, [(mu, (("u", e),) if e else ()) for e in range(-7, 9)])
+        assert _dense(a) and _dense(b)
+        product = a * b
+        assert product == fraction_kernels.algebra_mul(a, b)
+        assert max(abs(x) for z in product.ints.values() for x in z) == 32 * top * top
+
+
+def test_packed_route_edges(monkeypatch):
+    u = lambda e: (("u", e),) if e else ()
+    one = G.element(Z, [(1, ())])
+    zero = G.element(Z, [])
+    up = G.element(Z, [(1, u(1)), (1, u(-1))])
+    down = G.element(Z, [(1, u(1)), (-1, u(-1))])
+    big = G.element(Z, [(2**200 + 1, u(40)), (gr(-(2**199), 3), u(-40)), (1, ())])
+    calls = _counting(monkeypatch, G, ["_convolve_packed"])
+    assert up * zero == zero == zero * up and (zero * zero).is_zero()
+    # (u + u^-1)(u - u^-1) = u^2 - u^-2, the constant cancels
+    assert up * down == G.element(Z, [(1, u(2)), (-1, u(-2))])
+    assert G.IDENTITY not in (up * down).ints
+    assert one * big == big and big * big == fraction_kernels.algebra_mul(big, big)
+    assert calls["_convolve_packed"] == 7
+    # sparse operands (81 exponents held by 3 terms, 18 by 2) go pair by pair
+    assert G._convolve_packed("u", big.ints, big.ints) is None
+    assert not _dense(G.element(Z, [(1, u(0)), (1, u(17))]))
+    # the rank-2 group and every other kind never take the packed route
+    calls["_convolve_packed"] = 0
+    for spec, g, _ in PRODUCT_GROUPS:
+        a = G.element(spec, [(1, ((g, 1),)), (-1, ())])
+        assert a * a == fraction_kernels.algebra_mul(a, a)
+    assert calls["_convolve_packed"] == 0
 
 
 # -- products of normal forms ------------------------------------------------

@@ -9,7 +9,12 @@ script) and prints one JSON line.  For `norms` it gives, per job kind and per
 job, the calls of the squaring step `matrices._gram`, the excursion DP
 `groups._free_walk_traces`, the convolution kernels `groups._convolve` and
 `groups._pair_trace`, and the word products and inverses (`mul`, `inv` and,
-where they exist, `_mul_normal`, `_inv_normal` of every group kind).  For
+where they exist, `_mul_normal`, `_inv_normal` of every group kind), and how
+many `_convolve` calls took the packed route (`groups._convolve_packed`,
+where it exists, returned a product).  Before any wrapper is installed it
+also times each `norms` job alone (`run_job`, best of three passes) and
+gives the mean wall time per job of each kind in ms; this one figure
+depends on the host, so compare checkouts by alternating runs.  For
 every workload it gives the calls of the norm entry points `opnorm_upper`,
 `opnorm_upper_sweep` and `moments_up_to`, how many were repeats (their
 object was passed to an entry point before in the same job) and how many
@@ -27,12 +32,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
 KERNELS = ("_gram", "_free_walk_traces", "_convolve", "_pair_trace", "word_products")
 ENTRIES = ("opnorm_upper", "opnorm_upper_sweep", "moments_up_to")
 WORD_METHODS = ("mul", "inv", "_mul_normal", "_inv_normal")
+TIMED_PASSES = 3
 
 
 def main(argv=None) -> int:
@@ -47,6 +54,10 @@ def main(argv=None) -> int:
     from contlogic import groups, matrices, presentations
     from perfbench import workloads
     from perfbench.tracing import _presentation_kind
+
+    names = args.workloads.split(",")
+    job_ms = (_job_ms(workloads, workloads.generate("norms", args.seed)[:args.jobs])
+              if "norms" in names else {})
 
     counts: Counter = Counter()
     seen: dict = {}  # id -> object, kept alive so that ids are not reused
@@ -63,6 +74,14 @@ def main(argv=None) -> int:
                              (groups, "_convolve", "_convolve"),
                              (groups, "_pair_trace", "_pair_trace")):
         setattr(owner, name, counted(getattr(owner, name), key))
+    if hasattr(groups, "_convolve_packed"):
+        packed = groups._convolve_packed
+
+        def counted_packed(*a):
+            out = packed(*a)
+            counts["_convolve.packed"] += out is not None
+            return out
+        groups._convolve_packed = counted_packed
     for cls in vars(groups).values():
         if isinstance(cls, type) and issubclass(cls, groups.GroupSpec):
             for name in WORD_METHODS:
@@ -110,7 +129,7 @@ def main(argv=None) -> int:
                                        lambda obj, k: (obj, k))
 
     out: dict = {"seed": args.seed, "jobs": args.jobs}
-    for workload in args.workloads.split(","):
+    for workload in names:
         jobs = workloads.generate(workload, args.seed)[:args.jobs]
         per_kind: dict = defaultdict(Counter)
         totals: Counter = Counter()
@@ -135,11 +154,27 @@ def main(argv=None) -> int:
             report["oracles"] = oracles
         if workload == "norms":
             report["per_job"] = {
-                kind: {k: round(c[k] / c["jobs"], 3) for k in KERNELS}
+                kind: {k: round(c[k] / c["jobs"], 3) for k in KERNELS + ("_convolve.packed",)}
                 for kind, c in per_kind.items()}
+            report["job_ms"] = job_ms
         out[workload] = report
     print(json.dumps(out))
     return 0
+
+
+def _job_ms(workloads, jobs) -> dict:
+    """Mean wall time per job of each kind, in ms, each job timed alone
+    with nothing wrapped; the least over TIMED_PASSES passes."""
+    best: dict = {}
+    for _ in range(TIMED_PASSES):
+        total: Counter = Counter()
+        for job in jobs:
+            start = time.perf_counter()
+            workloads.run_job(job)
+            total[job["kind"]] += time.perf_counter() - start
+        best = {k: min(v, best.get(k, v)) for k, v in total.items()}
+    sizes = Counter(job["kind"] for job in jobs)
+    return {k: round(1000 * v / sizes[k], 3) for k, v in best.items()}
 
 
 if __name__ == "__main__":

@@ -101,7 +101,8 @@ class TestStructure:
         if any(len(row) != n for row in self.distances):
             raise ValueError("distance table must be square")
         # checked on the integer numerators over one common denominator
-        rows = [[Fraction(x) for x in row] for row in self.distances]
+        rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
+                for row in self.distances]
         den = lcm(*(x.denominator for row in rows for x in row))
         table = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
         for i, row in enumerate(table):

@@ -20,19 +20,22 @@ the forcing checks:
     inf blocks, unknown where only exhaustion over all extensions would do.
 
 A condition keeps its margin verdict per solver instance, so a game solves
-each condition once; compilation lex-minimizes the distances on one tableau
-per branch alternative.  The engine is written against this decidable
+each condition at most once, exists moves certified by a model: a move that
+holds strictly at the previous condition's margin point is a condition
+without an LP of its own.  Compilation lex-minimizes the distances on one
+tableau per branch alternative.  The engine is written against this decidable
 instance; plugging in a theory whose condition set is only semi-decidable
 means replacing the LP oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import coding
 from . import formulas as F
@@ -77,13 +80,18 @@ class Condition:
 
     `keys` holds (Goedel code of phi, r) for each item, in the same order: the
     sort key, kept so that only new items are ever validated and encoded.
-    `mentioned` holds the constants of every item, likewise filled from new
-    items only.  `verdicts` holds the margin verdict per MetricInstance,
-    solved on first request (see `_margin_verdict`)."""
+    `by_key` maps each key to its formula and `key_set` holds the keys; both
+    are built from containers that keep the keys' hashes, so `extend` and
+    `extends` hash only keys not seen before.  `mentioned` holds the
+    constants of every item, likewise filled from new items only.  `verdicts`
+    holds the margin verdict per MetricInstance, solved on first request
+    (see `_margin_verdict`)."""
 
     items: tuple[tuple[F.Formula, Fraction], ...]
     keys: tuple[tuple[int, Fraction], ...] = field(compare=False, repr=False)
     mentioned: frozenset[int] = field(compare=False, repr=False)
+    by_key: dict = field(compare=False, repr=False)
+    key_set: frozenset = field(compare=False, repr=False)
     verdicts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
@@ -92,11 +100,11 @@ class Condition:
 
     @staticmethod
     def empty() -> "Condition":
-        return Condition((), (), frozenset())
+        return Condition((), (), frozenset(), {}, frozenset())
 
     def extend(self, items) -> "Condition":
         # the code determines the formula, so (code, r) identifies an item
-        by_key = dict(zip(self.keys, (f for f, _ in self.items)))
+        by_key = self.by_key.copy()
         mentioned = set(self.mentioned)
         for formula, bound in items:
             bound = Fraction(bound)
@@ -111,11 +119,12 @@ class Condition:
             mentioned |= F.constants_of(formula)
         if len(by_key) == len(self.keys):
             return self  # nothing new, so its verdicts still hold
-        keys = tuple(sorted(by_key))
-        return Condition(tuple((by_key[k], k[1]) for k in keys), keys, frozenset(mentioned))
+        ordered = sorted(by_key.items())  # keys are distinct: formulas are never compared
+        return Condition(tuple((f, k[1]) for k, f in ordered), tuple(k for k, _ in ordered),
+                         frozenset(mentioned), by_key, frozenset(by_key))
 
     def extends(self, other: "Condition") -> bool:
-        return set(other.keys) <= set(self.keys)
+        return other.key_set <= self.key_set
 
     def constants(self) -> list[int]:
         return sorted(self.mentioned)
@@ -337,12 +346,13 @@ def _grid_below(bound: Fraction, g: int) -> list[Fraction]:
     return [Fraction(j, scale) for j in range(0, top + 1)]
 
 
+def _slice_tuples(p: Condition, g: int) -> Iterator[tuple[Fraction, ...]]:
+    """The grid values of each slice member, lazily, last item fastest."""
+    return itertools.product(*(_grid_below(bound, g) for _, bound in p.items))
+
+
 def dollar_tuples(p: Condition, g: int) -> list[tuple[Fraction, ...]]:
-    tuples = [()]
-    for _, bound in p.items:
-        grid = _grid_below(bound, g)
-        tuples = [t + (s,) for t in tuples for s in grid]
-    return tuples
+    return list(_slice_tuples(p, g))
 
 
 def dollar(p: Condition, g: int) -> list[F.Formula]:
@@ -422,7 +432,7 @@ def forces_sup_leq(p: Condition, psi: F.Formula, r: Fraction,
         for g in range(1, budget + 1):
             if capped:
                 break
-            for values in dollar_tuples(p, g):
+            for values in _slice_tuples(p, g):
                 if swept >= inst.sweep_cap:
                     capped = True
                     break
@@ -461,7 +471,9 @@ Strategy = Callable[[Transcript, MetricInstance], Condition]
 def play_game(forall_strategy: Strategy, exists_strategy: Strategy,
               rounds: int, inst: MetricInstance = MetricInstance()) -> Transcript:
     """Alternating play, universal player first; every move must be a
-    condition extending the previous one or the offender forfeits."""
+    condition extending the previous one or the offender forfeits.  A move
+    is a condition by `_model_certifies` when the previous condition's model
+    satisfies it, else by its own margin LP (`is_condition`)."""
     moves: tuple[tuple[str, Condition], ...] = ()
     for i in range(rounds):
         player = "A" if i % 2 == 0 else "E"
@@ -471,10 +483,46 @@ def play_game(forall_strategy: Strategy, exists_strategy: Strategy,
         previous = transcript.last()
         if not cond.extends(previous):
             raise IllegalMove(player, "move does not extend the previous condition")
-        if not is_condition(cond, inst):
+        if not (_model_certifies(cond, previous, inst) or is_condition(cond, inst)):
             raise IllegalMove(player, "move is not a condition")
         moves = moves + ((player, cond),)
     return Transcript(moves)
+
+
+def _value_at(formula: F.Formula, point: dict) -> Fraction:
+    """Exact value of a quantifier-free metric sentence at the pair values
+    `point`; a KeyError names a pair that the point lacks."""
+    if isinstance(formula, F.Atomic):
+        i, j = (_term_const(t) for t in formula.args)
+        return Fraction(0) if i == j else point[_pair_var(i, j)]
+    if isinstance(formula, F.Zero):
+        return Fraction(0)
+    if isinstance(formula, F.One):
+        return Fraction(1)
+    if isinstance(formula, F.Half):
+        return _value_at(formula.body, point) / 2
+    return F.dot_minus_value(_value_at(formula.left, point), _value_at(formula.right, point))
+
+
+def _model_certifies(cond: Condition, previous: Condition, inst: MetricInstance) -> bool:
+    """True when `cond` has no kept verdict under inst and every item of it
+    is strictly below its bound at the point of `previous`'s kept verdict,
+    read exactly; cond's own verdict is then left for `_margin_verdict` to
+    solve if something reads it.
+
+    Sound: the point satisfies the metric-axiom rows of previous's exact LP,
+    so it is a [0,1]-metric on previous's constants.  The evaluation read
+    only pairs in the point, so a constant of cond outside them occurs only
+    in atoms d(c, c); it can sit on an existing point, or alone at distance 1
+    from all, and the result is still a metric.  That metric gives every item
+    the value read here, so it is a model of cond: cond is a condition."""
+    verdict = previous.verdicts.get(inst)
+    if inst in cond.verdicts or verdict is None or not verdict.satisfiable:
+        return False
+    try:
+        return all(_value_at(formula, verdict.point) < bound for formula, bound in cond.items)
+    except KeyError:
+        return False
 
 
 def _pass_move(prev: Condition) -> Condition:
@@ -530,7 +578,12 @@ def random_forall_strategy(seed: int) -> Strategy:
 def exists_pinning_strategy() -> Strategy:
     """The universal-model strategy: each turn solves the current condition
     with maximal margin and pins every mentioned distance into a dyadic
-    interval of width <= 2^-round around the solution, nesting over rounds."""
+    interval of width <= 2^-round around the solution, nesting over rounds.
+
+    Every pin holds strictly at the solution, so `play_game` certifies the
+    move by that point without an LP, except where a distance y = 1: its pin
+    is capped to d < 1, which excludes the solution, and the move goes to
+    the LP."""
 
     def move(transcript: Transcript, inst: MetricInstance) -> Condition:
         prev = transcript.last()

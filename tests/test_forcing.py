@@ -293,6 +293,15 @@ def test_forces_monotone_in_condition():
     assert FC.forces_sup_leq(extended, d(1, 2), Fraction(1, 8)).verdict == "yes"
 
 
+def test_sweep_builds_only_the_members_it_tests():
+    # 40 distinct bounds in (1/2, 1] give 2^40 members at granularity 1; the
+    # first already has a countermodel, and the sweep must not list the rest
+    p = FC.Condition.of([(d(1, 2), Fraction(1, 2) + Fraction(k, 128)) for k in range(1, 41)])
+    assert len(p.items) == 40
+    ans = FC.forces_sup_leq(p, F.Atomic("d", (x, F.CConst(1))), Fraction(1, 4), INST, budget=1)
+    assert (ans.verdict, ans.swept) == ("no", 1)
+
+
 def test_play_game_pass_through():
     t = FC.play_game(
         FC.pass_through_strategy(), FC.pass_through_strategy(), 4, INST

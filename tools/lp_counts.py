@@ -7,8 +7,9 @@ from the checkout at --root (default: the one holding this script) and
 prints one JSON line: tableaux built (calls of `feasibility.maximize_rows`
 and `feasibility.lex_minimize_rows`, where it exists), pivots (calls of
 `feasibility._pivot`), `forcing._solve_system` calls and those that repeat
-an earlier (system, constants, instance) of the same job, all per job, plus
-the number of jobs whose oracle checks failed.  The counts are
+an earlier (system, constants, instance) of the same job, and moves that
+`forcing._model_certifies` (where it exists) accepted without a solve, all
+per job, plus the number of jobs whose oracle checks failed.  The counts are
 deterministic, so one run per checkout is enough.  Wrapping is done here,
 outside the benchmark, by rebinding module names.
 """
@@ -33,6 +34,16 @@ def main(argv=None) -> int:
     from perfbench import workloads
 
     counts = dict.fromkeys(["tableaux", "pivots", "solves", "repeated_solves"], 0)
+    if hasattr(forcing, "_model_certifies"):
+        certifies = forcing._model_certifies
+        counts["certified_moves"] = 0
+
+        def model_certifies(*a):
+            ok = certifies(*a)
+            counts["certified_moves"] += ok
+            return ok
+
+        forcing._model_certifies = model_certifies
     seen: set = set()
 
     def counted(fn, key):

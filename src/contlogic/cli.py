@@ -50,6 +50,19 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+# each step of m doubles the grid root's radicand t * 2^(16 * 2^(m+1)) in
+# bits: m = 16 takes seconds on an 8x8 matrix, and past it a run ends only
+# when memory does
+OPNORM_POWER_MAX = 16
+
+
+def _opnorm_power(text: str) -> int:
+    m = _natural(text)
+    if m > OPNORM_POWER_MAX:
+        raise argparse.ArgumentTypeError(f"expected at most {OPNORM_POWER_MAX}, got {m}")
+    return m
+
+
 def _frac(q) -> str | None:
     return None if q is None else str(Fraction(q))
 
@@ -351,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     norm = sub.add_parser("norm", help="certified norm bounds")
     norm.add_argument("--matrix-index", type=_natural)
-    norm.add_argument("--opnorm-power", type=_natural, default=6)
+    norm.add_argument("--opnorm-power", type=_opnorm_power, default=6)
     norm.add_argument("--group", help="group config path")
     norm.add_argument("--element", help="group algebra element expression")
     norm.add_argument("--lambda-lower", type=_natural, default=0,

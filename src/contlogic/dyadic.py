@@ -4,11 +4,13 @@ Every function here takes exact Fractions in and returns exact Fractions out;
 no floating point is used anywhere.  Square roots and n-th roots are bounded
 by integer-root computations on scaled numerators/denominators, so each bound
 carries an arithmetic proof of its own correctness (lo**n <= x <= hi**n).
-Both grid roots scale x by a power of two and take one integer n-th root
-(`int_nth_root`) of the floored numerator; nothing bisects.  Their radicands
-are the exact trace moments of the integer kernels: an integer trace over
-D^(2^(m+1)) from `matrices` (root 2^(m+1)) and over D^(2j) or E^j from
-`groups` (root 2j), where D and E are the kernels' common denominators.
+Both grid roots scale x by 2^(k*n) with a shift of its numerator and take
+one integer n-th root (`int_nth_root`) of the floored quotient; nothing
+bisects.  Their radicands are the exact trace moments of the integer
+kernels: an integer trace t over D^(2^(m+1)) from `matrices` (root
+2^(m+1), so the scaled numerator t * 2^(16 * 2^(m+1)) doubles in bits with
+each m) and over D^(2j) or E^j from `groups` (root 2j), where D and E are
+the kernels' common denominators.
 """
 
 from __future__ import annotations
@@ -80,14 +82,13 @@ def nth_root_upper_grid(x: Fraction, n: int, k: int) -> Fraction:
         raise ValueError("negative radicand")
     if x == 0:
         return Fraction(0)
-    scale = 1 << k
-    # want least c with (c/scale)^n >= x, i.e. c^n * den >= num * scale^n
-    num = x.numerator * scale**n
+    # want least c with (c/2^k)^n >= x, i.e. c^n * den >= num * 2^(k*n)
+    num = x.numerator << (k * n)
     den = x.denominator
     c = int_nth_root(num // den, n)
     while c**n * den < num:
         c += 1
-    return Fraction(c, scale)
+    return Fraction(c, 1 << k)
 
 
 def nth_root_lower_grid(x: Fraction, n: int, k: int, hi_pow2: int) -> Fraction:

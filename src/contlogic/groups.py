@@ -763,11 +763,19 @@ def _convolve_packed(g: str, x: dict[Word, GaussInt],
 
 def _pair_trace(spec: GroupSpec, x: dict[Word, GaussInt],
                 y: dict[Word, GaussInt]) -> GaussInt:
-    """tau(x * y) = sum_w x(w) y(w^-1), without forming the product."""
+    """tau(x * y) = sum_w x(w) y(w^-1), without forming the product.
+
+    Over Z (the free abelian group of rank 1) w^-1 is w at the negated
+    exponent, so y is read by exponent and no word is inverted.
+    """
+    if isinstance(spec, FreeAbelianGroup) and len(spec.generators) == 1:
+        by_exp = {w[0][1] if w else 0: c for w, c in y.items()}
+        partners = [by_exp.get(-w[0][1] if w else 0, (0, 0)) for w in x]
+    else:
+        inv = spec._inv_normal
+        partners = [y.get(inv(w), (0, 0)) for w in x]
     re = im = 0
-    inv = spec._inv_normal
-    for w, (r1, i1) in x.items():
-        r2, i2 = y.get(inv(w), (0, 0))
+    for (r1, i1), (r2, i2) in zip(x.values(), partners):
         re += r1 * r2 - i1 * i2
         im += r1 * i2 + i1 * r2
     return re, im

@@ -11,15 +11,32 @@ A matrix A is held as B = DA over its least common denominator D, so equal
 matrices have equal fields; operations run on B with one gcd per result.
 H = B B* has the trace powers of B* B = D^2 A* A (by cyclicity,
 tr((B B*)^k) = tr((B* B)^k)), so tr((A* A)^(2^m)) is the integer
-tr(H^(2^m)) over D^(2^(m+1)); that is the only division.  One chain of
-squarings P_0 = H, P_j = P_(j-1)^2 serves every m, and the last squaring is
-never done: each P_j is Hermitian, so by the Frobenius identity
-tr(P_j^2) = sum_ik P_ik conj(P_ik) = sum_ik |P_ik|^2, and
-tr(H^(2^m)) = |P_(m-1)|_F^2 for m >= 1 (tr H = |B|_F^2 for m = 0).  The
-matrix keeps its chain (traces so far, last P_j) for all its later bounds.
-Each squaring takes three integer dot products per entry above the diagonal
-(Gauss's complex product) and each |P_j|_F^2 reads P_j's upper triangle;
-only the first trace, of B itself, sums every entry.
+tr(H^(2^m)) over D^(2^(m+1)); that is the only division.
+
+One chain serves every m, and it switches once, at a point that depends on
+n alone.  While the powers are small it squares P_0 = H, P_j = P_(j-1)^2,
+and the last squaring is never done: each P_j is Hermitian, so by the
+Frobenius identity tr(P_j^2) = sum_ik P_ik conj(P_ik) = sum_ik |P_ik|^2,
+and tr(H^(2^m)) = |P_(m-1)|_F^2 for m >= 1 (tr H = |B|_F^2 for m = 0).
+Each squaring takes three integer dot products per entry above the
+diagonal (Gauss's complex product), about 1.5 n^3 big products, and each
+|P_j|_F^2 reads P_j's upper triangle; only the first trace, of B itself,
+sums every entry.  Once 2^j passes h^2, h = ceil(n/2), the chain turns to
+Cayley-Hamilton: H^N = r(H) for r = x^N mod chi_H, so
+tr(H^N) = sum_i r_i p_i with the power sums p_i = tr(H^i), and
+x^(2N) mod chi_H is r^2 reduced by chi_H's small integer coefficients,
+n(n+1)/2 big products (the linear-recurrence trick of Fiduccia, SIAM J.
+Comput. 14(1), 1985).  At the switch it fills in H^a for a <= h from the
+powers of two it squared, reads p_k = tr(H^floor(k/2) H^ceil(k/2)) for
+k <= n, and gets chi_H from Newton's identities, each of whose divisions
+must be exact (`InexactNewtonStep` otherwise).  Below h^2 those n/2 power
+products cost more than the squarings they would save.
+
+The matrix keeps its chain for all its later bounds in two slots:
+`_traces`, the traces so far, and `_power`, which holds the squared powers
+before the switch (the P_j with 2^j <= h, and the last) and
+(chi_H's reduction coefficients, [p_0, ..., p_(n-1)], the last remainder)
+after it.
 """
 
 from __future__ import annotations
@@ -55,6 +72,10 @@ class NegativeTrace(MatrixError):
     """A trace power of A* A came out negative, so the trace kernel is at fault."""
 
 
+class InexactNewtonStep(MatrixError):
+    """A Newton step for chi_H left a remainder, so a power sum is at fault."""
+
+
 IntRows = tuple[tuple[int, ...], ...]
 
 
@@ -62,7 +83,7 @@ class Matrix:
     """A square matrix over Q(i): Gaussian-integer rows re + i*im over d.
     `Matrix(rows)` takes rows of GaussianRational and `.rows` gives them back;
     operations build results with `_make`, which trusts its integers.
-    `_traces`, `_power`: the squaring chain (`_trace_chain`), not compared."""
+    `_traces`, `_power`: the trace chain (`_trace_chain`), not compared."""
 
     __slots__ = ("n", "d", "re", "im", "_traces", "_power")
 
@@ -74,7 +95,7 @@ class Matrix:
         self.n, self.d, n = len(rows), d, len(rows)
         self.re, self.im = (tuple(tuple(z[j] for z in parts[i * n:(i + 1) * n])
                                   for i in range(n)) for j in (0, 1))
-        self._traces, self._power = [], (self.re, self.im)
+        self._traces, self._power = [], []
 
     @staticmethod
     def _make(d: int, re: IntRows, im: IntRows) -> "Matrix":
@@ -83,7 +104,7 @@ class Matrix:
         if g > 1:
             d, re, im = d // g, *(tuple(tuple(x // g for x in r) for r in m) for m in (re, im))
         out = object.__new__(Matrix)
-        out.n, out.d, out.re, out.im, out._traces, out._power = len(re), d, re, im, [], (re, im)
+        out.n, out.d, out.re, out.im, out._traces, out._power = len(re), d, re, im, [], []
         return out
 
     @property
@@ -172,26 +193,29 @@ class _HermitianRows(list):
     __slots__ = ()
 
 
-def _gram(re: IntRows, im: IntRows) -> tuple[IntRows, IntRows]:
-    """G = R R* for the Gaussian-integer rows R = re + i*im.
+def _gram(re: IntRows, im: IntRows, other=None) -> tuple[IntRows, IntRows]:
+    """G = R S* for the Gaussian-integer rows R = re + i*im and S = other
+    (R when other is None).
 
-    G_ij = sum_k R_ik conj(R_jk) is Hermitian, so only i <= j is computed,
-    from three dot products per off-diagonal entry (Gauss's product, Knuth,
-    TAOCP vol. 2, 4.6.4): with A = ri.rj, B = ii.ij and
-    S = (ri + ii).(rj - ij), Re G_ij = A + B and Im G_ij = S - A + B.
-    For Hermitian R this is R^2.
+    G_ij = sum_k R_ik conj(S_jk).  Only i <= j is computed, so G must be
+    Hermitian: R R* always is, and so is R S* = R S for two commuting
+    Hermitian R and S (two powers of H).  Each off-diagonal entry takes
+    three dot products (Gauss's product, Knuth, TAOCP vol. 2, 4.6.4): with
+    A = ri.sj, B = ii.tj and X = (ri + ii).(sj - tj) for S = s + i*t,
+    Re G_ij = A + B and Im G_ij = X - A + B.  For Hermitian R this is R^2.
     """
     n = len(re)
+    s_re, s_im = other or (re, im)
     sums = [list(map(add, r, s)) for r, s in zip(re, im)]
-    diffs = [list(map(sub, r, s)) for r, s in zip(re, im)]
+    diffs = [list(map(sub, r, s)) for r, s in zip(s_re, s_im)]
     g_re = _HermitianRows([0] * n for _ in range(n))
     g_im = [[0] * n for _ in range(n)]
     for i in range(n):
         ri, ii, si = re[i], im[i], sums[i]
-        g_re[i][i] = sum(map(mul, ri, ri)) + sum(map(mul, ii, ii))
+        g_re[i][i] = sum(map(mul, ri, s_re[i])) + sum(map(mul, ii, s_im[i]))
         for j in range(i + 1, n):
-            a = sum(map(mul, ri, re[j]))
-            b = sum(map(mul, ii, im[j]))
+            a = sum(map(mul, ri, s_re[j]))
+            b = sum(map(mul, ii, s_im[j]))
             g_re[i][j] = g_re[j][i] = a + b
             imag = sum(map(mul, si, diffs[j])) - a + b
             g_im[i][j], g_im[j][i] = imag, -imag
@@ -211,22 +235,118 @@ def _frobenius_sq(re: IntRows, im: IntRows) -> int:
     return sum(sum(map(mul, r, r)) + sum(map(mul, s, s)) for r, s in zip(re, im))
 
 
+def _trace_product(x: tuple[IntRows, IntRows], y: tuple[IntRows, IntRows]) -> int:
+    """tr(X Y) = Re sum_ik X_ik conj(Y_ik) for Hermitian `_gram` results X
+    and Y: the diagonal plus twice the upper triangle, as in `_frobenius_sq`,
+    which stays a one-matrix kernel since every chain step calls it.
+    """
+    (xr, xi), (yr, yi) = x, y
+    upper = sum(sum(map(mul, r[i + 1:], t[i + 1:])) + sum(map(mul, s[i + 1:], u[i + 1:]))
+                for i, (r, s, t, u) in enumerate(zip(xr, xi, yr, yi)))
+    return sum(r[i] * t[i] for i, (r, t) in enumerate(zip(xr, yr))) + 2 * upper
+
+
+def _charpoly(sums: list[int]) -> list[int]:
+    """[c_0, ..., c_(n-1)] with x^n = sum_i c_i x^i mod chi_H, from the
+    power sums [n, p_1, ..., p_n], p_k = tr(H^k), by Newton's identities
+    k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2); chi_H = sum_k (-1)^k e_k x^(n-k).
+
+    H has integer entries, so every e_k is an integer; a step that leaves a
+    remainder means a power sum is wrong and raises `InexactNewtonStep`.
+    """
+    n, e = len(sums) - 1, [1]
+    for k in range(1, n + 1):
+        s = sum(e[k - i] * sums[i] if i % 2 else -e[k - i] * sums[i] for i in range(1, k + 1))
+        q, rem = divmod(s, k)
+        if rem:
+            raise InexactNewtonStep(f"Newton step e_{k} = {s}/{k} is not an integer")
+        e.append(q)
+    return [e[n - i] if (n - i) % 2 else -e[n - i] for i in range(n)]
+
+
+def _square_mod(r: list[int], c: list[int]) -> list[int]:
+    """r^2 mod chi_H for r of degree < n, with x^n = sum_i c_i x^i mod chi_H.
+
+    The square takes n(n+1)/2 products of r's coefficients; reducing its
+    terms of degree n..2n-2 from the top multiplies them by the c_i only.
+    """
+    n = len(r)
+    rev = r[::-1]
+    s = []
+    for k in range(2 * n - 1):
+        lo, mid = max(0, k - n + 1), (k + 1) // 2  # pairs i < k - i with i >= lo
+        cross = sum(map(mul, r[lo:mid], rev[n - 1 - k + lo:n - 1 - k + mid]))
+        s.append(2 * cross + (r[k // 2] ** 2 if k % 2 == 0 else 0))
+    for d in range(2 * n - 2, n - 1, -1):
+        if top := s.pop():
+            s[d - n:] = [x + top * y for x, y in zip(s[d - n:], c)]
+    return s
+
+
 def _trace_chain(a: Matrix, ms: int) -> list[int]:
     """a's [tr(H^(2^m)) for m in range(ms)] or more, H = (DA)(DA)*.
 
-    tr H = |DA|_F^2; for m >= 1, tr(H^(2^m)) = |P|_F^2 with the Hermitian
-    P = H^(2^(m-1)), so the chain stops one squaring short of the last power.
-    The chain grows on `a` (a's own list is returned); new traces are checked.
+    tr H = |DA|_F^2.  While 2^(m-1) <= ceil(n/2)^2, tr(H^(2^m)) = |P|_F^2 with
+    the Hermitian P = H^(2^(m-1)) squared by `_gram`, so the squaring stops
+    one short of the last power.  Past that, the chain switches once to the
+    remainder x^(2^m) mod chi_H (see the module docstring).  The chain grows
+    on `a` (a's own list is returned); new traces are checked, and a failed
+    step leaves `a` as it was.
     """
-    traces = a._traces
+    traces, h = a._traces, (a.n + 1) // 2
     while len(traces) < ms:
-        power = _gram(*a._power) if traces else a._power
-        t = _frobenius_sq(*power)
+        m, state = len(traces), a._power
+        if m == 0:
+            t = _frobenius_sq(a.re, a.im)
+        elif isinstance(state, list) and 1 << (m - 1) <= h * h:
+            power = _gram(*state[-1]) if state else _gram(a.re, a.im)
+            t = _frobenius_sq(*power)
+            # keep the H^(2^j) with 2^j <= h, which a switch reads, and the last
+            state = state[:h.bit_length()] + [power]
+        else:
+            if isinstance(state, list):
+                state = _switch(a, state, traces, m - 1)
+            c, sums, r = state
+            r = _square_mod(r, c)
+            t = sum(map(mul, r, sums))
+            state = c, sums, r
         if t < 0:
-            raise NegativeTrace(f"tr((A*A)^{2 ** len(traces)}) came out negative")
-        a._power = power
+            raise NegativeTrace(f"tr((A*A)^{2 ** m}) came out negative")
+        a._power = state
         traces.append(t)
     return traces
+
+
+def _switch(a: Matrix, squares: list, traces: list[int], m: int) -> tuple[list, list, list]:
+    """(c, [p_0, ..., p_(n-1)], x^(2^m) mod chi_H) from the chain so far:
+    squares[j] = H^(2^j) for 2^j <= ceil(n/2) and traces[j] = p_(2^j), with
+    c as in `_charpoly`.
+
+    The chain has passed 2^j = n/2, so it holds every p_k with k a power of
+    two; each other p_k, k <= n, is tr(H^floor(k/2) H^ceil(k/2)).  Each
+    power H^e the chain did not make is the product of H^top and H^(e-top)
+    for the largest power of two top < e.  The remainder squares up from
+    x^(2^i), 2^i the largest power of two <= n (x^n = sum c_i x^i).
+    """
+    n = a.n
+    powers = {1 << j: p for j, p in enumerate(squares[:((n + 1) // 2).bit_length()])}
+
+    def power(e: int):
+        if e not in powers:
+            top = 1 << (e.bit_length() - 1)
+            powers[e] = _gram(*power(top), power(e - top))
+        return powers[e]
+
+    sums = [n] + [traces[k.bit_length() - 1] if k & (k - 1) == 0
+                  else _trace_product(power(k // 2), power((k + 1) // 2))
+                  for k in range(1, n + 1)]
+    c = _charpoly(sums)
+    i = n.bit_length() - 1
+    r = c[:] if 1 << i == n else [int(k == 1 << i) for k in range(n)]
+    for _ in range(m - i):
+        r = _square_mod(r, c)
+    return c, sums[:n], r
 
 
 def _root_bound(t: int, d: int, m: int) -> Fraction:
@@ -236,7 +356,7 @@ def _root_bound(t: int, d: int, m: int) -> Fraction:
 
 
 def opnorm_upper_sweep(a: Matrix, ms: int) -> list[Fraction]:
-    """[opnorm_upper(a, m) for m in range(ms)], from a's squaring chain."""
+    """[opnorm_upper(a, m) for m in range(ms)], from a's trace chain."""
     if ms < 0:
         raise ValueError("ms must be a natural")
     return [_root_bound(t, a.d, m) for m, t in enumerate(_trace_chain(a, ms)[:ms])]
@@ -248,7 +368,7 @@ def opnorm_upper(a: Matrix, m: int) -> Fraction:
     p = (tr(H^(2^m)))^(1/2^(m+1)) with H = A* A, ceiled to the 2^-16 grid.
     Since sum of the 2^m-th eigenvalue powers dominates the largest one and
     grid ceiling is monotone, p is sound and nonincreasing in m.  It extends
-    a's squaring chain to m and takes one root.
+    a's trace chain to m and takes one root.
     """
     if m < 0:
         raise ValueError("m must be a natural")

@@ -342,6 +342,8 @@ def test_force_strategy_flags_take_every_strategy(capsys):
     (["norm", "--matrix-index", "-1"], "usage"),
     (["norm", "--matrix-index", "3", "--opnorm-power", "-1"], "usage"),
     (["norm", "--group", "{tmp}/absent.cfg", "--element", "u", "--lambda-lower", "-1"], "usage"),
+    # past OPNORM_POWER_MAX the grid root would run until memory runs out
+    (["norm", "--matrix-index", "23", "--opnorm-power", "17"], "usage"),
 ])
 def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
     args = [a.format(tmp=tmp_path) for a in args]

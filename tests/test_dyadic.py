@@ -55,11 +55,23 @@ def test_nth_root_upper_grid_is_ceiling():
     assert nth_root_upper_grid(Fraction(9, 4), 2, 4) == Fraction(3, 2)
 
 
-@given(st.integers(0, 10**40), st.integers(1, 10**40), st.integers(1, 512),
-       st.integers(0, 20))
-def test_nth_root_upper_grid_is_least_grid_point_above_the_root(num, den, n, k):
+@st.composite
+def kernel_radicands(draw):
+    """(t / D^(2^(m+1)), 2^(m+1)) as `matrices` takes its roots: t an
+    integer trace up to 64 D^(2^(m+1)), roots up to 512."""
+    root = 2 ** (draw(st.integers(0, 8)) + 1)
+    d = draw(st.integers(1, 60))
+    return Fraction(draw(st.integers(0, 64 * d**root)), d**root), root
+
+
+GENERIC_RADICANDS = st.tuples(st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40)),
+                              st.integers(1, 512))
+
+
+@given(st.one_of(GENERIC_RADICANDS, kernel_radicands()), st.integers(0, 20))
+def test_nth_root_upper_grid_is_least_grid_point_above_the_root(radicand, k):
     # checked by raising grid points to the n-th power, with no root taken
-    x = Fraction(num, den)
+    x, n = radicand
     c = nth_root_upper_grid(x, n, k) * 2**k
     assert c.denominator == 1
     assert (c / 2**k) ** n >= x

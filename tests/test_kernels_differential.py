@@ -14,16 +14,19 @@ their operations is checked through its GaussianRational view (`.rows`,
 dicts and trees in `fraction_kernels`, and every result is checked to be in
 canonical form: denominator positive and prime to every part.
 
-The squaring chain a matrix keeps and the moments an element keeps are
+The trace chain a matrix keeps and the moments an element keeps are
 checked against fresh objects and by counting kernel calls, and the trusted
-products of normal-form words against `normal_form`.  The fast paths of the
+products of normal-form words against `normal_form`.  The chain's traces,
+squared powers and then remainders x^(2^m) mod chi_H, are checked against
+the squaring chain alone (`squaring_chain`) at every m up to 12.  The fast paths of the
 norm kernels each have their own oracle: `_gram` a four-product schoolbook
-R R*, the one-triangle `_frobenius_sq` the full sum, and the packed product
-over Z the Fraction product.
+R S*, the one-triangle `_frobenius_sq` and `_trace_product` the full sums,
+and the packed product over Z the Fraction product.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_kernels
+import squaring_chain
 from contlogic import formulas as F
 from contlogic import groups as G
 from contlogic import matrices as M
@@ -129,28 +133,118 @@ def _counting(monkeypatch, owner, names):
 
 
 def test_matrix_keeps_its_squaring_chain(monkeypatch):
+    # a 2x2 chain squares once (P_0 = H) and switches to remainders at m = 2;
+    # an 8x8 one squares P_0..P_4, and its switch fills in H^3 with one more
+    # `_gram` and reads p_3, p_5, p_6, p_7 with four `_trace_product`
     a = M.Matrix([[gr(1), gr(Fraction(1, 2), 1)], [gr(0, -2), gr(Fraction(3, 4))]])
-    calls = _counting(monkeypatch, M, ["_gram", "_frobenius_sq"])
+    kernels = ["_gram", "_frobenius_sq", "_trace_product", "_charpoly", "_square_mod"]
+    calls = _counting(monkeypatch, M, kernels)
     first = M.opnorm_upper(a, 5)
-    assert calls == {"_gram": 5, "_frobenius_sq": 6}
+    assert calls == {"_gram": 1, "_frobenius_sq": 2, "_trace_product": 0, "_charpoly": 1,
+                     "_square_mod": 4}
     assert M.opnorm_upper(a, 5) == first
     sweep = M.opnorm_upper_sweep(a, 6)
     assert sweep[5] == first and sweep == [M.opnorm_upper(a, m) for m in range(6)]
     M.two_norm(a, 12)
-    assert calls == {"_gram": 5, "_frobenius_sq": 6}
+    assert calls == {"_gram": 1, "_frobenius_sq": 2, "_trace_product": 0, "_charpoly": 1,
+                     "_square_mod": 4}
     M.opnorm_upper(a, 7)
-    assert calls == {"_gram": 7, "_frobenius_sq": 8}
+    assert calls == {"_gram": 1, "_frobenius_sq": 2, "_trace_product": 0, "_charpoly": 1,
+                     "_square_mod": 6}
     # value-equal matrices compare equal whatever their chains hold
     fresh = M.Matrix(a.rows)
     assert fresh == a and hash(fresh) == hash(a)
+    big = M.Matrix([[gr(i - j, (i * j) % 3) for j in range(8)] for i in range(8)])
+    for counter in calls:
+        calls[counter] = 0
+    assert M.opnorm_upper_sweep(big, 6) == [M.opnorm_upper(big, m) for m in range(6)]
+    assert calls == {"_gram": 5, "_frobenius_sq": 6, "_trace_product": 0, "_charpoly": 0,
+                     "_square_mod": 0}
+    eighth = M.opnorm_upper(big, 8)
+    # from x^8 = sum c_i x^i: squared twice to x^32, then once per trace to x^256
+    switched = {"_gram": 6, "_frobenius_sq": 6, "_trace_product": 4, "_charpoly": 1,
+                "_square_mod": 5}
+    assert calls == switched
+    assert M.opnorm_upper_sweep(big, 9)[8] == eighth
+    assert calls == switched
 
 
-def _schoolbook_gram(re, im):
-    """R R* entry by entry, four products per term: (a + ib)(c - id)."""
+def _chain_cases(n, rng):
+    """(name, matrix) of size n: zero, rank 1, c*I, block-repeated
+    eigenvalues, a Jordan block (non-normal) and a general matrix."""
+    def entry(span=4, den=3):
+        return GaussianRational(Fraction(rng.randint(-span, span), rng.randint(1, den)),
+                                Fraction(rng.randint(-span, span), rng.randint(1, den)))
+
+    u, v = [entry() for _ in range(n)], [entry() for _ in range(n)]
+    block = [[entry() for _ in range(n // 2 or 1)] for _ in range(n // 2 or 1)]
+    size = len(block)
+    blocks = [[block[i % size][j % size] if i // size == j // size else gr(0)
+               for j in range(n)] for i in range(n)]
+    c = entry()
+    return [
+        ("zero", M.Matrix.zero(n)),
+        ("rank1", M.Matrix([[x * y.conjugate() for y in v] for x in u])),
+        ("scalar", M.Matrix.identity(n).scale(c)),
+        ("blocks", M.Matrix(blocks)),
+        ("jordan", M.Matrix([[c if i == j else gr(int(j == i + 1)) for j in range(n)]
+                             for i in range(n)])),
+        ("general", M.Matrix([[entry() for _ in range(n)] for _ in range(n)])),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+def test_trace_chain_matches_squaring_chain(n):
+    """Every trace of the switching chain, at every m in 0..12, is the one
+    the squaring chain gives; bounds read in any order agree with it, and
+    for small sizes with the Fraction chain."""
+    rng = random.Random(n)
+    for name, a in _chain_cases(n, rng):
+        expected = squaring_chain.squaring_traces(a, 13)
+        bounds = [M._root_bound(t, a.d, m) for m, t in enumerate(expected)]
+        fresh = M.Matrix(a.rows)
+        order = list(range(13))
+        rng.shuffle(order)
+        assert {m: M.opnorm_upper(fresh, m) for m in order} == dict(enumerate(bounds)), name
+        assert M._trace_chain(a, 13) == expected, name
+        assert M.opnorm_upper_sweep(a, 13) == bounds, name
+        if n <= 4:
+            assert bounds[:7] == [fraction_kernels.opnorm_upper(a, m) for m in range(7)], name
+
+
+def test_charpoly_by_newton_identities():
+    # H = diag(1, 2): p = (2, 3, 5), chi = x^2 - 3x + 2, so x^2 = 3x - 2
+    assert M._charpoly([2, 3, 5]) == [-2, 3]
+    assert M._charpoly([1, 7]) == [7]
+    # x^4 = 15x - 14 mod chi: it takes the values 1^4 and 2^4 at the roots 1, 2
+    assert M._square_mod([-2, 3], [-2, 3]) == [-14, 15]
+
+
+def test_inexact_newton_step_is_a_typed_error(monkeypatch):
+    # e_2 = (p_1^2 - p_2) / 2: p_2 off by one makes it a half-integer
+    with pytest.raises(M.InexactNewtonStep, match=r"e_2 = 1/2"):
+        M._charpoly([2, 1, 0])
+    a = M.Matrix([[gr(1), gr(2)], [gr(0, 1), gr(Fraction(-1, 3))]])
+    expected = M.opnorm_upper_sweep(M.Matrix(a.rows), 4)
+    frobenius_sq = M._frobenius_sq
+    with monkeypatch.context() as patch:
+        # tr(H^2) one too large, read by Newton's identities at the switch (m = 2)
+        patch.setattr(M, "_frobenius_sq", lambda re, im: (
+            frobenius_sq(re, im) + isinstance(re, M._HermitianRows)))
+        with pytest.raises(M.InexactNewtonStep):
+            M.opnorm_upper(a, 3)
+    assert isinstance(M.InexactNewtonStep("x"), M.MatrixError)
+    assert M.opnorm_upper_sweep(M.Matrix(a.rows), 4) == expected
+
+
+def _schoolbook_gram(re, im, other=None):
+    """R S* (S = other, or R) entry by entry, four products per term:
+    (a + ib)(c - id)."""
     n = len(re)
-    g_re = [[sum(a * c + b * d for a, b, c, d in zip(re[i], im[i], re[j], im[j]))
+    s_re, s_im = other or (re, im)
+    g_re = [[sum(a * c + b * d for a, b, c, d in zip(re[i], im[i], s_re[j], s_im[j]))
              for j in range(n)] for i in range(n)]
-    g_im = [[sum(b * c - a * d for a, b, c, d in zip(re[i], im[i], re[j], im[j]))
+    g_im = [[sum(b * c - a * d for a, b, c, d in zip(re[i], im[i], s_re[j], s_im[j]))
              for j in range(n)] for i in range(n)]
     return g_re, g_im
 
@@ -186,6 +280,13 @@ def test_gram_matches_four_product_schoolbook(rows):
     # a Gram matrix of a Gram matrix is its square
     h_re, h_im = M._gram(g_re, g_im)
     assert M._frobenius_sq(h_re, h_im) == _full_frobenius_sq(*_schoolbook_gram(g_re, g_im))
+    # G and H = G^2 commute, so G H* = G^3 is Hermitian, and tr(G H) reads
+    # one triangle of each
+    cube = M._gram(g_re, g_im, (h_re, h_im))
+    assert (list(map(list, cube[0])), list(map(list, cube[1]))) == _schoolbook_gram(
+        g_re, g_im, (h_re, h_im))
+    assert M._trace_product((g_re, g_im), (h_re, h_im)) == sum(
+        a * c + b * d for rows in zip(g_re, g_im, h_re, h_im) for a, b, c, d in zip(*rows))
 
 
 def test_gram_edges():
@@ -202,15 +303,26 @@ def test_gram_edges():
 
 def test_negative_trace_on_extending_the_chain(monkeypatch):
     a = M.Matrix([[gr(1), gr(2)], [gr(0, 1), gr(Fraction(-1, 3))]])
+    b = M.Matrix(a.rows)
     expected = [M.opnorm_upper(M.Matrix(a.rows), m) for m in range(6)]
     assert M.opnorm_upper(a, 2) == expected[2]
+    assert M.opnorm_upper(b, 1) == expected[1]
+    square_mod = M._square_mod
     with monkeypatch.context() as patch:
-        patch.setattr(M, "_frobenius_sq", lambda re, im: -1)
+        patch.setattr(M, "_square_mod", lambda r, c: [-x for x in square_mod(r, c)])
+        # a has switched at m = 2; b switches on this call and fails there
         with pytest.raises(M.NegativeTrace, match=r"tr\(\(A\*A\)\^8\) came out negative"):
             M.opnorm_upper(a, 4)
+        with pytest.raises(M.NegativeTrace, match=r"tr\(\(A\*A\)\^4\) came out negative"):
+            M.opnorm_upper(b, 4)
         assert M.opnorm_upper(a, 1) == expected[1]
-    # the failed extension left the chain as it was
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "_frobenius_sq", lambda re, im: -1)
+        with pytest.raises(M.NegativeTrace, match=r"tr\(\(A\*A\)\^1\) came out negative"):
+            M.opnorm_upper(M.Matrix(a.rows), 0)
+    # the failed extensions left the chains as they were
     assert M.opnorm_upper_sweep(a, 6) == expected
+    assert M.opnorm_upper_sweep(b, 6) == expected
 
 
 # -- trace moments ---------------------------------------------------------

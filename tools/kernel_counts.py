@@ -6,7 +6,10 @@
 Runs the first --jobs jobs of `perfbench.workloads.generate(workload, seed)`
 for each workload from the checkout at --root (default: the one holding this
 script) and prints one JSON line.  For `norms` it gives, per job kind and per
-job, the calls of the squaring step `matrices._gram`, the excursion DP
+job, the big-product kernels of the matrix trace chain: the squarings
+`matrices._gram(re, im)` (`_gram`), the power products of its switch
+`_gram(re, im, other)` (`power_products`) and the remainder squarings
+`matrices._square_mod` (where it exists); then the excursion DP
 `groups._free_walk_traces`, the convolution kernels `groups._convolve` and
 `groups._pair_trace`, and the word products and inverses (`mul`, `inv` and,
 where they exist, `_mul_normal`, `_inv_normal` of every group kind), and how
@@ -36,7 +39,8 @@ import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
-KERNELS = ("_gram", "_free_walk_traces", "_convolve", "_pair_trace", "word_products")
+KERNELS = ("_gram", "power_products", "_square_mod", "_free_walk_traces", "_convolve",
+           "_pair_trace", "word_products")
 ENTRIES = ("opnorm_upper", "opnorm_upper_sweep", "moments_up_to")
 WORD_METHODS = ("mul", "inv", "_mul_normal", "_inv_normal")
 TIMED_PASSES = 3
@@ -68,12 +72,19 @@ def main(argv=None) -> int:
             return fn(*a, **kw)
         return wrapper
 
-    for owner, name, key in ((matrices, "_gram", "_gram"),
-                             (matrices, "_frobenius_sq", "_frobenius_sq"),
+    for owner, name, key in ((matrices, "_frobenius_sq", "_frobenius_sq"),
+                             (matrices, "_square_mod", "_square_mod"),
                              (groups, "_free_walk_traces", "_free_walk_traces"),
                              (groups, "_convolve", "_convolve"),
                              (groups, "_pair_trace", "_pair_trace")):
-        setattr(owner, name, counted(getattr(owner, name), key))
+        if hasattr(owner, name):
+            setattr(owner, name, counted(getattr(owner, name), key))
+    gram = matrices._gram
+
+    def counted_gram(re, im, *other):
+        counts["power_products" if other else "_gram"] += 1
+        return gram(re, im, *other)
+    matrices._gram = counted_gram
     if hasattr(groups, "_convolve_packed"):
         packed = groups._convolve_packed
 

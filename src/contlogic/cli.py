@@ -63,6 +63,21 @@ def _opnorm_power(text: str) -> int:
     return m
 
 
+# index N is a 2^k x 2^k matrix, 2^k the 2-adic part of N + 1, whose 4^k
+# entries are decoded first: about 4x the time per step of k, so that
+# N = 2^20 - 1 would run until memory runs out
+MATRIX_SIZE_LOG_MAX = 6
+
+
+def _matrix_index(text: str) -> int:
+    n = _natural(text)
+    k = ((n + 1) & -(n + 1)).bit_length() - 1
+    if k > MATRIX_SIZE_LOG_MAX:
+        raise argparse.ArgumentTypeError(
+            f"expected a matrix of size at most {1 << MATRIX_SIZE_LOG_MAX}, got size 2^{k}")
+    return n
+
+
 def _frac(q) -> str | None:
     return None if q is None else str(Fraction(q))
 
@@ -363,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     parse_cmd.set_defaults(func=_cmd_parse)
 
     norm = sub.add_parser("norm", help="certified norm bounds")
-    norm.add_argument("--matrix-index", type=_natural)
+    norm.add_argument("--matrix-index", type=_matrix_index)
     norm.add_argument("--opnorm-power", type=_opnorm_power, default=6)
     norm.add_argument("--group", help="group config path")
     norm.add_argument("--element", help="group algebra element expression")

@@ -29,7 +29,7 @@ from typing import Optional
 from . import formulas as F
 from .coding import NotACode, decode_full
 from .gaussian import ContlogicError
-from .presentations import Presentation, PSpecial, TWO_SIDED
+from .presentations import Presentation, TWO_SIDED
 
 Interval = tuple[Fraction, Fraction]
 
@@ -185,7 +185,7 @@ class TestStructurePresentation(Presentation):
         return index % self.structure.size
 
     def default_constant_point(self, index: int):
-        return PSpecial(self.structure.constant_point(index))
+        return self.structure.constant_point(index)
 
     def atom_interval(self, pred, objs, k, budget=None):
         if pred != "d":
@@ -250,7 +250,9 @@ def _term_object(term: F.Term, m: _Evaluation):
 def _build_term(term: F.Term, m: _Evaluation):
     pres = m.pres
     if isinstance(term, F.CConst):
-        point = m.bindings.get(term.index) or pres.default_constant_point(term.index)
+        point = m.bindings.get(term.index)
+        if point is None:
+            point = pres.default_constant_point(term.index)
         if point is None:
             raise UnboundConstant(f"constant c{term.index} is not bound to a point")
         return pres.point_object(point)

@@ -554,9 +554,6 @@ class AlgebraElement:
         """(D, re, im) with the canonical trace (re + i*im)/D."""
         return self.d, *self.ints.get(IDENTITY, (0, 0))
 
-    def trace(self) -> GaussianRational:
-        return from_gaussian_int(*self.trace_int())
-
     def is_zero(self) -> bool:
         return not self.ints
 

@@ -19,10 +19,11 @@ and the last squaring is never done: each P_j is Hermitian, so by the
 Frobenius identity tr(P_j^2) = sum_ik P_ik conj(P_ik) = sum_ik |P_ik|^2,
 and tr(H^(2^m)) = |P_(m-1)|_F^2 for m >= 1 (tr H = |B|_F^2 for m = 0).
 Each squaring takes three integer dot products per entry above the
-diagonal (Gauss's complex product), about 1.5 n^3 big products, and each
-|P_j|_F^2 reads P_j's upper triangle; only the first trace, of B itself,
-sums every entry.  Once 2^j passes h^2, h = ceil(n/2), the chain turns to
-Cayley-Hamilton: H^N = r(H) for r = x^N mod chi_H, so
+diagonal (Gauss's complex product), about 1.5 n^3 big products, and
+`_trace_product(P_j, P_j)` reads |P_j|_F^2 off P_j's upper triangle; only
+the first trace, of B itself, sums every entry (`_frobenius_sq`).  Once
+2^j passes h^2, h = ceil(n/2), the chain turns to Cayley-Hamilton:
+H^N = r(H) for r = x^N mod chi_H, so
 tr(H^N) = sum_i r_i p_i with the power sums p_i = tr(H^i), and
 x^(2N) mod chi_H is r^2 reduced by chi_H's small integer coefficients,
 n(n+1)/2 big products (the linear-recurrence trick of Fiduccia, SIAM J.
@@ -171,9 +172,6 @@ class Matrix:
         n = range(self.n)
         return self.d * self.n, sum(self.re[i][i] for i in n), sum(self.im[i][i] for i in n)
 
-    def normalized_trace(self) -> GaussianRational:
-        return from_gaussian_int(*self.normalized_trace_int())
-
     def is_zero(self) -> bool:
         return not any(chain(*self.re, *self.im))
 
@@ -184,13 +182,6 @@ def two_norm(a: Matrix, k: int) -> tuple[Fraction, Fraction]:
     The radicand is sum |a_ij|^2 / n, the integer |DA|_F^2 over D^2 n.
     """
     return sqrt_interval(Fraction(_trace_chain(a, 1)[0], a.d * a.d * a.n), k)
-
-
-class _HermitianRows(list):
-    """The real rows of a Hermitian `_gram` result, marked so that
-    `_frobenius_sq` may read only its upper triangle."""
-
-    __slots__ = ()
 
 
 def _gram(re: IntRows, im: IntRows, other=None) -> tuple[IntRows, IntRows]:
@@ -208,7 +199,7 @@ def _gram(re: IntRows, im: IntRows, other=None) -> tuple[IntRows, IntRows]:
     s_re, s_im = other or (re, im)
     sums = [list(map(add, r, s)) for r, s in zip(re, im)]
     diffs = [list(map(sub, r, s)) for r, s in zip(s_re, s_im)]
-    g_re = _HermitianRows([0] * n for _ in range(n))
+    g_re = [[0] * n for _ in range(n)]
     g_im = [[0] * n for _ in range(n)]
     for i in range(n):
         ri, ii, si = re[i], im[i], sums[i]
@@ -223,22 +214,14 @@ def _gram(re: IntRows, im: IntRows, other=None) -> tuple[IntRows, IntRows]:
 
 
 def _frobenius_sq(re: IntRows, im: IntRows) -> int:
-    """sum_ik |R_ik|^2 = tr(R R*).
-
-    For a Hermitian `_gram` result P this is sum_i P_ii^2 plus twice the
-    sum over i < k of |P_ik|^2, which reads the upper triangle only.
-    """
-    if isinstance(re, _HermitianRows):
-        upper = sum(sum(map(mul, r[i + 1:], r[i + 1:])) + sum(map(mul, s[i + 1:], s[i + 1:]))
-                    for i, (r, s) in enumerate(zip(re, im)))
-        return sum(r[i] * r[i] for i, r in enumerate(re)) + 2 * upper
+    """sum_ik |R_ik|^2 = tr(R R*), read from every entry."""
     return sum(sum(map(mul, r, r)) + sum(map(mul, s, s)) for r, s in zip(re, im))
 
 
 def _trace_product(x: tuple[IntRows, IntRows], y: tuple[IntRows, IntRows]) -> int:
     """tr(X Y) = Re sum_ik X_ik conj(Y_ik) for Hermitian `_gram` results X
-    and Y: the diagonal plus twice the upper triangle, as in `_frobenius_sq`,
-    which stays a one-matrix kernel since every chain step calls it.
+    and Y: the diagonal plus twice the upper triangle.  With Y = X this is
+    |X|_F^2 = tr(X^2), the trace a squaring step reads.
     """
     (xr, xi), (yr, yi) = x, y
     upper = sum(sum(map(mul, r[i + 1:], t[i + 1:])) + sum(map(mul, s[i + 1:], u[i + 1:]))
@@ -301,7 +284,7 @@ def _trace_chain(a: Matrix, ms: int) -> list[int]:
             t = _frobenius_sq(a.re, a.im)
         elif isinstance(state, list) and 1 << (m - 1) <= h * h:
             power = _gram(*state[-1]) if state else _gram(a.re, a.im)
-            t = _frobenius_sq(*power)
+            t = _trace_product(power, power)
             # keep the H^(2^j) with 2^j <= h, which a switch reads, and the last
             state = state[:h.bit_length()] + [power]
         else:

@@ -1,8 +1,7 @@
 """Computable presentations: enumerated rational points plus norm oracles.
 
-A presentation couples a deterministic enumeration of rational points (closed
-term DAGs over enumerated special points) with a norm oracle in one of two
-certification modes:
+A presentation couples a deterministic enumeration of rational points with a
+norm oracle in one of two certification modes:
 
   - TwoSided: every query returns an interval of width <= 2^-k around the
     true norm;
@@ -15,9 +14,11 @@ bounds under an l1 upper bound, upgraded to TwoSided over free abelian groups
 via the torus sup-norm), and the commutative algebra of locally constant
 functions on Cantor space (exact sup-norm).
 
-Points are evaluated with their objects' own `*`, `adjoint()` and `comb()`;
-only the matrix tower overrides these, to bring matrices to one size first.
-Each presentation computes every point object, special points included, once.
+A rational point is its natural index, which `point_object` alone decodes
+(docs/encodings.md) into a term over special points, computing and caching
+each object once by index.  Terms are evaluated with their objects' own `*`,
+`adjoint()` and `comb()`; only the matrix tower overrides these, to bring
+matrices to one size first.
 
 Objects (`matrices.Matrix`, `groups.AlgebraElement`, `CantorFn`) are Gaussian
 integers over one denominator D in lowest terms, so operations run on
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Optional, Union
+from typing import Optional
 
 from . import groups as G
 from . import matrices as M
@@ -54,63 +55,6 @@ class PresentationError(ContlogicError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# rational points as term DAGs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PSpecial:
-    index: int
-
-
-@dataclass(frozen=True)
-class PAdj:
-    arg: "RationalPoint"
-
-
-@dataclass(frozen=True)
-class PMul:
-    left: "RationalPoint"
-    right: "RationalPoint"
-
-
-@dataclass(frozen=True)
-class PComb:
-    lam: GaussianRational
-    mu: GaussianRational
-    left: "RationalPoint"
-    right: "RationalPoint"
-
-
-RationalPoint = Union[PSpecial, PAdj, PMul, PComb]
-
-
-def algebra_point_at(index: int) -> RationalPoint:
-    """Term enumeration for algebra presentations.
-
-    tag = index mod 4: 0 special |index//4|, 1 adjoint, 2 product via a
-    Cantor pair of the factor indices (so the product of points i and j
-    appears at 4*pair(i,j)+2), 3 rounded combination with coefficient pair
-    codes; coefficient pairs violating |lam|+|mu| <= 1 collapse to (1, 0).
-    """
-    tag, rest = index % 4, index // 4
-    if tag == 0:
-        return PSpecial(rest)
-    if tag == 1:
-        return PAdj(algebra_point_at(rest))
-    if tag == 2:
-        a, b = cantor_unpair(rest)
-        return PMul(algebra_point_at(a), algebra_point_at(b))
-    coeffs, sides = cantor_unpair(rest)
-    lam_code, mu_code = cantor_unpair(coeffs)
-    lam, mu = nat_to_gaussian(lam_code), nat_to_gaussian(mu_code)
-    if not rounded_bound_ok(lam, mu):
-        lam, mu = gr(1), gr(0)
-    a, b = cantor_unpair(sides)
-    return PComb(lam, mu, algebra_point_at(a), algebra_point_at(b))
-
-
 class Presentation:
     """Base class wiring point enumeration, object evaluation and oracles."""
 
@@ -119,7 +63,7 @@ class Presentation:
     mode: str
 
     def __init__(self):
-        self._point_cache: dict[RationalPoint, object] = {}
+        self._point_cache: dict[int, object] = {}
 
     # subclasses implement `_special` and `norm_interval`; the algebra
     # operations default to the objects' own `*`, `adjoint()` and `comb()`
@@ -145,40 +89,45 @@ class Presentation:
     def trace_int(self, obj) -> tuple[int, int, int]:  # the trace (re + i*im)/D
         raise PresentationError(f"{self.name} has no trace")
 
-    def trace(self, obj) -> GaussianRational:
-        return from_gaussian_int(*self.trace_int(obj))
-
     # -- shared machinery -----------------------------------------------------
 
-    def rational_point(self, index: int) -> RationalPoint:
-        if self.signature.allow_comb:
-            return algebra_point_at(index)
-        return PSpecial(index)
+    def rational_point(self, index: int) -> int:
+        """Rational point `index`, which is its own index."""
+        return index
 
-    def default_constant_point(self, index: int) -> Optional[RationalPoint]:
+    def default_constant_point(self, index: int) -> Optional[int]:
         """Built-in binding for the fresh constant c_index, if any."""
         return None
 
-    def point_object(self, point: RationalPoint):
-        obj = self._point_cache.get(point)  # no object is None
+    def point_object(self, index: int):
+        """The object of rational point `index`, decoded as docs/encodings.md
+        freezes it.  On algebra signatures tag = index mod 4: 0 special point
+        index//4, 1 adjoint, 2 product of the Cantor pair of factor indices,
+        3 rounded combination pair(pair(lam, mu), pair(left, right)) with
+        coefficient pairs violating |lam|+|mu| <= 1 collapsed to (1, 0);
+        without combinations every point is special."""
+        obj = self._point_cache.get(index)  # no object is None
         if obj is not None:
             return obj
-        if isinstance(point, PSpecial):
-            obj = self._special(point.index)
-        elif isinstance(point, PAdj):
-            obj = self._adj(self.point_object(point.arg))
-        elif isinstance(point, PMul):
-            obj = self._mul(self.point_object(point.left), self.point_object(point.right))
-        elif isinstance(point, PComb):
-            if not rounded_bound_ok(point.lam, point.mu):
-                raise PresentationError("rounded-combination bound violated")
-            obj = self._comb(
-                point.lam, point.mu,
-                self.point_object(point.left), self.point_object(point.right),
-            )
+        tag, rest = index % 4, index // 4
+        if not self.signature.allow_comb:
+            obj = self._special(index)
+        elif tag == 0:
+            obj = self._special(rest)
+        elif tag == 1:
+            obj = self._adj(self.point_object(rest))
+        elif tag == 2:
+            a, b = cantor_unpair(rest)
+            obj = self._mul(self.point_object(a), self.point_object(b))
         else:
-            raise PresentationError(f"not a rational point: {point!r}")
-        self._point_cache[point] = obj
+            coeffs, sides = cantor_unpair(rest)
+            lam_code, mu_code = cantor_unpair(coeffs)
+            lam, mu = nat_to_gaussian(lam_code), nat_to_gaussian(mu_code)
+            if not rounded_bound_ok(lam, mu):
+                lam, mu = gr(1), gr(0)
+            a, b = cantor_unpair(sides)
+            obj = self._comb(lam, mu, self.point_object(a), self.point_object(b))
+        self._point_cache[index] = obj
         return obj
 
     # -- atomic predicate evaluation (used by the evaluator) -------------------

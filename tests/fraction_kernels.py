@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from contlogic.dyadic import nth_root_upper_grid, sqrt_interval
-from contlogic.gaussian import GaussianRational, gr
+from contlogic.gaussian import GaussianRational, from_gaussian_int, gr
 from contlogic.groups import IDENTITY, AlgebraElement, FreeGroup, GroupSpec, Word
 from contlogic.matrices import Matrix, NotDyadicSize, SizeMismatch, ZeroVector
 from contlogic.torus import torus_sup_norm
@@ -154,10 +154,10 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     h = algebra_mul(a.adjoint(), a)
     out = []
     power = h
-    out.append(_real_trace(power.trace()))
+    out.append(_real_trace(from_gaussian_int(*power.trace_int())))
     for _ in range(n - 1):
         power = algebra_mul(power, h)
-        out.append(_real_trace(power.trace()))
+        out.append(_real_trace(from_gaussian_int(*power.trace_int())))
     return out
 
 

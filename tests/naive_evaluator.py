@@ -4,7 +4,9 @@
 verbatim as `contlogic.evaluator` had them when every point tuple
 re-evaluated the whole prenex matrix, so that differential tests can check
 that computing each node once per assignment of its own variables returns
-the same `EvalResult`.  Only the imports were edited.
+the same `EvalResult`.  Only the imports were edited, and `_term_object`'s
+test for an unbound constant, which reads `is None` since rational points
+became plain indices (point 0 is falsy).
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ def _term_object(term: F.Term, pres: Presentation, env: dict, bindings: dict):
             raise EvalError(f"unbound variable {term.name!r}")
         return env[term.name]
     if isinstance(term, F.CConst):
-        point = bindings.get(term.index) or pres.default_constant_point(term.index)
+        point = bindings.get(term.index)
+        if point is None:
+            point = pres.default_constant_point(term.index)
         if point is None:
             raise UnboundConstant(f"constant c{term.index} is not bound to a point")
         return pres.point_object(point)

@@ -344,6 +344,9 @@ def test_force_strategy_flags_take_every_strategy(capsys):
     (["norm", "--group", "{tmp}/absent.cfg", "--element", "u", "--lambda-lower", "-1"], "usage"),
     # past OPNORM_POWER_MAX the grid root would run until memory runs out
     (["norm", "--matrix-index", "23", "--opnorm-power", "17"], "usage"),
+    # past MATRIX_SIZE_LOG_MAX decoding the entries alone grows 4x per size doubling
+    (["norm", "--matrix-index", "127"], "usage"),
+    (["norm", "--matrix-index", "1048575"], "usage"),
 ])
 def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
     args = [a.format(tmp=tmp_path) for a in args]
@@ -351,6 +354,17 @@ def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
     assert status == 1 and out == ""
     assert len(err) == 1
     assert json.loads(err[0])["error"] == kind
+
+
+def test_matrix_index_names_its_size_limit():
+    # 63 + 1 = 2^6: the largest size, 64, is accepted
+    status, out = run_cli(["norm", "--matrix-index", "63"])
+    assert status == 0 and out[0]["size"] == 64
+    status, out, err = _typed_error(["norm", "--matrix-index", str(2**20 * 3 - 1)])
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{
+        "error": "usage",
+        "message": "argument --matrix-index: expected a matrix of size at most 64, got size 2^20"}]
 
 
 def test_negative_norm_precision_is_a_usage_error():

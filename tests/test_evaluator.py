@@ -97,12 +97,28 @@ def test_eval_qf_exact_tables():
     pres = E.TestStructurePresentation(t)
     # Half(d(c1, c2)) with the default bindings: d = 1/2, so the value is 1/4
     f = F.Half(d(c1, F.CConst(2)))
-    bindings = {1: P.PSpecial(0), 2: P.PSpecial(1)}
+    bindings = {1: 0, 2: 1}
     budget = E.EvalBudget(precision_k=10)
     res = E.eval_sentence(f, pres, budget, bindings)
     assert res.certified_lower == res.certified_upper == Fraction(1, 4)
     res = E.eval_sentence(F.One(), pres, budget)
     assert (res.certified_lower, res.certified_upper) == (1, 1)
+
+
+def test_binding_to_point_zero_is_honoured():
+    # point 0 is a falsy index: a binding to it must not fall back to the
+    # default binding (c2 -> point 1) nor leave c1 unbound on C2w
+    t = line_structure([Fraction(0), Fraction(1, 2)])
+    pres = E.TestStructurePresentation(t)
+    budget = E.EvalBudget(precision_k=10)
+    f = d(c1, F.CConst(2))
+    for evaluate in (E.eval_sentence, naive.eval_sentence):
+        assert evaluate(f, pres, budget).certified_lower == Fraction(1, 2)
+        assert evaluate(f, pres, budget, {2: 0}).certified_upper == 0
+    c2w = P.presentation_C2w()
+    for evaluate in (E.eval_sentence, naive.eval_sentence):
+        res = evaluate(d(c1, c1), c2w, budget, {1: 0})
+        assert res.certified_lower == res.certified_upper == 0
 
 
 def test_eval_qf_errors():
@@ -144,7 +160,7 @@ def test_eval_projection_sentence_on_cantor():
         ),
     )  # = max(proj_dist, unit_norm) via 1 -. ((1 -. a) -. b) when b <= 1 - a
     f = F.Inf("x", body)
-    bindings = {1: P.PSpecial(0)}  # c1 -> the zero function
+    bindings = {1: 0}  # c1 -> point 0, special point 0: the zero function
     res = E.eval_sentence(f, pres, E.EvalBudget(points=24, precision_k=12), bindings)
     assert res.certified_upper is not None
     assert res.certified_upper <= Fraction(1, 2**10)
@@ -186,8 +202,8 @@ def test_matrix_presentation_aligns_sizes_in_atoms():
 
     pres = P.presentation_R()
     special_i2 = cantor_pair(0, M.matrix_index(M.Matrix.identity(2)))
-    i1 = pres.point_object(P.PSpecial(cantor_pair(0, M.matrix_index(M.Matrix.identity(1)))))
-    i2 = pres.point_object(P.PSpecial(special_i2))
+    i1 = pres.point_object(4 * cantor_pair(0, M.matrix_index(M.Matrix.identity(1))))
+    i2 = pres.point_object(4 * special_i2)
     assert i1.n == 1 and i2.n == 2
     # I_1 embeds onto I_2, while the I_2 point is scaled down by its
     # trace-power bound p: the scaled distance is exactly (p-1)/(2p)
@@ -292,7 +308,7 @@ def test_slack_bound_reported():
     f = F.Sup("x", F.DotMinus(d(x, c1), d(x, F.CConst(2))))
     res = E.eval_sentence(
         f, pres, E.EvalBudget(points=2, precision_k=10),
-        {1: P.PSpecial(0), 2: P.PSpecial(1)},
+        {1: 0, 2: 1},
     )
     assert res.slack == 0  # exact tables have no oracle noise
     assert res.slack <= _slack_bound(f, 10)

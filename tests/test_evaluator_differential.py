@@ -159,7 +159,7 @@ class _StubPresentation(P.Presentation):
         return index if self.period is None else index % self.period
 
     def default_constant_point(self, index):
-        return P.PSpecial(index)
+        return index
 
     def atom_interval(self, pred, objs, k, budget=None):
         return self.table[objs[0], objs[1]]

@@ -20,8 +20,8 @@ products of normal-form words against `normal_form`.  The chain's traces,
 squared powers and then remainders x^(2^m) mod chi_H, are checked against
 the squaring chain alone (`squaring_chain`) at every m up to 12.  The fast paths of the
 norm kernels each have their own oracle: `_gram` a four-product schoolbook
-R S*, the one-triangle `_frobenius_sq` and `_trace_product` the full sums,
-and the packed product over Z the Fraction product.
+R S*, the one-triangle `_trace_product` the full sum, and the packed product
+over Z the Fraction product.
 """
 
 import itertools
@@ -135,21 +135,23 @@ def _counting(monkeypatch, owner, names):
 def test_matrix_keeps_its_squaring_chain(monkeypatch):
     # a 2x2 chain squares once (P_0 = H) and switches to remainders at m = 2;
     # an 8x8 one squares P_0..P_4, and its switch fills in H^3 with one more
-    # `_gram` and reads p_3, p_5, p_6, p_7 with four `_trace_product`
+    # `_gram` and reads p_3, p_5, p_6, p_7 with four more `_trace_product`;
+    # `_frobenius_sq` reads only tr H, each squared power's trace is
+    # `_trace_product(P, P)`
     a = M.Matrix([[gr(1), gr(Fraction(1, 2), 1)], [gr(0, -2), gr(Fraction(3, 4))]])
     kernels = ["_gram", "_frobenius_sq", "_trace_product", "_charpoly", "_square_mod"]
     calls = _counting(monkeypatch, M, kernels)
     first = M.opnorm_upper(a, 5)
-    assert calls == {"_gram": 1, "_frobenius_sq": 2, "_trace_product": 0, "_charpoly": 1,
+    assert calls == {"_gram": 1, "_frobenius_sq": 1, "_trace_product": 1, "_charpoly": 1,
                      "_square_mod": 4}
     assert M.opnorm_upper(a, 5) == first
     sweep = M.opnorm_upper_sweep(a, 6)
     assert sweep[5] == first and sweep == [M.opnorm_upper(a, m) for m in range(6)]
     M.two_norm(a, 12)
-    assert calls == {"_gram": 1, "_frobenius_sq": 2, "_trace_product": 0, "_charpoly": 1,
+    assert calls == {"_gram": 1, "_frobenius_sq": 1, "_trace_product": 1, "_charpoly": 1,
                      "_square_mod": 4}
     M.opnorm_upper(a, 7)
-    assert calls == {"_gram": 1, "_frobenius_sq": 2, "_trace_product": 0, "_charpoly": 1,
+    assert calls == {"_gram": 1, "_frobenius_sq": 1, "_trace_product": 1, "_charpoly": 1,
                      "_square_mod": 6}
     # value-equal matrices compare equal whatever their chains hold
     fresh = M.Matrix(a.rows)
@@ -158,11 +160,11 @@ def test_matrix_keeps_its_squaring_chain(monkeypatch):
     for counter in calls:
         calls[counter] = 0
     assert M.opnorm_upper_sweep(big, 6) == [M.opnorm_upper(big, m) for m in range(6)]
-    assert calls == {"_gram": 5, "_frobenius_sq": 6, "_trace_product": 0, "_charpoly": 0,
+    assert calls == {"_gram": 5, "_frobenius_sq": 1, "_trace_product": 5, "_charpoly": 0,
                      "_square_mod": 0}
     eighth = M.opnorm_upper(big, 8)
     # from x^8 = sum c_i x^i: squared twice to x^32, then once per trace to x^256
-    switched = {"_gram": 6, "_frobenius_sq": 6, "_trace_product": 4, "_charpoly": 1,
+    switched = {"_gram": 6, "_frobenius_sq": 1, "_trace_product": 9, "_charpoly": 1,
                 "_square_mod": 5}
     assert calls == switched
     assert M.opnorm_upper_sweep(big, 9)[8] == eighth
@@ -226,11 +228,10 @@ def test_inexact_newton_step_is_a_typed_error(monkeypatch):
         M._charpoly([2, 1, 0])
     a = M.Matrix([[gr(1), gr(2)], [gr(0, 1), gr(Fraction(-1, 3))]])
     expected = M.opnorm_upper_sweep(M.Matrix(a.rows), 4)
-    frobenius_sq = M._frobenius_sq
+    trace_product = M._trace_product
     with monkeypatch.context() as patch:
         # tr(H^2) one too large, read by Newton's identities at the switch (m = 2)
-        patch.setattr(M, "_frobenius_sq", lambda re, im: (
-            frobenius_sq(re, im) + isinstance(re, M._HermitianRows)))
+        patch.setattr(M, "_trace_product", lambda x, y: trace_product(x, y) + 1)
         with pytest.raises(M.InexactNewtonStep):
             M.opnorm_upper(a, 3)
     assert isinstance(M.InexactNewtonStep("x"), M.MatrixError)
@@ -273,13 +274,16 @@ def test_gram_matches_four_product_schoolbook(rows):
     re, im = rows
     g_re, g_im = M._gram(re, im)
     assert (list(map(list, g_re)), list(map(list, g_im))) == _schoolbook_gram(re, im)
-    # the Gram matrix is Hermitian, so its Frobenius sum may read one triangle
-    assert M._frobenius_sq(g_re, g_im) == _full_frobenius_sq(g_re, g_im)
+    # the Gram matrix is Hermitian, so its Frobenius sum tr(G G) may read one
+    # triangle
+    assert M._trace_product((g_re, g_im), (g_re, g_im)) == _full_frobenius_sq(g_re, g_im)
     # the rows of a matrix, Hermitian or not, are summed in full
     assert M._frobenius_sq(re, im) == _full_frobenius_sq(re, im)
+    assert M._frobenius_sq(g_re, g_im) == _full_frobenius_sq(g_re, g_im)
     # a Gram matrix of a Gram matrix is its square
     h_re, h_im = M._gram(g_re, g_im)
-    assert M._frobenius_sq(h_re, h_im) == _full_frobenius_sq(*_schoolbook_gram(g_re, g_im))
+    assert M._trace_product((h_re, h_im), (h_re, h_im)) == _full_frobenius_sq(
+        *_schoolbook_gram(g_re, g_im))
     # G and H = G^2 commute, so G H* = G^3 is Hermitian, and tr(G H) reads
     # one triangle of each
     cube = M._gram(g_re, g_im, (h_re, h_im))
@@ -293,6 +297,7 @@ def test_gram_edges():
     assert M._gram(((0,),), ((0,),)) == ([[0]], [[0]])
     assert M._gram(((3,),), ((-4,),)) == ([[25]], [[0]])
     assert M._frobenius_sq(*M._gram(((3,),), ((-4,),))) == 625
+    assert M._trace_product(*[M._gram(((3,),), ((-4,),))] * 2) == 625
     # rows (1, 2) and (0, 0) are not Hermitian: |R|_F^2 = 5, where one
     # triangle counted twice would give 1 + 2 * 4 = 9
     assert M._frobenius_sq(((1, 2), (0, 0)), ((0, 0), (0, 0))) == 5
@@ -333,7 +338,7 @@ def _power_products(a, n):
     h = fraction_kernels.algebra_mul(a.adjoint(), a)
     power, out = h, []
     for _ in range(n):
-        out.append(power.trace().re)
+        out.append(from_gaussian_int(*power.trace_int()).re)
         power = fraction_kernels.algebra_mul(power, h)
     return out
 
@@ -712,7 +717,7 @@ def test_matrix_operations_match_fraction_operations(data, n, lam, mu, k):
         fk.matrix_scale(a, lam), fk.matrix_scale(b, mu))
     assert _canonical(ma.adjoint()).rows == fk.matrix_conj_transpose(a)
     trace = fk.matrix_trace(a)
-    assert ma.normalized_trace() == GaussianRational(trace.re / n, trace.im / n)
+    assert from_gaussian_int(*ma.normalized_trace_int()) == GaussianRational(trace.re / n, trace.im / n)
     assert ma.is_zero() == all(e.is_zero() for row in a for e in row)
     assert M.two_norm(ma, k) == fk.matrix_two_norm(a, k)
 
@@ -780,7 +785,7 @@ def test_algebra_operations_match_fraction_operations(data, group, lam, mu, k):
     assert _canonical(a.comb(lam, mu, b)).coeffs == fk.algebra_comb(lam, mu, x, y)
     assert _canonical(a.adjoint()).coeffs == fk.algebra_adjoint(spec, x)
     assert _canonical(a * b).coeffs == fraction_kernels.algebra_mul(a, b).coeffs
-    assert a.trace() == x.get(G.IDENTITY, gr(0))
+    assert from_gaussian_int(*a.trace_int()) == x.get(G.IDENTITY, gr(0))
     assert G.l1_norm(a) == fk.l1_norm(x)
     assert G.two_norm(a, k) == fk.algebra_two_norm(x, k)
 

@@ -7,8 +7,13 @@ from contlogic import groups as G
 from contlogic import matrices as M
 from contlogic import presentations as P
 from contlogic.formulas import rounded_bound_ok
-from contlogic.gaussian import GaussianRational, gr
+from contlogic.gaussian import GaussianRational, from_gaussian_int, gr
 from contlogic.pairing import pair as cantor_pair
+
+import point_terms as terms
+
+
+_F2, _Z = G.free_group("u", "v"), G.free_abelian("u")  # elements compare by spec
 
 
 @pytest.fixture(scope="module")
@@ -36,36 +41,76 @@ def pres_cstar_f2():
     return P.presentation_CstarLambda(G.free_group("u", "v"))
 
 
-def test_point_enumeration_base():
-    assert P.algebra_point_at(0) == P.PSpecial(0)
-    assert P.algebra_point_at(4) == P.PSpecial(1)
+def test_point_enumeration_base(pres_l_z):
+    assert terms.algebra_point_at(0) == terms.PSpecial(0)
+    assert terms.algebra_point_at(4) == terms.PSpecial(1)
+    # a point is its index, and special point i sits at index 4i
+    assert pres_l_z.rational_point(4) == 4
+    assert pres_l_z.point_object(0) == pres_l_z._special(0)
+    assert pres_l_z.point_object(4) == pres_l_z._special(1)
 
 
 def test_point_enumeration_closure_products():
-    for i in range(21):
-        for j in range(21):
+    pres = P.presentation_L(_F2)  # points 8 and 36 do not commute
+    for i in range(40):
+        for j in range(40):
             idx = 4 * cantor_pair(i, j) + 2  # documented in docs/encodings.md
-            point = P.algebra_point_at(idx)
-            assert point == P.PMul(P.algebra_point_at(i), P.algebra_point_at(j))
+            point = terms.algebra_point_at(idx)
+            assert point == terms.PMul(terms.algebra_point_at(i), terms.algebra_point_at(j))
+            assert pres.point_object(idx) == pres.point_object(i) * pres.point_object(j)
 
 
 def _rounded_bounds_ok(point) -> bool:
-    if isinstance(point, P.PSpecial):
+    if isinstance(point, terms.PSpecial):
         return True
-    if isinstance(point, P.PAdj):
+    if isinstance(point, terms.PAdj):
         return _rounded_bounds_ok(point.arg)
-    return ((not isinstance(point, P.PComb) or rounded_bound_ok(point.lam, point.mu))
+    return ((not isinstance(point, terms.PComb) or rounded_bound_ok(point.lam, point.mu))
             and _rounded_bounds_ok(point.left) and _rounded_bounds_ok(point.right))
 
 
 def test_point_enumeration_rounded_bounds_hold():
     for i in range(600):
-        assert _rounded_bounds_ok(P.algebra_point_at(i))
+        assert _rounded_bounds_ok(terms.algebra_point_at(i))
+
+
+ORACLE_PRESENTATIONS = {
+    "R": P.presentation_R,
+    "L(F2)": lambda: P.presentation_L(_F2),
+    "Cstar(Z)": lambda: P.presentation_CstarLambda(_Z),
+    "C2w": P.presentation_C2w,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESENTATIONS))
+def test_point_object_matches_the_term_oracle(name):
+    # decoding the index gives the object of the oracle's tree for it, built
+    # by a second presentation with its own cache
+    pres, oracle = ORACLE_PRESENTATIONS[name](), ORACLE_PRESENTATIONS[name]()
+    cache: dict = {}
+    for i in range(2000):
+        want = terms.walk(oracle, terms.algebra_point_at(i), cache)
+        assert pres.point_object(i) == want, i
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PRESENTATIONS))
+def test_negative_indices_behave_as_the_term_oracle(name):
+    pres, oracle = ORACLE_PRESENTATIONS[name](), ORACLE_PRESENTATIONS[name]()
+    for i in range(-40, 0):
+        want = _outcome(lambda: terms.walk(oracle, terms.algebra_point_at(i), {}))
+        assert _outcome(pres.point_object, i) == want, i
 
 
 def test_matrix_presentation_special_in_unit_ball(pres_r):
     for i in range(1, 25):
-        obj = pres_r.point_object(P.PSpecial(i))
+        obj = pres_r.point_object(4 * i)
         if obj.is_zero():
             continue
         # |B| = |A|/p <= 1 is certified by construction; check the 2-norm side
@@ -74,14 +119,14 @@ def test_matrix_presentation_special_in_unit_ball(pres_r):
 
 
 def test_matrix_presentation_zero_point(pres_r):
-    point = P.PSpecial(0)  # (m, n) = (0, 0): the 1x1 zero matrix
+    point = 0  # special (m, n) = (0, 0): the 1x1 zero matrix
     assert pres_r.norm_interval(pres_r.point_object(point), 11)[0] == 0
 
 
 def test_matrix_presentation_identity_norm(pres_r):
     n_i2 = M.matrix_index(M.Matrix.identity(2))
     special = cantor_pair(3, n_i2)  # m = 3
-    point = P.PSpecial(special)
+    point = 4 * special
     p_bound = M.opnorm_upper(M.Matrix.identity(2), 3)
     value = pres_r.norm_interval(pres_r.point_object(point), 11)[0]
     # 2-norm of I2/p is exactly 1/p
@@ -110,7 +155,7 @@ def test_cantor_presentation_examples(pres_c2w):
 
 def test_cantor_special_points_clipped(pres_c2w):
     for i in range(80):
-        obj = pres_c2w.point_object(P.PSpecial(i))
+        obj = pres_c2w.point_object(4 * i)
         assert obj.sup_abs_sq() <= 1
 
 
@@ -122,9 +167,9 @@ def test_cantor_merge_canonical():
 def test_l_presentation_identity(pres_l_z):
     ident_idx = G.group_algebra_index(G.element(pres_l_z.spec, [(1, G.IDENTITY)]))
     assert ident_idx == 1
-    obj = pres_l_z.point_object(P.PSpecial(1))
+    obj = pres_l_z.point_object(4)
     assert abs(pres_l_z.norm_interval(obj, 11)[0] - 1) < Fraction(1, 2**10)
-    assert pres_l_z.trace(obj) == gr(1)
+    assert from_gaussian_int(*pres_l_z.trace_int(obj)) == gr(1)
 
 
 def test_torus_upgrade_two_sided(pres_cstar_z):
@@ -179,8 +224,7 @@ def test_adjoint_invariance(pres_r, pres_c2w, pres_l_z, pres_cstar_f2):
     k = 8
     for pres in (pres_r, pres_c2w, pres_l_z, pres_cstar_f2):
         for idx in (1, 3, 6, 11):
-            point = pres.rational_point(idx)
-            objs = pres.point_object(point), pres.point_object(P.PAdj(point))
+            objs = pres.point_object(idx), pres.point_object(4 * idx + 1)  # x, adj(x)
             if pres.mode == P.TWO_SIDED:
                 a, b = (pres.norm_interval(obj, k + 1)[0] for obj in objs)
                 assert abs(a - b) <= 2 * Fraction(1, 2**k)
@@ -201,14 +245,14 @@ def test_lower_le_upper_always(pres_cstar_f2):
 
 def test_metric_distance_atom(pres_l_z):
     # d(x, x) evaluates to an interval containing 0
-    obj = pres_l_z.point_object(P.PSpecial(1))
+    obj = pres_l_z.point_object(4)
     lo, hi = pres_l_z.atom_interval("d", [obj, obj], 10)
     assert lo == 0
     assert hi <= Fraction(1, 2**9)
 
 
 def test_trace_atoms(pres_l_z):
-    obj = pres_l_z.point_object(P.PSpecial(1))  # identity
+    obj = pres_l_z.point_object(4)  # identity
     lo, hi = pres_l_z.atom_interval("tr_re", [obj], 10)
     assert lo == hi == 1
     lo, hi = pres_l_z.atom_interval("tr_im", [obj], 10)

@@ -21,11 +21,14 @@ depends on the host, so compare checkouts by alternating runs.  For
 every workload it gives the calls of the norm entry points `opnorm_upper`,
 `opnorm_upper_sweep` and `moments_up_to`, how many were repeats (their
 object was passed to an entry point before in the same job) and how many
-were memo hits (they ran none of those kernels, nor `matrices._frobenius_sq`),
-plus the number of jobs whose oracle checks failed.  For `queries` it gives,
-per presentation kind, the calls of the oracles `Presentation.atom_interval`
-and `norm_interval` and how many of them had a key not seen before in the
-same job: (predicate, argument objects, k, budget) and (object, k, budget).
+were memo hits (they ran none of those kernels, nor the trace reads
+`matrices._frobenius_sq` and `_trace_product`), plus the number of jobs
+whose oracle checks failed.  For `queries` it gives, per presentation kind,
+the calls of the oracles `Presentation.atom_interval` and `norm_interval`
+and how many of them had a key not seen before in the same job:
+(predicate, argument objects, k, budget) and (object, k, budget); and the
+calls of `Presentation.point_object`, recursive ones included, and its
+cache misses (the point was not in the presentation's `_point_cache`).
 The counts are deterministic, so one run per checkout is enough.  Wrapping is done here,
 outside the benchmark, by rebinding module and class names.
 """
@@ -73,6 +76,7 @@ def main(argv=None) -> int:
         return wrapper
 
     for owner, name, key in ((matrices, "_frobenius_sq", "_frobenius_sq"),
+                             (matrices, "_trace_product", "_trace_product"),
                              (matrices, "_square_mod", "_square_mod"),
                              (groups, "_free_walk_traces", "_free_walk_traces"),
                              (groups, "_convolve", "_convolve"),
@@ -100,7 +104,7 @@ def main(argv=None) -> int:
                     setattr(cls, name, counted(vars(cls)[name], "word_products"))
 
     def kernel_total():
-        return sum(counts[k] for k in KERNELS + ("_frobenius_sq",))
+        return sum(counts[k] for k in KERNELS + ("_frobenius_sq", "_trace_product"))
 
     def entry(fn, name):
         def wrapper(*a, **kw):
@@ -118,7 +122,7 @@ def main(argv=None) -> int:
                         (groups, "moments_up_to")):
         setattr(owner, name, entry(getattr(owner, name), name))
 
-    oracle_counts: Counter = Counter()  # (kind, oracle, "calls" | "keys")
+    oracle_counts: Counter = Counter()  # (kind, method, "calls" | "keys" | "misses")
     oracle_keys: set = set()  # (kind, oracle, key) seen in this job
 
     def oracle(fn, name, key_of):
@@ -134,6 +138,14 @@ def main(argv=None) -> int:
     base = presentations.Presentation
     base.atom_interval = oracle(base.atom_interval, "atom_interval",
                                 lambda pred, objs, k: (pred, *objs, k))
+    point_object = base.point_object
+
+    def counted_point_object(pres, point):
+        kind = _presentation_kind(pres)
+        oracle_counts[kind, "point_object", "calls"] += 1
+        oracle_counts[kind, "point_object", "misses"] += point not in pres._point_cache
+        return point_object(pres, point)
+    base.point_object = counted_point_object
     for cls in vars(presentations).values():
         if isinstance(cls, type) and issubclass(cls, base) and "norm_interval" in vars(cls):
             cls.norm_interval = oracle(vars(cls)["norm_interval"], "norm_interval",
@@ -162,6 +174,8 @@ def main(argv=None) -> int:
             for (kind, name, what), n in sorted(oracle_counts.items()):
                 oracles[kind][name][what] = n
                 oracles["all"][name][what] += n
+            report["points"] = {kind: dict(by_name.pop("point_object", {}))
+                                for kind, by_name in oracles.items()}
             report["oracles"] = oracles
         if workload == "norms":
             report["per_job"] = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -133,7 +134,7 @@ def _cmd_code(args) -> int:
         _emit({"kind": "code", "value": str(coding.encode(formula, sig))})
         return 0
     if args.action == "decode":
-        sig, formula = coding.decode_full(int(args.code))
+        sig, formula = coding.decode_full(args.code)
         _emit(
             {
                 "kind": "formula",
@@ -143,15 +144,15 @@ def _cmd_code(args) -> int:
         )
         return 0
     if args.action == "f":
-        result = coding.coding_f(int(args.code), args.n)
+        result = coding.coding_f(args.code, args.n)
         _emit({"kind": "code", "value": str(result)})
         return 0
     if args.action == "g":
-        result = coding.coding_g(int(args.code), int(args.q))
+        result = coding.coding_g(args.code, args.q)
         _emit({"kind": "code", "value": str(result)})
         return 0
     if args.action == "predicates":
-        flags = coding.code_predicates(int(args.code))
+        flags = coding.code_predicates(args.code)
         _emit(
             {
                 "kind": "code-flags",
@@ -211,10 +212,10 @@ def _cmd_eval(args) -> int:
     formula = parse_formula(_read_text(args.sentence), pres.signature)
     bindings = {}
     for binding in args.bind or []:
-        name, _, index = binding.partition("=")
-        if not name.startswith("c") or not index.isdigit():
+        match = re.fullmatch(r"c([0-9]+)=([0-9]+)", binding)
+        if not match:
             return _fail("usage", f"bad binding {binding!r}; use cN=POINTINDEX")
-        bindings[int(name[1:])] = pres.rational_point(int(index))
+        bindings[int(match[1])] = pres.rational_point(int(match[2]))
     budget = E.EvalBudget(
         points=args.budget_points,
         precision_k=args.precision,
@@ -238,7 +239,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.code is not None:
-        label = E.classify(int(args.code), args.relation, args.n)
+        label = E.classify(args.code, args.relation, args.n)
     elif args.prefix:
         text = args.prefix
         if text.startswith("forall"):
@@ -366,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     code.add_argument("action", choices=["encode", "decode", "f", "g", "predicates"])
     code.add_argument("--formula", default="-", help="formula file or - for stdin")
     code.add_argument("--signature", default="metric", choices=sorted(F.PRESETS))
-    code.add_argument("--code", help="decimal code")
-    code.add_argument("--q", help="second code for g")
+    code.add_argument("--code", type=_natural, help="decimal code")
+    code.add_argument("--q", type=_natural, help="second code for g")
     code.add_argument("--n", type=int, default=0, help="constant exponent for f")
     code.set_defaults(func=_cmd_code)
 
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=_cmd_eval)
 
     cl = sub.add_parser("classify", help="value-set complexity labels")
-    cl.add_argument("--code", help="sentence code")
+    cl.add_argument("--code", type=_natural, help="sentence code")
     cl.add_argument("--prefix", help="forallN / existsN / qf")
     cl.add_argument("--relation", required=True,
                     choices=["lt", "le", "gt", "ge", "<", "<=", ">", ">="])

@@ -34,7 +34,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional
 
 from . import coding
@@ -644,6 +644,11 @@ class CompiledSpace:
         return self.distances[(min(i, j), max(i, j))]
 
     def as_test_structure(self) -> TestStructure:
+        """The space as a TestStructure, built and validated once."""
+        return self._structure
+
+    @cached_property
+    def _structure(self) -> TestStructure:
         order = {c: idx for idx, c in enumerate(self.constants)}
         table = tuple(
             tuple(self.distance(a, b) for b in self.constants)

@@ -37,7 +37,7 @@ from itertools import chain
 from math import gcd
 from typing import Optional
 
-from .dyadic import check_precision, nth_root_lower_grid, sqrt_interval
+from .dyadic import nth_root_lower_grid, sqrt_interval
 from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int, gr,
                        over_common_denominator)
 from .pairing import (
@@ -81,6 +81,11 @@ class ComplexMoment(GroupError):
     tau((a* a)^j) is real for every a, so the word problem (say, a rewriting
     system that is not confluent) or the moment kernel is at fault.
     """
+
+
+class MomentAboveBound(GroupError):
+    """A trace moment tau((a* a)^n) came out above max(l1, 1)^(2n), which
+    bounds it: the word problem or the moment kernel is at fault."""
 
 
 def _compress(letters: list[tuple[str, int]]) -> Word:
@@ -821,17 +826,15 @@ def _moments(a: AlgebraElement, n: int) -> list[Fraction]:
 
 
 def moment_root_lower(a: AlgebraElement, m: Fraction, n: int, k: int) -> Fraction:
-    """Grid floor of m^(1/2n) for the moment m = tau((a* a)^n) of `a`."""
-    check_precision(k)
-    upper = max(l1_norm(a), Fraction(1))
-    hi_pow2 = (upper.numerator // upper.denominator + 1).bit_length()
-    return nth_root_lower_grid(m, 2 * n, k, hi_pow2=hi_pow2)
+    """Grid floor of m^(1/2n) for the moment m = tau((a* a)^n) of `a`, which
+    is at most |a|^(2n) <= l1^(2n); a larger m is `MomentAboveBound`."""
+    if m > max(l1_norm(a), Fraction(1)) ** (2 * n):
+        raise MomentAboveBound(f"trace moment of order {n} exceeds max(l1, 1)^{2 * n}")
+    return nth_root_lower_grid(m, 2 * n, k)
 
 
 def lambda_norm_lower(a: AlgebraElement, n: int, k: int) -> Fraction:
     """Dyadic q with q <= tau((a* a)^n)^(1/2n) <= q + 2^-k (grid floor)."""
-    if n < 1:
-        raise ValueError("lambda_norm_lower needs n >= 1")
     return moment_root_lower(a, moments_up_to(a, n)[-1], n, k)
 
 

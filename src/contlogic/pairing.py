@@ -81,11 +81,13 @@ def decode_tuple(code: int, arity: int, unpair: Unpair = unpair) -> list[int]:
 
 def _calkin_wilf(index: int) -> Fraction:
     """index >= 1 -> positive rational, breadth-first Calkin-Wilf order."""
-    bits = bin(index)[3:]  # drop '0b1'
-    q = Fraction(1)
-    for bit in bits:
-        q = q + 1 if bit == "1" else q / (q + 1)
-    return q
+    a = b = 1  # a bit 1 steps a/b to (a+b)/b, a bit 0 to a/(a+b): lowest terms
+    for bit in bin(index)[3:]:  # drop '0b1'
+        if bit == "1":
+            a += b
+        else:
+            b += a
+    return Fraction(a, b)
 
 
 def _calkin_wilf_index(q: Fraction) -> int:

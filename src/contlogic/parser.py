@@ -12,6 +12,7 @@ same scalar productions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from . import groups as G
 from .gaussian import ContlogicError, GaussianRational, gr
 
 KEYWORDS = {"sup", "inf", "half", "comb"}
-_CCONST_PREFIX = "c"
+_CCONST = re.compile(r"c[1-9][0-9]*")  # the fresh constants c1, c2, ...
 
 
 class ParseError(ContlogicError):
@@ -35,67 +36,34 @@ class ParseError(ContlogicError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # IDENT NAT LPAREN RPAREN COMMA DOT DOTMINUS SLASH PLUS MINUS EOF
+    kind: str  # IDENT NAT LPAREN RPAREN COMMA DOT DOTMINUS SLASH PLUS MINUS STAR CARET EOF
     text: str
     line: int
     col: int
 
 
+# The token table of docs/grammar.md, ASCII only; "-." comes before "-" and
+# ".", and the last group catches any other character.
+_TOKEN = re.compile(r"""
+    (?P<NEWLINE>\n) | (?P<SPACE>[ \t\r]+) | (?P<DOTMINUS>-\.)
+  | (?P<NAT>[0-9]+) | (?P<IDENT>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<DOT>\.) | (?P<SLASH>/)
+  | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<CARET>\^) | (?P<OTHER>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if text.startswith("-.", i):
-            tokens.append(Token("DOTMINUS", "-.", line, start_col))
-            i += 2
-            col += 2
-            continue
-        simple = {
-            "(": "LPAREN",
-            ")": "RPAREN",
-            ",": "COMMA",
-            ".": "DOT",
-            "/": "SLASH",
-            "+": "PLUS",
-            "-": "MINUS",
-            "*": "STAR",
-            "^": "CARET",
-        }
-        if ch in simple:
-            tokens.append(Token(simple[ch], ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("NAT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("syntax", f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, col = match.lastgroup, match.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+        elif kind == "OTHER":
+            raise ParseError("syntax", f"unexpected character {match.group()!r}", line, col)
+        elif kind != "SPACE":
+            tokens.append(Token(kind, match.group(), line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -133,7 +101,7 @@ class _Parser:
         if tok.kind == "IDENT" and tok.text in ("sup", "inf"):
             self.next()
             var = self.expect("IDENT", "a variable name")
-            if var.text in KEYWORDS or self._is_cconst(var.text):
+            if var.text in KEYWORDS or _CCONST.fullmatch(var.text):
                 self.fail("syntax", f"{var.text!r} cannot be a bound variable", var)
             self.expect("DOT", "'.' after the quantified variable")
             body = self.formula()
@@ -198,14 +166,6 @@ class _Parser:
 
     # -- terms ----------------------------------------------------------------
 
-    def _is_cconst(self, text: str) -> bool:
-        return (
-            len(text) > 1
-            and text.startswith(_CCONST_PREFIX)
-            and text[1:].isdigit()
-            and text[1] != "0"
-        )
-
     def term(self) -> F.Term:
         tok = self.peek()
         if tok.kind != "IDENT":
@@ -217,7 +177,7 @@ class _Parser:
             arity = self.sig.function(name.text).arity
             return F.App(name.text, self.arguments(name, arity, "function"))
         self.next()
-        if self._is_cconst(tok.text):
+        if _CCONST.fullmatch(tok.text):
             return F.CConst(int(tok.text[1:]))
         if tok.text in KEYWORDS:
             self.fail("syntax", f"{tok.text!r} cannot be a term", tok)
@@ -275,7 +235,7 @@ class _Parser:
         return Fraction(sign * num, den)
 
     def gaussian(self) -> GaussianRational:
-        re = self.rational()
+        real = self.rational()
         tok = self.peek()
         if tok.kind in ("PLUS", "MINUS"):
             sign = 1 if tok.kind == "PLUS" else -1
@@ -288,8 +248,8 @@ class _Parser:
                     f"expected 'i', found {i_tok.text!r}",
                     i_tok.line, i_tok.col,
                 )
-            return GaussianRational(re, sign * im_mag)
-        return GaussianRational(re, Fraction(0))
+            return GaussianRational(real, sign * im_mag)
+        return GaussianRational(real, Fraction(0))
 
     # -- group-algebra elements -------------------------------------------------
 

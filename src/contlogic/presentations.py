@@ -105,10 +105,13 @@ class Presentation:
         index//4, 1 adjoint, 2 product of the Cantor pair of factor indices,
         3 rounded combination pair(pair(lam, mu), pair(left, right)) with
         coefficient pairs violating |lam|+|mu| <= 1 collapsed to (1, 0);
-        without combinations every point is special."""
+        without combinations every point is special.  A negative index is a
+        ValueError."""
         obj = self._point_cache.get(index)  # no object is None
         if obj is not None:
             return obj
+        if index < 0:
+            raise ValueError(f"point index must be >= 0, got {index}")
         tag, rest = index % 4, index // 4
         if not self.signature.allow_comb:
             obj = self._special(index)
@@ -254,8 +257,9 @@ class ReducedCstarPresentation(GroupAlgebraPresentation):
             budget = self.default_budget
         if obj.is_zero():
             return (Fraction(0), Fraction(0))
-        lower = max(G.lambda_norm_lower_sweep(obj, budget, k))
-        return (lower, G.l1_norm(obj))
+        # tau is a state, so tau((a* a)^n)^(1/2n) is nondecreasing in n
+        # (Lyapunov): the root at n = budget is the best of the sweep's
+        return (G.lambda_norm_lower(obj, budget, k), G.l1_norm(obj))
 
 
 # ---------------------------------------------------------------------------

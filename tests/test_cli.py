@@ -347,6 +347,13 @@ def test_force_strategy_flags_take_every_strategy(capsys):
     # past MATRIX_SIZE_LOG_MAX decoding the entries alone grows 4x per size doubling
     (["norm", "--matrix-index", "127"], "usage"),
     (["norm", "--matrix-index", "1048575"], "usage"),
+    # naturals are ASCII digits: int() would read the Arabic-Indic 3 as 3
+    (["eval", "--presentation", "R", "--bind", "c1=\u0663"], "usage"),
+    (["eval", "--presentation", "R", "--bind", "c\u0663=4"], "usage"),
+    (["eval", "--presentation", "R", "--bind", "c=3"], "usage"),
+    (["code", "decode", "--code", "\u0663"], "usage"),
+    (["code", "g", "--code", "5", "--q", "-3"], "usage"),
+    (["classify", "--code", "\u0663", "--relation", "lt"], "usage"),
 ])
 def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
     args = [a.format(tmp=tmp_path) for a in args]

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import grid_roots
 
 from contlogic import groups as G
 from contlogic import matrices as M
@@ -94,7 +96,7 @@ def test_nth_root_lower_grid_sandwich():
         x = Fraction(rng.randint(0, 10**9), rng.randint(1, 100))
         n = rng.choice([2, 4, 10, 80])
         k = rng.randint(1, 16)
-        lo = nth_root_lower_grid(x, n, k, hi_pow2=40)
+        lo = nth_root_lower_grid(x, n, k)
         assert lo**n <= x
         assert (lo + Fraction(1, 2**k)) ** n >= x
         assert is_dyadic(lo)
@@ -102,7 +104,39 @@ def test_nth_root_lower_grid_sandwich():
 
 def test_nth_root_lower_grid_is_grid_floor():
     # value exactly on the grid comes back unchanged
-    assert nth_root_lower_grid(Fraction(9, 16), 2, 8, hi_pow2=2) == Fraction(3, 4)
+    assert nth_root_lower_grid(Fraction(9, 16), 2, 8) == Fraction(3, 4)
+
+
+@st.composite
+def grid_root_cases(draw):
+    """(x, n, k) where one kernel could slip: exact powers (c/2^s)^n, one
+    unit of the scaled numerator above and below a grid power (c/2^k)^n,
+    over 1 or an odd denominator, zero and tiny x, and generic x."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(1, 512), st.sampled_from([256, 512])))
+    k = draw(st.integers(0, 20))
+    c = draw(st.integers(0, 2**12))
+    d = draw(st.sampled_from([1, 3, 7, 255]))
+    x = draw(st.one_of(
+        st.builds(lambda s: Fraction(c, 2**s) ** n, st.integers(0, 20)),
+        st.builds(lambda u: Fraction(max(c**n * d + u, 0), d << k * n), st.integers(-1, 1)),
+        st.sampled_from([Fraction(0), Fraction(1, 10**60), Fraction(1, 2 ** (k * n + 1)),
+                         Fraction(2 ** (k * n) - 1, 2 ** (k * n))]),
+        st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40)),
+    ))
+    return x, n, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_root_cases())
+def test_grid_roots_match_the_former_three_kernels(case):
+    x, n, k = case
+    lower = nth_root_lower_grid(x, n, k)
+    upper = nth_root_upper_grid(x, n, k)
+    assert lower == grid_roots.nth_root_lower_grid(x, n, k, grid_roots.cap_above(x))
+    assert upper == grid_roots.nth_root_upper_grid(x, n, k)
+    assert sqrt_interval(x, k) == grid_roots.sqrt_interval(x, k)
+    assert upper - lower in (0, Fraction(1, 2**k))
+    assert (upper == lower) == (lower**n == x)
 
 
 _U = G.element(G.free_group("u", "v"), [(1, (("u", 1),))])
@@ -110,6 +144,8 @@ _U = G.element(G.free_group("u", "v"), [(1, (("u", 1),))])
 
 @pytest.mark.parametrize("call", [
     lambda k: sqrt_interval(Fraction(2), k),
+    lambda k: nth_root_upper_grid(Fraction(2), 3, k),
+    lambda k: nth_root_lower_grid(Fraction(2), 3, k),
     lambda k: torus_sup_norm({(1,): gr(1), (0,): gr(1)}, k),
     lambda k: torus_sup_norm({}, k),
     lambda k: G.moment_root_lower(_U, Fraction(1), 1, k),
@@ -117,8 +153,8 @@ _U = G.element(G.free_group("u", "v"), [(1, (("u", 1),))])
     lambda k: G.lambda_norm_lower_sweep(_U, 3, k),
     lambda k: G.two_norm(_U, k),
     lambda k: M.two_norm(M.enumerate_matrices(3), k),
-], ids=["sqrt", "torus", "torus-zero", "moment-root", "lambda", "lambda-sweep",
-        "group-two-norm", "matrix-two-norm"])
+], ids=["sqrt", "upper-root", "lower-root", "torus", "torus-zero", "moment-root", "lambda",
+        "lambda-sweep", "group-two-norm", "matrix-two-norm"])
 def test_negative_precision_is_refused(call):
     for k in (-1, -2):
         with pytest.raises(ValueError, match=f"^precision must be >= 0, got {k}$"):

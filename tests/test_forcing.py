@@ -401,6 +401,26 @@ def test_exists_pinning_widths():
         assert eval_exact(formula, structure) < bound
 
 
+def test_compiled_space_builds_one_test_structure(monkeypatch):
+    from contlogic.evaluator import TestStructure
+
+    built = []
+
+    class Counting(TestStructure):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    t = FC.play_game(
+        FC.random_forall_strategy(3), FC.exists_pinning_strategy(), 4, INST
+    )
+    monkeypatch.setattr(FC, "TestStructure", Counting)
+    space = FC.compile_transcript(t, INST)  # validates through the structure
+    structure = space.as_test_structure()
+    assert len(built) == 1 and built[0] is structure
+    assert space.as_test_structure() is structure
+
+
 def test_exists_pinning_nested_regions():
     t = FC.play_game(
         FC.random_forall_strategy(11), FC.exists_pinning_strategy(), 6, INST

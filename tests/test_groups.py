@@ -274,6 +274,18 @@ def test_moment_monotone_sandwich(f2, z):
             assert q <= l1 + Fraction(1, 1024)
 
 
+def test_moment_above_the_l1_bound_is_refused(f2):
+    # tau((a* a)^n) <= max(l1, 1)^(2n); a moment past it is a kernel fault
+    a = G.element(f2, [(1, U), (2, Vinv)])  # l1 = 3
+    assert G.moment_root_lower(a, Fraction(3**4), 2, 8) == 3
+    with pytest.raises(G.MomentAboveBound):
+        G.moment_root_lower(a, Fraction(3**4) + Fraction(1, 10**9), 2, 8)
+    half = G.element(f2, [(Fraction(1, 2), U)])  # l1 = 1/2, so the bound is 1
+    assert G.moment_root_lower(half, Fraction(1), 3, 8) == 1
+    with pytest.raises(G.MomentAboveBound):
+        G.moment_root_lower(half, Fraction(2), 3, 8)
+
+
 def test_l1_norm_examples(f2):
     assert G.l1_norm(G.element(f2, [(1, G.IDENTITY)])) == 1
     a = G.element(f2, [(1, U), (1, Uinv)])

@@ -589,34 +589,42 @@ def _outcome(fn, *args):
 @st.composite
 def root_cases(draw):
     n = draw(st.integers(1, 8))
-    k = draw(st.integers(-4, 12))
-    hi_pow2 = draw(st.integers(-4, 6))
-    hi = Fraction(2) ** hi_pow2
+    k = draw(st.integers(0, 12))
     x = draw(st.one_of(
         st.builds(Fraction, st.integers(-2, 10**6), st.integers(1, 10**4)),
-        st.just(hi**n),  # the top edge, where bisection stops at hi - 2^-k
         st.builds(lambda c, s: Fraction(c, 2**s) ** n, st.integers(0, 80), st.integers(0, 8)),
     ))
-    return x, n, k, hi_pow2
+    return x, n, k
+
+
+def _cap_above(x: Fraction, n: int) -> int:
+    """The least hi_pow2 >= -4 with (2^hi_pow2)^n > x: a bisection cap above
+    the root, under which bisection returns the grid floor."""
+    hi_pow2 = -4
+    while Fraction(2) ** (hi_pow2 * n) <= x:
+        hi_pow2 += 1
+    return hi_pow2
 
 
 @settings(max_examples=300, deadline=None)
 @given(root_cases())
 def test_nth_root_lower_grid_matches_bisection(case):
+    x, n, k = case
     assert (_outcome(nth_root_lower_grid, *case)
-            == _outcome(fraction_kernels.nth_root_lower_grid, *case))
+            == _outcome(fraction_kernels.nth_root_lower_grid, *case, _cap_above(x, n)))
 
 
 def test_nth_root_lower_grid_edges():
-    # x == hi^n returns hi - 2^-k, as the bisection does
-    assert nth_root_lower_grid(Fraction(8), 3, 4, 1) == Fraction(31, 16)
-    assert nth_root_lower_grid(Fraction(1, 64), 3, 5, -2) == Fraction(7, 32)
-    # grid points come back exactly; no grid point under the cap gives 0
-    assert nth_root_lower_grid(Fraction(9, 16), 2, 2, 1) == Fraction(3, 4)
-    assert nth_root_lower_grid(Fraction(1, 2), 2, -1, 1) == 0
-    for case in [(Fraction(-1), 2, 4, 1), (Fraction(5), 2, 4, 1)]:
-        assert _outcome(nth_root_lower_grid, *case) == _outcome(
-            fraction_kernels.nth_root_lower_grid, *case)
+    # a root on the grid comes back exactly, one just under it a step lower
+    assert nth_root_lower_grid(Fraction(8), 3, 4) == 2
+    assert nth_root_lower_grid(Fraction(8) - Fraction(1, 10**9), 3, 4) == Fraction(31, 16)
+    assert nth_root_lower_grid(Fraction(1, 64), 3, 5) == Fraction(1, 4)
+    assert nth_root_lower_grid(Fraction(9, 16), 2, 2) == Fraction(3, 4)
+    # a root under the grid's first step gives 0
+    assert nth_root_lower_grid(Fraction(1, 2), 2, 0) == 0
+    x = Fraction(-1)
+    assert _outcome(nth_root_lower_grid, x, 2, 4) == _outcome(
+        fraction_kernels.nth_root_lower_grid, x, 2, 4, _cap_above(x, 2))
 
 
 # -- integer roots ---------------------------------------------------------

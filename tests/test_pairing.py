@@ -14,6 +14,8 @@ from contlogic.pairing import (
     pair,
     rat_to_nat,
     unpair,
+    _calkin_wilf,
+    _calkin_wilf_index,
 )
 
 
@@ -67,6 +69,26 @@ def test_rat_roundtrip_random():
     for _ in range(300):
         q = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
         assert nat_to_rat(rat_to_nat(q)) == q
+
+
+def _calkin_wilf_by_fractions(index: int) -> Fraction:
+    """The former decoder, one Fraction per bit: the oracle."""
+    bits = bin(index)[3:]  # drop '0b1'
+    q = Fraction(1)
+    for bit in bits:
+        q = q + 1 if bit == "1" else q / (q + 1)
+    return q
+
+
+def test_calkin_wilf_integer_steps_match_fraction_steps():
+    for n in range(1, 2**16):
+        assert _calkin_wilf(n) == _calkin_wilf_by_fractions(n), n
+    rng = random.Random(21)
+    for bits in (100, 1_000, 5_000, 20_000):
+        n = rng.getrandbits(bits) | 1 << bits - 1
+        q = _calkin_wilf(n)
+        assert q == _calkin_wilf_by_fractions(n), bits
+        assert _calkin_wilf_index(q) == n
 
 
 def test_gaussian_roundtrip():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from contlogic import formulas as F
-from contlogic.parser import ParseError, parse_formula, print_formula
+from contlogic import groups as G
+from contlogic.parser import ParseError, parse_element, parse_formula, print_formula
 
 from helpers import random_formula
 
@@ -61,6 +62,24 @@ def test_parse_errors_carry_position():
             parse_formula(text, F.CSTAR)
         assert (info.value.kind, info.value.line, info.value.col) == (kind, line, col), text
         assert str(info.value) == f"{line}:{col}: {message}"
+
+
+def test_non_ascii_digits_and_letters_are_refused():
+    # str.isdigit and int() read the Arabic-Indic digits; the grammar is ASCII
+    cases = [
+        (lambda t: parse_formula(t, F.METRIC), "d(c\u0663, c1)", 4),
+        (lambda t: parse_formula(t, F.CSTAR), "d(comb(1/\u0662, x, 0, y), x)", 10),
+        (lambda t: parse_element(t, G.free_group("u")), "\u0663*u", 1),
+        (lambda t: parse_formula(t, F.METRIC), "sup x\u00e9 . d(x\u00e9, x\u00e9)", 6),
+        (lambda t: parse_formula(t, F.METRIC), "d(x,\n  y\u00b2)", 4),
+    ]
+    for parse, text, col in cases:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        bad = text.splitlines()[info.value.line - 1][col - 1]
+        assert (info.value.kind, info.value.col) == ("syntax", col), text
+        assert not bad.isascii()
+        assert str(info.value).endswith(f"unexpected character {bad!r}")
 
 
 def test_decimal_scalar_rejected():

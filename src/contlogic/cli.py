@@ -304,17 +304,18 @@ def _cmd_force(args) -> int:
         forall = strategies[args.strategy_forall]()
         exists = strategies[args.strategy_exists]()
         transcript = FC.play_game(forall, exists, args.rounds, inst)
-        for player, condition in transcript.moves:
-            _emit(
-                {
-                    "kind": "move",
-                    "player": player,
-                    "condition_code": str(condition.code()),
-                    "items": [[str(k), _frac(r)] for k, r in condition.keys],
-                }
-            )
+        # build every record before printing any: a failure prints no partial output
+        records = [
+            {
+                "kind": "move",
+                "player": player,
+                "condition_code": str(condition.code()),
+                "items": [[str(k), _frac(r)] for k, r in condition.keys],
+            }
+            for player, condition in transcript.moves
+        ]
         space = FC.compile_transcript(transcript, inst)
-        _emit(
+        records.append(
             {
                 "kind": "compiled",
                 "constants": list(space.constants),
@@ -324,6 +325,8 @@ def _cmd_force(args) -> int:
                 },
             }
         )
+        for record in records:
+            _emit(record)
         return 0
     if args.action == "fp":
         condition = (

@@ -259,14 +259,14 @@ def _build_term(term: F.Term, m: _Evaluation):
     if isinstance(term, F.App):
         args = [_term_object(a, m) for a in term.args]
         if term.func == "adj":
-            return pres._adj(args[0])
+            return args[0].adjoint()
         if term.func == "mul":
-            return pres._mul(args[0], args[1])
+            return args[0] * args[1]
         raise EvalError(f"unknown function {term.func!r}")
     if isinstance(term, F.Comb):
         left = _term_object(term.left, m)
         right = _term_object(term.right, m)
-        return pres._comb(term.lam, term.mu, left, right)
+        return left.comb(term.lam, term.mu, right)
     raise EvalError(f"not a term: {term!r}")
 
 

@@ -152,12 +152,14 @@ class Transcript:
         return len(self.moves)
 
 
+SWEEP_CAP = 256  # hypothesis-slice members `forces_sup_leq` tests before the limit LP
+
+
 @dataclass(frozen=True)
 class MetricInstance:
     """Solver configuration for the bounded-metric base theory."""
 
     branch_cap: int = 4096
-    sweep_cap: int = 256  # hypothesis-slice members tested before the limit LP
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +435,7 @@ def forces_sup_leq(p: Condition, psi: F.Formula, r: Fraction,
             if capped:
                 break
             for values in _slice_tuples(p, g):
-                if swept >= inst.sweep_cap:
+                if swept >= SWEEP_CAP:
                     capped = True
                     break
                 swept += 1

@@ -9,6 +9,8 @@ comparison.  No floating point appears in any certified path.
 
 A matrix A is held as B = DA over its least common denominator D, so equal
 matrices have equal fields; operations run on B with one gcd per result.
+Operands of two sizes meet in the tower: `*` and `comb` first bring the
+smaller one up to the larger size by A -> A (x) I_r (`embed_to_size`).
 H = B B* has the trace powers of B* B = D^2 A* A (by cyclicity,
 tr((B B*)^k) = tr((B* B)^k)), so tr((A* A)^(2^m)) is the integer
 tr(H^(2^m)) over D^(2^(m+1)); that is the only division.
@@ -132,31 +134,29 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.n}x{self.n})"
 
-    def _check(self, other: "Matrix") -> None:
-        if self.n != other.n:
-            raise SizeMismatch(f"{self.n} vs {other.n}")
-
     def __add__(self, other: "Matrix") -> "Matrix":
         return self.comb(1, 1, other)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        cols = list(zip(zip(*other.re), zip(*other.im)))
-        rows = list(zip(self.re, self.im))
+        n = max(self.n, other.n)
+        a, b = embed_to_size(self, n), embed_to_size(other, n)
+        cols = list(zip(zip(*b.re), zip(*b.im)))
+        rows = list(zip(a.re, a.im))
         re = tuple(tuple(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for br, bi in cols)
                    for ar, ai in rows)
         im = tuple(tuple(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for br, bi in cols)
                    for ar, ai in rows)
-        return Matrix._make(self.d * other.d, re, im)
+        return Matrix._make(a.d * b.d, re, im)
 
     def scale(self, lam) -> "Matrix":
         return self.comb(lam, 0, self)
 
     def comb(self, lam, mu, other: "Matrix") -> "Matrix":
         """lam*self + mu*other, over the lcm of both denominators."""
-        self._check(other)
-        d, lr, li, mr, mi = combination(lam, mu, self.d, other.d)
-        rows = [tuple(zip(*row)) for row in zip(self.re, self.im, other.re, other.im)]
+        n = max(self.n, other.n)
+        x, y = embed_to_size(self, n), embed_to_size(other, n)
+        d, lr, li, mr, mi = combination(lam, mu, x.d, y.d)
+        rows = [tuple(zip(*row)) for row in zip(x.re, x.im, y.re, y.im)]
         return Matrix._make(
             d, tuple(tuple(lr * a - li * b + mr * c - mi * e for a, b, c, e in row)
                      for row in rows),
@@ -167,7 +167,7 @@ class Matrix:
         return Matrix._make(self.d, tuple(zip(*self.re)),
                             tuple(tuple(-x for x in col) for col in zip(*self.im)))
 
-    def normalized_trace_int(self) -> tuple[int, int, int]:
+    def trace_int(self) -> tuple[int, int, int]:
         """(D, re, im) with tr(A)/n = (re + i*im)/D."""
         n = range(self.n)
         return self.d * self.n, sum(self.re[i][i] for i in n), sum(self.im[i][i] for i in n)

@@ -27,6 +27,8 @@ from .gaussian import GaussianRational
 Pair = Callable[[int, int], int]
 Unpair = Callable[[int], tuple[int, int]]
 
+CALKIN_WILF_PATH_CAP = 1 << 20  # steps, so encoded indices have at most 2^20 + 1 bits
+
 
 def pair(a: int, b: int) -> int:
     if a < 0 or b < 0:
@@ -91,11 +93,15 @@ def _calkin_wilf(index: int) -> Fraction:
 
 
 def _calkin_wilf_index(q: Fraction) -> int:
+    """The index of q > 0, one bit per step of its path (1/N takes N - 1)."""
     if q <= 0:
         raise ValueError("needs a positive rational")
     bits = []
     a, b = q.numerator, q.denominator
     while (a, b) != (1, 1):
+        if len(bits) == CALKIN_WILF_PATH_CAP:
+            raise ValueError(f"{q} has a Calkin-Wilf path of more than "
+                             f"{CALKIN_WILF_PATH_CAP} steps")
         if a > b:
             bits.append("1")
             a -= b

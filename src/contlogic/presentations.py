@@ -14,11 +14,11 @@ bounds under an l1 upper bound, upgraded to TwoSided over free abelian groups
 via the torus sup-norm), and the commutative algebra of locally constant
 functions on Cantor space (exact sup-norm).
 
-A rational point is its natural index, which `point_object` alone decodes
-(docs/encodings.md) into a term over special points, computing and caching
-each object once by index.  Terms are evaluated with their objects' own `*`,
-`adjoint()` and `comb()`; only the matrix tower overrides these, to bring
-matrices to one size first.
+A presentation only enumerates and bounds.  A rational point is its natural
+index, which `point_object` alone decodes (docs/encodings.md) into a term
+over special points, computing and caching each object once by index.  The
+algebra is the objects' own `*`, `adjoint()`, `comb()` and `trace_int()`,
+which align their own towers; no presentation overrides them.
 
 Objects (`matrices.Matrix`, `groups.AlgebraElement`, `CantorFn`) are Gaussian
 integers over one denominator D in lowest terms, so operations run on
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add
+from itertools import chain
+from math import gcd
 from typing import Optional
 
 from . import groups as G
@@ -65,19 +65,9 @@ class Presentation:
     def __init__(self):
         self._point_cache: dict[int, object] = {}
 
-    # subclasses implement `_special` and `norm_interval`; the algebra
-    # operations default to the objects' own `*`, `adjoint()` and `comb()`
+    # subclasses implement `_special` and `norm_interval`
     def _special(self, index: int):
         raise NotImplementedError
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _adj(self, a):
-        return a.adjoint()
-
-    def _comb(self, lam, mu, a, b):
-        return a.comb(lam, mu, b)
 
     def norm_interval(self, obj, k: int, budget: Optional[int] = None
                       ) -> tuple[Fraction, Fraction]:
@@ -85,9 +75,6 @@ class Presentation:
         mode; in LowerOnly mode a lower bound nondecreasing in `budget`
         under a certified global upper bound."""
         raise NotImplementedError
-
-    def trace_int(self, obj) -> tuple[int, int, int]:  # the trace (re + i*im)/D
-        raise PresentationError(f"{self.name} has no trace")
 
     # -- shared machinery -----------------------------------------------------
 
@@ -118,10 +105,10 @@ class Presentation:
         elif tag == 0:
             obj = self._special(rest)
         elif tag == 1:
-            obj = self._adj(self.point_object(rest))
+            obj = self.point_object(rest).adjoint()
         elif tag == 2:
             a, b = cantor_unpair(rest)
-            obj = self._mul(self.point_object(a), self.point_object(b))
+            obj = self.point_object(a) * self.point_object(b)
         else:
             coeffs, sides = cantor_unpair(rest)
             lam_code, mu_code = cantor_unpair(coeffs)
@@ -129,7 +116,7 @@ class Presentation:
             if not rounded_bound_ok(lam, mu):
                 lam, mu = gr(1), gr(0)
             a, b = cantor_unpair(sides)
-            obj = self._comb(lam, mu, self.point_object(a), self.point_object(b))
+            obj = self.point_object(a).comb(lam, mu, self.point_object(b))
         self._point_cache[index] = obj
         return obj
 
@@ -139,16 +126,16 @@ class Presentation:
                       budget: Optional[int] = None) -> tuple[Fraction, Fraction]:
         """A function of (pred, objs by value, k, budget), which the evaluator
         relies on to ask once per distinct atom of a call."""
+        if not self.signature.has_predicate(pred):
+            raise PresentationError(f"unknown predicate {pred!r} in {self.name}")
         if pred == "d":
-            obj = self._comb(_HALF, _MINUS_HALF, objs[0], objs[1])
+            obj = objs[0].comb(_HALF, _MINUS_HALF, objs[1])
             lo, hi = self.norm_interval(obj, k, budget=budget)
             return (max(lo, _ZERO), min(hi, _ONE))
-        if pred in ("tr_re", "tr_im"):
-            d, re, im = self.trace_int(objs[0])
-            # (part + 1)/2 = (D*part + D)/2D, clipped into [0, 1]
-            scaled = Fraction(min(max((re if pred == "tr_re" else im) + d, 0), 2 * d), 2 * d)
-            return (scaled, scaled)
-        raise PresentationError(f"unknown predicate {pred!r} in {self.name}")
+        d, re, im = objs[0].trace_int()  # tr_re or tr_im, the other predicates
+        # (part + 1)/2 = (D*part + D)/2D, clipped into [0, 1]
+        scaled = Fraction(min(max((re if pred == "tr_re" else im) + d, 0), 2 * d), 2 * d)
+        return (scaled, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +160,8 @@ class MatrixTowerPresentation(Presentation):
         bound = M.opnorm_upper(a, min(m, _TRACE_POWER_CAP))
         return a.scale(1 / bound)
 
-    @staticmethod
-    def _align(a: M.Matrix, b: M.Matrix) -> tuple[M.Matrix, M.Matrix]:
-        n = max(a.n, b.n)
-        return M.embed_to_size(a, n), M.embed_to_size(b, n)
-
-    def _mul(self, a, b):
-        a, b = self._align(a, b)
-        return a * b
-
-    def _comb(self, lam, mu, a, b):
-        a, b = self._align(a, b)
-        return a.comb(lam, mu, b)
-
     def norm_interval(self, obj, k, budget=None):
         return M.two_norm(obj, k)
-
-    def trace_int(self, obj):
-        return obj.normalized_trace_int()
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +196,6 @@ class GroupVonNeumannPresentation(GroupAlgebraPresentation):
 
     def norm_interval(self, obj, k, budget=None):
         return G.two_norm(obj, k)
-
-    def trace_int(self, obj):
-        return obj.trace_int()
 
 
 class ReducedCstarPresentation(GroupAlgebraPresentation):
@@ -267,86 +235,70 @@ class ReducedCstarPresentation(GroupAlgebraPresentation):
 # ---------------------------------------------------------------------------
 
 
-def _is_leaf(tree) -> bool:
-    return type(tree[0]) is int
-
-
-def _leaf_parts(tree) -> tuple[int, ...]:
-    """re, im of every leaf, left to right."""
-    return tree if _is_leaf(tree) else _leaf_parts(tree[0]) + _leaf_parts(tree[1])
-
-
-def _zip_leaves(a, b, op):
-    """op(*leaf_a, *leaf_b) on two trees split alike, where a leaf against a
-    split stands for itself on both sides; equal sibling leaves merge.  On a
-    tree and itself it maps op over the leaves."""
-    if _is_leaf(a) and _is_leaf(b):
-        return op(*a, *b)
-    al, ar = (a, a) if _is_leaf(a) else a
-    bl, br = (b, b) if _is_leaf(b) else b
-    left, right = _zip_leaves(al, bl, op), _zip_leaves(ar, br, op)
-    return left if left == right and _is_leaf(left) else (left, right)
-
-
 @dataclass(frozen=True)
 class CantorFn:
     """Locally constant Q(i)-valued function on 2^omega.
 
-    `tree` is a leaf (re, im) of ints, the value (re + i*im)/d on its
-    cylinder, or a pair of subtrees (split on the next coordinate).  Equal
-    sibling leaves are merged and d is in lowest terms, so equal functions
-    have equal fields.  `CantorFn(d, tree)` trusts its integers; `from_tree`
-    and `leaves()` take and give GaussianRational values."""
+    `parts` holds its values (re + i*im)/d, as pairs of ints, on the 2^k
+    cylinders of depth k, left to right, for the least k at which it is
+    constant on each cylinder; d is in lowest terms, so equal functions have
+    equal fields.  `_make` puts values in that form; `from_tree` and
+    `leaves()` take and give GaussianRational values."""
 
     d: int
-    tree: object
+    parts: tuple[tuple[int, int], ...]
 
     @staticmethod
-    def _make(d: int, tree) -> "CantorFn":
-        """tree over d, put in lowest terms."""
-        g = gcd(d, *_leaf_parts(tree))
+    def _make(d: int, parts) -> "CantorFn":
+        """Values over d on the 2^k cylinders of one depth k, put at the
+        least depth and in lowest terms."""
+        while len(parts) > 1 and parts[::2] == parts[1::2]:
+            parts = parts[::2]
+        g = gcd(d, *chain(*parts))
         if g > 1:
-            d, tree = d // g, _zip_leaves(tree, tree, lambda r, i, *_: (r // g, i // g))
-        return CantorFn(d, tree)
+            d, parts = d // g, [(r // g, i // g) for r, i in parts]
+        return CantorFn(d, tuple(parts))
 
     @staticmethod
     def from_tree(tree) -> "CantorFn":
-        if isinstance(tree, GaussianRational):
-            d, (leaf,) = over_common_denominator([tree])
-            return CantorFn(d, leaf)
-        left, right = CantorFn.from_tree(tree[0]), CantorFn.from_tree(tree[1])
-        d = lcm(left.d, right.d)  # both halves over d stay in lowest terms
-        tl, tr = (_zip_leaves(f.tree, f.tree, lambda r, i, *_, c=d // f.d: (r * c, i * c))
-                  for f in (left, right))
-        return CantorFn(d, tl if tl == tr and _is_leaf(tl) else (tl, tr))
+        """The function of a tree: a GaussianRational is constant on its
+        cylinder, a pair splits it on the next coordinate."""
+        level = [tree]  # the cylinders of one depth, split until all are values
+        while not all(isinstance(t, GaussianRational) for t in level):
+            level = [s for t in level for s in ((t, t) if isinstance(t, GaussianRational) else t)]
+        return CantorFn._make(*over_common_denominator(level))
+
+    def _aligned(self, other: "CantorFn"):
+        """Pairs of both operands' values on the cylinders of the deeper one."""
+        n = max(len(self.parts), len(other.parts))
+        a, b = ([p for p in f.parts for _ in range(n // len(f.parts))] for f in (self, other))
+        return zip(a, b)
 
     def __mul__(self, other: "CantorFn") -> "CantorFn":
-        return CantorFn._make(self.d * other.d, _zip_leaves(
-            self.tree, other.tree, lambda a, b, c, e: (a * c - b * e, a * e + b * c)))
+        return CantorFn._make(self.d * other.d, [(a * c - b * e, a * e + b * c)
+                                                 for (a, b), (c, e) in self._aligned(other)])
 
     def comb(self, lam, mu, other: "CantorFn") -> "CantorFn":
         """lam*self + mu*other, over the lcm of both denominators."""
         d, lr, li, mr, mi = combination(lam, mu, self.d, other.d)
-        return CantorFn._make(d, _zip_leaves(
-            self.tree, other.tree, lambda a, b, c, e: (lr * a - li * b + mr * c - mi * e,
-                                                       li * a + lr * b + mi * c + mr * e)))
+        return CantorFn._make(d, [(lr * a - li * b + mr * c - mi * e,
+                                   li * a + lr * b + mi * c + mr * e)
+                                  for (a, b), (c, e) in self._aligned(other)])
 
     def adjoint(self) -> "CantorFn":
-        return CantorFn(self.d, _zip_leaves(self.tree, self.tree, lambda r, i, *_: (r, -i)))
+        return CantorFn(self.d, tuple((r, -i) for r, i in self.parts))
 
     def leaves(self) -> list[GaussianRational]:
-        parts = _leaf_parts(self.tree)
-        return [from_gaussian_int(self.d, r, i) for r, i in zip(parts[::2], parts[1::2])]
+        return [from_gaussian_int(self.d, r, i) for r, i in self.parts]
 
     def sup_abs_sq(self) -> Fraction:
-        sq = [x * x for x in _leaf_parts(self.tree)]
-        return Fraction(max(map(add, sq[::2], sq[1::2])), self.d * self.d)
+        return Fraction(max(r * r + i * i for r, i in self.parts), self.d * self.d)
 
 
 class CantorSpacePresentation(Presentation):
     """C(2^omega): special points are locally constant functions on dyadic
-    cylinders with each leaf clipped into the closed unit disc; the sup-norm
-    radicand max |leaf|^2 is exact."""
+    cylinders with each value clipped into the closed unit disc; the sup-norm
+    radicand max |value|^2 is exact."""
 
     name = "C2w"
     signature = CSTAR
@@ -356,18 +308,14 @@ class CantorSpacePresentation(Presentation):
         n = index + 1
         depth = (n & -n).bit_length() - 1
         j = ((n >> depth) - 1) // 2
-        count = 1 << depth
-        codes = decode_tuple(j, count)
-        leaves = []
-        for code in codes:
+        values = []
+        for code in decode_tuple(j, 1 << depth):
             z = nat_to_gaussian(code)
             if z.abs_sq() > 1:
-                z = z / gr(z.abs_upper())
-            leaves.append(z)
-        tree: list = list(leaves)
-        while len(tree) > 1:
-            tree = [(tree[i], tree[i + 1]) for i in range(0, len(tree), 2)]
-        return CantorFn.from_tree(tree[0])
+                bound = z.abs_upper()
+                z = GaussianRational(z.re / bound, z.im / bound)
+            values.append(z)
+        return CantorFn._make(*over_common_denominator(values))
 
     def norm_interval(self, obj: CantorFn, k, budget=None):
         return sqrt_interval(obj.sup_abs_sq(), k)

@@ -4,9 +4,11 @@
 verbatim as `contlogic.evaluator` had them when every point tuple
 re-evaluated the whole prenex matrix, so that differential tests can check
 that computing each node once per assignment of its own variables returns
-the same `EvalResult`.  Only the imports were edited, and `_term_object`'s
+the same `EvalResult`.  Only the imports were edited, `_term_object`'s
 test for an unbound constant, which reads `is None` since rational points
-became plain indices (point 0 is falsy).
+became plain indices (point 0 is falsy), and its term operations, which call
+the objects' own `adjoint()`, `*` and `comb()` since presentations stopped
+carrying the algebra.
 """
 
 from __future__ import annotations
@@ -34,14 +36,14 @@ def _term_object(term: F.Term, pres: Presentation, env: dict, bindings: dict):
     if isinstance(term, F.App):
         args = [_term_object(a, pres, env, bindings) for a in term.args]
         if term.func == "adj":
-            return pres._adj(args[0])
+            return args[0].adjoint()
         if term.func == "mul":
-            return pres._mul(args[0], args[1])
+            return args[0] * args[1]
         raise EvalError(f"unknown function {term.func!r}")
     if isinstance(term, F.Comb):
         left = _term_object(term.left, pres, env, bindings)
         right = _term_object(term.right, pres, env, bindings)
-        return pres._comb(term.lam, term.mu, left, right)
+        return left.comb(term.lam, term.mu, right)
     raise EvalError(f"not a term: {term!r}")
 
 

@@ -4,9 +4,9 @@
 as `contlogic.presentations` had them when it turned every index into a
 tree of frozen dataclasses and keyed its point cache by those trees; only
 the imports were edited.  `walk` evaluates such a tree with a presentation's
-own `_special`, `_adj`, `_mul` and `_comb`, as the former `point_object`
-did, so that tests can check that decoding the index itself gives the same
-object.
+own `_special` and the objects' own `adjoint()`, `*` and `comb()`, as the
+former `point_object` did, so that tests can check that decoding the index
+itself gives the same object.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ def walk(pres, point: RationalPoint, cache: dict):
     if isinstance(point, PSpecial):
         obj = pres._special(point.index)
     elif isinstance(point, PAdj):
-        obj = pres._adj(walk(pres, point.arg, cache))
+        obj = walk(pres, point.arg, cache).adjoint()
     elif isinstance(point, PMul):
-        obj = pres._mul(walk(pres, point.left, cache), walk(pres, point.right, cache))
+        obj = walk(pres, point.left, cache) * walk(pres, point.right, cache)
     else:
-        obj = pres._comb(point.lam, point.mu,
-                         walk(pres, point.left, cache), walk(pres, point.right, cache))
+        obj = walk(pres, point.left, cache).comb(point.lam, point.mu,
+                                                 walk(pres, point.right, cache))
     cache[point] = obj
     return obj

@@ -386,3 +386,13 @@ def test_zero_rounds_is_the_empty_game():
     status, out = run_cli(["force", "game", "--rounds", "0"])
     assert status == 0
     assert out == [{"constants": [], "distances": {}, "kind": "compiled", "schema": 1}]
+
+
+def test_force_game_that_fails_prints_no_partial_transcript():
+    # at 28 rounds (seed 0) the last move's condition code passes Python's
+    # 4,300-digit limit on int -> str; at 27 the longest has 3,885 digits
+    status, out = run_cli(["force", "game", "--rounds", "27"])
+    assert status == 0 and len(out) == 28
+    status, out, err = _typed_error(["force", "game", "--rounds", "28"])
+    assert status == 1 and out == ""
+    assert len(err) == 1 and json.loads(err[0])["error"] == "valueerror"

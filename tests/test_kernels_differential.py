@@ -665,21 +665,40 @@ def _parts(obj) -> list[int]:
     if isinstance(obj, G.AlgebraElement):
         assert (0, 0) not in obj.ints.values()
         return [x for z in obj.ints.values() for x in z]
-    return list(P._leaf_parts(obj.tree))
+    return [x for part in obj.parts for x in part]
 
 
-def _gr_tree(f: P.CantorFn):
-    """f's tree with each integer leaf read over f.d."""
-    if P._is_leaf(f.tree):
-        return from_gaussian_int(f.d, *f.tree)
-    return (_gr_tree(P.CantorFn(f.d, f.tree[0])), _gr_tree(P.CantorFn(f.d, f.tree[1])))
+def _cylinder_values(tree) -> list[GaussianRational]:
+    """The values of a Fraction tree (`fraction_kernels.cantor_*`) on the
+    cylinders of the least depth at which it is constant on each: the
+    height of its canonical tree."""
+    tree = fraction_kernels.cantor_canon(tree)
+
+    def height(t) -> int:
+        return 0 if isinstance(t, GaussianRational) else 1 + max(height(t[0]), height(t[1]))
+
+    def values(t, depth: int) -> list[GaussianRational]:
+        if isinstance(t, GaussianRational):
+            return [t] * 2**depth
+        return values(t[0], depth - 1) + values(t[1], depth - 1)
+
+    return values(tree, height(tree))
+
+
+def _balanced_tree(values: list):
+    """Cylinder values, left to right, as a balanced tree."""
+    while len(values) > 1:
+        values = [(values[i], values[i + 1]) for i in range(0, len(values), 2)]
+    return values[0]
 
 
 def _canonical(obj):
-    """obj, after checking that its fields are in lowest terms."""
+    """obj, after checking that its fields are in lowest terms (and, for a
+    Cantor function, at the least depth)."""
     assert obj.d > 0 and math.gcd(obj.d, *_parts(obj)) == 1
     if isinstance(obj, P.CantorFn):
-        assert _gr_tree(obj) == fraction_kernels.cantor_canon(_gr_tree(obj))
+        size = len(obj.parts)
+        assert size & (size - 1) == 0 and (size == 1 or obj.parts[::2] != obj.parts[1::2])
     return obj
 
 
@@ -687,7 +706,7 @@ def _same(x, y) -> bool:
     """Equal values held in equal fields, with equal hashes."""
     fields = ("n", "re", "im") if isinstance(x, M.Matrix) else ("ints",)
     if isinstance(x, P.CantorFn):
-        fields = ("tree",)
+        fields = ("parts",)
     return (x == y and hash(x) == hash(y) and x.d == y.d
             and all(getattr(x, f) == getattr(y, f) for f in fields))
 
@@ -725,7 +744,7 @@ def test_matrix_operations_match_fraction_operations(data, n, lam, mu, k):
         fk.matrix_scale(a, lam), fk.matrix_scale(b, mu))
     assert _canonical(ma.adjoint()).rows == fk.matrix_conj_transpose(a)
     trace = fk.matrix_trace(a)
-    assert from_gaussian_int(*ma.normalized_trace_int()) == GaussianRational(trace.re / n, trace.im / n)
+    assert from_gaussian_int(*ma.trace_int()) == GaussianRational(trace.re / n, trace.im / n)
     assert ma.is_zero() == all(e.is_zero() for row in a for e in row)
     assert M.two_norm(ma, k) == fk.matrix_two_norm(a, k)
 
@@ -735,10 +754,9 @@ def test_matrix_operations_match_fraction_operations(data, n, lam, mu, k):
 def test_tower_operations_on_mixed_sizes(data, lam, mu):
     a, b = data.draw(matrix_rows()), data.draw(matrix_rows())
     ma, mb = M.Matrix(a), M.Matrix(b)
-    pres = P.presentation_R()
     fk = fraction_kernels
-    assert _canonical(pres._mul(ma, mb)).rows == fk.tower_mul(a, b)
-    assert _canonical(pres._comb(lam, mu, ma, mb)).rows == fk.tower_comb(lam, mu, a, b)
+    assert _canonical(ma * mb).rows == fk.tower_mul(a, b)
+    assert _canonical(ma.comb(lam, mu, mb)).rows == fk.tower_comb(lam, mu, a, b)
     for n in (len(a), 2 * len(a), 8):
         if n >= len(a):
             assert _canonical(M.embed_to_size(ma, n)).rows == fk.matrix_embed_to_size(a, n)
@@ -819,12 +837,11 @@ def _trees(parts=RATIONALS):
 def test_cantor_operations_match_fraction_operations(t, u, lam, mu):
     f, g = P.CantorFn.from_tree(t), P.CantorFn.from_tree(u)
     fk = fraction_kernels
-    t, u = fk.cantor_canon(t), fk.cantor_canon(u)
-    assert _gr_tree(_canonical(f)) == t
-    assert f.leaves() == fk.cantor_leaves(t)
-    assert _gr_tree(_canonical(f * g)) == fk.cantor_mul(t, u)
-    assert _gr_tree(_canonical(f.comb(lam, mu, g))) == fk.cantor_comb(lam, mu, t, u)
-    assert _gr_tree(_canonical(f.adjoint())) == fk.cantor_adjoint(t)
+    assert _canonical(f).leaves() == _cylinder_values(t)
+    assert _canonical(f * g).leaves() == _cylinder_values(fk.cantor_mul(t, u))
+    assert _canonical(f.comb(lam, mu, g)).leaves() == _cylinder_values(
+        fk.cantor_comb(lam, mu, t, u))
+    assert _canonical(f.adjoint()).leaves() == _cylinder_values(fk.cantor_adjoint(t))
     assert f.sup_abs_sq() == fk.cantor_sup_abs_sq(t)
 
 
@@ -833,7 +850,7 @@ def test_cantor_operations_match_fraction_operations(t, u, lam, mu):
 def test_cantor_combination_cancels_to_canonical_zero(t, lam):
     f = P.CantorFn.from_tree(t)
     zero = f.comb(lam, -lam, f)
-    assert _same(zero, P.CantorFn.from_tree(gr(0))) and zero.tree == (0, 0) and zero.d == 1
+    assert _same(zero, P.CantorFn.from_tree(gr(0))) and zero.parts == ((0, 0),) and zero.d == 1
     assert fraction_kernels.cantor_comb(lam, -lam, t, t) == gr(0)
 
 
@@ -941,7 +958,7 @@ def test_algebra_canonical_form(data, group, lam, mu):
 def test_cantor_canonical_form(t, u, v, lam, mu):
     f, g, h = (P.CantorFn.from_tree(x) for x in (t, u, v))
     for x in (f, f * g, f.comb(lam, mu, g), f.adjoint()):
-        assert _same(P.CantorFn.from_tree(_gr_tree(x)), x)
+        assert _same(P.CantorFn.from_tree(_balanced_tree(x.leaves())), x)
     one = P.CantorFn.from_tree(gr(1))
     assert _same(f.comb(lam, mu, g), f.comb(lam, 0, one).comb(1, mu, g))
     assert _same((f * g) * h, f * (g * h))

@@ -27,7 +27,7 @@ def random_vector(rng: random.Random, n: int):
 
 def test_normalized_trace_identity():
     for n in (1, 2, 5):
-        assert from_gaussian_int(*M.Matrix.identity(n).normalized_trace_int()) == gr(1)
+        assert from_gaussian_int(*M.Matrix.identity(n).trace_int()) == gr(1)
 
 
 def test_adjoint_involution():
@@ -41,12 +41,19 @@ def test_trace_cyclic():
     rng = random.Random(3)
     for _ in range(20):
         a, b = random_matrix(rng, 3), random_matrix(rng, 3)
-        assert from_gaussian_int(*(a * b).normalized_trace_int()) == from_gaussian_int(*(b * a).normalized_trace_int())
+        assert from_gaussian_int(*(a * b).trace_int()) == from_gaussian_int(*(b * a).trace_int())
 
 
-def test_size_mismatch():
-    with pytest.raises(M.SizeMismatch):
-        M.Matrix.identity(2) * M.Matrix.identity(4)
+def test_size_mismatch():  # sizes 2 and 4 meet in the tower, 3 and 4 do not
+    i2, i4 = M.Matrix.identity(2), M.Matrix.identity(4)
+    assert i2 * i4 == i4 and i4 * i2 == i4
+    assert i2.comb(1, -1, i4).is_zero()
+    three = M.Matrix.identity(3)
+    for x, y in ((three, i4), (i4, three)):
+        with pytest.raises(M.NotDyadicSize):
+            x * y
+        with pytest.raises(M.NotDyadicSize):
+            x.comb(1, 1, y)
 
 
 def test_two_norm_examples():
@@ -123,7 +130,7 @@ def test_embed_dyadic():
         a, b = random_matrix(rng, 2), random_matrix(rng, 2)
         ea, eb = M.embed_to_size(a, 4), M.embed_to_size(b, 4)
         assert M.embed_to_size(a * b, 4) == ea * eb
-        assert from_gaussian_int(*ea.normalized_trace_int()) == from_gaussian_int(*a.normalized_trace_int())
+        assert from_gaussian_int(*ea.trace_int()) == from_gaussian_int(*a.trace_int())
         assert M.two_norm(ea, 14) == M.two_norm(a, 14)
     with pytest.raises(M.NotDyadicSize):
         M.embed_to_size(M.Matrix.identity(3), 6)

@@ -1,9 +1,13 @@
 import random
+import time
 from fractions import Fraction
+
+import pytest
 
 from contlogic import coding
 from contlogic.gaussian import GaussianRational, gr
 from contlogic.pairing import (
+    CALKIN_WILF_PATH_CAP,
     decode_list,
     decode_tuple,
     encode_list,
@@ -89,6 +93,18 @@ def test_calkin_wilf_integer_steps_match_fraction_steps():
         q = _calkin_wilf(n)
         assert q == _calkin_wilf_by_fractions(n), bits
         assert _calkin_wilf_index(q) == n
+
+
+def test_calkin_wilf_encoder_refuses_paths_past_the_cap():
+    for n in range(1, 2**16):
+        assert _calkin_wilf_index(_calkin_wilf(n)) == n
+    assert CALKIN_WILF_PATH_CAP == 2**20
+    # 1/N takes N - 1 steps, all bits 0: the longest path allowed, then one more
+    assert _calkin_wilf_index(Fraction(1, 2**20 + 1)) == 1 << 2**20
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Calkin-Wilf path"):
+        rat_to_nat(Fraction(1, 2**20 + 2))
+    assert time.perf_counter() - start < 1
 
 
 def test_gaussian_roundtrip():

@@ -171,7 +171,7 @@ def test_l_presentation_identity(pres_l_z):
     assert ident_idx == 1
     obj = pres_l_z.point_object(4)
     assert abs(pres_l_z.norm_interval(obj, 11)[0] - 1) < Fraction(1, 2**10)
-    assert from_gaussian_int(*pres_l_z.trace_int(obj)) == gr(1)
+    assert from_gaussian_int(*obj.trace_int()) == gr(1)
 
 
 def test_torus_upgrade_two_sided(pres_cstar_z):
@@ -259,3 +259,14 @@ def test_trace_atoms(pres_l_z):
     assert lo == hi == 1
     lo, hi = pres_l_z.atom_interval("tr_im", [obj], 10)
     assert lo == hi == Fraction(1, 2)
+
+
+def test_atoms_outside_the_signature_are_refused(pres_r, pres_c2w, pres_l_z, pres_cstar_z,
+                                                  pres_cstar_f2):
+    traces = ["tr_re", "tr_im"]  # in the tracial signature only
+    for pres, preds in ((pres_r, []), (pres_l_z, []), (pres_c2w, traces),
+                        (pres_cstar_z, traces), (pres_cstar_f2, traces)):
+        obj = pres.point_object(4)
+        for pred in ["dist", "tr"] + preds:
+            with pytest.raises(P.PresentationError, match="unknown predicate"):
+                pres.atom_interval(pred, [obj, obj], 8)

@@ -51,6 +51,20 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+# int() and Fraction() read every Unicode digit: numeric flags take ASCII only
+def _ascii(text: str) -> str:
+    if not text.isascii():
+        raise argparse.ArgumentTypeError(f"expected ASCII text, got {text!r}")
+    return text
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(_ascii(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 # each step of m doubles the grid root's radicand t * 2^(16 * 2^(m+1)) in
 # bits: m = 16 takes seconds on an 8x8 matrix, and past it a run ends only
 # when memory does
@@ -62,21 +76,6 @@ def _opnorm_power(text: str) -> int:
     if m > OPNORM_POWER_MAX:
         raise argparse.ArgumentTypeError(f"expected at most {OPNORM_POWER_MAX}, got {m}")
     return m
-
-
-# index N is a 2^k x 2^k matrix, 2^k the 2-adic part of N + 1, whose 4^k
-# entries are decoded first: about 4x the time per step of k, so that
-# N = 2^20 - 1 would run until memory runs out
-MATRIX_SIZE_LOG_MAX = 6
-
-
-def _matrix_index(text: str) -> int:
-    n = _natural(text)
-    k = ((n + 1) & -(n + 1)).bit_length() - 1
-    if k > MATRIX_SIZE_LOG_MAX:
-        raise argparse.ArgumentTypeError(
-            f"expected a matrix of size at most {1 << MATRIX_SIZE_LOG_MAX}, got size 2^{k}")
-    return n
 
 
 def _frac(q) -> str | None:
@@ -178,8 +177,9 @@ def _cmd_parse(args) -> int:
         "quantifier_free": F.is_quantifier_free(formula),
     }
     if args.prenex:
-        record["prenex"] = print_formula(F.prenex(formula))
-        record["prefix_class"] = str(F.classify_prefix(F.prenex(formula)))
+        prenexed = F.prenex(formula)
+        record["prenex"] = print_formula(prenexed)
+        record["prefix_class"] = str(F.classify_prefix(prenexed))
     _emit(record)
     return 0
 
@@ -258,12 +258,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _condition(args) -> FC.Condition:
+    code = args.condition
+    return FC.Condition.empty() if code is None else FC.Condition.from_code(code)
+
+
 def _cmd_force(args) -> int:
     inst = FC.MetricInstance()
     if args.action == "check-condition":
         if args.condition is None:
             return _fail("usage", "force check-condition needs --condition")
-        condition = FC.Condition.from_code(int(args.condition))
+        condition = _condition(args)
         _emit(
             {
                 "kind": "condition",
@@ -273,11 +278,7 @@ def _cmd_force(args) -> int:
         )
         return 0
     if args.action == "sup-leq":
-        condition = (
-            FC.Condition.from_code(int(args.condition))
-            if args.condition
-            else FC.Condition.empty()
-        )
+        condition = _condition(args)
         psi = parse_formula(_read_text(args.psi), F.METRIC)
         answer = FC.forces_sup_leq(
             condition, psi, Fraction(args.bound), inst, budget=args.budget
@@ -329,11 +330,7 @@ def _cmd_force(args) -> int:
             _emit(record)
         return 0
     if args.action == "fp":
-        condition = (
-            FC.Condition.from_code(int(args.condition))
-            if args.condition
-            else FC.Condition.empty()
-        )
+        condition = _condition(args)
         formula = parse_formula(_read_text(args.psi), F.METRIC)
         bounds = FC.fp_estimate(condition, formula, inst,
                                 depth=args.depth, budget=args.budget)
@@ -372,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     code.add_argument("--signature", default="metric", choices=sorted(F.PRESETS))
     code.add_argument("--code", type=_natural, help="decimal code")
     code.add_argument("--q", type=_natural, help="second code for g")
-    code.add_argument("--n", type=int, default=0, help="constant exponent for f")
+    code.add_argument("--n", type=_integer, default=0, help="constant exponent for f")
     code.set_defaults(func=_cmd_code)
 
     parse_cmd = sub.add_parser("parse", help="parse/print formulas")
@@ -382,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     parse_cmd.set_defaults(func=_cmd_parse)
 
     norm = sub.add_parser("norm", help="certified norm bounds")
-    norm.add_argument("--matrix-index", type=_matrix_index)
+    norm.add_argument("--matrix-index", type=_natural)
     norm.add_argument("--opnorm-power", type=_opnorm_power, default=6)
     norm.add_argument("--group", help="group config path")
     norm.add_argument("--element", help="group algebra element expression")
@@ -395,30 +392,30 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--presentation", required=True, help="R, L, Cstar or C2w")
     ev.add_argument("--group", help="group config path for L/Cstar")
     ev.add_argument("--sentence", default="-", help="sentence file or - for stdin")
-    ev.add_argument("--budget-points", type=int, default=8)
-    ev.add_argument("--precision", type=int, default=10)
-    ev.add_argument("--oracle-budget", type=int, default=None)
+    ev.add_argument("--budget-points", type=_integer, default=8)
+    ev.add_argument("--precision", type=_integer, default=10)
+    ev.add_argument("--oracle-budget", type=_integer, default=None)
     ev.add_argument("--bind", action="append", help="cN=POINTINDEX", default=None)
     ev.set_defaults(func=_cmd_eval)
 
     cl = sub.add_parser("classify", help="value-set complexity labels")
     cl.add_argument("--code", type=_natural, help="sentence code")
-    cl.add_argument("--prefix", help="forallN / existsN / qf")
+    cl.add_argument("--prefix", type=_ascii, help="forallN / existsN / qf")
     cl.add_argument("--relation", required=True,
                     choices=["lt", "le", "gt", "ge", "<", "<=", ">", ">="])
-    cl.add_argument("--n", type=int, default=0)
+    cl.add_argument("--n", type=_integer, default=0)
     cl.set_defaults(func=_cmd_classify)
 
     force = sub.add_parser("force", help="forcing games and checks")
     force.add_argument("action",
                        choices=["check-condition", "sup-leq", "game", "fp"])
-    force.add_argument("--condition", help="pre-condition code")
+    force.add_argument("--condition", type=_natural, help="pre-condition code")
     force.add_argument("--psi", default="-", help="formula file or - for stdin")
-    force.add_argument("--bound", default="1/2", help="dyadic bound, e.g. 1/2")
+    force.add_argument("--bound", type=_ascii, default="1/2", help="dyadic bound, e.g. 1/2")
     force.add_argument("--budget", type=_natural, default=4)
     force.add_argument("--depth", type=_natural, default=2)
     force.add_argument("--rounds", type=_natural, default=4)
-    force.add_argument("--seed", type=int, default=0)
+    force.add_argument("--seed", type=_integer, default=0)
     force.add_argument("--strategy-forall", default="random",
                        help="random | pass | pinning")
     force.add_argument("--strategy-exists", default="pinning",

@@ -215,7 +215,7 @@ class _Evaluation:
 
     def __init__(self, formula: F.Formula, pres: Presentation, k: int, bindings: dict,
                  budget: Optional[int]):
-        self.prefix, self.matrix = F.prefix_of(F.prenex(formula))
+        self.prefix, self.matrix = F.prenex_parts(formula)
         self.pres, self.k, self.bindings, self.budget = pres, k, bindings, budget
         self.env: dict[str, tuple[int, object]] = {}
         self.memo: dict = {}

@@ -755,8 +755,7 @@ def fp_estimate(p: Condition, formula: F.Formula,
     bound would need exhaustion over all extensions and is reported unknown.
     Deeper sup blocks dually contribute certified lower bounds only.
     """
-    prenexed = F.prenex(formula)
-    prefix, matrix = F.prefix_of(prenexed)
+    prefix, matrix = F.prenex_parts(formula)
     return _fp_rec(p, prefix, matrix, inst, depth, budget)
 
 

@@ -9,7 +9,8 @@ combination comb(l, t, m, s) = l*t + m*s with |l|+|m| <= 1 over Q(i).
 Everything here is an immutable value; all operations are pure.  The walks
 `subformulas` and `subterms` visit the nodes of the two trees parents first;
 the inspections (variables, C-constants, quantifier-freeness, validation) are
-written on them.
+written on them.  `prenex_parts` gives the prenex form as the prefix and matrix
+that the evaluator and forcing read; `prenex` wraps the one around the other.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterator, Union
 
 from .dyadic import is_dyadic
@@ -388,7 +390,7 @@ def constants_of(formula: Formula) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# substitution and renaming
+# substitution
 # ---------------------------------------------------------------------------
 
 
@@ -433,57 +435,42 @@ def substitute(formula: Formula, mapping: dict[str, Term]) -> Formula:
 # ---------------------------------------------------------------------------
 
 
-def prenex(formula: Formula) -> Formula:
-    """Equivalent prenex form: all quantifiers outermost, body quantifier-free.
+def prenex_parts(formula: Formula) -> tuple[list[tuple[type, str]], Formula]:
+    """Prefix and quantifier-free matrix of the prenex form, in one recursion.
 
-    Bound variables are first renamed to a fresh deterministic sequence (v1,
-    v2, ... skipping names already present), so output is reproducible
-    byte-for-byte and pulls can never capture.  Pull rules: Half commutes with
-    both quantifiers; on the left of -. quantifiers keep their kind, on the
-    right they flip (sup <-> inf); left prefix is pulled before right.
+    Each binder is pulled out as it is met, in pre-order with the left operand
+    first, and given the next fresh name (v1, v2, ... skipping names free in
+    the formula), so pulls never capture and output is reproducible
+    byte-for-byte.  Half commutes with both quantifiers; on the left of -.
+    quantifiers keep their kind, on the right they flip (sup <-> inf).
     """
     avoid = free_vars(formula)
-    counter = [0]
+    names = (name for name in (f"v{i}" for i in count(1)) if name not in avoid)
+    prefix: list[tuple[type, str]] = []
 
-    def fresh() -> str:
-        while True:
-            counter[0] += 1
-            name = f"v{counter[0]}"
-            if name not in avoid:
-                return name
-
-    def rename(f: Formula, env: dict[str, Term]) -> Formula:
+    def pull(f: Formula, env: dict[str, Term], flip: bool) -> Formula:
         if isinstance(f, Atomic):
             return Atomic(f.pred, tuple(_subst_term(a, env) for a in f.args))
         if isinstance(f, (Zero, One)):
             return f
         if isinstance(f, Half):
-            return Half(rename(f.body, env))
+            return Half(pull(f.body, env, flip))
         if isinstance(f, DotMinus):
-            return DotMinus(rename(f.left, env), rename(f.right, env))
+            return DotMinus(pull(f.left, env, flip), pull(f.right, env, not flip))
         if isinstance(f, (Sup, Inf)):
-            new = fresh()
-            return type(f)(new, rename(f.body, {**env, f.var: Var(new)}))
+            new = next(names)
+            prefix.append(((Sup if isinstance(f, Inf) else Inf) if flip else type(f), new))
+            return pull(f.body, {**env, f.var: Var(new)}, flip)
         raise FormulaError(f"not a formula: {f!r}")
 
-    def pull(f: Formula) -> tuple[list[tuple[type, str]], Formula]:
-        if isinstance(f, (Atomic, Zero, One)):
-            return [], f
-        if isinstance(f, Half):
-            prefix, matrix = pull(f.body)
-            return prefix, Half(matrix)
-        if isinstance(f, DotMinus):
-            lp, lm = pull(f.left)
-            rp, rm = pull(f.right)
-            flipped = [(Inf if kind is Sup else Sup, var) for kind, var in rp]
-            return lp + flipped, DotMinus(lm, rm)
-        if isinstance(f, (Sup, Inf)):
-            prefix, matrix = pull(f.body)
-            return [(type(f), f.var)] + prefix, matrix
-        raise FormulaError(f"not a formula: {f!r}")
+    matrix = pull(formula, {}, False)
+    return prefix, matrix
 
-    prefix, matrix = pull(rename(formula, {}))
-    out: Formula = matrix
+
+def prenex(formula: Formula) -> Formula:
+    """Equivalent prenex form: the prefix of `prenex_parts` wrapped around
+    its matrix."""
+    prefix, out = prenex_parts(formula)
     for kind, var in reversed(prefix):
         out = kind(var, out)
     return out

@@ -124,6 +124,8 @@ class GroupSpec:
 
     def __init__(self, generators: tuple[str, ...]):
         self.generators = tuple(generators)
+        if len(set(self.generators)) != len(self.generators):
+            raise GroupError(f"repeated generators in {' '.join(self.generators)!r}")
 
     def normal_form(self, word: Word) -> Word:
         raise NotImplementedError

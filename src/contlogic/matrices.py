@@ -79,6 +79,10 @@ class InexactNewtonStep(MatrixError):
     """A Newton step for chi_H left a remainder, so a power sum is at fault."""
 
 
+class MatrixTooLarge(MatrixError):
+    """An enumerated matrix above 2^MATRIX_SIZE_LOG_MAX rows."""
+
+
 IntRows = tuple[tuple[int, ...], ...]
 
 
@@ -411,6 +415,9 @@ def embed_to_size(a: Matrix, n: int) -> Matrix:
 # j is an iterated Cantor pair of the 4^k row-major entry codes (Gaussian
 # rationals via contlogic.pairing).  This is a bijection, so the enumeration
 # is injective and every dyadic-size matrix appears exactly once.
+# Decoding the 4^k entries takes about 4x the time per step of k (2^20 - 1 would
+# fill memory): an enumerated object has at most 4^6 = 4,096 parts.
+MATRIX_SIZE_LOG_MAX = 6
 
 
 def enumerate_matrices(index: int) -> Matrix:
@@ -418,6 +425,9 @@ def enumerate_matrices(index: int) -> Matrix:
         raise ValueError("index must be a natural")
     n = index + 1
     k = (n & -n).bit_length() - 1
+    if k > MATRIX_SIZE_LOG_MAX:
+        raise MatrixTooLarge(
+            f"expected a matrix of size at most {1 << MATRIX_SIZE_LOG_MAX}, got size 2^{k}")
     j = ((n >> k) - 1) // 2
     size = 1 << k
     count = size * size

@@ -307,6 +307,10 @@ class CantorSpacePresentation(Presentation):
     def _special(self, index: int):
         n = index + 1
         depth = (n & -n).bit_length() - 1
+        if depth > 2 * M.MATRIX_SIZE_LOG_MAX:  # the matrices' rule of 4,096 parts
+            raise PresentationError(
+                f"expected a function of depth at most {2 * M.MATRIX_SIZE_LOG_MAX}, "
+                f"got depth {depth}")
         j = ((n >> depth) - 1) // 2
         values = []
         for code in decode_tuple(j, 1 << depth):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -345,8 +346,8 @@ def test_force_strategy_flags_take_every_strategy(capsys):
     # past OPNORM_POWER_MAX the grid root would run until memory runs out
     (["norm", "--matrix-index", "23", "--opnorm-power", "17"], "usage"),
     # past MATRIX_SIZE_LOG_MAX decoding the entries alone grows 4x per size doubling
-    (["norm", "--matrix-index", "127"], "usage"),
-    (["norm", "--matrix-index", "1048575"], "usage"),
+    (["norm", "--matrix-index", "127"], "matrixtoolarge"),
+    (["norm", "--matrix-index", "1048575"], "matrixtoolarge"),
     # naturals are ASCII digits: int() would read the Arabic-Indic 3 as 3
     (["eval", "--presentation", "R", "--bind", "c1=\u0663"], "usage"),
     (["eval", "--presentation", "R", "--bind", "c\u0663=4"], "usage"),
@@ -354,6 +355,19 @@ def test_force_strategy_flags_take_every_strategy(capsys):
     (["code", "decode", "--code", "\u0663"], "usage"),
     (["code", "g", "--code", "5", "--q", "-3"], "usage"),
     (["classify", "--code", "\u0663", "--relation", "lt"], "usage"),
+    (["classify", "--n", "\u0662", "--prefix", "forall2", "--relation", "lt"], "usage"),
+    (["classify", "--prefix", "forall\u0662", "--relation", "lt"], "usage"),
+    (["code", "f", "--code", "3", "--n", "\u0662"], "usage"),
+    (["force", "check-condition", "--condition", "\u0663"], "usage"),
+    (["force", "sup-leq", "--bound", "\u0663/\u0664"], "usage"),
+    (["force", "game", "--seed", "\u0663"], "usage"),
+    (["eval", "--presentation", "R", "--budget-points", "\u0662"], "usage"),
+    (["eval", "--presentation", "R", "--precision", "\u0662"], "usage"),
+    (["eval", "--presentation", "R", "--oracle-budget", "\u0662"], "usage"),
+    # code 0 is decoded and refused, not read as the empty condition
+    (["force", "check-condition", "--condition", "0"], "not-a-code"),
+    (["force", "sup-leq", "--condition", "0"], "not-a-code"),
+    (["force", "fp", "--condition", "0"], "not-a-code"),
 ])
 def test_bad_invocations_are_typed_errors(tmp_path, args, kind):
     args = [a.format(tmp=tmp_path) for a in args]
@@ -370,8 +384,45 @@ def test_matrix_index_names_its_size_limit():
     status, out, err = _typed_error(["norm", "--matrix-index", str(2**20 * 3 - 1)])
     assert status == 1 and out == ""
     assert [json.loads(line) for line in err] == [{
-        "error": "usage",
-        "message": "argument --matrix-index: expected a matrix of size at most 64, got size 2^20"}]
+        "error": "matrixtoolarge",
+        "message": "expected a matrix of size at most 64, got size 2^20"}]
+
+
+@pytest.mark.parametrize("presentation, index, kind, message", [
+    # 4 * pair(0, 127): the first special point past 64 x 64
+    ("R", 33020, "matrixtoolarge", "expected a matrix of size at most 64, got size 2^7"),
+    ("R", 1187328, "matrixtoolarge", "expected a matrix of size at most 64, got size 2^8"),
+    ("R", 4733952, "matrixtoolarge", "expected a matrix of size at most 64, got size 2^9"),
+    ("R", 18905088, "matrixtoolarge", "expected a matrix of size at most 64, got size 2^10"),
+    # 4 * (2^13 - 1): the first special point past depth 12
+    ("C2w", 32764, "presentationerror", "expected a function of depth at most 12, got depth 13"),
+    ("C2w", 3145724, "presentationerror", "expected a function of depth at most 12, got depth 18"),
+])
+def test_special_points_past_the_size_rule_are_refused(presentation, index, kind, message):
+    start = time.perf_counter()
+    status, out, err = _typed_error(
+        ["eval", "--presentation", presentation, "--bind", f"c1={index}"], "d(c1, c1)")
+    assert time.perf_counter() - start < 1
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{"error": kind, "message": message}]
+
+
+@pytest.mark.parametrize("presentation, index", [("R", 33016), ("C2w", 32760)])
+def test_special_points_below_the_size_rule_evaluate(presentation, index):
+    status, out = run_cli(["eval", "--presentation", presentation, "--bind", f"c1={index}"],
+                          "d(c1, c1)")
+    assert status == 0 and out[0]["certified_upper"] == "0"
+
+
+def test_repeated_generators_are_a_typed_error(tmp_path):
+    # the free group numbered element 126 past its reduced words: an IndexError
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("backend: free\ngenerators: a a\n")
+    status, out, err = _typed_error(
+        ["eval", "--presentation", "L", "--group", str(cfg), "--bind", "c1=504"], "d(c1, c1)")
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{
+        "error": "grouperror", "message": "repeated generators in 'a a'"}]
 
 
 def test_negative_norm_precision_is_a_usage_error():

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from contlogic import formulas as F
 from contlogic.gaussian import gr
+from contlogic.parser import parse_formula, print_formula
 
+import two_pass_prenex
 from helpers import random_formula
 
 d = lambda a, b: F.Atomic("d", (a, b))
@@ -48,6 +50,49 @@ def test_prenex_renames_to_avoid_capture():
     assert isinstance(p, F.Sup)
     assert p.var != "x"
     assert "x" in F.free_vars(p)
+
+
+PRENEX_HAND_CASES = [
+    # free v1 and v2: the fresh names skip them
+    ("metric", "d(v1, c1) -. sup x . inf y . d(x, v2)",
+     "inf v3 . sup v4 . (d(v1, c1) -. d(v3, v2))"),
+    # the inner binder shadows the outer one
+    ("metric", "sup x . sup x . d(x, c1)", "sup v1 . sup v2 . d(v2, c1)"),
+    # half commutes; the right operand's inf flips; the left prefix comes first
+    ("metric", "half(sup x . d(x, c1)) -. inf y . d(y, c2)",
+     "sup v1 . sup v2 . (half(d(v1, c1)) -. d(v2, c2))"),
+    ("metric", "(inf x . d(x, c1)) -. half(sup y . sup z . d(y, z))",
+     "inf v1 . inf v2 . inf v3 . (d(v1, c1) -. half(d(v2, v3)))"),
+    # a right operand nested twice flips twice
+    ("metric", "1 -. (1 -. sup x . d(x, c1))", "sup v1 . (1 -. (1 -. d(v1, c1)))"),
+    ("metric", "(sup x . d(x, c1)) -. ((inf y . d(y, c1)) -. sup z . d(z, c2))",
+     "sup v1 . sup v2 . sup v3 . (d(v1, c1) -. (d(v2, c1) -. d(v3, c2)))"),
+    # bound variables inside adj, mul and comb terms
+    ("cstar", "sup x . d(comb(1/2, adj(x), 1/2, mul(x, c1)), c1)",
+     "sup v1 . d(comb(1/2+0i, adj(v1), 1/2+0i, mul(v1, c1)), c1)"),
+    ("tvna", "(sup x . tr_re(mul(x, adj(x)))) -. inf y . d(comb(1/2, y, 1/2, mul(c1, y)), y)",
+     "sup v1 . sup v2 . (tr_re(mul(v1, adj(v1))) -. d(comb(1/2+0i, v2, 1/2+0i, mul(c1, v2)), v2))"),
+]
+
+
+def _assert_prenex_matches_two_pass(f: F.Formula) -> None:
+    expected = two_pass_prenex.prenex(f)
+    assert F.prenex(f) == expected
+    assert F.prenex_parts(f) == F.prefix_of(expected)
+
+
+@pytest.mark.parametrize("signature, text, printed", PRENEX_HAND_CASES)
+def test_prenex_parts_hand_cases(signature, text, printed):
+    f = parse_formula(text, F.PRESETS[signature])
+    _assert_prenex_matches_two_pass(f)
+    assert print_formula(F.prenex(f)) == printed
+
+
+@pytest.mark.parametrize("sig", [F.METRIC, F.CSTAR, F.TVNA], ids=lambda s: s.name)
+def test_prenex_parts_matches_two_pass_prenex(sig):
+    rng = random.Random(f"prenex-{sig.name}")
+    for _ in range(400):
+        _assert_prenex_matches_two_pass(random_formula(rng, sig, depth=rng.randint(1, 7)))
 
 
 def test_classify_prefix_examples():

@@ -383,6 +383,14 @@ B -> b
     assert spec.normal_form((("b", 1), ("a", 1))) == (("a", 1), ("b", 1))
 
 
+@pytest.mark.parametrize("backend", ["free", "free_abelian", "rewriting"])
+def test_repeated_generators_are_refused(backend):
+    # a repeated letter numbered the free group's words past its reduced
+    # ones, split one exponent run in two and made two indices one word
+    with pytest.raises(G.GroupError, match="repeated generators in 'a b a'"):
+        G.load_group_config(f"backend: {backend}\ngenerators: a b a\n")
+
+
 def test_parse_element(f2):
     a = parse_element("u + u^-1", f2)
     assert a == G.element(f2, [(1, U), (1, Uinv)])

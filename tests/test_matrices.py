@@ -145,9 +145,22 @@ def test_enumerate_matrices_base_and_positions():
     assert M.enumerate_matrices(i2) == M.Matrix.identity(2)
 
 
+def test_enumerate_matrices_refuses_past_the_size_rule(monkeypatch):
+    assert M.enumerate_matrices(2**6 - 1).n == 2**6
+    # refused before any entry is decoded: 2^20 x 2^20 entries would fill memory
+    monkeypatch.setattr(M, "decode_tuple", None)
+    for index in (2**7 - 1, 2**20 * 3 - 1):
+        with pytest.raises(M.MatrixTooLarge):
+            M.enumerate_matrices(index)
+
+
 def test_enumerate_matrices_injective_and_roundtrip():
     seen = set()
     for i in range(200):
+        if (i + 1) % 2**7 == 0:  # 128 x 128, past the size rule
+            with pytest.raises(M.MatrixTooLarge):
+                M.enumerate_matrices(i)
+            continue
         a = M.enumerate_matrices(i)
         assert a not in seen
         seen.add(a)

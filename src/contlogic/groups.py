@@ -594,9 +594,14 @@ def element(spec: GroupSpec, terms: list[tuple[GaussianRational | Fraction | int
     return AlgebraElement._make(spec, d, {w: z for w, z in zip(coeffs, parts) if z != (0, 0)})
 
 
+def _l1_int(a: AlgebraElement) -> int:
+    """The l1 norm of `a` times its denominator d."""
+    return sum(abs(r) + abs(i) for r, i in a.ints.values())
+
+
 def l1_norm(a: AlgebraElement) -> Fraction:
     """Certified rational upper bound sum |re|+|im| on the lambda-operator norm."""
-    return Fraction(sum(abs(r) + abs(i) for r, i in a.ints.values()), a.d)
+    return Fraction(_l1_int(a), a.d)
 
 
 def two_norm(a: AlgebraElement, k: int) -> tuple[Fraction, Fraction]:
@@ -830,7 +835,12 @@ def _moments(a: AlgebraElement, n: int) -> list[Fraction]:
 def moment_root_lower(a: AlgebraElement, m: Fraction, n: int, k: int) -> Fraction:
     """Grid floor of m^(1/2n) for the moment m = tau((a* a)^n) of `a`, which
     is at most |a|^(2n) <= l1^(2n); a larger m is `MomentAboveBound`."""
-    if m > max(l1_norm(a), Fraction(1)) ** (2 * n):
+    return _moment_root(max(_l1_int(a), a.d), a.d, m, n, k)
+
+
+def _moment_root(top: int, d: int, m: Fraction, n: int, k: int) -> Fraction:
+    """`moment_root_lower` with max(l1, 1) = top/d, compared on integers."""
+    if m.numerator * d ** (2 * n) > m.denominator * top ** (2 * n):
         raise MomentAboveBound(f"trace moment of order {n} exceeds max(l1, 1)^{2 * n}")
     return nth_root_lower_grid(m, 2 * n, k)
 
@@ -841,11 +851,11 @@ def lambda_norm_lower(a: AlgebraElement, n: int, k: int) -> Fraction:
 
 
 def lambda_norm_lower_sweep(a: AlgebraElement, n: int, k: int) -> list[Fraction]:
-    """[lambda_norm_lower(a, j, k) for j = 1..n] from a single moment pass."""
-    return [
-        moment_root_lower(a, m, j, k)
-        for j, m in enumerate(moments_up_to(a, n), start=1)
-    ]
+    """[lambda_norm_lower(a, j, k) for j = 1..n] from a single moment pass
+    and a single l1 norm."""
+    top = max(_l1_int(a), a.d)
+    return [_moment_root(top, a.d, m, j, k)
+            for j, m in enumerate(moments_up_to(a, n), start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -940,6 +950,9 @@ def load_group_config(text: str) -> GroupSpec:
                 elif key == "identity":
                     identity = value
                 elif key == "max_steps":
+                    # int() reads every Unicode digit, a sign and underscores
+                    if not (value.isascii() and value.isdigit()):
+                        raise GroupError(f"max_steps must be ASCII decimal digits, got {value!r}")
                     max_steps = int(value)
                 continue
             if key == "table":

@@ -93,22 +93,28 @@ def _calkin_wilf(index: int) -> Fraction:
 
 
 def _calkin_wilf_index(q: Fraction) -> int:
-    """The index of q > 0, one bit per step of its path (1/N takes N - 1)."""
+    """The index of q > 0, from the partial quotients of q = [a0; a1, ..., ar].
+
+    The path from q up to 1 takes a0 steps (a, b) -> (a - b, b), each a bit 1,
+    then a1 steps (a, b) -> (a, b - a), each a bit 0, and so on, the last run
+    one short (ar - 1): ends at 1/1.  The index is 1 and then those bits,
+    last first, so 1/N takes N - 1 steps.  The path is measured before any
+    bit is built.
+    """
     if q <= 0:
         raise ValueError("needs a positive rational")
-    bits = []
     a, b = q.numerator, q.denominator
-    while (a, b) != (1, 1):
-        if len(bits) == CALKIN_WILF_PATH_CAP:
-            raise ValueError(f"{q} has a Calkin-Wilf path of more than "
-                             f"{CALKIN_WILF_PATH_CAP} steps")
-        if a > b:
-            bits.append("1")
-            a -= b
-        else:
-            bits.append("0")
-            b -= a
-    return int("1" + "".join(reversed(bits)), 2)
+    quotients = []
+    while b:
+        quotient, r = divmod(a, b)
+        quotients.append(quotient)
+        a, b = b, r
+    quotients[-1] -= 1
+    if sum(quotients) > CALKIN_WILF_PATH_CAP:
+        raise ValueError(f"{q} has a Calkin-Wilf path of more than "
+                         f"{CALKIN_WILF_PATH_CAP} steps")
+    runs = ("10"[i % 2] * run for i, run in enumerate(quotients))
+    return int("1" + "".join(runs)[::-1], 2)
 
 
 def nat_to_rat(n: int) -> Fraction:

@@ -170,6 +170,17 @@ def test_non_confluent_rewriting_config_is_a_typed_error(tmp_path):
     assert record["error"] == "notconfluent" and "'Aab'" in record["message"]
 
 
+@pytest.mark.parametrize("value", ["\u0663", "+3", "-1", "1_000"])
+def test_max_steps_outside_ascii_digits_is_a_typed_error(tmp_path, value):
+    cfg = tmp_path / "steps.cfg"
+    cfg.write_text(f"backend: rewriting\ngenerators: a\nmax_steps: {value}\n", encoding="utf-8")
+    status, out, err = _typed_error(["norm", "--group", str(cfg), "--element", "a"])
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{
+        "error": "grouperror",
+        "message": f"max_steps must be ASCII decimal digits, got {value!r}"}]
+
+
 def test_torus_failure_is_a_typed_error(tmp_path, monkeypatch):
     from contlogic import presentations
     from contlogic.torus import TorusBoundFailure

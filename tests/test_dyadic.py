@@ -8,6 +8,7 @@ import grid_roots
 
 from contlogic import groups as G
 from contlogic import matrices as M
+from contlogic import dyadic
 from contlogic.dyadic import (
     int_nth_root,
     is_dyadic,
@@ -137,6 +138,60 @@ def test_grid_roots_match_the_former_three_kernels(case):
     assert sqrt_interval(x, k) == grid_roots.sqrt_interval(x, k)
     assert upper - lower in (0, Fraction(1, 2**k))
     assert (upper == lower) == (lower**n == x)
+
+
+@st.composite
+def integer_radicands(draw):
+    """(t, D, e, n, k) as `_grid_root` takes them, D up to 2^64: a root on
+    or off the grid, (c/2^s)^n as `matrices` takes it (e = n, t = (c*D0)^n
+    over D = D0*2^s), an integer root c over any D^e, zero and tiny t, and
+    generic t below 64 D^e; the first two moved one unit up or down."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(1, 512), st.sampled_from([256, 512])))
+    k = draw(st.integers(0, 20))
+    d = draw(st.one_of(st.sampled_from([1, 3, 2**64 - 59, 2**64]), st.integers(1, 2**64)))
+    c = draw(st.integers(0, 2**20))
+    shape = draw(st.sampled_from(["grid", "integer", "tiny", "generic"]))
+    if shape == "grid":
+        e, t, d = n, (c * d) ** n, d << draw(st.integers(0, 24))
+    elif shape == "integer":
+        e = draw(st.integers(0, 64))
+        t = c**n * d**e
+    else:
+        e = draw(st.sampled_from([1, 2, n]))
+        t = draw(st.sampled_from([0, 1]) if shape == "tiny" else st.integers(0, 64 * d**e))
+    if shape in ("grid", "integer"):
+        t = max(t + draw(st.integers(-1, 1)), 0)
+    return t, d, e, n, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_radicands())
+def test_kernel_matches_the_former_roots_on_integer_radicands(case):
+    """The kernel against the former exact roots of `tests/grid_roots.py`;
+    the leading-bits test is also run alone, on radicands of every size, and
+    must give the same floor or nothing, and nothing on a grid root."""
+    t, d, e, n, k = case
+    x = Fraction(t, d**e)
+    lower = grid_roots.nth_root_lower_grid(x, n, k, grid_roots.cap_above(x))
+    c, on_grid = dyadic._grid_root(t, d, e, n, k)
+    assert Fraction(c, 2**k) == lower
+    assert on_grid == (grid_roots.nth_root_upper_grid(x, n, k) == lower)
+    if t:
+        assert dyadic._leading_root(t, d, e, n, k) in ((None,) if on_grid else (None, c))
+
+
+def test_leading_bits_decide_off_grid_and_defer_on_it():
+    """A matrix-shaped root at m = 8 (t of about 20,000 bits): off the grid
+    the leading bits decide it, on the grid (and one unit below) they defer
+    to the exact route."""
+    n, d, on = 512, 3**20 << 16, 123456 * 3**20  # root 123456/2^16 on the grid
+    off = int_nth_root(2 * 123456**n, n)  # root 2^(1/512) times that
+    assert dyadic._leading_root(2 * on**n, d, n, n, 16) == off
+    assert dyadic._grid_root(2 * on**n, d, n, n, 16) == (off, False)
+    assert dyadic._leading_root(on**n, d, n, n, 16) is None
+    assert dyadic._leading_root(on**n - 1, d, n, n, 16) is None
+    assert dyadic._grid_root(on**n, d, n, n, 16) == (123456, True)
+    assert dyadic._grid_root(on**n - 1, d, n, n, 16) == (123455, False)
 
 
 _U = G.element(G.free_group("u", "v"), [(1, (("u", 1),))])

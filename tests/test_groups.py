@@ -391,6 +391,19 @@ def test_repeated_generators_are_refused(backend):
         G.load_group_config(f"backend: {backend}\ngenerators: a b a\n")
 
 
+@pytest.mark.parametrize("value", ["\u0663", "+3", "-1", "1_000", "3.0", "0x10", "\u00b2", ""])
+def test_max_steps_takes_ascii_digits_only(value):
+    # int() took the Arabic-Indic 3, a sign and underscores; the superscript 2
+    # and the empty value were a bare ValueError
+    with pytest.raises(G.GroupError, match="max_steps must be ASCII decimal digits"):
+        G.load_group_config(f"backend: rewriting\ngenerators: a\nmax_steps: {value}\n")
+
+
+def test_max_steps_reads_ascii_digits():
+    spec = G.load_group_config("backend: rewriting\ngenerators: a\nmax_steps: 0042\n")
+    assert spec.max_steps == 42
+
+
 def test_parse_element(f2):
     a = parse_element("u + u^-1", f2)
     assert a == G.element(f2, [(1, U), (1, Uinv)])

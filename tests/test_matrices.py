@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import grid_roots
+
+from contlogic import dyadic
 from contlogic import matrices as M
 from contlogic.dyadic import nth_root_upper_grid
 from contlogic.gaussian import GaussianRational, from_gaussian_int, gr
@@ -72,6 +75,50 @@ def test_opnorm_upper_identity():
         bound = M.opnorm_upper(M.Matrix.identity(2), m)
         assert bound == nth_root_upper_grid(Fraction(2), 2 ** (m + 1), 16)
         assert bound >= 1
+
+
+def _root_cases(n, rng):
+    """(name, matrix) of size n: zero, c*I, rank 1, a Jordan block, and E_11
+    and (3/4) E_11, whose roots land on the grid at every m."""
+    def entry():
+        return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    u, v, c = [entry() for _ in range(n)], [entry() for _ in range(n)], entry()
+    corner = [[gr(int(i == j == 0)) for j in range(n)] for i in range(n)]
+    return [
+        ("zero", M.Matrix.zero(n)),
+        ("scalar", M.Matrix.identity(n).scale(c)),
+        ("rank1", M.Matrix([[x * y.conjugate() for y in v] for x in u])),
+        ("jordan", M.Matrix([[c if i == j else gr(int(j == i + 1)) for j in range(n)]
+                             for i in range(n)])),
+        ("corner", M.Matrix(corner)),
+        ("corner3/4", M.Matrix(corner).scale(Fraction(3, 4))),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_root_bound_matches_the_former_root(n, monkeypatch):
+    """Every matrix root at m <= 12 is the former `nth_root_upper_grid` of
+    the reduced radicand; the roots on the grid are the leading-bits test's
+    fallbacks, and it decides every other root past the exact size."""
+    outcomes = []
+    leading_root = dyadic._leading_root
+
+    def counted(*args):
+        outcomes.append(leading_root(*args))
+        return outcomes[-1]
+    monkeypatch.setattr(dyadic, "_leading_root", counted)
+    for name, a in _root_cases(n, random.Random(n)):
+        outcomes.clear()
+        for m, t in enumerate(M._trace_chain(a, 13)):
+            root = 2 ** (m + 1)
+            expected = grid_roots.nth_root_upper_grid(Fraction(t, a.d**root), root, 16)
+            assert M._root_bound(t, a.d, m) == expected, (name, m)
+        if name.startswith("corner"):
+            assert outcomes and None in outcomes, name
+        elif name != "zero" and n > 1:
+            assert outcomes and None not in outcomes, name
 
 
 def test_opnorm_upper_projection_exact_at_zero():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import calkin_wilf_bits
+
 from contlogic import coding
 from contlogic.gaussian import GaussianRational, gr
 from contlogic.pairing import (
@@ -93,6 +95,32 @@ def test_calkin_wilf_integer_steps_match_fraction_steps():
         q = _calkin_wilf(n)
         assert q == _calkin_wilf_by_fractions(n), bits
         assert _calkin_wilf_index(q) == n
+
+
+def test_calkin_wilf_encoder_matches_the_bitwise_encoder():
+    """The encoder by partial quotients against the former one, one
+    subtraction per bit: every index below 2^16, seeded codes up to 20,000
+    bits, and codes of long runs (1/N, N, and quotients of both kinds)."""
+    for n in range(1, 2**16):
+        q = _calkin_wilf(n)
+        assert _calkin_wilf_index(q) == calkin_wilf_bits._calkin_wilf_index(q) == n, n
+    rng = random.Random(24)
+    codes = [rng.getrandbits(bits) | 1 << bits - 1
+             for bits in (17, 100, 1_000, 5_000, 20_000) for _ in range(3)]
+    codes += [int("1" + "".join(str(i % 2) * rng.randint(1, 3_000) for i in range(7)), 2)
+              for _ in range(5)]
+    for n in codes:
+        q = _calkin_wilf(n)
+        assert _calkin_wilf_index(q) == calkin_wilf_bits._calkin_wilf_index(q) == n
+    for q in (Fraction(1), Fraction(2**20 + 1), Fraction(1, 2**20 + 1), Fraction(2**20 + 2),
+              Fraction(1, 2**20 + 2), Fraction(2**19 + 1, 2**19)):
+        outcomes = []
+        for encode in (_calkin_wilf_index, calkin_wilf_bits._calkin_wilf_index):
+            try:
+                outcomes.append(encode(q))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], q
 
 
 def test_calkin_wilf_encoder_refuses_paths_past_the_cap():

@@ -23,5 +23,10 @@ def test_count_tool_runs(script, jobs):
     if script == "kernel_counts.py":
         for workload in ("norms", "queries", "games"):
             assert report[workload]["failed_jobs"] == 0, workload
+        roots = [*report["norms"]["grid_roots"].values(), report["queries"]["grid_roots"]["all"]]
+        assert report["norms"]["grid_roots"].keys() == report["norms"]["job_ms"].keys()
+        for counts in roots:
+            assert counts.keys() == {"calls", "leading", "fallbacks"}
+            assert counts["calls"] >= counts["leading"] >= counts["fallbacks"] >= 0
     else:
         assert report["failed_jobs"] == 0

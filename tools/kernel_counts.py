@@ -14,9 +14,15 @@ job, the big-product kernels of the matrix trace chain: the squarings
 `groups._pair_trace`, and the word products and inverses (`mul`, `inv` and,
 where they exist, `_mul_normal`, `_inv_normal` of every group kind), and how
 many `_convolve` calls took the packed route (`groups._convolve_packed`,
-where it exists, returned a product).  Before any wrapper is installed it
-also times each `norms` job alone (`run_job`, best of three passes) and
-gives the mean wall time per job of each kind in ms; this one figure
+where it exists, returned a product).  For `norms` per job kind and for
+`queries` per presentation kind it gives the certified roots (`grid_roots`):
+the calls of the kernel `dyadic._grid_root`, how many took the leading-bits
+test (`dyadic._leading_root`, where it exists) and how many of those it
+could not decide, so that they fell back to the exact route; roots taken
+outside every oracle call of a `queries` job count under "other".  Before
+any wrapper is installed it also times each `norms` job alone (`run_job`,
+best of three passes) and gives the mean wall time per job of each kind in
+ms; this one figure
 depends on the host, so compare checkouts by alternating runs.  For
 every workload it gives the calls of the norm entry points `opnorm_upper`,
 `opnorm_upper_sweep` and `moments_up_to`, how many were repeats (their
@@ -45,6 +51,7 @@ from pathlib import Path
 KERNELS = ("_gram", "power_products", "_square_mod", "_free_walk_traces", "_convolve",
            "_pair_trace", "word_products")
 ENTRIES = ("opnorm_upper", "opnorm_upper_sweep", "moments_up_to")
+ROOT_COUNTS = ("calls", "leading", "fallbacks")
 WORD_METHODS = ("mul", "inv", "_mul_normal", "_inv_normal")
 TIMED_PASSES = 3
 
@@ -58,7 +65,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
-    from contlogic import groups, matrices, presentations
+    from contlogic import dyadic, groups, matrices, presentations
     from perfbench import workloads
     from perfbench.tracing import _presentation_kind
 
@@ -124,6 +131,7 @@ def main(argv=None) -> int:
 
     oracle_counts: Counter = Counter()  # (kind, method, "calls" | "keys" | "misses")
     oracle_keys: set = set()  # (kind, oracle, key) seen in this job
+    kinds: list[str] = ["other"]  # presentation kind of the innermost oracle call
 
     def oracle(fn, name, key_of):
         def wrapper(pres, *a, budget=None):
@@ -132,7 +140,11 @@ def main(argv=None) -> int:
             oracle_counts[kind, name, "calls"] += 1
             oracle_counts[kind, name, "keys"] += key not in oracle_keys
             oracle_keys.add(key)
-            return fn(pres, *a, budget=budget)
+            kinds.append(kind)
+            try:
+                return fn(pres, *a, budget=budget)
+            finally:
+                kinds.pop()
         return wrapper
 
     base = presentations.Presentation
@@ -150,6 +162,26 @@ def main(argv=None) -> int:
         if isinstance(cls, type) and issubclass(cls, base) and "norm_interval" in vars(cls):
             cls.norm_interval = oracle(vars(cls)["norm_interval"], "norm_interval",
                                        lambda obj, k: (obj, k))
+
+    grid_root = dyadic._grid_root
+
+    def counted_grid_root(*a):
+        counts["grid_roots.calls"] += 1
+        oracle_counts[kinds[-1], "grid_roots", "calls"] += 1
+        return grid_root(*a)
+    for owner in (dyadic, matrices):
+        if "_grid_root" in vars(owner):
+            owner._grid_root = counted_grid_root
+    if hasattr(dyadic, "_leading_root"):
+        leading_root = dyadic._leading_root
+
+        def counted_leading_root(*a):
+            c = leading_root(*a)
+            for key in ("leading", "fallbacks") if c is None else ("leading",):
+                counts[f"grid_roots.{key}"] += 1
+                oracle_counts[kinds[-1], "grid_roots", key] += 1
+            return c
+        dyadic._leading_root = counted_leading_root
 
     out: dict = {"seed": args.seed, "jobs": args.jobs}
     for workload in names:
@@ -176,11 +208,15 @@ def main(argv=None) -> int:
                 oracles["all"][name][what] += n
             report["points"] = {kind: dict(by_name.pop("point_object", {}))
                                 for kind, by_name in oracles.items()}
+            roots = {kind: by_name.pop("grid_roots", Counter()) for kind, by_name in oracles.items()}
+            report["grid_roots"] = {kind: {k: c[k] for k in ROOT_COUNTS} for kind, c in roots.items()}
             report["oracles"] = oracles
         if workload == "norms":
             report["per_job"] = {
                 kind: {k: round(c[k] / c["jobs"], 3) for k in KERNELS + ("_convolve.packed",)}
                 for kind, c in per_kind.items()}
+            report["grid_roots"] = {kind: {k: c[f"grid_roots.{k}"] for k in ROOT_COUNTS}
+                                    for kind, c in per_kind.items()}
             report["job_ms"] = job_ms
         out[workload] = report
     print(json.dumps(out))

@@ -78,6 +78,21 @@ def _opnorm_power(text: str) -> int:
     return m
 
 
+class CodeTooLarge(ContlogicError):
+    """A code with more decimal digits than the interpreter converts to text."""
+
+
+def _code(value: int) -> str:
+    """A code in decimal, refused before `str` when it has more digits than
+    `sys.get_int_max_str_digits()` allows (0, or no such function: no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # a code under 2^(3 * limit) < 10^limit is printable without forming 10^limit
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise CodeTooLarge(f"the code has {value.bit_length()} bits, more than the "
+                           f"{limit} decimal digits this interpreter prints")
+    return str(value)
+
+
 def _frac(q) -> str | None:
     return None if q is None else str(Fraction(q))
 
@@ -130,7 +145,7 @@ def _cmd_code(args) -> int:
     if args.action == "encode":
         sig = _signature(args.signature)
         formula = parse_formula(_read_text(args.formula), sig)
-        _emit({"kind": "code", "value": str(coding.encode(formula, sig))})
+        _emit({"kind": "code", "value": _code(coding.encode(formula, sig))})
         return 0
     if args.action == "decode":
         sig, formula = coding.decode_full(args.code)
@@ -143,12 +158,10 @@ def _cmd_code(args) -> int:
         )
         return 0
     if args.action == "f":
-        result = coding.coding_f(args.code, args.n)
-        _emit({"kind": "code", "value": str(result)})
+        _emit({"kind": "code", "value": _code(coding.coding_f(args.code, args.n))})
         return 0
     if args.action == "g":
-        result = coding.coding_g(args.code, args.q)
-        _emit({"kind": "code", "value": str(result)})
+        _emit({"kind": "code", "value": _code(coding.coding_g(args.code, args.q))})
         return 0
     if args.action == "predicates":
         flags = coding.code_predicates(args.code)
@@ -310,8 +323,8 @@ def _cmd_force(args) -> int:
             {
                 "kind": "move",
                 "player": player,
-                "condition_code": str(condition.code()),
-                "items": [[str(k), _frac(r)] for k, r in condition.keys],
+                "condition_code": _code(condition.code()),
+                "items": [[_code(k), _frac(r)] for k, r in condition.keys],
             }
             for player, condition in transcript.moves
         ]

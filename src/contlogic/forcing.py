@@ -429,28 +429,16 @@ def forces_sup_leq(p: Condition, psi: F.Formula, r: Fraction,
     constants = sorted(used | {fresh})
     delta = Fraction(1, 1 << budget)
     swept = 0
-    capped = False
+    members = itertools.chain.from_iterable(_slice_tuples(p, g) for g in range(1, budget + 1))
     try:
-        for g in range(1, budget + 1):
-            if capped:
-                break
-            for values in _slice_tuples(p, g):
-                if swept >= SWEEP_CAP:
-                    capped = True
-                    break
-                swept += 1
-                hyp = tuple(
-                    (formula, s) for (formula, _), s in zip(p.items, values)
-                )
-                verdict = _solve_system(
-                    BoundSystem(le=hyp, ge=((psi_c, r + delta),)),
-                    constants, inst,
-                )
-                if verdict.satisfiable:
-                    return ForcingAnswer(
-                        "no", witness=verdict.point, margin=verdict.margin,
-                        swept=swept,
-                    )
+        for values in itertools.islice(members, SWEEP_CAP):
+            swept += 1
+            hyp = tuple((formula, s) for (formula, _), s in zip(p.items, values))
+            verdict = _solve_system(
+                BoundSystem(le=hyp, ge=((psi_c, r + delta),)), constants, inst)
+            if verdict.satisfiable:
+                return ForcingAnswer("no", witness=verdict.point, margin=verdict.margin,
+                                     swept=swept)
         # limit case: a model of p itself with a point strictly above r?
         verdict = _solve_system(
             BoundSystem(lt=tuple(p.items), gt=((psi_c, r),)), constants, inst

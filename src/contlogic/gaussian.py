@@ -2,22 +2,27 @@
 
 `GaussianRational` is the value type at the package's edges (parser, printer,
 CLI, combination coefficients, traces, readable views of objects).  Moduli
-|z| are irrational in general, so it exposes exact *bounds*: ``abs_sq``
-(exact), ``abs_upper`` (|re|+|im|) and ``abs_lower`` (max(|re|,|im|)).
+|z| are irrational in general, so it exposes ``abs_sq`` (exact) and the
+upper bound ``abs_upper`` (|re|+|im|).
 
-Certified computation runs on integers.  Presentation objects hold Gaussian
+Certified computation runs on integers.  Presentation objects (matrices,
+group-algebra elements, Cantor functions) are `GaussianInts`: Gaussian
 integers (re, im) over one denominator D > 0 with gcd(D, every part) = 1, so
 D is their least common denominator and equal objects have equal fields;
-``over_common_denominator`` puts values in that form.  Operations multiply
-and add integers and reduce by one gcd, and kernels divide by powers of D
-once, at the end (fraction-free in the spirit of Bareiss 1968).
+``over_common_denominator`` puts values in that form.  The base class owns
+that format and the linear algebra on it (lowest terms, combinations,
+equality, the GaussianRational view); each object class adds only its
+layout and its own product and adjoint.  Operations multiply and add
+integers and reduce by one gcd, and kernels divide by powers of D once, at
+the end (fraction-free in the spirit of Bareiss 1968).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -69,14 +74,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * other.conjugate()
-        return GaussianRational(num.re / d, num.im / d)
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
@@ -92,10 +89,6 @@ class GaussianRational:
     def abs_upper(self) -> Fraction:
         """Rational upper bound |re|+|im| >= |z|."""
         return abs(self.re) + abs(self.im)
-
-    def abs_lower(self) -> Fraction:
-        """Rational lower bound max(|re|,|im|) <= |z|."""
-        return max(abs(self.re), abs(self.im))
 
     # -- misc ----------------------------------------------------------------
 
@@ -140,6 +133,67 @@ def combination(lam, mu, da: int, db: int) -> tuple[int, int, int, int, int]:
     d = lcm(da, db)
     fa, fb = d // da, d // db
     return d, a * (dl // p * fa), b * (dl // q * fa), c * (dm // r * fb), e * (dm // s * fb)
+
+
+class GaussianInts:
+    """Gaussian integers `parts`, pairs (re, im), over one denominator d > 0
+    in lowest terms.  `layout` says what the parts are the values of (a
+    matrix's size, an element's group and words, nothing for a Cantor
+    function), and two objects are equal when type, d, parts and layout are.
+
+    A subclass gives `_aligned(other)`: the layout of a result over both
+    operands, and the pairs of their parts in it.  `_make` trusts its
+    integers; `_new` is the constructor of an operation's raw result, which
+    a subclass overrides to put its layout in a least form of its own or to
+    begin its memo slots empty."""
+
+    __slots__ = ("layout", "d", "parts")
+
+    @classmethod
+    def _make(cls, layout, d: int, parts) -> "GaussianInts":
+        """The object of `parts` over d, put in lowest terms by one gcd."""
+        if d > 1 and (g := gcd(d, *chain.from_iterable(parts))) > 1:
+            d, parts = d // g, [(r // g, i // g) for r, i in parts]
+        out = object.__new__(cls)
+        out.layout, out.d, out.parts = layout, d, tuple(parts)
+        return out
+
+    @classmethod
+    def _new(cls, layout, d: int, parts) -> "GaussianInts":
+        return cls._make(layout, d, parts)
+
+    def comb(self, lam, mu, other):
+        """lam*self + mu*other, over the lcm of both denominators."""
+        layout, pairs = self._aligned(other)
+        d, lr, li, mr, mi = combination(lam, mu, self.d, other.d)
+        return self._new(layout, d, [(lr * a - li * b + mr * c - mi * e,
+                                      li * a + lr * b + mi * c + mr * e)
+                                     for (a, b), (c, e) in pairs])
+
+    def __add__(self, other):
+        return self.comb(1, 1, other)
+
+    def __sub__(self, other):
+        return self.comb(1, -1, other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, lam):
+        return self.comb(lam, 0, self)
+
+    def is_zero(self) -> bool:
+        return not any(chain.from_iterable(self.parts))
+
+    def values(self) -> list[GaussianRational]:
+        return [from_gaussian_int(self.d, r, i) for r, i in self.parts]
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.d == other.d
+                and self.parts == other.parts and self.layout == other.layout)
+
+    def __hash__(self):
+        return hash((self.d, self.parts, self.layout))
 
 
 def gr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:

@@ -7,9 +7,10 @@ normal forms.  There is one subclass per group kind (free groups, free
 abelian groups, finite multiplication tables, and user-certified terminating
 rewriting systems).  Algebra elements are finitely supported maps from
 normal-form words to Q(i), held as Gaussian integers over one denominator D
-in lowest terms (so equal elements have equal fields; GaussianRational
-values go in through the constructor and come out through `.coeffs`); the
-canonical trace reads off the identity coefficient.
+in lowest terms on their sorted support words (a `gaussian.GaussianInts`, so
+equal elements have equal fields; GaussianRational values go in through the
+constructor and come out through `.coeffs`); the canonical trace reads off
+the identity coefficient.
 
 Norm bounds: `two_norm` computes sqrt(tau(a* a)) from the exact radicand,
 `l1_norm` gives the certified operator-norm upper bound sum |coeff|, and
@@ -34,12 +35,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 from typing import Optional
 
 from .dyadic import nth_root_lower_grid, sqrt_interval
-from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int, gr,
-                       over_common_denominator)
+from .gaussian import ContlogicError, GaussianInts, GaussianRational, gr, over_common_denominator
 from .pairing import (
     decode_list,
     decode_tuple,
@@ -484,102 +483,88 @@ def rewriting_group(generators: tuple[str, ...], rules: list[tuple[str, str]],
 GaussInt = tuple[int, int]
 
 
-class AlgebraElement:
+class AlgebraElement(GaussianInts):
     """Finitely supported map normal-form word -> Q(i): nonzero Gaussian
-    integers `ints[w]` over d.  `AlgebraElement(spec, coeffs)` takes a dict
-    of GaussianRational, refusing a key that is not a normal form, and
-    `.coeffs` gives it back; `element` normalizes arbitrary words, and it and
-    the operations build results with `_make`, which trusts its integers.
+    integers `parts` over d on the sorted `words`, with (spec, words) as
+    layout.  `AlgebraElement(spec, coeffs)` takes a dict of GaussianRational,
+    refusing a key that is not a normal form, and `.coeffs` gives it back;
+    `.ints` is the dict word -> integer pair that products, combinations and
+    the moment kernels read.  `element` normalizes arbitrary words.
     `_moments`: see `moments_up_to`."""
 
-    __slots__ = ("spec", "d", "ints", "_moments")
+    __slots__ = ("_moments",)
 
-    def __init__(self, spec: GroupSpec, coeffs: dict[Word, GaussianRational]):
+    def __new__(cls, spec: GroupSpec, coeffs: dict[Word, GaussianRational]):
         for w in coeffs:
             if spec.normal_form(w) != w:
                 raise GroupError(f"key {w!r} is not a normal form")
-        d, parts = over_common_denominator(coeffs.values())
-        self.spec, self.d, self._moments = spec, d, []
-        self.ints = {w: z for w, z in zip(coeffs, parts) if z != (0, 0)}
+        return cls._new((spec, coeffs), *over_common_denominator(coeffs.values()))
 
-    @staticmethod
-    def _make(spec: GroupSpec, d: int, ints: dict[Word, GaussInt]) -> "AlgebraElement":
-        """sum_w ints[w] w / d, in lowest terms."""
-        g = gcd(d, *chain(*ints.values()))
-        if g > 1:
-            d, ints = d // g, {w: (r // g, i // g) for w, (r, i) in ints.items()}
-        out = object.__new__(AlgebraElement)
-        out.spec, out.d, out.ints, out._moments = spec, d, ints, []
+    @classmethod
+    def _new(cls, layout, d: int, parts) -> "AlgebraElement":
+        """The parts over d on distinct words in any order, sorted by word
+        with the zero terms dropped; no moments computed yet."""
+        spec, words = layout
+        terms = sorted(zip(words, parts))  # by word, since the words are distinct
+        if (0, 0) in parts:
+            terms = [t for t in terms if t[1] != (0, 0)]
+        words, parts = zip(*terms) if terms else ((), ())
+        out = cls._make((spec, words), d, parts)
+        out._moments = []
         return out
+
+    spec = property(lambda self: self.layout[0])
+    words = property(lambda self: self.layout[1])
+
+    @property
+    def ints(self) -> dict[Word, GaussInt]:
+        return dict(zip(self.layout[1], self.parts))
 
     @property
     def coeffs(self) -> dict[Word, GaussianRational]:
-        return {w: from_gaussian_int(self.d, *z) for w, z in self.ints.items()}
+        return dict(zip(self.layout[1], self.values()))
 
     # -- ring operations ------------------------------------------------------
 
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.spec is not other.spec:
+    def _check(self, other: "AlgebraElement") -> GroupSpec:
+        """The group spec both operands share."""
+        spec = self.layout[0]
+        if spec is not other.layout[0]:
             raise MixedGroups("elements belong to different group specs")
+        return spec
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self.comb(1, 1, other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self.comb(1, -1, other)
-
-    def scale(self, lam: GaussianRational | Fraction | int) -> "AlgebraElement":
-        return self.comb(lam, 0, self)
+    def _aligned(self, other: "AlgebraElement"):
+        spec = self._check(other)
+        x, y = self.ints, other.ints
+        words = tuple(x.keys() | y.keys())
+        return (spec, words), [(x.get(w, (0, 0)), y.get(w, (0, 0))) for w in words]
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement._make(self.spec, self.d * other.d,
-                                    _convolve(self.spec, self.ints, other.ints))
+        spec = self._check(other)
+        product = _convolve(spec, self.ints, other.ints)
+        return AlgebraElement._new((spec, product), self.d * other.d, product.values())
 
     def adjoint(self) -> "AlgebraElement":
         # inversion permutes the normal forms, so the keys stay normal and distinct
-        inv = self.spec._inv_normal
-        return AlgebraElement._make(
-            self.spec, self.d, {inv(w): (r, -i) for w, (r, i) in self.ints.items()})
-
-    def comb(self, lam, mu, other: "AlgebraElement") -> "AlgebraElement":
-        """lam*self + mu*other, over the lcm of both denominators."""
-        self._check(other)
-        d, lr, li, mr, mi = combination(lam, mu, self.d, other.d)
-        acc = {w: (lr * r - li * i, li * r + lr * i) for w, (r, i) in self.ints.items()}
-        for w, (r, i) in other.ints.items():
-            x, y = acc.get(w, (0, 0))
-            acc[w] = (x + mr * r - mi * i, y + mi * r + mr * i)
-        return AlgebraElement._make(self.spec, d, {w: z for w, z in acc.items() if z != (0, 0)})
+        spec, words = self.layout
+        return AlgebraElement._new((spec, map(spec._inv_normal, words)), self.d,
+                                   [(r, -i) for r, i in self.parts])
 
     # -- inspection -----------------------------------------------------------
 
     def trace_int(self) -> tuple[int, int, int]:
-        """(D, re, im) with the canonical trace (re + i*im)/D."""
-        return self.d, *self.ints.get(IDENTITY, (0, 0))
-
-    def is_zero(self) -> bool:
-        return not self.ints
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraElement) and self.spec is other.spec
-                and self.d == other.d and self.ints == other.ints)
-
-    def __hash__(self):
-        return hash((id(self.spec), self.d, tuple(sorted(self.ints.items()))))
+        """(D, re, im) with the canonical trace (re + i*im)/D; the identity
+        word sorts first."""
+        return self.d, *(self.parts[0] if self.words[:1] == (IDENTITY,) else (0, 0))
 
     def __repr__(self):
-        if not self.ints:
+        if not self.parts:
             return "0"
-        coeffs = self.coeffs
-        parts = []
-        for w in sorted(self.ints):
+        terms = []
+        for w, c in self.coeffs.items():
             word = "*".join(f"{g}^{e}" if e != 1 else g for g, e in w) or "1"
-            parts.append(f"({coeffs[w]})*{word}")
-        return " + ".join(parts)
+            terms.append(f"({c})*{word}")
+        return " + ".join(terms)
 
 
 def element(spec: GroupSpec, terms: list[tuple[GaussianRational | Fraction | int, Word]]
@@ -590,13 +575,13 @@ def element(spec: GroupSpec, terms: list[tuple[GaussianRational | Fraction | int
             c = gr(Fraction(c))
         nf = spec.normal_form(w)
         coeffs[nf] = coeffs.get(nf, gr(0)) + c
-    d, parts = over_common_denominator(coeffs.values())  # keys are normal forms
-    return AlgebraElement._make(spec, d, {w: z for w, z in zip(coeffs, parts) if z != (0, 0)})
+    # the keys are normal forms
+    return AlgebraElement._new((spec, coeffs), *over_common_denominator(coeffs.values()))
 
 
 def _l1_int(a: AlgebraElement) -> int:
     """The l1 norm of `a` times its denominator d."""
-    return sum(abs(r) + abs(i) for r, i in a.ints.values())
+    return sum(abs(r) + abs(i) for r, i in a.parts)
 
 
 def l1_norm(a: AlgebraElement) -> Fraction:
@@ -609,7 +594,7 @@ def two_norm(a: AlgebraElement, k: int) -> tuple[Fraction, Fraction]:
 
     tau(a* a) = sum |coeff|^2 exactly, so the radicand needs no convolution.
     """
-    return sqrt_interval(Fraction(sum(r * r + i * i for r, i in a.ints.values()), a.d * a.d), k)
+    return sqrt_interval(Fraction(sum(r * r + i * i for r, i in a.parts), a.d * a.d), k)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +608,7 @@ def _letter_weights(a: AlgebraElement) -> Optional[dict[Letter, GaussInt]]:
     """Weight map, a's integer coefficients over a.d, when every support word
     is a single letter or the identity."""
     weights: dict[Letter, GaussInt] = {}
-    for w, c in a.ints.items():
+    for w, c in zip(a.words, a.parts):
         if w == IDENTITY:
             weights[None] = c
         elif len(w) == 1 and abs(w[0][1]) == 1:

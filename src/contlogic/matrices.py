@@ -7,8 +7,9 @@ from trace powers: |A|^2 = |A* A| <= (tr((A* A)^(2^m)))^(1/2^m), with the
 root ceiled onto a fixed dyadic grid so bounds are monotone in m by exact
 comparison.  No floating point appears in any certified path.
 
-A matrix A is held as B = DA over its least common denominator D, so equal
-matrices have equal fields; operations run on B with one gcd per result.
+A matrix A is held as B = DA over its least common denominator D, entry by
+entry row by row (a `gaussian.GaussianInts` of layout n), so equal matrices
+have equal fields; operations run on B with one gcd per result.
 Operands of two sizes meet in the tower: `*` and `comb` first bring the
 smaller one up to the larger size by A -> A (x) I_r (`embed_to_size`).
 H = B B* has the trace powers of B* B = D^2 A* A (by cyclicity,
@@ -46,14 +47,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
-from math import gcd
 from operator import add, mul, sub
 
 # nth_root_upper_grid stays importable here, where perfbench/tracing.py wraps
 # it, although the matrix roots call the kernel under it on integers
 from .dyadic import _grid_root, nth_root_upper_grid, sqrt_interval  # noqa: F401
-from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int,
-                       over_common_denominator)
+from .gaussian import ContlogicError, GaussianInts, GaussianRational, over_common_denominator
 from .pairing import decode_tuple, encode_tuple, gaussian_to_nat, nat_to_gaussian
 
 
@@ -88,38 +87,40 @@ class MatrixTooLarge(MatrixError):
 IntRows = tuple[tuple[int, ...], ...]
 
 
-class Matrix:
-    """A square matrix over Q(i): Gaussian-integer rows re + i*im over d.
-    `Matrix(rows)` takes rows of GaussianRational and `.rows` gives them back;
-    operations build results with `_make`, which trusts its integers.
-    `_traces`, `_power`: the trace chain (`_trace_chain`), not compared."""
+class Matrix(GaussianInts):
+    """A square matrix over Q(i): Gaussian-integer entries over d, row by
+    row in `parts`, with the size n as layout.  `Matrix(rows)` takes rows of
+    GaussianRational and `.rows` gives them back; `.re` and `.im` are the
+    integer rows the kernels read, built at each read.  `_traces`,
+    `_power`: the trace chain (`_trace_chain`), begun empty by `_new`."""
 
-    __slots__ = ("n", "d", "re", "im", "_traces", "_power")
+    __slots__ = ("_traces", "_power")
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         rows = [tuple(row) for row in rows]
         if any(len(row) != len(rows) for row in rows):
             raise SizeMismatch("matrix must be square")
-        d, parts = over_common_denominator(e for row in rows for e in row)
-        self.n, self.d, n = len(rows), d, len(rows)
-        self.re, self.im = (tuple(tuple(z[j] for z in parts[i * n:(i + 1) * n])
-                                  for i in range(n)) for j in (0, 1))
-        self._traces, self._power = [], []
+        return cls._new(len(rows), *over_common_denominator(chain.from_iterable(rows)))
 
-    @staticmethod
-    def _make(d: int, re: IntRows, im: IntRows) -> "Matrix":
-        """(re + i*im)/d, put in lowest terms."""
-        g = gcd(d, *chain(*re, *im))
-        if g > 1:
-            d, re, im = d // g, *(tuple(tuple(x // g for x in r) for r in m) for m in (re, im))
-        out = object.__new__(Matrix)
-        out.n, out.d, out.re, out.im, out._traces, out._power = len(re), d, re, im, [], []
+    @classmethod
+    def _new(cls, layout, d: int, parts) -> "Matrix":
+        out = cls._make(layout, d, parts)  # with the trace chain not yet begun
+        out._traces, out._power = [], []
         return out
+
+    n = property(lambda self: self.layout)
+
+    def _part_rows(self, j: int) -> IntRows:
+        n, flat = self.layout, tuple([z[j] for z in self.parts])
+        return tuple([flat[i:i + n] for i in range(0, n * n, n)])
+
+    re = property(lambda self: self._part_rows(0))
+    im = property(lambda self: self._part_rows(1))
 
     @property
     def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        return tuple(tuple(from_gaussian_int(self.d, x, y) for x, y in zip(r, s))
-                     for r, s in zip(self.re, self.im))
+        n, values = self.n, self.values()
+        return tuple(tuple(values[i:i + n]) for i in range(0, n * n, n))
 
     @staticmethod
     def zero(n: int) -> "Matrix":
@@ -127,59 +128,32 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        ones = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return Matrix._make(1, ones, ((0,) * n,) * n)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.d == other.d
-                and self.re == other.re and self.im == other.im)
-
-    def __hash__(self):
-        return hash((self.d, self.re, self.im))
+        return Matrix._new(n, 1, [(int(i == j), 0) for i in range(n) for j in range(n)])
 
     def __repr__(self):
         return f"Matrix({self.n}x{self.n})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self.comb(1, 1, other)
+    def _aligned(self, other: "Matrix"):
+        n = max(self.n, other.n)
+        return n, zip(embed_to_size(self, n).parts, embed_to_size(other, n).parts)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         n = max(self.n, other.n)
         a, b = embed_to_size(self, n), embed_to_size(other, n)
-        cols = list(zip(zip(*b.re), zip(*b.im)))
-        rows = list(zip(a.re, a.im))
-        re = tuple(tuple(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)) for br, bi in cols)
-                   for ar, ai in rows)
-        im = tuple(tuple(sum(map(mul, ar, bi)) + sum(map(mul, ai, br)) for br, bi in cols)
-                   for ar, ai in rows)
-        return Matrix._make(a.d * b.d, re, im)
-
-    def scale(self, lam) -> "Matrix":
-        return self.comb(lam, 0, self)
-
-    def comb(self, lam, mu, other: "Matrix") -> "Matrix":
-        """lam*self + mu*other, over the lcm of both denominators."""
-        n = max(self.n, other.n)
-        x, y = embed_to_size(self, n), embed_to_size(other, n)
-        d, lr, li, mr, mi = combination(lam, mu, x.d, y.d)
-        rows = [tuple(zip(*row)) for row in zip(x.re, x.im, y.re, y.im)]
-        return Matrix._make(
-            d, tuple(tuple(lr * a - li * b + mr * c - mi * e for a, b, c, e in row)
-                     for row in rows),
-            tuple(tuple(li * a + lr * b + mi * c + mr * e for a, b, c, e in row)
-                  for row in rows))
+        (ar, ai), (br, bi) = zip(*a.parts), zip(*b.parts)  # the parts, flat
+        cols = [(br[j::n], bi[j::n]) for j in range(n)]
+        return Matrix._new(n, a.d * b.d, [
+            (sum(map(mul, r, c)) - sum(map(mul, s, e)), sum(map(mul, r, e)) + sum(map(mul, s, c)))
+            for r, s in [(ar[i:i + n], ai[i:i + n]) for i in range(0, n * n, n)] for c, e in cols])
 
     def adjoint(self) -> "Matrix":
-        return Matrix._make(self.d, tuple(zip(*self.re)),
-                            tuple(tuple(-x for x in col) for col in zip(*self.im)))
+        n = self.n
+        return Matrix._new(n, self.d, [(r, -i) for j in range(n) for r, i in self.parts[j::n]])
 
     def trace_int(self) -> tuple[int, int, int]:
         """(D, re, im) with tr(A)/n = (re + i*im)/D."""
-        n = range(self.n)
-        return self.d * self.n, sum(self.re[i][i] for i in n), sum(self.im[i][i] for i in n)
-
-    def is_zero(self) -> bool:
-        return not any(chain(*self.re, *self.im))
+        diagonal = self.parts[::self.n + 1]
+        return self.d * self.n, sum(z[0] for z in diagonal), sum(z[1] for z in diagonal)
 
 
 def two_norm(a: Matrix, k: int) -> tuple[Fraction, Fraction]:
@@ -373,17 +347,19 @@ def opnorm_lower(a: Matrix, v: tuple[GaussianRational, ...], k: int = 16) -> Fra
     the integer |Bw|^2 over D^2 |w|^2.
     """
     _, w = over_common_denominator(v)
-    wr, wi = [z[0] for z in w], [z[1] for z in w]
-    ww = sum(map(mul, wr, wr)) + sum(map(mul, wi, wi))
+    ww = sum(p * p + q * q for p, q in w)
     if ww == 0:
         raise ZeroVector("Rayleigh witness must be nonzero")
     if len(v) != a.n:
         raise SizeMismatch(f"vector length {len(v)} vs size {a.n}")
-    d, re, im = a.d, a.re, a.im
-    bw = sum((sum(map(mul, r, wr)) - sum(map(mul, s, wi))) ** 2
-             + (sum(map(mul, r, wi)) + sum(map(mul, s, wr))) ** 2
-             for r, s in zip(re, im))
-    return sqrt_interval(Fraction(bw, d * d * ww), k)[0]
+    n, bw = a.n, 0
+    for i in range(0, n * n, n):  # entry i/n of Bw, from row i/n of B
+        x = y = 0
+        for (r, s), (p, q) in zip(a.parts[i:i + n], w):
+            x += r * p - s * q
+            y += r * q + s * p
+        bw += x * x + y * y
+    return sqrt_interval(Fraction(bw, a.d * a.d * ww), k)[0]
 
 
 def embed_to_size(a: Matrix, n: int) -> Matrix:
@@ -399,16 +375,12 @@ def embed_to_size(a: Matrix, n: int) -> Matrix:
     r = n // a.n
     if r * a.n != n or r & (r - 1) != 0:
         raise NotDyadicSize(f"cannot reach size {n} from {a.n}")
-
-    def spread(rows: IntRows) -> IntRows:
-        out = []
-        for row, s in product(rows, range(r)):
-            wide = [0] * n
-            wide[s::r] = row
-            out.append(tuple(wide))
-        return tuple(out)
-
-    return Matrix._make(a.d, spread(a.re), spread(a.im))
+    parts = []
+    for i, s in product(range(0, a.n * a.n, a.n), range(r)):
+        wide = [(0, 0)] * n
+        wide[s::r] = a.parts[i:i + a.n]
+        parts += wide
+    return Matrix._new(n, a.d, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -20,26 +20,23 @@ over special points, computing and caching each object once by index.  The
 algebra is the objects' own `*`, `adjoint()`, `comb()` and `trace_int()`,
 which align their own towers; no presentation overrides them.
 
-Objects (`matrices.Matrix`, `groups.AlgebraElement`, `CantorFn`) are Gaussian
-integers over one denominator D in lowest terms, so operations run on
-integers and each norm oracle reads its radicand off them (over D^2); the `d`
-atom |(a - b)/2| is one integer combination and its norm.
+Objects (`matrices.Matrix`, `groups.AlgebraElement`, `CantorFn`) are
+`gaussian.GaussianInts`: Gaussian integers over one denominator D in lowest
+terms, whose combinations and equality the base class owns, so operations
+run on integers and each norm oracle reads its radicand off them (over
+D^2); the `d` atom |(a - b)/2| is one integer combination and its norm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd
 from typing import Optional
 
 from . import groups as G
 from . import matrices as M
 from .dyadic import sqrt_interval
 from .formulas import CSTAR, TVNA, Signature, rounded_bound_ok
-from .gaussian import (ContlogicError, GaussianRational, combination, from_gaussian_int, gr,
-                       over_common_denominator)
+from .gaussian import ContlogicError, GaussianInts, GaussianRational, gr, over_common_denominator
 from .pairing import unpair as cantor_unpair, decode_tuple, nat_to_gaussian
 from .torus import torus_sup_norm
 
@@ -235,29 +232,24 @@ class ReducedCstarPresentation(GroupAlgebraPresentation):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CantorFn:
+class CantorFn(GaussianInts):
     """Locally constant Q(i)-valued function on 2^omega.
 
     `parts` holds its values (re + i*im)/d, as pairs of ints, on the 2^k
     cylinders of depth k, left to right, for the least k at which it is
-    constant on each cylinder; d is in lowest terms, so equal functions have
-    equal fields.  `_make` puts values in that form; `from_tree` and
-    `leaves()` take and give GaussianRational values."""
+    constant on each cylinder (the layout is None); d is in lowest terms, so
+    equal functions have equal fields.  `_new` puts values in that form;
+    `from_tree` takes GaussianRational values and `values()` gives them."""
 
-    d: int
-    parts: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    @staticmethod
-    def _make(d: int, parts) -> "CantorFn":
+    @classmethod
+    def _new(cls, layout, d: int, parts) -> "CantorFn":
         """Values over d on the 2^k cylinders of one depth k, put at the
         least depth and in lowest terms."""
         while len(parts) > 1 and parts[::2] == parts[1::2]:
             parts = parts[::2]
-        g = gcd(d, *chain(*parts))
-        if g > 1:
-            d, parts = d // g, [(r // g, i // g) for r, i in parts]
-        return CantorFn(d, tuple(parts))
+        return cls._make(None, d, parts)
 
     @staticmethod
     def from_tree(tree) -> "CantorFn":
@@ -266,30 +258,21 @@ class CantorFn:
         level = [tree]  # the cylinders of one depth, split until all are values
         while not all(isinstance(t, GaussianRational) for t in level):
             level = [s for t in level for s in ((t, t) if isinstance(t, GaussianRational) else t)]
-        return CantorFn._make(*over_common_denominator(level))
+        return CantorFn._new(None, *over_common_denominator(level))
 
     def _aligned(self, other: "CantorFn"):
         """Pairs of both operands' values on the cylinders of the deeper one."""
         n = max(len(self.parts), len(other.parts))
         a, b = ([p for p in f.parts for _ in range(n // len(f.parts))] for f in (self, other))
-        return zip(a, b)
+        return None, zip(a, b)
 
     def __mul__(self, other: "CantorFn") -> "CantorFn":
-        return CantorFn._make(self.d * other.d, [(a * c - b * e, a * e + b * c)
-                                                 for (a, b), (c, e) in self._aligned(other)])
-
-    def comb(self, lam, mu, other: "CantorFn") -> "CantorFn":
-        """lam*self + mu*other, over the lcm of both denominators."""
-        d, lr, li, mr, mi = combination(lam, mu, self.d, other.d)
-        return CantorFn._make(d, [(lr * a - li * b + mr * c - mi * e,
-                                   li * a + lr * b + mi * c + mr * e)
-                                  for (a, b), (c, e) in self._aligned(other)])
+        _, pairs = self._aligned(other)
+        return CantorFn._new(None, self.d * other.d,
+                             [(a * c - b * e, a * e + b * c) for (a, b), (c, e) in pairs])
 
     def adjoint(self) -> "CantorFn":
-        return CantorFn(self.d, tuple((r, -i) for r, i in self.parts))
-
-    def leaves(self) -> list[GaussianRational]:
-        return [from_gaussian_int(self.d, r, i) for r, i in self.parts]
+        return CantorFn._make(None, self.d, [(r, -i) for r, i in self.parts])
 
     def sup_abs_sq(self) -> Fraction:
         return Fraction(max(r * r + i * i for r, i in self.parts), self.d * self.d)
@@ -319,7 +302,7 @@ class CantorSpacePresentation(Presentation):
                 bound = z.abs_upper()
                 z = GaussianRational(z.re / bound, z.im / bound)
             values.append(z)
-        return CantorFn._make(*over_common_denominator(values))
+        return CantorFn._new(None, *over_common_denominator(values))
 
     def norm_interval(self, obj: CantorFn, k, budget=None):
         return sqrt_interval(obj.sup_abs_sq(), k)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from contlogic import cli
 from contlogic.cli import main
 
 GROUP_CFG = """\
@@ -452,9 +453,36 @@ def test_zero_rounds_is_the_empty_game():
 
 def test_force_game_that_fails_prints_no_partial_transcript():
     # at 28 rounds (seed 0) the last move's condition code passes Python's
-    # 4,300-digit limit on int -> str; at 27 the longest has 3,885 digits
+    # 4,300-digit limit on int -> str, which is refused before any record is
+    # printed; at 27 the longest has 3,885 digits
     status, out = run_cli(["force", "game", "--rounds", "27"])
     assert status == 0 and len(out) == 28
     status, out, err = _typed_error(["force", "game", "--rounds", "28"])
     assert status == 1 and out == ""
-    assert len(err) == 1 and json.loads(err[0])["error"] == "valueerror"
+    assert len(err) == 1 and json.loads(err[0])["error"] == "codetoolarge"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no limit on int -> str")
+def test_code_past_the_str_limit_is_a_typed_error():
+    # at 1/10,000 the code has 20,272 bits (6,103 digits): refused before
+    # `str`, with its bit length and the limit; 1/5,000 still prints
+    formula = "d(comb(1/{}, c1, 0, c2), c1)"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default
+    try:
+        status, out, err = _typed_error(["code", "encode", "--signature", "cstar"],
+                                        formula.format(10000))
+        assert status == 1 and out == ""
+        assert [json.loads(line) for line in err] == [{
+            "error": "codetoolarge",
+            "message": "the code has 20272 bits, more than the 4300 decimal digits "
+                       "this interpreter prints"}]
+        status, out = run_cli(["code", "encode", "--signature", "cstar"], formula.format(5000))
+        assert status == 0 and len(out) == 1 and out[0]["value"].isdigit()
+        # the limit itself: 4,300 digits print, 4,301 are refused
+        assert cli._code(10**4300 - 1) == "9" * 4300
+        with pytest.raises(cli.CodeTooLarge):
+            cli._code(10**4300)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -302,6 +302,17 @@ def test_sweep_builds_only_the_members_it_tests():
     assert (ans.verdict, ans.swept) == ("no", 1)
 
 
+def test_sweep_stops_at_the_cap(monkeypatch):
+    # a YES instance: none of the 1 + 2 + 4 + 16 members of slices 1-4 has a
+    # countermodel, so the sweep tests min(cap, 23) of them, then the limit LP
+    p = FC.Condition.of([(d(1, 2), Fraction(1, 8)), (d(1, 3), Fraction(1, 2))])
+    assert [len(FC.dollar_tuples(p, g)) for g in range(1, 5)] == [1, 2, 4, 16]
+    for cap in (1, 2, 3, 7, 22, 23, 24):
+        monkeypatch.setattr(FC, "SWEEP_CAP", cap)
+        ans = FC.forces_sup_leq(p, d(1, 2), Fraction(1, 8), INST, budget=4)
+        assert (ans.verdict, ans.swept, ans.witness) == ("yes", min(cap, 23), None)
+
+
 def test_play_game_pass_through():
     t = FC.play_game(
         FC.pass_through_strategy(), FC.pass_through_strategy(), 4, INST

@@ -10,9 +10,13 @@ product.  Every value compared is exact.
 The presentation objects (matrices, group-algebra elements, functions on
 Cantor space) are held as Gaussian integers over one denominator; each of
 their operations is checked through its GaussianRational view (`.rows`,
-`.coeffs`, the leaf tree) against the Fraction operations on plain rows,
+`.coeffs`, `.values()`) against the Fraction operations on plain rows,
 dicts and trees in `fraction_kernels`, and every result is checked to be in
-canonical form: denominator positive and prime to every part.
+canonical form: denominator positive and prime to every part.  The three
+kinds share that form (`gaussian.GaussianInts`), so objects of two kinds
+with equal fields are checked to be unequal, and a cancelling combination
+to be each kind's zero.  Over Cstar(Z) the moment lower bound, the torus
+upper end and l1 + 2^-k are checked to come in that order.
 
 The trace chain a matrix keeps and the moments an element keeps are
 checked against fresh objects and by counting kernel calls, and the trusted
@@ -702,6 +706,11 @@ def _canonical(obj):
     return obj
 
 
+def _inverse(z: GaussianRational) -> GaussianRational:
+    """1/z = conj(z) / |z|^2."""
+    return GaussianRational(z.re / z.abs_sq(), -z.im / z.abs_sq())
+
+
 def _same(x, y) -> bool:
     """Equal values held in equal fields, with equal hashes."""
     fields = ("n", "re", "im") if isinstance(x, M.Matrix) else ("ints",)
@@ -837,11 +846,11 @@ def _trees(parts=RATIONALS):
 def test_cantor_operations_match_fraction_operations(t, u, lam, mu):
     f, g = P.CantorFn.from_tree(t), P.CantorFn.from_tree(u)
     fk = fraction_kernels
-    assert _canonical(f).leaves() == _cylinder_values(t)
-    assert _canonical(f * g).leaves() == _cylinder_values(fk.cantor_mul(t, u))
-    assert _canonical(f.comb(lam, mu, g)).leaves() == _cylinder_values(
+    assert _canonical(f).values() == _cylinder_values(t)
+    assert _canonical(f * g).values() == _cylinder_values(fk.cantor_mul(t, u))
+    assert _canonical(f.comb(lam, mu, g)).values() == _cylinder_values(
         fk.cantor_comb(lam, mu, t, u))
-    assert _canonical(f.adjoint()).leaves() == _cylinder_values(fk.cantor_adjoint(t))
+    assert _canonical(f.adjoint()).values() == _cylinder_values(fk.cantor_adjoint(t))
     assert f.sup_abs_sq() == fk.cantor_sup_abs_sq(t)
 
 
@@ -935,7 +944,7 @@ def test_matrix_canonical_form(data, n, lam, mu):
     assert _same((a * b) * c, a * (b * c))
     assert _same(M.embed_to_size(M.embed_to_size(a, 2 * n), 4 * n), M.embed_to_size(a, 4 * n))
     if not lam.is_zero():
-        assert _same(a.scale(lam).scale(gr(1) / lam), a)
+        assert _same(a.scale(lam).scale(_inverse(lam)), a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -950,7 +959,7 @@ def test_algebra_canonical_form(data, group, lam, mu):
     assert _same((a * b) * c, a * (b * c))
     assert _same(a.adjoint().adjoint(), a)
     if not lam.is_zero():
-        assert _same(a.scale(lam).scale(gr(1) / lam), a)
+        assert _same(a.scale(lam).scale(_inverse(lam)), a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -958,8 +967,74 @@ def test_algebra_canonical_form(data, group, lam, mu):
 def test_cantor_canonical_form(t, u, v, lam, mu):
     f, g, h = (P.CantorFn.from_tree(x) for x in (t, u, v))
     for x in (f, f * g, f.comb(lam, mu, g), f.adjoint()):
-        assert _same(P.CantorFn.from_tree(_balanced_tree(x.leaves())), x)
+        assert _same(P.CantorFn.from_tree(_balanced_tree(x.values())), x)
     one = P.CantorFn.from_tree(gr(1))
     assert _same(f.comb(lam, mu, g), f.comb(lam, 0, one).comb(1, mu, g))
     assert _same((f * g) * h, f * (g * h))
     assert _same(f.adjoint().adjoint(), f)
+
+
+# -- the shared integers-over-D kernel (gaussian.GaussianInts) -------------
+
+NONZERO = _gaussians(RATIONALS).filter(lambda z: not z.is_zero())
+
+
+@settings(max_examples=40, deadline=None)
+@given(NONZERO)
+def test_kinds_with_equal_fields_are_unequal(z):
+    matrix = M.Matrix([[z]])
+    function = P.CantorFn.from_tree(z)
+    constant = G.element(F2, [(z, G.IDENTITY)])
+    kinds = (matrix, function, constant)
+    for x in kinds:
+        assert x.d == matrix.d and x.parts == matrix.parts and x.values() == [z]
+    for x, y in itertools.combinations(kinds, 2):
+        assert x != y and y != x and not x == y
+    assert len(set(kinds)) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(ALGEBRA_GROUPS))
+def test_algebra_element_ignores_insertion_order(data, group):
+    spec, pool = group
+    terms = list(data.draw(algebra_elements(spec, pool)).coeffs.items())
+    order = data.draw(st.permutations(terms))
+    a, b = G.AlgebraElement(spec, dict(terms)), G.AlgebraElement(spec, dict(order))
+    assert a == b and hash(a) == hash(b) and a.words == b.words and a.parts == b.parts
+    assert list(a.words) == sorted(a.words)
+    c = G.element(spec, [(coeff, w) for w, coeff in reversed(order)])
+    assert c == a and hash(c) == hash(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), COEFFICIENTS)
+def test_cancelling_combination_is_the_canonical_zero_of_each_kind(data, lam):
+    rows = data.draw(matrix_rows())
+    pairs = [(M.Matrix(rows), M.Matrix.zero(len(rows))),
+             (P.CantorFn.from_tree(data.draw(_trees())), P.CantorFn.from_tree(gr(0))),
+             (data.draw(algebra_elements(F2, LETTERS)), G.element(F2, []))]
+    for x, zero in pairs:
+        for cancelled in (x.comb(lam, -lam, x), x - x, x + (-x), x.scale(0)):
+            assert _same(cancelled, zero) and cancelled.d == 1 and cancelled.is_zero()
+    assert pairs[0][1].parts == ((0, 0),) * len(rows) ** 2
+    assert pairs[1][1].parts == ((0, 0),) and pairs[2][1].parts == ()
+
+
+Z = G.free_abelian("u")
+
+
+@st.composite
+def cstar_z_elements(draw):
+    """Elements of Cstar(Z) of at most 4 terms with exponents in [-3, 3]."""
+    exponents = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    return G.element(Z, [(draw(_gaussians(RATIONALS)), (("u", e),) if e else G.IDENTITY)
+                         for e in exponents])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cstar_z_elements(), st.integers(1, 8), st.integers(0, 8))
+def test_moment_bound_torus_norm_and_l1_are_ordered(a, n, k):
+    """Over Cstar(Z) the moment lower bound (LowerOnly) is at most the
+    torus upper end (TwoSided), which is at most l1 + 2^-k."""
+    _, upper = P.presentation_CstarLambda(Z).norm_interval(a, k)
+    assert G.lambda_norm_lower(a, n, k) <= upper <= G.l1_norm(a) + Fraction(1, 2**k)

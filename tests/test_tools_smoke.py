@@ -28,5 +28,11 @@ def test_count_tool_runs(script, jobs):
         for counts in roots:
             assert counts.keys() == {"calls", "leading", "fallbacks"}
             assert counts["calls"] >= counts["leading"] >= counts["fallbacks"] >= 0
+        makes = report["norms"]["makes"], report["queries"]["makes"]
+        assert makes[0].keys() == report["norms"]["job_ms"].keys()
+        for counts in (*makes[0].values(), *makes[1].values()):
+            assert counts.keys() == {"calls", "reduced"}
+            assert counts["calls"] >= counts["reduced"] >= 0
+        assert sum(c["calls"] for c in makes[1].values()) > 0
     else:
         assert report["failed_jobs"] == 0

@@ -19,7 +19,12 @@ where it exists, returned a product).  For `norms` per job kind and for
 the calls of the kernel `dyadic._grid_root`, how many took the leading-bits
 test (`dyadic._leading_root`, where it exists) and how many of those it
 could not decide, so that they fell back to the exact route; roots taken
-outside every oracle call of a `queries` job count under "other".  Before
+outside every oracle call of a `queries` job count under "other".  For
+`norms` per job kind and for `queries` per job presentation (jobs without
+one under "other") it gives the objects built (`makes`): the calls of
+`gaussian.GaussianInts._make` (where it exists), which puts every matrix,
+algebra element and Cantor function in lowest terms, and how many of them
+divided by a gcd > 1 (`reduced`).  Before
 any wrapper is installed it also times each `norms` job alone (`run_job`,
 best of three passes) and gives the mean wall time per job of each kind in
 ms; this one figure
@@ -52,6 +57,7 @@ KERNELS = ("_gram", "power_products", "_square_mod", "_free_walk_traces", "_conv
            "_pair_trace", "word_products")
 ENTRIES = ("opnorm_upper", "opnorm_upper_sweep", "moments_up_to")
 ROOT_COUNTS = ("calls", "leading", "fallbacks")
+MAKE_COUNTS = ("calls", "reduced")
 WORD_METHODS = ("mul", "inv", "_mul_normal", "_inv_normal")
 TIMED_PASSES = 3
 
@@ -65,7 +71,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
-    from contlogic import dyadic, groups, matrices, presentations
+    from contlogic import dyadic, gaussian, groups, matrices, presentations
     from perfbench import workloads
     from perfbench.tracing import _presentation_kind
 
@@ -183,10 +189,21 @@ def main(argv=None) -> int:
             return c
         dyadic._leading_root = counted_leading_root
 
+    if hasattr(gaussian, "GaussianInts"):
+        make = gaussian.GaussianInts._make.__func__
+
+        def counted_make(cls, layout, d, parts):
+            out = make(cls, layout, d, parts)
+            counts["makes.calls"] += 1
+            counts["makes.reduced"] += out.d != d  # lowest terms divided d by the gcd
+            return out
+        gaussian.GaussianInts._make = classmethod(counted_make)
+
     out: dict = {"seed": args.seed, "jobs": args.jobs}
     for workload in names:
         jobs = workloads.generate(workload, args.seed)[:args.jobs]
         per_kind: dict = defaultdict(Counter)
+        per_presentation: dict = defaultdict(Counter)
         totals: Counter = Counter()
         failed = 0
         oracle_counts.clear()
@@ -197,6 +214,7 @@ def main(argv=None) -> int:
             failed += bool(workloads.check_job(job, workloads.run_job(job)))
             per_kind[job["kind"]].update(counts)
             per_kind[job["kind"]]["jobs"] += 1
+            per_presentation[job.get("presentation", "other")].update(counts)
             totals.update(counts)
         report = {"jobs": len(jobs), "failed_jobs": failed,
                   "memo": {name: {k: totals[f"{name}.{k}"] for k in ("calls", "repeats", "hits")}
@@ -211,16 +229,22 @@ def main(argv=None) -> int:
             roots = {kind: by_name.pop("grid_roots", Counter()) for kind, by_name in oracles.items()}
             report["grid_roots"] = {kind: {k: c[k] for k in ROOT_COUNTS} for kind, c in roots.items()}
             report["oracles"] = oracles
+            report["makes"] = _makes(per_presentation)
         if workload == "norms":
             report["per_job"] = {
                 kind: {k: round(c[k] / c["jobs"], 3) for k in KERNELS + ("_convolve.packed",)}
                 for kind, c in per_kind.items()}
             report["grid_roots"] = {kind: {k: c[f"grid_roots.{k}"] for k in ROOT_COUNTS}
                                     for kind, c in per_kind.items()}
+            report["makes"] = _makes(per_kind)
             report["job_ms"] = job_ms
         out[workload] = report
     print(json.dumps(out))
     return 0
+
+
+def _makes(by_key: dict) -> dict:
+    return {key: {k: c[f"makes.{k}"] for k in MAKE_COUNTS} for key, c in by_key.items()}
 
 
 def _job_ms(workloads, jobs) -> dict:

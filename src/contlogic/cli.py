@@ -163,20 +163,19 @@ def _cmd_code(args) -> int:
     if args.action == "g":
         _emit({"kind": "code", "value": _code(coding.coding_g(args.code, args.q))})
         return 0
-    if args.action == "predicates":
-        flags = coding.code_predicates(args.code)
-        _emit(
-            {
-                "kind": "code-flags",
-                "is_formula": flags.is_formula,
-                "is_sentence": flags.is_sentence,
-                "is_qf": flags.is_qf,
-                "is_in_base_L": flags.is_in_base_L,
-                "prefix": str(flags.prefix_class) if flags.prefix_class else None,
-            }
-        )
-        return 0
-    return _fail("usage", f"unknown code action {args.action!r}")
+    # "predicates": argparse's choices leave no other action
+    flags = coding.code_predicates(args.code)
+    _emit(
+        {
+            "kind": "code-flags",
+            "is_formula": flags.is_formula,
+            "is_sentence": flags.is_sentence,
+            "is_qf": flags.is_qf,
+            "is_in_base_L": flags.is_in_base_L,
+            "prefix": str(flags.prefix_class) if flags.prefix_class else None,
+        }
+    )
+    return 0
 
 
 def _cmd_parse(args) -> int:
@@ -342,21 +341,20 @@ def _cmd_force(args) -> int:
         for record in records:
             _emit(record)
         return 0
-    if args.action == "fp":
-        condition = _condition(args)
-        formula = parse_formula(_read_text(args.psi), F.METRIC)
-        bounds = FC.fp_estimate(condition, formula, inst,
-                                depth=args.depth, budget=args.budget)
-        _emit(
-            {
-                "kind": "fp",
-                "lower": _frac(bounds.lower),
-                "upper": _frac(bounds.upper),
-                "estimate": _frac(bounds.estimate),
-            }
-        )
-        return 0
-    return _fail("usage", f"unknown force action {args.action!r}")
+    # "fp": argparse's choices leave no other action
+    condition = _condition(args)
+    formula = parse_formula(_read_text(args.psi), F.METRIC)
+    bounds = FC.fp_estimate(condition, formula, inst,
+                            depth=args.depth, budget=args.budget)
+    _emit(
+        {
+            "kind": "fp",
+            "lower": _frac(bounds.lower),
+            "upper": _frac(bounds.upper),
+            "estimate": _frac(bounds.estimate),
+        }
+    )
+    return 0
 
 
 def _cmd_selftest(args) -> int:

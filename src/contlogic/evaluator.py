@@ -349,14 +349,14 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
             if _beats(branch[3], slack, True):
                 slack = branch[3]
         # the witness names the branch attaining the certified bound, so
-        # pinning reproduces the bound; without one it tracks the estimate
+        # pinning reproduces the bound; without one it tracks the estimate.
+        # The best estimate never falls short of the bound: a leaf has
+        # lo <= estimate <= hi, and a certified side survives only through
+        # blocks of its own kind
         index, best = estimate_at if bound_at is None else bound_at
         bound = None if bound_at is None else best[side]
-        estimate = estimate_at[1][2]
-        if bound is not None and _beats(bound, estimate, is_sup):
-            estimate = bound
         return ((bound, None) if is_sup else (None, bound)) + (
-            estimate, slack, ((position, index),) + best[4])
+            estimate_at[1][2], slack, ((position, index),) + best[4])
 
     lower, upper, estimate, slack, witnesses = sweep(0)
     lower, upper = (None if q is None else Fraction(*q) for q in (lower, upper))

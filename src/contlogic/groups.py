@@ -39,6 +39,7 @@ from typing import Optional
 
 from .dyadic import nth_root_lower_grid, sqrt_interval
 from .gaussian import ContlogicError, GaussianInts, GaussianRational, gr, over_common_denominator
+from .matrices import MATRIX_SIZE_LOG_MAX
 from .pairing import (
     decode_list,
     decode_tuple,
@@ -85,6 +86,11 @@ class ComplexMoment(GroupError):
 class MomentAboveBound(GroupError):
     """A trace moment tau((a* a)^n) came out above max(l1, 1)^(2n), which
     bounds it: the word problem or the moment kernel is at fault."""
+
+
+class MomentTooLarge(GroupError):
+    """A moment order above MOMENT_ORDER_MAX, or a power of a* a with more
+    than POWER_WORDS_MAX words: refused before it is computed further."""
 
 
 def _compress(letters: list[tuple[str, int]]) -> Word:
@@ -680,14 +686,16 @@ def _real_trace(value: GaussInt, denominator: int) -> Fraction:
     return Fraction(re, denominator)
 
 
-def _convolve(spec: GroupSpec, x: dict[Word, GaussInt],
-              y: dict[Word, GaussInt]) -> dict[Word, GaussInt]:
+def _convolve(spec: GroupSpec, x: dict[Word, GaussInt], y: dict[Word, GaussInt],
+              limit: Optional[int] = None) -> Optional[dict[Word, GaussInt]]:
     """The product x * y of integer-coefficient elements, zeros dropped.
 
     Over a free abelian group of rank 1 the product is one of polynomials
     in u and u^-1, taken by Kronecker substitution (`_convolve_packed`);
     every other spec, and a sparse operand there, takes the loop over pairs
-    of words.
+    of words.  With a `limit`, the loop gives up and returns None once it
+    has met more than `limit` words (cancelled ones included), so that a
+    product the caller refuses is never formed in full.
     """
     if isinstance(spec, FreeAbelianGroup) and len(spec.generators) == 1:
         packed = _convolve_packed(spec.generators[0], x, y)
@@ -696,6 +704,8 @@ def _convolve(spec: GroupSpec, x: dict[Word, GaussInt],
     acc: dict[Word, GaussInt] = {}
     mul = spec._mul_normal
     for w1, (r1, i1) in x.items():
+        if limit is not None and len(acc) > limit:
+            return None
         for w2, (r2, i2) in y.items():
             w = mul(w1, w2)
             r, i = acc.get(w, (0, 0))
@@ -775,6 +785,15 @@ def _pair_trace(spec: GroupSpec, x: dict[Word, GaussInt],
     return re, im
 
 
+# The size rule of enumerated objects (at most 4,096 parts) holds for every
+# power that the convolution route forms: a power of a* a over a free group
+# can grow 4x per step (u*v + v + u has 2^(2j+1) - 1 words in its j-th).
+POWER_WORDS_MAX = 4**MATRIX_SIZE_LOG_MAX
+# The excursion DP takes about n^3 steps and a power over Z grows with n;
+# selftest asks for order 40.
+MOMENT_ORDER_MAX = 64
+
+
 def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     """[tau((a* a)^j) for j = 1..n], exact, as a new list: a prefix of the
     longest moment list computed for `a`, which `a` keeps.
@@ -792,9 +811,15 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     h^j is an integer element over E^j.  Only powers up to ceil(n/2) are
     formed: tau(h^j) = tau(h^ceil(j/2) h^floor(j/2)) is one pairing of them.
     Over Z each of those products is packed (see `_convolve`).
+
+    An order above MOMENT_ORDER_MAX, or a power above POWER_WORDS_MAX
+    words, is `MomentTooLarge`; a product is given up as soon as it meets
+    more words than that (see `_convolve`).
     """
     if n < 1:
         raise ValueError("moments need n >= 1")
+    if n > MOMENT_ORDER_MAX:
+        raise MomentTooLarge(f"expected a moment order of at most {MOMENT_ORDER_MAX}, got {n}")
     if len(a._moments) < n:
         a._moments = _moments(a, n)
     return a._moments[:n]
@@ -809,8 +834,13 @@ def _moments(a: AlgebraElement, n: int) -> list[Fraction]:
     h = a.adjoint() * a
     e, h_int = h.d, h.ints
     powers = [{IDENTITY: (1, 0)}, h_int]
-    while len(powers) <= (n + 1) // 2:
-        powers.append(_convolve(a.spec, powers[-1], powers[1]))
+    while True:
+        if powers[-1] is None or len(powers[-1]) > POWER_WORDS_MAX:
+            raise MomentTooLarge(
+                f"power {len(powers) - 1} of a* a has more than {POWER_WORDS_MAX} words")
+        if len(powers) > (n + 1) // 2:
+            break
+        powers.append(_convolve(a.spec, powers[-1], powers[1], POWER_WORDS_MAX))
     return [
         _real_trace(_pair_trace(a.spec, powers[(j + 1) // 2], powers[j // 2]), e**j)
         for j in range(1, n + 1)

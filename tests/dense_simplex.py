@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from contlogic.feasibility import INFEASIBLE, OPTIMAL, UNBOUNDED, LinExpr, LPResult
+from contlogic.feasibility import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+from linexpr import LinExpr
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:

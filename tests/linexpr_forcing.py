@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from contlogic import formulas as F
-from contlogic.feasibility import OPTIMAL, LinExpr
+from contlogic.feasibility import OPTIMAL
 from contlogic.forcing import (
     BoundSystem,
     BranchOverflow,
@@ -29,6 +29,7 @@ from contlogic.forcing import (
     _term_const,
 )
 from dense_simplex import maximize
+from linexpr import LinExpr
 
 C = LinExpr.constant
 V = LinExpr.var

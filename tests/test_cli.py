@@ -318,6 +318,56 @@ def test_oracle_budget_below_one_is_a_typed_error(tmp_path, budget):
     }
 
 
+def test_moment_power_past_the_size_rule_is_a_typed_error(tmp_path):
+    # the j-th power of a* a has 2^(2j+1) - 1 words: order 22 needs 2^23 - 1
+    cfg = tmp_path / "f2.cfg"
+    cfg.write_text("backend: free\ngenerators: u v\n")
+    start = time.perf_counter()
+    status, out, err = _typed_error(
+        ["norm", "--group", str(cfg), "--element", "u*v + v + u",
+         "--lambda-lower", "22", "--precision", "4"])
+    assert time.perf_counter() - start < 1
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{
+        "error": "momenttoolarge", "message": "power 6 of a* a has more than 4096 words"}]
+    status, out, err = _typed_error(
+        ["norm", "--group", str(cfg), "--element", "u*v + v + u", "--lambda-lower", "10"])
+    assert status == 0 and err == []
+
+
+def test_moment_order_above_the_cap_is_a_typed_error(tmp_path):
+    from contlogic.groups import MOMENT_ORDER_MAX
+
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text(GROUP_CFG)
+    args = ["norm", "--group", str(cfg), "--element", "u + 1", "--lambda-lower"]
+    status, out, err = _typed_error(args + [str(MOMENT_ORDER_MAX + 1)])
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{
+        "error": "momenttoolarge",
+        "message": f"expected a moment order of at most {MOMENT_ORDER_MAX}, "
+                   f"got {MOMENT_ORDER_MAX + 1}"}]
+    status, out, err = _typed_error(args + [str(MOMENT_ORDER_MAX)])
+    assert status == 0 and err == []
+    assert len(json.loads(out)["lambda_lower"]) == MOMENT_ORDER_MAX
+
+
+def test_oracle_budget_above_the_moment_cap_is_a_typed_error(tmp_path):
+    from contlogic.groups import MOMENT_ORDER_MAX
+
+    cfg = tmp_path / "f2.cfg"
+    cfg.write_text("backend: free\ngenerators: u v\n")
+    status, out, err = _typed_error(
+        ["eval", "--presentation", "Cstar", "--group", str(cfg), "--budget-points", "3",
+         "--bind", "c1=20", "--oracle-budget", str(MOMENT_ORDER_MAX + 1)],
+        "sup x . d(x, c1)")
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{
+        "error": "momenttoolarge",
+        "message": f"expected a moment order of at most {MOMENT_ORDER_MAX}, "
+                   f"got {MOMENT_ORDER_MAX + 1}"}]
+
+
 def test_force_strategy_flags_take_every_strategy(capsys):
     with pytest.raises(SystemExit):
         main(["force", "--help"])

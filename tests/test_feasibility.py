@@ -8,11 +8,11 @@ from contlogic.feasibility import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    LinExpr,
     PhaseOneUnbounded,
     lex_minimize_rows,
-    maximize,
+    maximize_rows,
 )
+from linexpr import LinExpr, maximize
 
 C = LinExpr.constant
 V = LinExpr.var
@@ -86,6 +86,43 @@ def test_lex_minimize_rows_unbounded_phase_one_is_typed(monkeypatch):
     # x >= 1 has a negative right-hand side, so phase 1 runs
     with pytest.raises(PhaseOneUnbounded):
         lex_minimize_rows(["x"], [({"x": -1}, -1, 1)])
+
+
+def test_rows_with_a_denominator_and_negative_rhs_take_the_artificial_path():
+    # -2/3 x <= -1/3, i.e. x >= 1/2, over den 3; max -x + y with y <= 5/2
+    rows = [({"x": -2}, -1, 3), ({"y": 2}, 5, 2)]
+    res = maximize_rows({"x": -1, "y": 1}, rows)
+    assert res.status == OPTIMAL
+    assert res.value == 2
+    assert res.point == {"x": Fraction(1, 2), "y": Fraction(5, 2)}
+    assert res == maximize(
+        V("y") - V("x"),
+        [(V("x").scale(Fraction(-2, 3)), C(Fraction(-1, 3))), (V("y"), C(Fraction(5, 2)))])
+    assert lex_minimize_rows(["x", "y"], rows) == [Fraction(1, 2), 0]
+
+
+def test_cost_variable_in_no_row_keeps_its_column():
+    rows = [({"y": 1}, 1, 1)]
+    up = maximize_rows({"x": 1}, rows)
+    assert up.status == UNBOUNDED
+    assert up == maximize(V("x"), [(V("y"), C(1))])
+    down = maximize_rows({"x": -1}, rows)
+    assert down.status == OPTIMAL
+    assert down.value == 0
+    assert down.point == {"x": 0, "y": 0}
+    assert down == maximize(V("x").scale(-1), [(V("y"), C(1))])
+
+
+def test_lex_minimize_rows_empty_order_and_infeasible_rows():
+    feasible = [({"x": -1}, -1, 2), ({"x": 1}, 1, 1)]  # 1/2 <= x <= 1
+    infeasible = feasible + [({"x": 2}, 1, 3)]  # and x <= 1/6
+    assert lex_minimize_rows([], feasible) == []
+    assert lex_minimize_rows([], infeasible) is None
+    assert lex_minimize_rows(["x"], infeasible) is None
+    x = V("x")
+    written = [(x.scale(Fraction(-1, 2)), C(Fraction(-1, 2))), (x, C(1))]
+    assert maximize(C(0), written).status == OPTIMAL
+    assert maximize(C(0), written + [(x.scale(Fraction(2, 3)), C(Fraction(1, 3)))]).status == INFEASIBLE
 
 
 def test_equality_via_two_inequalities():

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_simplex
-from contlogic.feasibility import INFEASIBLE, OPTIMAL, UNBOUNDED, LinExpr, maximize
+from contlogic.feasibility import INFEASIBLE, OPTIMAL, UNBOUNDED
+from linexpr import LinExpr, maximize
 
 NAMES = ["x0", "x1", "x2", "x3"]
 COEFFS = [Fraction(c) for c in (-3, -2, -1, 0, 1, 2, 3)] + [

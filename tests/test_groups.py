@@ -286,6 +286,19 @@ def test_moment_above_the_l1_bound_is_refused(f2):
         G.moment_root_lower(half, Fraction(2), 3, 8)
 
 
+def test_moment_power_past_the_size_rule_is_not_formed(f2):
+    # h = a* a has 381 words, v^-i u^(j-i) v^j, and h^2 far more than 4,096
+    a = G.element(f2, [(1, (("u", i), ("v", i))) for i in range(1, 21)])
+    h = (a.adjoint() * a).ints
+    full = G._convolve(f2, h, h)
+    assert len(h) == 381 and len(full) > G.POWER_WORDS_MAX
+    assert G._convolve(f2, h, h, G.POWER_WORDS_MAX) is None
+    assert G._convolve(f2, h, h, len(full)) == full
+    assert len(G.moments_up_to(a, 2)) == 2
+    with pytest.raises(G.MomentTooLarge):
+        G.moments_up_to(a, 3)
+
+
 def test_l1_norm_examples(f2):
     assert G.l1_norm(G.element(f2, [(1, G.IDENTITY)])) == 1
     a = G.element(f2, [(1, U), (1, Uinv)])

@@ -34,5 +34,9 @@ def test_count_tool_runs(script, jobs):
             assert counts.keys() == {"calls", "reduced"}
             assert counts["calls"] >= counts["reduced"] >= 0
         assert sum(c["calls"] for c in makes[1].values()) > 0
+        words = report["norms"]["convolve_words_max"], report["queries"]["convolve_words_max"]
+        assert words[0].keys() == report["norms"]["job_ms"].keys()
+        assert words[1].keys() == makes[1].keys()
+        assert all(0 <= n <= 4096 for n in (*words[0].values(), *words[1].values()))
     else:
         assert report["failed_jobs"] == 0

@@ -24,7 +24,10 @@ outside every oracle call of a `queries` job count under "other".  For
 one under "other") it gives the objects built (`makes`): the calls of
 `gaussian.GaussianInts._make` (where it exists), which puts every matrix,
 algebra element and Cantor function in lowest terms, and how many of them
-divided by a gcd > 1 (`reduced`).  Before
+divided by a gcd > 1 (`reduced`).  For `norms` per job kind and for
+`queries` per job presentation it gives the largest word count of any
+`_convolve` operand or result (`convolve_words_max`), the headroom under
+`groups.POWER_WORDS_MAX`.  Before
 any wrapper is installed it also times each `norms` job alone (`run_job`,
 best of three passes) and gives the mean wall time per job of each kind in
 ms; this one figure
@@ -92,10 +95,18 @@ def main(argv=None) -> int:
                              (matrices, "_trace_product", "_trace_product"),
                              (matrices, "_square_mod", "_square_mod"),
                              (groups, "_free_walk_traces", "_free_walk_traces"),
-                             (groups, "_convolve", "_convolve"),
                              (groups, "_pair_trace", "_pair_trace")):
         if hasattr(owner, name):
             setattr(owner, name, counted(getattr(owner, name), key))
+    largest = [0]  # words of the largest `_convolve` operand or result in this job
+    convolve = groups._convolve
+
+    def measured_convolve(spec, x, y, *limit):
+        counts["_convolve"] += 1
+        out = convolve(spec, x, y, *limit)
+        largest[0] = max(largest[0], len(x), len(y), len(out or ()))
+        return out
+    groups._convolve = measured_convolve
     gram = matrices._gram
 
     def counted_gram(re, im, *other):
@@ -205,17 +216,21 @@ def main(argv=None) -> int:
         per_kind: dict = defaultdict(Counter)
         per_presentation: dict = defaultdict(Counter)
         totals: Counter = Counter()
+        words: dict = defaultdict(int)  # kind or presentation -> largest `_convolve` words
         failed = 0
         oracle_counts.clear()
         for job in jobs:
             counts.clear()
             seen.clear()
             oracle_keys.clear()
+            largest[0] = 0
             failed += bool(workloads.check_job(job, workloads.run_job(job)))
             per_kind[job["kind"]].update(counts)
             per_kind[job["kind"]]["jobs"] += 1
             per_presentation[job.get("presentation", "other")].update(counts)
             totals.update(counts)
+            key = job["kind"] if workload == "norms" else job.get("presentation", "other")
+            words[key] = max(words[key], largest[0])
         report = {"jobs": len(jobs), "failed_jobs": failed,
                   "memo": {name: {k: totals[f"{name}.{k}"] for k in ("calls", "repeats", "hits")}
                            for name in ENTRIES}}
@@ -230,6 +245,7 @@ def main(argv=None) -> int:
             report["grid_roots"] = {kind: {k: c[k] for k in ROOT_COUNTS} for kind, c in roots.items()}
             report["oracles"] = oracles
             report["makes"] = _makes(per_presentation)
+            report["convolve_words_max"] = dict(words)
         if workload == "norms":
             report["per_job"] = {
                 kind: {k: round(c[k] / c["jobs"], 3) for k in KERNELS + ("_convolve.packed",)}
@@ -238,6 +254,7 @@ def main(argv=None) -> int:
                                     for kind, c in per_kind.items()}
             report["makes"] = _makes(per_kind)
             report["job_ms"] = job_ms
+            report["convolve_words_max"] = dict(words)
         out[workload] = report
     print(json.dumps(out))
     return 0

@@ -26,9 +26,7 @@ from .coding import (  # noqa: F401
     coding_f,
     coding_g,
     decode,
-    decode_precondition,
     encode,
-    encode_precondition,
 )
 from .gaussian import ContlogicError  # noqa: F401
 from .parser import ParseError, parse_formula, print_formula  # noqa: F401

@@ -82,10 +82,14 @@ class CodeTooLarge(ContlogicError):
     """A code with more decimal digits than the interpreter converts to text."""
 
 
+def _str_digits_max() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0 or none: no limit
+
+
 def _code(value: int) -> str:
     """A code in decimal, refused before `str` when it has more digits than
-    `sys.get_int_max_str_digits()` allows (0, or no such function: no limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    `sys.get_int_max_str_digits()` allows."""
+    limit = _str_digits_max()
     # a code under 2^(3 * limit) < 10^limit is printable without forming 10^limit
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise CodeTooLarge(f"the code has {value.bit_length()} bits, more than the "
@@ -158,6 +162,12 @@ def _cmd_code(args) -> int:
         )
         return 0
     if args.action == "f":
+        # each of the n pairs adds a bit, and 2^(4 * limit) > 10^limit: refused
+        # before the code is built, which takes time about n^2.4
+        limit = _str_digits_max()
+        if limit and args.n > 4 * limit:
+            raise CodeTooLarge(f"the code of f with n = {args.n} has more than {args.n} bits, "
+                               f"more than the {limit} decimal digits this interpreter prints")
         _emit({"kind": "code", "value": _code(coding.coding_f(args.code, args.n))})
         return 0
     if args.action == "g":
@@ -448,7 +458,7 @@ def main(argv=None) -> int:
         return _fail("parse-error", str(exc))
     except coding.NotACode as exc:
         return _fail("not-a-code", str(exc))
-    except coding.BadItem as exc:
+    except FC.BadItem as exc:
         return _fail("bad-item", str(exc))
     except (ContlogicError, ValueError, ZeroDivisionError, OSError) as exc:
         return _fail(type(exc).__name__.lower(), str(exc))

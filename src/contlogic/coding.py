@@ -1,4 +1,4 @@
-"""Goedel numbering of restricted formulas and pre-conditions.
+"""Goedel numbering of restricted formulas.
 
 Codes are built from one injective pairing `pair(a, b)`: the binary numeral
 "1" ++ delta(a+1) ++ delta(b+1), read as a natural, where delta is the Elias
@@ -21,9 +21,6 @@ it, documented bit-exactly so stored codes stay valid across versions:
   name                 = int.from_bytes(utf8), valid identifiers only
   args                 = left fold of pair over the fixed symbol arity
   lam, mu              = Gaussian-rational codes from contlogic.pairing
-  precondition         = pair(len, fold of pair over items), items sorted,
-                         each item pair(sentence_code, pair(num-1, exp)) for
-                         the positive dyadic num/2^exp in lowest terms
 
 Decoding is total: any natural either decodes or raises NotACode, never
 crashes.
@@ -32,27 +29,14 @@ crashes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import formulas as F
-from .dyadic import is_dyadic
 from .gaussian import ContlogicError
-from .pairing import (
-    decode_list,
-    decode_tuple,
-    encode_list,
-    encode_tuple,
-    gaussian_to_nat,
-    nat_to_gaussian,
-)
+from .pairing import decode_tuple, encode_tuple, gaussian_to_nat, nat_to_gaussian
 
 
 class NotACode(ContlogicError):
-    pass
-
-
-class BadItem(ContlogicError):
     pass
 
 
@@ -293,58 +277,3 @@ def code_predicates(code: int) -> CodeFlags:
         pc = None
     return CodeFlags(True, sentence, qf, base, pc)
 
-
-# ---------------------------------------------------------------------------
-# pre-condition coding
-# ---------------------------------------------------------------------------
-
-
-def _encode_dyadic(r: Fraction) -> int:
-    if r <= 0 or not is_dyadic(r):
-        raise BadItem(f"bound must be a positive dyadic, got {r}")
-    e = r.denominator.bit_length() - 1
-    return pair(r.numerator - 1, e)
-
-
-def _decode_dyadic(code: int) -> Fraction:
-    a, e = unpair(code)
-    r = Fraction(a + 1, 1 << e)
-    if r.denominator != (1 << e):
-        raise BadItem("non-canonical dyadic code")
-    return r
-
-
-def encode_precondition(items: list[tuple[int, Fraction]]) -> int:
-    """Code of a finite set {formula_k < r}; canonicalized by sorting.
-
-    Each k must code a quantifier-free sentence and each r be a positive
-    dyadic; violations raise BadItem.
-    """
-    canon = []
-    for k, r in items:
-        flags = code_predicates(k)
-        if not (flags.is_formula and flags.is_sentence and flags.is_qf):
-            raise BadItem(f"code {k} is not a quantifier-free sentence")
-        canon.append((k, Fraction(r)))
-    canon = sorted(set(canon))
-    body = encode_list([pair(k, _encode_dyadic(r)) for k, r in canon], pair)
-    return pair(len(canon), body)
-
-
-def decode_precondition(code: int) -> list[tuple[int, Fraction]]:
-    length, body = unpair(code)
-    heads = decode_list(body, unpair)
-    items: list[tuple[int, Fraction]] = []
-    for head in heads[:length]:
-        k, r_code = unpair(head)
-        flags = code_predicates(k)
-        if not (flags.is_formula and flags.is_sentence and flags.is_qf):
-            raise BadItem(f"code {k} is not a quantifier-free sentence")
-        items.append((k, _decode_dyadic(r_code)))
-    if len(heads) < length:
-        raise BadItem("truncated pre-condition code")
-    if len(heads) > length:
-        raise BadItem("trailing pre-condition payload")
-    if items != sorted(set(items)):
-        raise BadItem("pre-condition items not canonically sorted")
-    return items

@@ -44,6 +44,7 @@ from .evaluator import TestStructure, eval_exact
 from .feasibility import OPTIMAL, Row, lex_minimize_rows, maximize_rows
 from .formulas import METRIC
 from .gaussian import ContlogicError
+from .pairing import decode_list, encode_list
 
 
 class ForcingError(ContlogicError):
@@ -52,6 +53,11 @@ class ForcingError(ContlogicError):
 
 class NonMetricSignature(ForcingError):
     pass
+
+
+class BadItem(ForcingError):
+    """An item that is not a quantifier-free metric sentence under a positive
+    dyadic bound, or a pre-condition code that is not its condition's code."""
 
 
 class BranchOverflow(ForcingError):
@@ -85,7 +91,12 @@ class Condition:
     `extends` hash only keys not seen before.  `mentioned` holds the
     constants of every item, likewise filled from new items only.  `verdicts`
     holds the margin verdict per MetricInstance, solved on first request
-    (see `_margin_verdict`)."""
+    (see `_margin_verdict`).  `code` and `from_code` are the codec of
+    pre-condition codes (docs/encodings.md), over the Elias-delta `coding.pair`:
+
+      precondition = pair(len, fold of pair over items), items sorted, each item
+                     pair(sentence_code, pair(num-1, exp)) for num/2^exp in lowest terms
+    """
 
     items: tuple[tuple[F.Formula, Fraction], ...]
     keys: tuple[tuple[int, Fraction], ...] = field(compare=False, repr=False)
@@ -110,11 +121,11 @@ class Condition:
             bound = Fraction(bound)
             code = coding.encode(formula, METRIC)  # validates the formula
             if not F.is_quantifier_free(formula):
-                raise ForcingError("condition formulas must be quantifier-free")
+                raise BadItem("condition formulas must be quantifier-free")
             if F.free_vars(formula):
-                raise ForcingError("condition formulas must be sentences")
+                raise BadItem("condition formulas must be sentences")
             if bound <= 0 or not is_dyadic(bound):
-                raise ForcingError(f"bound must be a positive dyadic, got {bound}")
+                raise BadItem(f"bound must be a positive dyadic, got {bound}")
             by_key[code, bound] = formula
             mentioned |= F.constants_of(formula)
         if len(by_key) == len(self.keys):
@@ -130,13 +141,41 @@ class Condition:
         return sorted(self.mentioned)
 
     def code(self) -> int:
-        return coding.encode_precondition(list(self.keys))
+        # the keys are sorted and checked already, so nothing is decoded
+        heads = [coding.pair(k, coding.pair(r.numerator - 1, r.denominator.bit_length() - 1))
+                 for k, r in self.keys]
+        return coding.pair(len(heads), encode_list(heads, coding.pair))
 
     @staticmethod
     def from_code(code: int) -> "Condition":
-        return Condition.of(
-            [(coding.decode(k), r) for k, r in coding.decode_precondition(code)]
-        )
+        """The condition whose `code()` is `code`: each item is read once and
+        goes through `extend`, and the one check that the condition codes back
+        covers item count, order, repeats and lowest terms (BadItem)."""
+        length, body = coding.unpair(code)
+        heads = decode_list(body, coding.unpair)[:length]
+        condition = Condition.of(_read_item(head) for head in heads)
+        if condition.code() != code:
+            raise BadItem("not a canonical pre-condition code: the item count, "
+                          "order or a bound's lowest terms differ")
+        return condition
+
+
+BOUND_EXP_MAX = 1 << 20  # bounds num/2^e in a pre-condition code: e above it is refused
+
+
+def _read_item(head: int) -> tuple[F.Formula, Fraction]:
+    """One pre-condition item: a formula coded over metric, and its bound."""
+    k, bound = coding.unpair(head)
+    try:
+        sig, formula = coding.decode_full(k)
+    except coding.NotACode as exc:
+        raise BadItem(f"item code {k} is not a formula: {exc}") from None
+    if sig is not METRIC:
+        raise BadItem(f"item code {k} is a formula over {sig.name}, not metric")
+    num, e = coding.unpair(bound)
+    if e > BOUND_EXP_MAX:
+        raise BadItem(f"bound exponent {e} exceeds {BOUND_EXP_MAX}")
+    return formula, Fraction(num + 1, 1 << e)
 
 
 @dataclass(frozen=True)

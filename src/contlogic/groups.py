@@ -34,7 +34,7 @@ integer products by Kronecker substitution (`_convolve_packed`).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Optional
 
 from .dyadic import nth_root_lower_grid, sqrt_interval
@@ -86,6 +86,11 @@ class ComplexMoment(GroupError):
 class MomentAboveBound(GroupError):
     """A trace moment tau((a* a)^n) came out above max(l1, 1)^(2n), which
     bounds it: the word problem or the moment kernel is at fault."""
+
+
+class NumberingTooLarge(GroupError):
+    """A normal form past the first NORMAL_FORMS_MAX of a rewriting group:
+    refused before more of them are numbered."""
 
 
 class MomentTooLarge(GroupError):
@@ -350,6 +355,9 @@ def _to_word(s: str) -> Word:
     return _compress([(ch.lower(), 1 if ch.islower() else -1) for ch in s])
 
 
+NORMAL_FORMS_MAX = 4**MATRIX_SIZE_LOG_MAX  # normal forms a rewriting group holds numbered
+
+
 class RewritingGroup(GroupSpec):
     """String rewriting over single-letter generators (inverse = uppercase).
 
@@ -438,9 +446,14 @@ class RewritingGroup(GroupSpec):
 
     def _grow(self) -> None:
         """Number the irreducible strings of the next length, in lex order:
-        the last level's, each extended by a letter that ends no left-hand side."""
-        self._level = [s + ch for s in self._level for ch in self.alphabet
-                       if not any((s + ch).endswith(lhs) for lhs, _ in self.rules)]
+        the last level's, each extended by a letter that ends no left-hand side,
+        cut where the numbering reaches NORMAL_FORMS_MAX."""
+        if len(self._words) >= NORMAL_FORMS_MAX:
+            raise NumberingTooLarge(f"a rewriting group numbers only its first "
+                                    f"{NORMAL_FORMS_MAX} normal forms")
+        level = (s + ch for s in self._level for ch in self.alphabet
+                 if not any((s + ch).endswith(lhs) for lhs, _ in self.rules))
+        self._level = list(islice(level, NORMAL_FORMS_MAX - len(self._words)))
         for s in self._level:
             self._positions[_to_word(s)] = len(self._words)
             self._words.append(_to_word(s))

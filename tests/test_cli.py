@@ -536,3 +536,62 @@ def test_code_past_the_str_limit_is_a_typed_error():
             cli._code(10**4300)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _one_error_line(args, stdin_text=""):
+    start = time.perf_counter()
+    status, out, err = _typed_error(args, stdin_text)
+    assert time.perf_counter() - start < 1
+    assert status == 1 and out == "" and len(err) == 1
+    return json.loads(err[0])
+
+
+def test_pre_condition_item_over_cstar_is_a_bad_item():
+    from contlogic import coding, formulas as F
+    from contlogic.pairing import encode_list
+
+    def condition(k, e):
+        body = encode_list([coding.pair(k, coding.pair(0, e))], coding.pair)
+        return str(coding.pair(1, body))
+
+    k = coding.encode(F.Atomic("d", (F.CConst(1), F.CConst(2))), F.CSTAR)
+    record = _one_error_line(["force", "check-condition", "--condition", condition(k, 1)])
+    assert record["error"] == "bad-item"
+    # d(c1, c2) < 2^-(10^12): refused before 2^(10^12) is formed
+    k = coding.encode(F.Atomic("d", (F.CConst(1), F.CConst(2))), F.METRIC)
+    assert condition(k, 10**12) == "15328813879317886467761841776595965394491582917735227401"
+    record = _one_error_line(["force", "check-condition", "--condition", condition(k, 10**12)])
+    assert record == {"error": "bad-item",
+                      "message": "bound exponent 1000000000000 exceeds 1048576"}
+    status, out = run_cli(["force", "check-condition", "--condition", condition(k, 10**6)])
+    assert status == 0 and out[0]["is_condition"]
+
+
+def test_rewriting_word_past_the_numbering_cap_is_a_typed_error(tmp_path):
+    # F2 by rewriting: the binding's word index lies far past 4,096 normal forms
+    cfg = tmp_path / "f2.cfg"
+    cfg.write_text("backend: rewriting\ngenerators: a b\n")
+    for index in ("50001000015000100004", "5000001000000150000010000004"):
+        record = _one_error_line(["eval", "--presentation", "L", "--group", str(cfg),
+                                  "--bind", f"c1={index}"], "d(c1, c1)")
+        assert record == {"error": "numberingtoolarge",
+                          "message": "a rewriting group numbers only its first 4096 normal forms"}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter has no limit on int -> str")
+def test_code_f_past_the_str_limit_is_refused_before_it_is_built():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default: n above 17,200 is refused
+    try:
+        status, out = run_cli(["code", "encode"], "d(c1, c2)")
+        code = out[0]["value"]
+        record = _one_error_line(["code", "f", "--code", code, "--n", "20000"])
+        assert record == {
+            "error": "codetoolarge",
+            "message": "the code of f with n = 20000 has more than 20000 bits, more than "
+                       "the 4300 decimal digits this interpreter prints"}
+        status, out = run_cli(["code", "f", "--code", code, "--n", "2"])
+        assert status == 0 and len(out) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)

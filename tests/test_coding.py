@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -176,34 +175,3 @@ def test_code_predicates_agrees_with_classify():
         f = F.prenex(random_sentence(rng, F.METRIC, depth=4))
         code = coding.encode(f, F.METRIC)
         assert coding.code_predicates(code).prefix_class == F.classify_prefix(f)
-
-
-def test_precondition_roundtrip():
-    k = coding.encode(d(c1, c2), F.METRIC)
-    items = [(k, Fraction(1, 2))]
-    code = coding.encode_precondition(items)
-    assert coding.decode_precondition(code) == items
-    assert coding.encode_precondition([]) == coding.encode_precondition([])
-    assert coding.decode_precondition(coding.encode_precondition([])) == []
-
-
-def test_precondition_canonicalizes_order():
-    k1 = coding.encode(d(c1, c2), F.METRIC)
-    k2 = coding.encode(d(c1, c1), F.METRIC)
-    a = coding.encode_precondition([(k1, Fraction(1, 2)), (k2, Fraction(1, 4))])
-    b = coding.encode_precondition([(k2, Fraction(1, 4)), (k1, Fraction(1, 2))])
-    assert a == b
-
-
-def test_precondition_rejects_bad_items():
-    k_open = coding.encode(d(x, x), F.METRIC)
-    with pytest.raises(coding.BadItem):
-        coding.encode_precondition([(k_open, Fraction(1, 2))])
-    k = coding.encode(d(c1, c2), F.METRIC)
-    with pytest.raises(coding.BadItem):
-        coding.encode_precondition([(k, Fraction(1, 3))])
-    with pytest.raises(coding.BadItem):
-        coding.encode_precondition([(k, Fraction(-1, 2))])
-    k_quant = coding.encode(F.Sup("x", d(x, x)), F.METRIC)
-    with pytest.raises(coding.BadItem):
-        coding.encode_precondition([(k_quant, Fraction(1, 2))])

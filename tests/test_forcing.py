@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from contlogic import feasibility
+from contlogic import coding, feasibility
 from contlogic import forcing as FC
 from contlogic import formulas as F
 from contlogic import selftest
 from contlogic.evaluator import eval_exact
+from contlogic.pairing import encode_list
+
+import precondition_codes as oracle
 
 d = lambda i, j: F.Atomic("d", (F.CConst(i), F.CConst(j)))
 x = F.Var("x")
@@ -83,6 +86,128 @@ def test_each_item_is_validated_once(monkeypatch):
                         ((F.Atomic("tr_re", (F.CConst(1),)), 1), F.UnknownSymbol)):
         with pytest.raises(error):
             p.extend([item])
+
+
+def test_precondition_roundtrip():
+    p = FC.Condition.of([(d(1, 2), Fraction(1, 2))])
+    assert p.keys == ((coding.encode(d(1, 2), F.METRIC), Fraction(1, 2)),)
+    assert FC.Condition.from_code(p.code()) == p
+    assert FC.Condition.empty().code() == FC.Condition.of([]).code()
+    assert FC.Condition.from_code(FC.Condition.empty().code()) == FC.Condition.empty()
+
+
+def test_precondition_canonicalizes_order():
+    a = FC.Condition.of([(d(1, 2), Fraction(1, 2)), (d(1, 1), Fraction(1, 4))])
+    b = FC.Condition.of([(d(1, 1), Fraction(1, 4)), (d(1, 2), Fraction(1, 2))])
+    assert a.code() == b.code()
+
+
+def test_precondition_rejects_bad_items():
+    for item in ((F.Atomic("d", (x, x)), Fraction(1, 2)), (d(1, 2), Fraction(1, 3)),
+                 (d(1, 2), Fraction(-1, 2)), (F.Sup("x", F.Atomic("d", (x, x))), Fraction(1, 2))):
+        with pytest.raises(FC.BadItem):
+            FC.Condition.of([item])
+
+
+def _precondition(heads, length=None):
+    """A pre-condition code from (item code, num - 1, e) heads, in the order given."""
+    body = encode_list([coding.pair(k, coding.pair(a, e)) for k, a, e in heads], coding.pair)
+    return coding.pair(len(heads) if length is None else length, body)
+
+
+def _random_condition(rng):
+    items = [(random_qf_formula(rng, [1, 2, 3, 4], 3),
+              Fraction(rng.randint(1, 9), 2 ** rng.randint(0, 6))) for _ in range(rng.randint(0, 5))]
+    return FC.Condition.of(items)
+
+
+def test_precondition_codec_matches_the_list_codec():
+    # final conditions of seeded short games, and random ones: `code` writes
+    # the bits the list codec writes, and each decodes the other's code
+    conditions = [FC.play_game(FC.random_forall_strategy(seed), FC.exists_pinning_strategy(),
+                               3, INST).last() for seed in range(8)]
+    rng = random.Random(27)
+    conditions += [_random_condition(rng) for _ in range(40)]
+    for p in conditions:
+        code = p.code()
+        assert code == oracle.encode_precondition(list(p.keys))
+        assert oracle.decode_precondition(code) == list(p.keys)
+        q = FC.Condition.from_code(code)
+        assert q == p and q.keys == p.keys
+
+
+def test_hand_built_metric_codes_decode_as_the_list_codec_reads_them():
+    rng = random.Random(28)
+    for _ in range(40):
+        # odd numerators, so every bound is in lowest terms
+        heads = sorted({(coding.encode(random_qf_formula(rng, [1, 2, 3], 2), F.METRIC),
+                         2 * rng.randint(0, 4), rng.randint(0, 8)) for _ in range(rng.randint(0, 4))},
+                       key=lambda h: (h[0], Fraction(h[1] + 1, 2 ** h[2])))
+        code = _precondition(heads)
+        items = oracle.decode_precondition(code)
+        p = FC.Condition.from_code(code)
+        assert list(p.keys) == items
+        assert p.code() == code == oracle.encode_precondition(items)
+
+
+def test_precondition_refusals_are_bad_items():
+    k12, k23 = (coding.encode(d(i, j), F.METRIC) for i, j in ((1, 2), (2, 3)))
+    ka, kb = sorted((k12, k23))
+    cstar = coding.encode(F.Atomic("d", (F.CConst(1), F.CConst(2))), F.CSTAR)
+    tvna = coding.encode(F.Atomic("tr_re", (F.CConst(1),)), F.TVNA)
+    refused = {
+        "cstar item": _precondition([(cstar, 0, 1)]),
+        "tvna item": _precondition([(tvna, 0, 1)]),
+        "bound out of lowest terms": _precondition([(k12, 1, 1)]),
+        "unsorted": _precondition([(kb, 0, 1), (ka, 0, 1)]),
+        "repeated": _precondition([(ka, 0, 1), (ka, 0, 1)]),
+        "count one high": _precondition([(ka, 0, 1)], length=2),
+        "count one low": _precondition([(ka, 0, 1), (kb, 0, 1)], length=1),
+        "item not a formula": _precondition([(5, 0, 1)]),
+        "open item": _precondition([(coding.encode(F.Atomic("d", (x, x)), F.METRIC), 0, 1)]),
+        "bound exponent past the cap": _precondition([(k12, 0, FC.BOUND_EXP_MAX + 1)]),
+    }
+    for name, code in refused.items():
+        with pytest.raises(FC.BadItem):
+            FC.Condition.from_code(code)
+        if name not in ("cstar item", "tvna item", "bound exponent past the cap"):
+            with pytest.raises(oracle.BadItem):
+                oracle.decode_precondition(code)
+    # the cstar item decoded at the parent, to a condition with another code
+    assert oracle.decode_precondition(refused["cstar item"]) == [(cstar, Fraction(1, 2))]
+    # the largest exponent still decodes, without the list codec's checks
+    top = FC.Condition.from_code(_precondition([(k12, 0, FC.BOUND_EXP_MAX)]))
+    assert top.keys == ((k12, Fraction(1, 2 ** FC.BOUND_EXP_MAX)),)
+    # codes outside the pairing's image stay NotACode
+    for code in (0, _precondition([(k12, 0, 1)]) * 2):
+        with pytest.raises(coding.NotACode):
+            FC.Condition.from_code(code)
+
+
+def test_precondition_refusal_kinds_match_the_list_codec():
+    # one bit flipped in a valid code: both codecs accept it or refuse it,
+    # with the same kind, except for items over another signature
+    def kind(decode, code):
+        try:
+            decode(code)
+        except coding.NotACode:
+            return "not-a-code"
+        except (FC.BadItem, oracle.BadItem):
+            return "bad-item"
+        return "ok"
+
+    rng = random.Random(29)
+    for _ in range(30):
+        code = _random_condition(rng).code()
+        for bit in rng.sample(range(code.bit_length()), min(12, code.bit_length())):
+            flipped = code ^ (1 << bit)
+            try:
+                items = oracle.decode_precondition(flipped)
+            except (coding.NotACode, oracle.BadItem):
+                items = []
+            if any(coding.decode_full(k)[0] is not F.METRIC for k, _ in items):
+                continue
+            assert kind(FC.Condition.from_code, flipped) == kind(oracle.decode_precondition, flipped)
 
 
 def test_dollar_single_item_granularity_one():

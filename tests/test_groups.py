@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,35 @@ def test_rewriting_divergence_budget():
     spec = G.rewriting_group(("a", "b"), [("ab", "ba"), ("ba", "ab")], max_steps=50)
     with pytest.raises(G.RewritingDiverged):
         spec.normal_form((("a", 1), ("b", 1)))
+
+
+def test_rewriting_numbers_only_the_first_normal_forms():
+    # free rank 26 by rewriting: 2,705 normal forms up to length 2, and the
+    # length-3 level alone has 135,252 strings; it is cut at the cap
+    cap = G.NORMAL_FORMS_MAX
+    letters = tuple("abcdefghijklmnopqrstuvwxyz")
+    free = G.free_group(*letters)
+    spec = G.rewriting_group(letters, [])
+    tracemalloc.start()
+    try:
+        assert spec.word_at(cap - 1) == free.word_at(cap - 1)
+        assert tracemalloc.get_traced_memory()[1] < 5 * 2**20  # with the whole level: 10 MB
+    finally:
+        tracemalloc.stop()
+    assert spec.index_of(free.word_at(cap - 1)) == cap - 1
+    assert len(spec._words) == cap
+    with pytest.raises(G.NumberingTooLarge):
+        spec.word_at(cap)
+    with pytest.raises(G.NumberingTooLarge):
+        spec.index_of((("a", 5),))
+    assert len(spec._words) == cap
+    # an infinite group asked for a word that is not a normal form
+    with pytest.raises(G.NumberingTooLarge):
+        G.rewriting_group(("a", "b"), []).index_of((("a", 1), ("a", 1), ("b", 0)))
+    # a finite group still ends its numbering with its last normal form
+    z4 = G.rewriting_group(("a",), [("aaaa", ""), ("A", "aaa")])
+    with pytest.raises(G.GroupError, match="exceeds the 4 normal forms"):
+        z4.word_at(4)
 
 
 def test_algebra_unit_inverse(f2):

@@ -113,12 +113,6 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _signature(name: str) -> F.Signature:
-    if name not in F.PRESETS:
-        raise ValueError(f"unknown signature preset {name!r}")
-    return F.PRESETS[name]
-
-
 def _load_group(path: str) -> G.GroupSpec:
     return G.load_group_config(_read_text(path))
 
@@ -147,7 +141,7 @@ def _cmd_code(args) -> int:
     if missing:
         return _fail("usage", f"code {args.action} needs {' and '.join(missing)}")
     if args.action == "encode":
-        sig = _signature(args.signature)
+        sig = F.PRESETS[args.signature]
         formula = parse_formula(_read_text(args.formula), sig)
         _emit({"kind": "code", "value": _code(coding.encode(formula, sig))})
         return 0
@@ -162,12 +156,16 @@ def _cmd_code(args) -> int:
         )
         return 0
     if args.action == "f":
-        # each of the n pairs adds a bit, and 2^(4 * limit) > 10^limit: refused
-        # before the code is built, which takes time about n^2.4
-        limit = _str_digits_max()
-        if limit and args.n > 4 * limit:
-            raise CodeTooLarge(f"the code of f with n = {args.n} has more than {args.n} bits, "
-                               f"more than the {limit} decimal digits this interpreter prints")
+        # Half^n(One) is n nested pair(2, c), each adding 3 + 2 * bitlen(L) bits
+        # to the L-bit code c (from L = 6; c + 1 keeps c's length, since a pair
+        # code holds a 0 bit).  Once 2^(L-1) >= 10^limit the code could never
+        # print, so it is refused before it is built
+        limit, bits = _str_digits_max(), 6
+        for _ in range(args.n if limit else 0):
+            bits += 3 + 2 * bits.bit_length()
+            if (bits - 1) * 1000 >= 3322 * limit:
+                raise CodeTooLarge(f"the code of f with n = {args.n} has more than {args.n} bits, "
+                                   f"more than the {limit} decimal digits this interpreter prints")
         _emit({"kind": "code", "value": _code(coding.coding_f(args.code, args.n))})
         return 0
     if args.action == "g":
@@ -189,7 +187,7 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_parse(args) -> int:
-    sig = _signature(args.signature)
+    sig = F.PRESETS[args.signature]
     formula = parse_formula(_read_text(args.formula), sig)
     record = {
         "kind": "parsed",

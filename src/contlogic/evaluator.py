@@ -202,12 +202,15 @@ class TestStructurePresentation(Presentation):
 class _Evaluation:
     """One call's evaluation state for the matrix of a prenexed formula.
 
-    `env` binds each swept variable to (point index, point object).  Every
-    atom and every term but a variable gets a slot, shared by value-equal
-    nodes, and the variables it mentions; `value` computes a node once per
-    assignment of those variables and keeps the result in `memo`, which
-    hashes only point indices.  Behind it, `atoms` keys each oracle interval
-    by (predicate, argument objects), so atoms whose arguments evaluate to
+    `env` binds each swept variable to its rational point's index.  Every
+    atom and every term gets a slot, shared by value-equal nodes and by all
+    variables (a variable's object depends on its index alone), and the
+    variables it mentions; `value` computes a node once per assignment of
+    those variables and keeps the result in `memo`, which hashes only point
+    indices.  A variable's object comes from the presentation, which builds
+    it on first read and caches it by index, so a variable that no atom
+    reads builds none.  Behind it, `atoms` keys each oracle interval by
+    (predicate, argument objects), so atoms whose arguments evaluate to
     equal objects (most often the zero object, which many points give) query
     the oracle once.  Precision and oracle budget are fixed per call, so
     neither key holds them; both memos die with the call.
@@ -217,38 +220,34 @@ class _Evaluation:
                  budget: Optional[int]):
         self.prefix, self.matrix = F.prenex_parts(formula)
         self.pres, self.k, self.bindings, self.budget = pres, k, bindings, budget
-        self.env: dict[str, tuple[int, object]] = {}
+        self.env: dict[str, int] = {}
         self.memo: dict = {}
         self.atoms: dict = {}
         self.plan: dict[int, tuple[int, tuple[str, ...]]] = {}
         atoms = [f for f in F.subformulas(self.matrix) if isinstance(f, F.Atomic)]
-        terms = [t for f in atoms for a in f.args for t in F.subterms(a)
-                 if not isinstance(t, F.Var)]
+        terms = [t for f in atoms for a in f.args for t in F.subterms(a)]
         slots: dict = {}  # plan keys are ids: self.matrix keeps every node alive
         for node in atoms + terms:
             mentioned = F.free_vars(node) if isinstance(node, F.Atomic) else F.term_vars(node)
-            self.plan[id(node)] = (slots.setdefault(node, len(slots)),
+            shape = F.Var if isinstance(node, F.Var) else node
+            self.plan[id(node)] = (slots.setdefault(shape, len(slots)),
                                    tuple(v for _, v in self.prefix if v in mentioned))
 
     def value(self, node, compute):
         slot, names = self.plan[id(node)]
-        key = (slot, tuple([self.env[v][0] for v in names]))
+        key = (slot, tuple([self.env[v] for v in names]))
         out = self.memo.get(key)
         if out is None:
             out = self.memo[key] = compute(node, self)
         return out
 
 
-def _term_object(term: F.Term, m: _Evaluation):
+def _build_term(term: F.Term, m: _Evaluation):
+    pres = m.pres
     if isinstance(term, F.Var):
         if term.name not in m.env:
             raise EvalError(f"unbound variable {term.name!r}")
-        return m.env[term.name][1]
-    return m.value(term, _build_term)
-
-
-def _build_term(term: F.Term, m: _Evaluation):
-    pres = m.pres
+        return pres.point_object(m.env[term.name])
     if isinstance(term, F.CConst):
         point = m.bindings.get(term.index)
         if point is None:
@@ -257,21 +256,21 @@ def _build_term(term: F.Term, m: _Evaluation):
             raise UnboundConstant(f"constant c{term.index} is not bound to a point")
         return pres.point_object(point)
     if isinstance(term, F.App):
-        args = [_term_object(a, m) for a in term.args]
+        args = [m.value(a, _build_term) for a in term.args]
         if term.func == "adj":
             return args[0].adjoint()
         if term.func == "mul":
             return args[0] * args[1]
         raise EvalError(f"unknown function {term.func!r}")
     if isinstance(term, F.Comb):
-        left = _term_object(term.left, m)
-        right = _term_object(term.right, m)
+        left = m.value(term.left, _build_term)
+        right = m.value(term.right, _build_term)
         return left.comb(term.lam, term.mu, right)
     raise EvalError(f"not a term: {term!r}")
 
 
 def _atom_interval(formula: F.Atomic, m: _Evaluation) -> tuple[int, int, int, int]:
-    objs = [_term_object(t, m) for t in formula.args]
+    objs = [m.value(t, _build_term) for t in formula.args]
     key = (formula.pred, *objs)
     out = m.atoms.get(key)
     if out is None:
@@ -313,14 +312,14 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
     propagate lower bounds, sampled inf blocks upper bounds; a side that
     would need density rates of the rational-point enumeration is left
     uncertified and only the deterministic estimate is reported.  Every
-    quantifier sweeps the same points, whose objects are built once.  Atoms
+    quantifier sweeps the same points, whose objects the presentation builds
+    once, when an atom first reads them, and keeps by index.  Atoms
     are memoised for the call at two levels (see `_Evaluation`): per
     assignment of their variables, then per (predicate, argument objects).
     """
     if F.free_vars(formula):
         raise EvalError("eval needs a closed sentence")
     m = _Evaluation(formula, pres, budget.precision_k, bindings or {}, budget.oracle_budget)
-    objects: list = []
 
     # a branch is (lower, upper, estimate, slack, witnesses): (num, den) pairs,
     # None for an uncertified side, witnesses a chain of (position, index)
@@ -337,9 +336,7 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
         bound_at = estimate_at = None  # (index, branch), the first attaining each
         slack = (0, 1)
         for i in range(budget.points):
-            if i == len(objects):
-                objects.append(pres.point_object(pres.rational_point(i)))
-            m.env[var] = (i, objects[i])
+            m.env[var] = pres.rational_point(i)
             branch = sweep(position + 1)
             if branch[side] is not None and (
                     bound_at is None or _beats(branch[side], bound_at[1][side], is_sup)):

@@ -19,6 +19,10 @@ the forcing checks:
     matrices and leading sup blocks), certified one-sided instance bounds for
     inf blocks, unknown where only exhaustion over all extensions would do.
 
+Both checks instantiate their question once (`_instance`: fresh constants
+for the variables) and ask one limit LP of it (`_above`: p's items, all
+strict, plus the instance above r), which the bisection asks per step.
+
 A condition keeps its margin verdict per solver instance, so a game solves
 each condition at most once, exists moves certified by a model: a move that
 holds strictly at the previous condition's margin point is a condition
@@ -35,6 +39,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import ceil, prod
 from typing import Callable, Iterator, Optional
 
 from . import coding
@@ -315,15 +320,9 @@ def _system_alternatives(system: BoundSystem,
             q = Fraction(bound)
             form = ({EPS: eps * q.denominator} if eps else {}, q.numerator, q.denominator)
             per_item.append(_alternatives(formula, form, sign, fresh))
-    total = 1
-    for alts in per_item:
-        total *= len(alts)
-        if total > inst.branch_cap:
-            raise BranchOverflow(f"more than {inst.branch_cap} branch combinations")
-    combos: list[list[Row]] = [[]]
-    for alts in per_item:
-        combos = [got + alt for got in combos for alt in alts]
-    return combos
+    if prod(map(len, per_item)) > inst.branch_cap:
+        raise BranchOverflow(f"more than {inst.branch_cap} branch combinations")
+    return [[row for alt in combo for row in alt] for combo in itertools.product(*per_item)]
 
 
 def _solve_system(system: BoundSystem, constants: list[int],
@@ -351,8 +350,7 @@ def _solve_system(system: BoundSystem, constants: list[int],
 def _margin_verdict(p: Condition, inst: MetricInstance) -> SystemVerdict:
     """The margin verdict of p under inst, solved once and kept on p."""
     if inst not in p.verdicts:
-        p.verdicts[inst] = _solve_system(BoundSystem(lt=tuple(p.items)),
-                                         p.constants(), inst)
+        p.verdicts[inst] = _solve_system(BoundSystem(lt=p.items), p.constants(), inst)
     return p.verdicts[inst]
 
 
@@ -383,8 +381,7 @@ def formula_max(formulas: list[F.Formula]) -> F.Formula:
 def _grid_below(bound: Fraction, g: int) -> list[Fraction]:
     """Dyadics j/2^g in [0, bound), ascending."""
     scale = 1 << g
-    top = (bound * scale).__ceil__() - 1 if (bound * scale).denominator == 1 else int(bound * scale)
-    return [Fraction(j, scale) for j in range(0, top + 1)]
+    return [Fraction(j, scale) for j in range(ceil(bound * scale))]
 
 
 def _slice_tuples(p: Condition, g: int) -> Iterator[tuple[Fraction, ...]]:
@@ -437,6 +434,25 @@ def _fresh_constant(used: set[int], count: int = 1) -> list[int]:
     return list(range(start, start + count))
 
 
+def _instance(p: Condition, matrix: F.Formula, variables: list[str],
+              count: int) -> tuple[F.Formula, list[int]]:
+    """`matrix` with `variables` replaced by the first of `count` fresh
+    constants above every constant of p and matrix, and the sorted list of
+    all those constants, which shapes the LP of the instance."""
+    used = set(p.constants()) | F.constants_of(matrix)
+    fresh = _fresh_constant(used, count)
+    sentence = F.substitute(matrix, {v: F.CConst(c) for v, c in zip(variables, fresh)})
+    return sentence, sorted(used | set(fresh))
+
+
+def _above(p: Condition, sentence: F.Formula, constants: list[int], r: Fraction,
+           inst: MetricInstance) -> SystemVerdict:
+    """The limit LP: p's items, all strict, plus sentence > r.  Satisfiable
+    exactly when some model of p has sentence > r, that is when p does not
+    force sentence <= r."""
+    return _solve_system(BoundSystem(lt=p.items, gt=((sentence, r),)), constants, inst)
+
+
 def forces_sup_leq(p: Condition, psi: F.Formula, r: Fraction,
                    inst: MetricInstance = MetricInstance(),
                    budget: int = 4) -> ForcingAnswer:
@@ -459,13 +475,7 @@ def forces_sup_leq(p: Condition, psi: F.Formula, r: Fraction,
     if r >= 1:
         # values never exceed 1, so the bound is forced vacuously
         return ForcingAnswer("yes", margin=Fraction(0))
-    used = set(p.constants()) | F.constants_of(psi)
-    fresh = _fresh_constant(used)[0]
-    if fv:
-        psi_c = F.substitute(psi, {next(iter(fv)): F.CConst(fresh)})
-    else:
-        psi_c = psi
-    constants = sorted(used | {fresh})
+    psi_c, constants = _instance(p, psi, sorted(fv), 1)
     delta = Fraction(1, 1 << budget)
     swept = 0
     members = itertools.chain.from_iterable(_slice_tuples(p, g) for g in range(1, budget + 1))
@@ -478,10 +488,7 @@ def forces_sup_leq(p: Condition, psi: F.Formula, r: Fraction,
             if verdict.satisfiable:
                 return ForcingAnswer("no", witness=verdict.point, margin=verdict.margin,
                                      swept=swept)
-        # limit case: a model of p itself with a point strictly above r?
-        verdict = _solve_system(
-            BoundSystem(lt=tuple(p.items), gt=((psi_c, r),)), constants, inst
-        )
+        verdict = _above(p, psi_c, constants, r, inst)  # the delta -> 0 limit
     except BranchOverflow:
         return ForcingAnswer("unknown", swept=swept)
     if verdict.satisfiable:
@@ -699,8 +706,6 @@ def compile_transcript(t: Transcript,
     """
     final = t.last()
     constants = final.constants()
-    if not constants:
-        return CompiledSpace((), {})
     verdict = _margin_verdict(final, inst)
     if not verdict.satisfiable:
         raise Infeasible("final condition is not satisfiable")
@@ -740,21 +745,6 @@ class FpBounds:
     estimate: Fraction
 
 
-def _decide_block_leq(p: Condition, matrix: F.Formula, sup_vars: list[str],
-                      r: Fraction, inst: MetricInstance) -> bool:
-    """p forces sup_{vars} matrix <= r, decided exactly via the margin LP."""
-    used = set(p.constants()) | F.constants_of(matrix)
-    fresh = _fresh_constant(used, len(sup_vars))
-    inst_formula = F.substitute(
-        matrix, {v: F.CConst(c) for v, c in zip(sup_vars, fresh)}
-    )
-    constants = sorted(used | set(fresh))
-    verdict = _solve_system(
-        BoundSystem(lt=tuple(p.items), gt=((inst_formula, r),)), constants, inst
-    )
-    return not verdict.satisfiable
-
-
 def _bisect_value(decide_leq, budget: int) -> tuple[Fraction, Fraction]:
     """Bracket inf{r : decide_leq(r)} on the dyadic grid of step 2^-budget."""
     if decide_leq(Fraction(0)):
@@ -789,9 +779,9 @@ def fp_estimate(p: Condition, formula: F.Formula,
 def _fp_rec(p: Condition, prefix, matrix, inst, depth, budget) -> FpBounds:
     if all(kind is F.Sup for kind, _ in prefix):
         sup_vars = [v for _, v in prefix]
+        sentence, constants = _instance(p, matrix, sup_vars, len(sup_vars))
         lo, hi = _bisect_value(
-            lambda r: _decide_block_leq(p, matrix, sup_vars, r, inst), budget
-        )
+            lambda r: not _above(p, sentence, constants, r, inst).satisfiable, budget)
         return FpBounds(lo, hi, (lo + hi) / 2)
     kind, var = prefix[0]
     rest = prefix[1:]

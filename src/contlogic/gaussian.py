@@ -27,6 +27,11 @@ from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 
+# The size rule of enumerated objects: a matrix's entries, a Cantor function's
+# values, a rewriting group's numbered normal forms and the words of a power
+# that the moment kernel forms number at most 4,096 parts each.
+PARTS_MAX = 4096
+
 
 class ContlogicError(Exception):
     """Root of every typed error the package raises; the CLI reports any of

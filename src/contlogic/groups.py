@@ -38,8 +38,8 @@ from itertools import chain, islice
 from typing import Optional
 
 from .dyadic import nth_root_lower_grid, sqrt_interval
-from .gaussian import ContlogicError, GaussianInts, GaussianRational, gr, over_common_denominator
-from .matrices import MATRIX_SIZE_LOG_MAX
+from .gaussian import (PARTS_MAX, ContlogicError, GaussianInts, GaussianRational, gr,
+                       over_common_denominator)
 from .pairing import (
     decode_list,
     decode_tuple,
@@ -89,13 +89,13 @@ class MomentAboveBound(GroupError):
 
 
 class NumberingTooLarge(GroupError):
-    """A normal form past the first NORMAL_FORMS_MAX of a rewriting group:
+    """A normal form past the first PARTS_MAX of a rewriting group:
     refused before more of them are numbered."""
 
 
 class MomentTooLarge(GroupError):
     """A moment order above MOMENT_ORDER_MAX, or a power of a* a with more
-    than POWER_WORDS_MAX words: refused before it is computed further."""
+    than PARTS_MAX words: refused before it is computed further."""
 
 
 def _compress(letters: list[tuple[str, int]]) -> Word:
@@ -355,9 +355,6 @@ def _to_word(s: str) -> Word:
     return _compress([(ch.lower(), 1 if ch.islower() else -1) for ch in s])
 
 
-NORMAL_FORMS_MAX = 4**MATRIX_SIZE_LOG_MAX  # normal forms a rewriting group holds numbered
-
-
 class RewritingGroup(GroupSpec):
     """String rewriting over single-letter generators (inverse = uppercase).
 
@@ -447,13 +444,13 @@ class RewritingGroup(GroupSpec):
     def _grow(self) -> None:
         """Number the irreducible strings of the next length, in lex order:
         the last level's, each extended by a letter that ends no left-hand side,
-        cut where the numbering reaches NORMAL_FORMS_MAX."""
-        if len(self._words) >= NORMAL_FORMS_MAX:
+        cut where the numbering reaches PARTS_MAX."""
+        if len(self._words) >= PARTS_MAX:
             raise NumberingTooLarge(f"a rewriting group numbers only its first "
-                                    f"{NORMAL_FORMS_MAX} normal forms")
+                                    f"{PARTS_MAX} normal forms")
         level = (s + ch for s in self._level for ch in self.alphabet
                  if not any((s + ch).endswith(lhs) for lhs, _ in self.rules))
-        self._level = list(islice(level, NORMAL_FORMS_MAX - len(self._words)))
+        self._level = list(islice(level, PARTS_MAX - len(self._words)))
         for s in self._level:
             self._positions[_to_word(s)] = len(self._words)
             self._words.append(_to_word(s))
@@ -798,12 +795,10 @@ def _pair_trace(spec: GroupSpec, x: dict[Word, GaussInt],
     return re, im
 
 
-# The size rule of enumerated objects (at most 4,096 parts) holds for every
-# power that the convolution route forms: a power of a* a over a free group
-# can grow 4x per step (u*v + v + u has 2^(2j+1) - 1 words in its j-th).
-POWER_WORDS_MAX = 4**MATRIX_SIZE_LOG_MAX
 # The excursion DP takes about n^3 steps and a power over Z grows with n;
-# selftest asks for order 40.
+# selftest asks for order 40.  Every power that the convolution route forms
+# keeps the size rule PARTS_MAX: a power of a* a over a free group can grow
+# 4x per step (u*v + v + u has 2^(2j+1) - 1 words in its j-th).
 MOMENT_ORDER_MAX = 64
 
 
@@ -825,7 +820,7 @@ def moments_up_to(a: AlgebraElement, n: int) -> list[Fraction]:
     formed: tau(h^j) = tau(h^ceil(j/2) h^floor(j/2)) is one pairing of them.
     Over Z each of those products is packed (see `_convolve`).
 
-    An order above MOMENT_ORDER_MAX, or a power above POWER_WORDS_MAX
+    An order above MOMENT_ORDER_MAX, or a power above PARTS_MAX
     words, is `MomentTooLarge`; a product is given up as soon as it meets
     more words than that (see `_convolve`).
     """
@@ -848,12 +843,12 @@ def _moments(a: AlgebraElement, n: int) -> list[Fraction]:
     e, h_int = h.d, h.ints
     powers = [{IDENTITY: (1, 0)}, h_int]
     while True:
-        if powers[-1] is None or len(powers[-1]) > POWER_WORDS_MAX:
+        if powers[-1] is None or len(powers[-1]) > PARTS_MAX:
             raise MomentTooLarge(
-                f"power {len(powers) - 1} of a* a has more than {POWER_WORDS_MAX} words")
+                f"power {len(powers) - 1} of a* a has more than {PARTS_MAX} words")
         if len(powers) > (n + 1) // 2:
             break
-        powers.append(_convolve(a.spec, powers[-1], powers[1], POWER_WORDS_MAX))
+        powers.append(_convolve(a.spec, powers[-1], powers[1], PARTS_MAX))
     return [
         _real_trace(_pair_trace(a.spec, powers[(j + 1) // 2], powers[j // 2]), e**j)
         for j in range(1, n + 1)

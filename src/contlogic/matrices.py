@@ -47,12 +47,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
+from math import isqrt
 from operator import add, mul, sub
 
 # nth_root_upper_grid stays importable here, where perfbench/tracing.py wraps
 # it, although the matrix roots call the kernel under it on integers
 from .dyadic import _grid_root, nth_root_upper_grid, sqrt_interval  # noqa: F401
-from .gaussian import ContlogicError, GaussianInts, GaussianRational, over_common_denominator
+from .gaussian import (PARTS_MAX, ContlogicError, GaussianInts, GaussianRational,
+                       over_common_denominator)
 from .pairing import decode_tuple, encode_tuple, gaussian_to_nat, nat_to_gaussian
 
 
@@ -81,7 +83,7 @@ class InexactNewtonStep(MatrixError):
 
 
 class MatrixTooLarge(MatrixError):
-    """An enumerated matrix above 2^MATRIX_SIZE_LOG_MAX rows."""
+    """An enumerated matrix of more than PARTS_MAX entries."""
 
 
 IntRows = tuple[tuple[int, ...], ...]
@@ -392,8 +394,7 @@ def embed_to_size(a: Matrix, n: int) -> Matrix:
 # rationals via contlogic.pairing).  This is a bijection, so the enumeration
 # is injective and every dyadic-size matrix appears exactly once.
 # Decoding the 4^k entries takes about 4x the time per step of k (2^20 - 1 would
-# fill memory): an enumerated object has at most 4^6 = 4,096 parts.
-MATRIX_SIZE_LOG_MAX = 6
+# fill memory), so 4^k is held to the size rule PARTS_MAX: at most 64 rows.
 
 
 def enumerate_matrices(index: int) -> Matrix:
@@ -401,9 +402,9 @@ def enumerate_matrices(index: int) -> Matrix:
         raise ValueError("index must be a natural")
     n = index + 1
     k = (n & -n).bit_length() - 1
-    if k > MATRIX_SIZE_LOG_MAX:
+    if 4**k > PARTS_MAX:
         raise MatrixTooLarge(
-            f"expected a matrix of size at most {1 << MATRIX_SIZE_LOG_MAX}, got size 2^{k}")
+            f"expected a matrix of size at most {isqrt(PARTS_MAX)}, got size 2^{k}")
     j = ((n >> k) - 1) // 2
     size = 1 << k
     count = size * size

@@ -36,7 +36,8 @@ from . import groups as G
 from . import matrices as M
 from .dyadic import sqrt_interval
 from .formulas import CSTAR, TVNA, Signature, rounded_bound_ok
-from .gaussian import ContlogicError, GaussianInts, GaussianRational, gr, over_common_denominator
+from .gaussian import (PARTS_MAX, ContlogicError, GaussianInts, GaussianRational, gr,
+                       over_common_denominator)
 from .pairing import unpair as cantor_unpair, decode_tuple, nat_to_gaussian
 from .torus import torus_sup_norm
 
@@ -290,9 +291,9 @@ class CantorSpacePresentation(Presentation):
     def _special(self, index: int):
         n = index + 1
         depth = (n & -n).bit_length() - 1
-        if depth > 2 * M.MATRIX_SIZE_LOG_MAX:  # the matrices' rule of 4,096 parts
+        if 1 << depth > PARTS_MAX:  # the size rule of enumerated objects
             raise PresentationError(
-                f"expected a function of depth at most {2 * M.MATRIX_SIZE_LOG_MAX}, "
+                f"expected a function of depth at most {PARTS_MAX.bit_length() - 1}, "
                 f"got depth {depth}")
         j = ((n >> depth) - 1) // 2
         values = []

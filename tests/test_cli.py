@@ -407,7 +407,7 @@ def test_force_strategy_flags_take_every_strategy(capsys):
     (["norm", "--group", "{tmp}/absent.cfg", "--element", "u", "--lambda-lower", "-1"], "usage"),
     # past OPNORM_POWER_MAX the grid root would run until memory runs out
     (["norm", "--matrix-index", "23", "--opnorm-power", "17"], "usage"),
-    # past MATRIX_SIZE_LOG_MAX decoding the entries alone grows 4x per size doubling
+    # past PARTS_MAX entries decoding the entries alone grows 4x per size doubling
     (["norm", "--matrix-index", "127"], "matrixtoolarge"),
     (["norm", "--matrix-index", "1048575"], "matrixtoolarge"),
     # naturals are ASCII digits: int() would read the Arabic-Indic 3 as 3
@@ -593,5 +593,29 @@ def test_code_f_past_the_str_limit_is_refused_before_it_is_built():
                        "the 4300 decimal digits this interpreter prints"}
         status, out = run_cli(["code", "f", "--code", code, "--n", "2"])
         assert status == 0 and len(out) == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_code_f_is_refused_by_the_growth_of_its_code(monkeypatch):
+    # Half^n(One) grows by 3 + 2 * bitlen(L) bits a step from L = 6: at 4,300
+    # digits every n >= 505 could never print, and is refused unbuilt
+    from contlogic import coding
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        status, out = run_cli(["code", "encode"], "d(c1, c2)")
+        code = out[0]["value"]
+        status, out = run_cli(["code", "f", "--code", code, "--n", "499"])
+        assert status == 0 and len(out) == 1 and len(out[0]["value"]) <= 4300
+
+        def unbuilt(p, n):
+            raise AssertionError(f"coding_f was called with n = {n}")
+
+        monkeypatch.setattr(coding, "coding_f", unbuilt)
+        for n in ("505", "1000000000000"):
+            record = _one_error_line(["code", "f", "--code", code, "--n", n])
+            assert record["error"] == "codetoolarge", record
     finally:
         sys.set_int_max_str_digits(limit)

@@ -286,6 +286,14 @@ def test_eval_lower_only_presentation_still_sound():
     assert res.certified_lower == 0
 
 
+def test_a_variable_that_no_atom_reads_builds_no_object():
+    pres = P.presentation_R()
+    f = F.Sup("x", d(c1, c1))
+    res = E.eval_sentence(f, pres, E.EvalBudget(points=8), {1: pres.rational_point(4)})
+    assert res.certified_lower == 0
+    assert set(pres._point_cache) == {4}
+
+
 def _slack_bound(formula: F.Formula, k: int) -> Fraction:
     """Static width bound: oracle atoms contribute 2^-k each, truncated
     subtraction adds sides, halving halves."""

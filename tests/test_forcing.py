@@ -572,6 +572,14 @@ def test_compile_empty_transcript():
     assert space.constants == ()
 
 
+def test_compile_checks_a_final_condition_without_constants():
+    false = FC.Transcript((("A", FC.Condition.of([(F.One(), Fraction(1, 2))])),))
+    with pytest.raises(FC.Infeasible):
+        FC.compile_transcript(false, INST)
+    true = FC.Transcript((("A", FC.Condition.of([(F.Zero(), Fraction(1, 2))])),))
+    assert FC.compile_transcript(true, INST) == FC.CompiledSpace((), {})
+
+
 def test_compile_two_bound_condition():
     first = FC.Condition.of([(d(1, 2), Fraction(1, 4))])
 
@@ -618,6 +626,38 @@ def test_fp_estimate_sup_block():
     # a fresh point may sit at distance 1
     assert bounds.upper == 1
     assert bounds.lower >= 1 - Fraction(1, 2**6)
+
+
+def test_fp_estimate_instantiates_a_sup_block_once(monkeypatch):
+    calls = []
+    substitute = F.substitute
+    monkeypatch.setattr(F, "substitute", lambda *args: calls.append(args) or substitute(*args))
+    f = F.Sup("x", F.Atomic("d", (x, F.CConst(1))))
+    bounds = FC.fp_estimate(FC.Condition.empty(), f, budget=8)
+    assert bounds.upper == 1 and bounds.lower == 1 - Fraction(1, 2**8)
+    assert len(calls) == 1  # not once per bisection step
+
+
+def test_sup_leq_says_no_exactly_when_the_limit_lp_is_satisfiable():
+    # a satisfiable sweep member is a model of the limit system at a smaller
+    # margin, so the sweep never answers NO where the limit LP says YES
+    outcomes = []
+    for seed in range(8):
+        t = FC.play_game(FC.random_forall_strategy(seed), FC.exists_pinning_strategy(), 3, INST)
+        p = t.last()
+        i, j = p.constants()[:2]
+        dx = lambda c: F.Atomic("d", (x, F.CConst(c)))
+        shapes = [dx(i), F.Half(dx(i)), F.DotMinus(dx(i), dx(j)),
+                  F.DotMinus(d(i, j), dx(j)), F.Half(F.DotMinus(dx(i), dx(j)))]
+        for psi in shapes:
+            sentence, constants = FC._instance(p, psi, ["x"], 1)
+            for r in (Fraction(k, 8) for k in range(1, 8)):
+                limit = FC._above(p, sentence, constants, r, INST).satisfiable
+                for budget in (1, 2, 3):
+                    answer = FC.forces_sup_leq(p, psi, r, INST, budget=budget)
+                    assert (answer.verdict == "no") == limit, (seed, psi, r, budget)
+                    outcomes.append(limit)
+    assert len(outcomes) == 840 and 0 < sum(outcomes) < 840
 
 
 def test_fp_estimate_inf_block_upper_only():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from contlogic import groups as G
-from contlogic.gaussian import GaussianRational, from_gaussian_int, gr
+from contlogic.gaussian import PARTS_MAX, GaussianRational, from_gaussian_int, gr
 from contlogic.parser import parse_element
 
 U, Uinv = (("u", 1),), (("u", -1),)
@@ -136,7 +136,7 @@ def test_rewriting_divergence_budget():
 def test_rewriting_numbers_only_the_first_normal_forms():
     # free rank 26 by rewriting: 2,705 normal forms up to length 2, and the
     # length-3 level alone has 135,252 strings; it is cut at the cap
-    cap = G.NORMAL_FORMS_MAX
+    cap = PARTS_MAX
     letters = tuple("abcdefghijklmnopqrstuvwxyz")
     free = G.free_group(*letters)
     spec = G.rewriting_group(letters, [])
@@ -321,8 +321,8 @@ def test_moment_power_past_the_size_rule_is_not_formed(f2):
     a = G.element(f2, [(1, (("u", i), ("v", i))) for i in range(1, 21)])
     h = (a.adjoint() * a).ints
     full = G._convolve(f2, h, h)
-    assert len(h) == 381 and len(full) > G.POWER_WORDS_MAX
-    assert G._convolve(f2, h, h, G.POWER_WORDS_MAX) is None
+    assert len(h) == 381 and len(full) > PARTS_MAX
+    assert G._convolve(f2, h, h, PARTS_MAX) is None
     assert G._convolve(f2, h, h, len(full)) == full
     assert len(G.moments_up_to(a, 2)) == 2
     with pytest.raises(G.MomentTooLarge):

@@ -27,7 +27,7 @@ algebra element and Cantor function in lowest terms, and how many of them
 divided by a gcd > 1 (`reduced`).  For `norms` per job kind and for
 `queries` per job presentation it gives the largest word count of any
 `_convolve` operand or result (`convolve_words_max`), the headroom under
-`groups.POWER_WORDS_MAX`.  Before
+`gaussian.PARTS_MAX`.  Before
 any wrapper is installed it also times each `norms` job alone (`run_job`,
 best of three passes) and gives the mean wall time per job of each kind in
 ms; this one figure

@@ -14,7 +14,6 @@ from .formulas import (  # noqa: F401
     PRESETS,
     TVNA,
     Formula,
-    PrefixClass,
     Signature,
     classify_prefix,
     free_vars,

@@ -51,7 +51,7 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-# int() and Fraction() read every Unicode digit: numeric flags take ASCII only
+# int() reads every Unicode digit: numeric flags take ASCII only
 def _ascii(text: str) -> str:
     if not text.isascii():
         raise argparse.ArgumentTypeError(f"expected ASCII text, got {text!r}")
@@ -65,17 +65,32 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
+def _natural_at_most(cap: int):
+    def natural(text: str) -> int:
+        value = _natural(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"expected at most {cap}, got {value}")
+        return value
+
+    return natural
+
+
 # each step of m doubles the grid root's radicand t * 2^(16 * 2^(m+1)) in
 # bits: m = 16 takes seconds on an 8x8 matrix, and past it a run ends only
 # when memory does
 OPNORM_POWER_MAX = 16
+# each bisection step of `force fp` halves the grid, so every LP number gains
+# a bit: fp grows about as budget^1.6, and at 40,000 its bounds outgrow `str`
+FORCE_BUDGET_MAX = 4096
+
+# Fraction() would build 10^|exponent| for "1e-10000000": bounds are a/b or decimals
+_BOUND_RE = re.compile(r"-?[0-9]+(/[0-9]+)?|-?[0-9]*\.[0-9]+")
 
 
-def _opnorm_power(text: str) -> int:
-    m = _natural(text)
-    if m > OPNORM_POWER_MAX:
-        raise argparse.ArgumentTypeError(f"expected at most {OPNORM_POWER_MAX}, got {m}")
-    return m
+def _bound(text: str) -> str:
+    if not _BOUND_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a rational a/b or a decimal, got {text!r}")
+    return text
 
 
 class CodeTooLarge(ContlogicError):
@@ -147,13 +162,16 @@ def _cmd_code(args) -> int:
         return 0
     if args.action == "decode":
         sig, formula = coding.decode_full(args.code)
-        _emit(
-            {
-                "kind": "formula",
-                "signature": sig.name,
-                "text": print_formula(formula),
-            }
-        )
+        text = print_formula(formula)
+        # a decoded variable may be named like a constant, keyword or symbol
+        try:
+            reads_back = parse_formula(text, sig) == formula
+        except ParseError:
+            reads_back = False
+        if not reads_back:
+            raise F.FormulaError(f"the decoded formula prints as {text!r}, "
+                                 "which does not read back as it")
+        _emit({"kind": "formula", "signature": sig.name, "text": text})
         return 0
     if args.action == "f":
         # Half^n(One) is n nested pair(2, c), each adding 3 + 2 * bitlen(L) bits
@@ -180,7 +198,7 @@ def _cmd_code(args) -> int:
             "is_sentence": flags.is_sentence,
             "is_qf": flags.is_qf,
             "is_in_base_L": flags.is_in_base_L,
-            "prefix": str(flags.prefix_class) if flags.prefix_class else None,
+            "prefix": flags.prefix_class,
         }
     )
     return 0
@@ -199,7 +217,7 @@ def _cmd_parse(args) -> int:
     if args.prenex:
         prenexed = F.prenex(formula)
         record["prenex"] = print_formula(prenexed)
-        record["prefix_class"] = str(F.classify_prefix(prenexed))
+        record["prefix_class"] = F.classify_prefix(prenexed)
     _emit(record)
     return 0
 
@@ -261,17 +279,11 @@ def _cmd_classify(args) -> int:
     if args.code is not None:
         label = E.classify(args.code, args.relation, args.n)
     elif args.prefix:
-        text = args.prefix
-        if text.startswith("forall"):
-            pc = F.forall_n(int(text[len("forall"):]))
-        elif text.startswith("exists"):
-            pc = F.exists_n(int(text[len("exists"):]))
-        elif text == "qf":
-            pc = F.QF
-        else:
-            return _fail("usage", f"bad prefix {text!r}")
-        n = args.n if args.n else (pc.blocks + 1) // 2
-        label = E.classify_prefix_level(pc, args.relation, n)
+        match = F.PREFIX_CLASS_RE.fullmatch(args.prefix)
+        if not match:
+            return _fail("usage", f"bad prefix {args.prefix!r}")
+        n = args.n or (int(match[2] or 0) + 1) // 2
+        label = E.classify_prefix_level(args.prefix, args.relation, n)
     else:
         return _fail("usage", "classify needs --code or --prefix")
     _emit({"kind": "classification", "label": label})
@@ -281,6 +293,14 @@ def _cmd_classify(args) -> int:
 def _condition(args) -> FC.Condition:
     code = args.condition
     return FC.Condition.empty() if code is None else FC.Condition.from_code(code)
+
+
+# the players of `force game`, each built from --seed
+STRATEGIES = {
+    "pass": lambda seed: FC.pass_through_strategy(),
+    "pinning": lambda seed: FC.exists_pinning_strategy(),
+    "random": FC.random_forall_strategy,
+}
 
 
 def _cmd_force(args) -> int:
@@ -313,17 +333,8 @@ def _cmd_force(args) -> int:
         )
         return 0
     if args.action == "game":
-        strategies = {
-            "random": lambda: FC.random_forall_strategy(args.seed),
-            "pass": FC.pass_through_strategy,
-            "pinning": FC.exists_pinning_strategy,
-        }
-        if args.strategy_forall not in strategies:
-            return _fail("usage", f"unknown strategy {args.strategy_forall!r}")
-        if args.strategy_exists not in strategies:
-            return _fail("usage", f"unknown strategy {args.strategy_exists!r}")
-        forall = strategies[args.strategy_forall]()
-        exists = strategies[args.strategy_exists]()
+        forall = STRATEGIES[args.strategy_forall](args.seed)
+        exists = STRATEGIES[args.strategy_exists](args.seed)
         transcript = FC.play_game(forall, exists, args.rounds, inst)
         # build every record before printing any: a failure prints no partial output
         records = [
@@ -399,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     norm = sub.add_parser("norm", help="certified norm bounds")
     norm.add_argument("--matrix-index", type=_natural)
-    norm.add_argument("--opnorm-power", type=_opnorm_power, default=6)
+    norm.add_argument("--opnorm-power", type=_natural_at_most(OPNORM_POWER_MAX), default=6)
     norm.add_argument("--group", help="group config path")
     norm.add_argument("--element", help="group algebra element expression")
     norm.add_argument("--lambda-lower", type=_natural, default=0,
@@ -419,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cl = sub.add_parser("classify", help="value-set complexity labels")
     cl.add_argument("--code", type=_natural, help="sentence code")
-    cl.add_argument("--prefix", type=_ascii, help="forallN / existsN / qf")
+    cl.add_argument("--prefix", help="forallN / existsN / qf")
     cl.add_argument("--relation", required=True,
-                    choices=["lt", "le", "gt", "ge", "<", "<=", ">", ">="])
+                    choices=[*E.RELATION_NAMES.values(), *E.RELATION_NAMES])
     cl.add_argument("--n", type=_integer, default=0)
     cl.set_defaults(func=_cmd_classify)
 
@@ -430,15 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["check-condition", "sup-leq", "game", "fp"])
     force.add_argument("--condition", type=_natural, help="pre-condition code")
     force.add_argument("--psi", default="-", help="formula file or - for stdin")
-    force.add_argument("--bound", type=_ascii, default="1/2", help="dyadic bound, e.g. 1/2")
-    force.add_argument("--budget", type=_natural, default=4)
+    force.add_argument("--bound", type=_bound, default="1/2", help="dyadic bound, e.g. 1/2")
+    force.add_argument("--budget", type=_natural_at_most(FORCE_BUDGET_MAX), default=4)
     force.add_argument("--depth", type=_natural, default=2)
     force.add_argument("--rounds", type=_natural, default=4)
     force.add_argument("--seed", type=_integer, default=0)
-    force.add_argument("--strategy-forall", default="random",
-                       help="random | pass | pinning")
-    force.add_argument("--strategy-exists", default="pinning",
-                       help="random | pass | pinning")
+    force.add_argument("--strategy-forall", default="random", choices=STRATEGIES)
+    force.add_argument("--strategy-exists", default="pinning", choices=STRATEGIES)
     force.set_defaults(func=_cmd_force)
 
     st = sub.add_parser("selftest", help="run the acceptance suite")

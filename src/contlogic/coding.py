@@ -259,7 +259,7 @@ class CodeFlags:
     is_sentence: bool
     is_qf: bool
     is_in_base_L: bool
-    prefix_class: Optional[F.PrefixClass]
+    prefix_class: Optional[str]
 
 
 def code_predicates(code: int) -> CodeFlags:
@@ -272,7 +272,7 @@ def code_predicates(code: int) -> CodeFlags:
     qf = F.is_quantifier_free(formula)
     base = not F.constants_of(formula)
     try:
-        pc: Optional[F.PrefixClass] = F.classify_prefix(formula)
+        pc: Optional[str] = F.classify_prefix(formula)
     except F.NotPrenex:
         pc = None
     return CodeFlags(True, sentence, qf, base, pc)

@@ -369,20 +369,22 @@ _SHIFT = {"le": 0, "lt": 1, "ge": 1, "gt": 0}
 RELATION_NAMES = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
 
 
-def classify_prefix_level(prefix_class: F.PrefixClass, relation: str, n: int) -> str:
+def classify_prefix_level(prefix_class: str, relation: str, n: int) -> str:
     """Complexity label for {sentence value `relation` r} over forall_{2n}
-    sentences: <= gives Pi_n, < gives Sigma_{n+1}, >= gives Pi_{n+1},
-    > gives Sigma_n (all relative to the presentation oracle degree d)."""
+    sentences, given the prefix class text ("qf", "forallN" or "existsN"):
+    <= gives Pi_n, < gives Sigma_{n+1}, >= gives Pi_{n+1}, > gives Sigma_n
+    (all relative to the presentation oracle degree d)."""
     relation = RELATION_NAMES.get(relation, relation)
     if relation not in _LABELS:
         raise ValueError(f"unknown relation {relation!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    match = F.PREFIX_CLASS_RE.fullmatch(prefix_class)
+    if not match:
+        raise WrongPrefixClass(f"{prefix_class!r} is not a prefix class")
     blocks = 2 * n
-    ok = prefix_class.kind == "qf" or (
-        prefix_class.kind == "forall" and prefix_class.blocks <= blocks
-    ) or (prefix_class.kind == "exists" and prefix_class.blocks <= blocks - 1)
-    if not ok:
+    quantifier, count = match.groups()
+    if quantifier and int(count) > blocks - (quantifier == "exists"):
         raise WrongPrefixClass(
             f"{prefix_class} is not a forall_{blocks} prefix"
         )

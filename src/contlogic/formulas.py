@@ -219,29 +219,9 @@ class Inf:
 Formula = Union[Atomic, Zero, One, Half, DotMinus, Sup, Inf]
 
 
-@dataclass(frozen=True)
-class PrefixClass:
-    """QuantifierFree, or n alternation blocks starting with sup (forall) /
-    inf (exists)."""
-
-    kind: str  # "qf" | "forall" | "exists"
-    blocks: int = 0
-
-    def __str__(self) -> str:
-        if self.kind == "qf":
-            return "qf"
-        return f"{self.kind}{self.blocks}"
-
-
-QF = PrefixClass("qf", 0)
-
-
-def forall_n(n: int) -> PrefixClass:
-    return PrefixClass("forall", n)
-
-
-def exists_n(n: int) -> PrefixClass:
-    return PrefixClass("exists", n)
+# A prefix class is its text: "qf", or "forallN" / "existsN" for N >= 1
+# alternation blocks starting with sup / inf.
+PREFIX_CLASS_RE = re.compile(r"qf|(forall|exists)([1-9][0-9]*)")
 
 
 # -- connective value semantics (shared by evaluators) -----------------------
@@ -495,13 +475,14 @@ def prefix_of(formula: Formula) -> tuple[list[tuple[type, str]], Formula]:
     return prefix, f
 
 
-def classify_prefix(formula: Formula) -> PrefixClass:
-    """Alternation-block class of a prenex formula (merged like quantifiers)."""
+def classify_prefix(formula: Formula) -> str:
+    """Alternation-block class of a prenex formula (merged like quantifiers),
+    as text matching PREFIX_CLASS_RE."""
     prefix, _ = prefix_of(formula)
     if not prefix:
-        return QF
+        return "qf"
     blocks = 1
     for (k1, _), (k2, _) in zip(prefix, prefix[1:]):
         if k1 is not k2:
             blocks += 1
-    return forall_n(blocks) if prefix[0][0] is Sup else exists_n(blocks)
+    return f"{'forall' if prefix[0][0] is Sup else 'exists'}{blocks}"

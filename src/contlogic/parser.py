@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NoReturn
 
 from . import formulas as F
 from . import groups as G
@@ -82,15 +83,12 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                "syntax", f"expected {what}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.col,
-            )
+        if self.peek().kind != kind:
+            self.fail("syntax", f"expected {what}, found {self.peek().text or 'end of input'!r}")
         return self.next()
 
-    def fail(self, kind: str, message: str, tok: Token | None = None):
+    def fail(self, kind: str, message: str, tok: Token | None = None) -> NoReturn:
+        """Raise the ParseError `kind` at `tok`, by default the next token."""
         tok = tok or self.peek()
         raise ParseError(kind, message, tok.line, tok.col)
 
@@ -157,11 +155,8 @@ class _Parser:
             args.append(self.term())
         self.expect("RPAREN", "')'")
         if len(args) != arity:
-            raise ParseError(
-                "arity-mismatch",
-                f"{name.text} expects {arity} arguments, got {len(args)}",
-                name.line, name.col,
-            )
+            self.fail("arity-mismatch", f"{name.text} expects {arity} arguments, got {len(args)}",
+                      name)
         return tuple(args)
 
     # -- terms ----------------------------------------------------------------
@@ -201,11 +196,7 @@ class _Parser:
         right = self.term()
         self.expect("RPAREN", "')'")
         if not F.rounded_bound_ok(lam, mu):
-            raise ParseError(
-                "rounded-bound",
-                f"|{lam}| + |{mu}| > 1 in rounded combination",
-                start.line, start.col,
-            )
+            self.fail("rounded-bound", f"|{lam}| + |{mu}| > 1 in rounded combination", start)
         return F.Comb(lam, mu, left, right)
 
     def rational(self) -> Fraction:
@@ -215,21 +206,15 @@ class _Parser:
             sign = -1
         num_tok = self.expect("NAT", "a rational number")
         if self.peek().kind == "DOT":
-            raise ParseError(
-                "scalar-not-gaussian-rational",
-                "decimal literals are not Gaussian rationals; write a/b",
-                num_tok.line, num_tok.col,
-            )
+            self.fail("scalar-not-gaussian-rational",
+                      "decimal literals are not Gaussian rationals; write a/b", num_tok)
         num = int(num_tok.text)
         if self.peek().kind == "SLASH":
             self.next()
             den_tok = self.expect("NAT", "a denominator")
             den = int(den_tok.text)
             if den == 0:
-                raise ParseError(
-                    "scalar-not-gaussian-rational", "zero denominator",
-                    den_tok.line, den_tok.col,
-                )
+                self.fail("scalar-not-gaussian-rational", "zero denominator", den_tok)
         else:
             den = 1
         return Fraction(sign * num, den)
@@ -243,11 +228,8 @@ class _Parser:
             im_mag = self.rational()
             i_tok = self.expect("IDENT", "'i' after the imaginary part")
             if i_tok.text != "i":
-                raise ParseError(
-                    "scalar-not-gaussian-rational",
-                    f"expected 'i', found {i_tok.text!r}",
-                    i_tok.line, i_tok.col,
-                )
+                self.fail("scalar-not-gaussian-rational", f"expected 'i', found {i_tok.text!r}",
+                          i_tok)
             return GaussianRational(real, sign * im_mag)
         return GaussianRational(real, Fraction(0))
 
@@ -306,9 +288,8 @@ def parse_formula(text: str, sig: F.Signature) -> F.Formula:
     """Parse `text` into a formula over `sig`; first error wins, with position."""
     parser = _Parser(_tokenize(text), sig)
     formula = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError("syntax", f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    if parser.peek().kind != "EOF":
+        parser.fail("syntax", f"unexpected trailing input {parser.peek().text!r}")
     F.validate(formula, sig)
     return formula
 

@@ -102,6 +102,46 @@ def test_classify_cli():
     assert out[0]["label"] == "Π_3^d"
 
 
+@pytest.mark.parametrize("prefix", [
+    "forall0", "exists0", "exists-1", "forall 2", "forall+3", "forall3_0", "forall",
+])
+def test_classify_refuses_text_that_is_not_a_prefix_class(prefix):
+    status, out, err = _typed_error(["classify", "--prefix", prefix, "--relation", "le",
+                                     "--n", "2"])
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [
+        {"error": "usage", "message": f"bad prefix {prefix!r}"}]
+
+
+@pytest.mark.parametrize("args, label", [
+    (["--prefix", "qf", "--n", "1"], "Π_1^d"),
+    (["--prefix", "forall2"], "Π_1^d"),
+    (["--prefix", "exists3", "--n", "2"], "Π_2^d"),
+    (["--prefix", "exists1"], "Π_1^d"),
+])
+def test_classify_reads_each_prefix_class(args, label):
+    status, out = run_cli(["classify", *args, "--relation", "le"])
+    assert status == 0 and out[0]["label"] == label
+
+
+@pytest.mark.parametrize("text, code, prefix, prenex_class", [
+    ("sup x . inf y . d(x, y)", "575641102631035154604166919937972912721597887365044738",
+     "forall2", "forall2"),
+    ("inf x . inf y . d(x, y)", "575641285318739820967031695398577002256975344356612610",
+     "exists1", "exists1"),
+    ("d(c1, c2)", "14311144205904985262408", "qf", "qf"),
+    ("1 -. sup x . d(x, c1)", "140520206981826526736244838538539486482348462565585",
+     None, "exists1"),
+])
+def test_prefix_classes_print_as_their_text(text, code, prefix, prenex_class):
+    status, out = run_cli(["code", "encode"], text)
+    assert status == 0 and out[0]["value"] == code
+    status, out = run_cli(["code", "predicates", "--code", code])
+    assert status == 0 and out[0]["prefix"] == prefix
+    status, out = run_cli(["parse", "--prenex"], text)
+    assert status == 0 and out[0]["prefix_class"] == prenex_class
+
+
 def test_eval_cli(tmp_path):
     cfg = tmp_path / "z.cfg"
     cfg.write_text(GROUP_CFG)
@@ -373,15 +413,17 @@ def test_force_strategy_flags_take_every_strategy(capsys):
         main(["force", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     for flag in ("--strategy-forall", "--strategy-exists"):
-        metavar = flag[2:].upper().replace("-", "_")
-        assert f"{flag} {metavar} random | pass | pinning" in help_text
+        assert f"{flag} {{pass,pinning,random}}" in help_text
     for forall, exists in (("pinning", "random"), ("pass", "pass")):
         status, out = run_cli(["force", "game", "--rounds", "2",
                                "--strategy-forall", forall, "--strategy-exists", exists])
         assert status == 0 and [r["player"] for r in out if r["kind"] == "move"] == ["A", "E"]
     status, out, err = _typed_error(["force", "game", "--strategy-exists", "greedy"])
     assert status == 1 and out == ""
-    assert json.loads(err[0]) == {"error": "usage", "message": "unknown strategy 'greedy'"}
+    assert json.loads(err[0]) == {
+        "error": "usage",
+        "message": "argument --strategy-exists: invalid choice: 'greedy' "
+                   "(choose from 'pass', 'pinning', 'random')"}
 
 
 @pytest.mark.parametrize("args, kind", [
@@ -619,3 +661,50 @@ def test_code_f_is_refused_by_the_growth_of_its_code(monkeypatch):
             assert record["error"] == "codetoolarge", record
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("code", [
+    # d(c1, x) with a variable named c1: it would read back as the constant c1
+    "30536847579297034844599167277565",
+    # sup half . d(half, c1) and, over cstar, inf x . d(adj, x): no formula at all
+    "1179044677147390799217523626724135968588757412795632427215",
+    "14618259748763783033238813236329735013625606756863",
+])
+def test_code_decode_refuses_a_formula_its_text_would_not_read_back_as(code):
+    record = _one_error_line(["code", "decode", "--code", code])
+    assert record["error"] == "formulaerror", record
+
+
+def test_code_decode_prints_text_that_reads_back():
+    status, out = run_cli(["code", "encode"], "d(x, c1) -. half(1)")
+    status, out = run_cli(["code", "decode", "--code", out[0]["value"]])
+    assert status == 0 and out[0]["text"] == "(d(x, c1) -. half(1))"
+
+
+def test_force_budget_is_capped():
+    # fp bisects budget times, each step adding a bit to every LP number
+    for action in ("fp", "sup-leq"):
+        record = _one_error_line(["force", action, "--budget", str(cli.FORCE_BUDGET_MAX + 1)],
+                                 "sup x . d(x, c1)")
+        assert record == {"error": "usage", "message": "argument --budget: expected at most "
+                          f"{cli.FORCE_BUDGET_MAX}, got {cli.FORCE_BUDGET_MAX + 1}"}
+    status, out = run_cli(["force", "sup-leq", "--budget", str(cli.FORCE_BUDGET_MAX)],
+                          "d(x, c1)")
+    assert status == 0 and out[0]["verdict"] == "no"
+
+
+@pytest.mark.parametrize("bound", ["1e-10000000", "1e400", "5.", "1/2.5", " 1/2", "0x10"])
+def test_force_bound_is_a_fraction_or_a_decimal(bound):
+    # Fraction() would build 10^10000000 for the first
+    record = _one_error_line(["force", "sup-leq", "--bound", bound], "d(x, c1)")
+    assert record["error"] == "usage", record
+
+
+@pytest.mark.parametrize("bound, verdict, witness", [
+    ("1/2", "no", "9/16"), ("0.5", "no", "9/16"), ("0", "no", "1/16"), ("1", "yes", None),
+    ("-1/2", "no", "0"), ("-.5", "no", "0"),
+])
+def test_force_bound_forms_still_answer(bound, verdict, witness):
+    status, out = run_cli(["force", "sup-leq", f"--bound={bound}"], "d(x, c1)")
+    assert status == 0 and out[0]["verdict"] == verdict
+    assert out[0]["witness"] == ({"d_1_2": witness} if witness else {})

@@ -331,6 +331,21 @@ def test_classify_examples():
     assert E.classify_prefix_level(F.classify_prefix(four), "lt", 2) == "Σ_3^d"
 
 
+@pytest.mark.parametrize("text", ["forall0", "exists-1", "Forall2", "forall2 ", "qf1", ""])
+def test_classify_prefix_level_refuses_other_text(text):
+    with pytest.raises(E.WrongPrefixClass):
+        E.classify_prefix_level(text, "le", 2)
+
+
+def test_classify_prefix_level_bounds_the_blocks():
+    assert E.classify_prefix_level("qf", "le", 1) == "Π_1^d"
+    assert E.classify_prefix_level("forall2", "le", 1) == "Π_1^d"
+    assert E.classify_prefix_level("exists1", "le", 1) == "Π_1^d"
+    for text in ("forall3", "exists2"):
+        with pytest.raises(E.WrongPrefixClass):
+            E.classify_prefix_level(text, "le", 1)
+
+
 def test_classify_from_code():
     from contlogic import coding
 

@@ -96,11 +96,11 @@ def test_prenex_parts_matches_two_pass_prenex(sig):
 
 
 def test_classify_prefix_examples():
-    assert F.classify_prefix(d(c1, c2)) == F.QF
+    assert F.classify_prefix(d(c1, c2)) == "qf"
     two = F.Sup("x", F.Inf("y", d(x, y)))
-    assert F.classify_prefix(two) == F.forall_n(2)
+    assert F.classify_prefix(two) == "forall2"
     merged = F.Inf("x", F.Inf("y", d(x, y)))
-    assert F.classify_prefix(merged) == F.exists_n(1)
+    assert F.classify_prefix(merged) == "exists1"
 
 
 def test_classify_prefix_rejects_non_prenex():

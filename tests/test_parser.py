@@ -64,6 +64,27 @@ def test_parse_errors_carry_position():
         assert str(info.value) == f"{line}:{col}: {message}"
 
 
+@pytest.mark.parametrize("text, sig, kind, line, col, message", [
+    ("d(x y)", F.METRIC, "syntax", 1, 5, "expected ')', found 'y'"),
+    ("d(x)", F.METRIC, "arity-mismatch", 1, 1, "d expects 2 arguments, got 1"),
+    ("d(comb(1, x, 1, y), x)", F.CSTAR, "rounded-bound", 1, 3,
+     "|1+0i| + |1+0i| > 1 in rounded combination"),
+    ("d(comb(0.5, x, 0, y), x)", F.CSTAR, "scalar-not-gaussian-rational", 1, 8,
+     "decimal literals are not Gaussian rationals; write a/b"),
+    ("d(comb(1/0, x, 0, y), x)", F.CSTAR, "scalar-not-gaussian-rational", 1, 10,
+     "zero denominator"),
+    ("d(comb(1/2+1/2j, x, 0, y), x)", F.CSTAR, "scalar-not-gaussian-rational", 1, 15,
+     "expected 'i', found 'j'"),
+    ("d(x, y) z", F.METRIC, "syntax", 1, 9, "unexpected trailing input 'z'"),
+    ("d(c1,\n  c2) -. d(c1 c2)", F.METRIC, "syntax", 2, 15, "expected ')', found 'c2'"),
+])
+def test_parse_error_sites_pin_kind_position_and_message(text, sig, kind, line, col, message):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text, sig)
+    assert (info.value.kind, info.value.line, info.value.col) == (kind, line, col)
+    assert str(info.value) == f"{line}:{col}: {message}"
+
+
 def test_non_ascii_digits_and_letters_are_refused():
     # str.isdigit and int() read the Arabic-Indic digits; the grammar is ASCII
     cases = [

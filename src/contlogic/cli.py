@@ -132,19 +132,17 @@ def _load_group(path: str) -> G.GroupSpec:
     return G.load_group_config(_read_text(path))
 
 
+# `eval --presentation`: L and Cstar are built over the group of `--group`
+PRESENTATIONS = {"R": P.presentation_R, "L": P.presentation_L,
+                 "Cstar": P.presentation_CstarLambda, "C2w": P.presentation_C2w}
+
+
 def _presentation(name: str, group_config: str | None):
-    if name == "R":
-        return P.presentation_R()
-    if name == "C2w":
-        return P.presentation_C2w()
-    if name in ("L", "Cstar"):
-        if not group_config:
-            raise ValueError(f"presentation {name} needs --group CONFIG")
-        spec = _load_group(group_config)
-        if name == "L":
-            return P.presentation_L(spec)
-        return P.presentation_CstarLambda(spec)
-    raise ValueError(f"unknown presentation {name!r} (R, L, Cstar, C2w)")
+    if name not in ("L", "Cstar"):
+        return PRESENTATIONS[name]()
+    if not group_config:
+        raise ValueError(f"presentation {name} needs --group CONFIG")
+    return PRESENTATIONS[name](_load_group(group_config))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -253,7 +251,7 @@ def _cmd_eval(args) -> int:
         match = re.fullmatch(r"c([0-9]+)=([0-9]+)", binding)
         if not match:
             return _fail("usage", f"bad binding {binding!r}; use cN=POINTINDEX")
-        bindings[int(match[1])] = pres.rational_point(int(match[2]))
+        bindings[int(match[1])] = int(match[2])
     budget = E.EvalBudget(
         points=args.budget_points,
         precision_k=args.precision,
@@ -419,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm.set_defaults(func=_cmd_norm)
 
     ev = sub.add_parser("eval", help="evaluate a sentence over a presentation")
-    ev.add_argument("--presentation", required=True, help="R, L, Cstar or C2w")
+    ev.add_argument("--presentation", required=True, choices=PRESENTATIONS)
     ev.add_argument("--group", help="group config path for L/Cstar")
     ev.add_argument("--sentence", default="-", help="sentence file or - for stdin")
     ev.add_argument("--budget-points", type=_integer, default=8)

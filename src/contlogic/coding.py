@@ -136,9 +136,9 @@ def _decode_term(code: int, sig: F.Signature) -> F.Term:
     if tag == _T_APP:
         name_code, args_code = unpair(payload)
         name = _decode_name(name_code)
-        if not sig.has_function(name):
+        arity = sig.functions.get(name)
+        if arity is None:
             raise NotACode(f"function {name!r} not in signature {sig.name}")
-        arity = sig.function(name).arity
         args = tuple(_decode_term(a, sig) for a in decode_tuple(args_code, arity, unpair))
         return F.App(name, args)
     if tag == _T_COMB:
@@ -195,9 +195,9 @@ def _decode_node(code: int, sig: F.Signature) -> F.Formula:
     if tag == _F_ATOMIC:
         name_code, args_code = unpair(payload)
         name = _decode_name(name_code)
-        if not sig.has_predicate(name):
+        arity = sig.predicates.get(name)
+        if arity is None:
             raise NotACode(f"predicate {name!r} not in signature {sig.name}")
-        arity = sig.predicate(name).arity
         args = tuple(_decode_term(a, sig) for a in decode_tuple(args_code, arity, unpair))
         return F.Atomic(name, args)
     raise NotACode(f"unknown formula tag {tag}")

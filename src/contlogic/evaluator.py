@@ -336,7 +336,7 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
         bound_at = estimate_at = None  # (index, branch), the first attaining each
         slack = (0, 1)
         for i in range(budget.points):
-            m.env[var] = pres.rational_point(i)
+            m.env[var] = i
             branch = sweep(position + 1)
             if branch[side] is not None and (
                     bound_at is None or _beats(branch[side], bound_at[1][side], is_sup)):

@@ -16,7 +16,7 @@ that the evaluator and forcing read; `prenex` wraps the one around the other.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from typing import Iterator, Union
@@ -52,73 +52,27 @@ class NotPrenex(FormulaError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionSymbol:
-    name: str
-    arity: int
-
-
-@dataclass(frozen=True)
-class PredicateSymbol:
-    name: str
-    arity: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signature:
-    """A computable continuous signature.
+    """A computable continuous signature: its predicate and function symbols,
+    each mapped to its arity.
 
     The countable fresh constant set C = {c1, c2, ...} is implicitly part of
     every signature and is its only kind of constant.  `allow_comb` enables
-    the rounded-combination term former (algebra signatures only).
+    the rounded-combination term former (algebra signatures only).  The
+    presets below are the only signatures, so they compare by identity.
     """
 
     name: str
-    predicates: tuple[PredicateSymbol, ...]
-    functions: tuple[FunctionSymbol, ...] = ()
+    predicates: dict[str, int]
+    functions: dict[str, int] = field(default_factory=dict)
     allow_comb: bool = False
 
-    def predicate(self, name: str) -> PredicateSymbol:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        raise UnknownSymbol(f"unknown predicate {name!r} in signature {self.name}")
 
-    def function(self, name: str) -> FunctionSymbol:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        raise UnknownSymbol(f"unknown function {name!r} in signature {self.name}")
-
-    def has_predicate(self, name: str) -> bool:
-        return any(p.name == name for p in self.predicates)
-
-    def has_function(self, name: str) -> bool:
-        return any(f.name == name for f in self.functions)
-
-
-METRIC = Signature(
-    name="metric",
-    predicates=(PredicateSymbol("d", 2),),
-)
-
-CSTAR = Signature(
-    name="cstar",
-    predicates=(PredicateSymbol("d", 2),),
-    functions=(FunctionSymbol("adj", 1), FunctionSymbol("mul", 2)),
-    allow_comb=True,
-)
-
-TVNA = Signature(
-    name="tvna",
-    predicates=(
-        PredicateSymbol("d", 2),
-        PredicateSymbol("tr_re", 1),
-        PredicateSymbol("tr_im", 1),
-    ),
-    functions=(FunctionSymbol("adj", 1), FunctionSymbol("mul", 2)),
-    allow_comb=True,
-)
+METRIC = Signature("metric", {"d": 2})
+CSTAR = Signature("cstar", {"d": 2}, {"adj": 1, "mul": 2}, allow_comb=True)
+TVNA = Signature("tvna", {"d": 2, "tr_re": 1, "tr_im": 1}, {"adj": 1, "mul": 2},
+                 allow_comb=True)
 
 PRESETS = {"metric": METRIC, "cstar": CSTAR, "tvna": TVNA}
 
@@ -309,9 +263,11 @@ def validate(formula: Formula, sig: Signature) -> None:
             raise FormulaError(f"bad variable name {f.var!r}")
         if not isinstance(f, Atomic):
             continue
-        p = sig.predicate(f.pred)
-        if len(f.args) != p.arity:
-            raise ArityMismatch(f"{f.pred} expects {p.arity} arguments, got {len(f.args)}")
+        arity = sig.predicates.get(f.pred)
+        if arity is None:
+            raise UnknownSymbol(f"unknown predicate {f.pred!r} in signature {sig.name}")
+        if len(f.args) != arity:
+            raise ArityMismatch(f"{f.pred} expects {arity} arguments, got {len(f.args)}")
         for a in f.args:
             for t in subterms(a):
                 if isinstance(t, Var) and not IDENT_RE.match(t.name):
@@ -319,10 +275,13 @@ def validate(formula: Formula, sig: Signature) -> None:
                 if isinstance(t, CConst) and t.index < 1:
                     raise FormulaError("C-constant index must be >= 1")
                 if isinstance(t, App):
-                    g = sig.function(t.func)
-                    if len(t.args) != g.arity:
+                    arity = sig.functions.get(t.func)
+                    if arity is None:
+                        raise UnknownSymbol(
+                            f"unknown function {t.func!r} in signature {sig.name}")
+                    if len(t.args) != arity:
                         raise ArityMismatch(
-                            f"{t.func} expects {g.arity} arguments, got {len(t.args)}"
+                            f"{t.func} expects {arity} arguments, got {len(t.args)}"
                         )
                 if isinstance(t, Comb):
                     if not sig.allow_comb:

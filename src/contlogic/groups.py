@@ -306,6 +306,9 @@ class TableGroup(GroupSpec):
         n = len(elements)
         if len(table) != n or any(len(row) != n for row in table):
             raise GroupError("table must be square over the element list")
+        stray = [name for row in table for name in row if name not in index]
+        if stray:
+            raise GroupError(f"table entry {stray[0]!r} not among elements")
         mul = [[index[table[i][j]] for j in range(n)] for i in range(n)]
         e = index[identity]
         for i in range(n):
@@ -479,16 +482,6 @@ def free_group(*generators: str) -> FreeGroup:
 
 def free_abelian(*generators: str) -> FreeAbelianGroup:
     return FreeAbelianGroup(generators)
-
-
-def table_group(elements: tuple[str, ...], identity: str,
-                table: list[list[str]]) -> TableGroup:
-    return TableGroup(tuple(elements), identity, table)
-
-
-def rewriting_group(generators: tuple[str, ...], rules: list[tuple[str, str]],
-                    max_steps: int = 10000) -> RewritingGroup:
-    return RewritingGroup(tuple(generators), rules, max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -934,6 +927,23 @@ def group_algebra_index(a: AlgebraElement) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The keys each backend reads besides `backend:`.  A table's generators are
+# its non-identity elements, so its `generators:` line is accepted, not read.
+BACKEND_KEYS = {
+    "free": ("generators",),
+    "free_abelian": ("generators",),
+    "table": ("generators", "elements", "identity", "table"),
+    "rewriting": ("generators", "rules", "max_steps"),
+}
+
+
+def _rule(line: str) -> tuple[str, str]:
+    lhs, sep, rhs = line.partition("->")
+    if not sep:
+        raise GroupError(f"bad rule line {line!r}")
+    return lhs.strip(), rhs.strip()
+
+
 def load_group_config(text: str) -> GroupSpec:
     """Parse the plain-text group description format.
 
@@ -941,67 +951,47 @@ def load_group_config(text: str) -> GroupSpec:
     rewriting), `generators:` (space-separated), plus
     `elements:`/`identity:`/`table:` rows for tables and `rules:` lines
     ("lhs -> rhs", empty rhs allowed) for rewriting; optional `max_steps:`
-    caps rewrite steps and word length.  Rewriting needs two certificates:
+    caps rewrite steps and word length.  A key its backend does not read
+    (BACKEND_KEYS) is refused.  Rewriting needs two certificates:
     termination is the caller's, backed by the step budget, and confluence is
-    checked.  A table's generators are its non-identity elements, so a
-    `generators:` line on a table is accepted and not read.
+    checked.
     """
-    kind = None
-    generators: tuple[str, ...] = ()
-    elements: tuple[str, ...] = ()
-    identity = None
-    table_rows: list[list[str]] = []
-    rules: list[tuple[str, str]] = []
-    max_steps = 10000
-    mode = None
+    fields: dict[str, str | list[str]] = {}
+    rows = None  # the lines of the open `table:` or `rules:` section
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if ":" in line and mode in (None, "table", "rules"):
-            key, _, value = line.partition(":")
-            key = key.strip()
-            value = value.strip()
-            if key in ("backend", "generators", "elements", "identity", "max_steps"):
-                mode = None
-                if key == "backend":
-                    kind = value
-                elif key == "generators":
-                    generators = tuple(value.split())
-                elif key == "elements":
-                    elements = tuple(value.split())
-                elif key == "identity":
-                    identity = value
-                elif key == "max_steps":
-                    # int() reads every Unicode digit, a sign and underscores
-                    if not (value.isascii() and value.isdigit()):
-                        raise GroupError(f"max_steps must be ASCII decimal digits, got {value!r}")
-                    max_steps = int(value)
-                continue
-            if key == "table":
-                mode = "table"
-                continue
-            if key == "rules":
-                mode = "rules"
-                continue
-        if mode == "table":
-            table_rows.append(line.split())
-            continue
-        if mode == "rules":
-            lhs, sep, rhs = line.partition("->")
-            if not sep:
-                raise GroupError(f"bad rule line {line!r}")
-            rules.append((lhs.strip(), rhs.strip()))
-            continue
-        raise GroupError(f"unrecognized config line {line!r}")
+        key, sep, value = line.partition(":")
+        key = key.strip()
+        if sep and key in ("table", "rules"):
+            rows = fields.setdefault(key, [])
+        elif sep and key in ("backend", "generators", "elements", "identity", "max_steps"):
+            fields[key] = value.strip()
+            rows = None
+        elif rows is not None:
+            rows.append(line)
+        else:
+            raise GroupError(f"unrecognized config line {line!r}")
+    kind = fields.pop("backend", None)
+    if kind not in BACKEND_KEYS:
+        raise GroupError(f"unknown backend {kind!r}")
+    for key in fields:
+        if key not in BACKEND_KEYS[kind]:
+            raise GroupError(f"backend {kind} does not read {key}")
+    generators = tuple(fields.get("generators", "").split())
     if kind == "free":
-        return free_group(*generators)
+        return FreeGroup(generators)
     if kind == "free_abelian":
-        return free_abelian(*generators)
+        return FreeAbelianGroup(generators)
     if kind == "table":
-        if identity is None or not elements:
+        if "identity" not in fields or not fields.get("elements", "").split():
             raise GroupError("table backend needs elements: and identity:")
-        return table_group(elements, identity, table_rows)
-    if kind == "rewriting":
-        return rewriting_group(generators, rules, max_steps)
-    raise GroupError(f"unknown backend {kind!r}")
+        return TableGroup(tuple(fields["elements"].split()), fields["identity"],
+                          [row.split() for row in fields.get("table", [])])
+    max_steps = fields.get("max_steps", "10000")
+    # int() reads every Unicode digit, a sign and underscores
+    if not (max_steps.isascii() and max_steps.isdigit()):
+        raise GroupError(f"max_steps must be ASCII decimal digits, got {max_steps!r}")
+    return RewritingGroup(generators, [_rule(line) for line in fields.get("rules", [])],
+                          int(max_steps))

@@ -141,9 +141,9 @@ class _Parser:
 
     def atomic(self) -> F.Formula:
         name = self.expect("IDENT", "a predicate name")
-        if not self.sig.has_predicate(name.text):
+        arity = self.sig.predicates.get(name.text)
+        if arity is None:
             self.fail("unknown-symbol", f"unknown predicate {name.text!r}", name)
-        arity = self.sig.predicate(name.text).arity
         return F.Atomic(name.text, self.arguments(name, arity, "predicate"))
 
     def arguments(self, name: Token, arity: int, what: str) -> tuple[F.Term, ...]:
@@ -167,9 +167,9 @@ class _Parser:
             self.fail("syntax", f"expected a term, found {tok.text or 'end of input'!r}", tok)
         if tok.text == "comb":
             return self.comb_term()
-        if self.sig.has_function(tok.text):
+        arity = self.sig.functions.get(tok.text)
+        if arity is not None:
             name = self.next()
-            arity = self.sig.function(name.text).arity
             return F.App(name.text, self.arguments(name, arity, "function"))
         self.next()
         if _CCONST.fullmatch(tok.text):

@@ -76,6 +76,8 @@ class Presentation:
 
     # -- shared machinery -----------------------------------------------------
 
+    # `perfbench/workloads.py` binds constants through this name; nothing in
+    # the package calls it
     def rational_point(self, index: int) -> int:
         """Rational point `index`, which is its own index."""
         return index
@@ -124,7 +126,7 @@ class Presentation:
                       budget: Optional[int] = None) -> tuple[Fraction, Fraction]:
         """A function of (pred, objs by value, k, budget), which the evaluator
         relies on to ask once per distinct atom of a call."""
-        if not self.signature.has_predicate(pred):
+        if pred not in self.signature.predicates:
             raise PresentationError(f"unknown predicate {pred!r} in {self.name}")
         if pred == "d":
             obj = objs[0].comb(_HALF, _MINUS_HALF, objs[1])

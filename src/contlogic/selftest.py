@@ -37,14 +37,14 @@ def _random_formula(rng: random.Random, sig: F.Signature, depth: int,
         kinds += ["half", "dotminus", "dotminus", "quant", "quant"]
     kind = rng.choice(kinds)
     if kind == "atomic" or depth <= 1:
-        pred = rng.choice(sig.predicates)
+        pred = rng.choice(list(sig.predicates))
         args = []
-        for _ in range(pred.arity):
+        for _ in range(sig.predicates[pred]):
             if scope and rng.random() < 0.6:
                 args.append(F.Var(rng.choice(scope)))
             else:
                 args.append(F.CConst(rng.randint(1, 4)))
-        return F.Atomic(pred.name, tuple(args))
+        return F.Atomic(pred, tuple(args))
     if kind == "zero":
         return F.Zero()
     if kind == "one":

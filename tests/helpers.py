@@ -31,10 +31,10 @@ def random_term(rng: random.Random, sig: F.Signature, scope: list[str], depth: i
     if kind == "var" and scope:
         return F.Var(rng.choice(scope))
     if kind == "app" and sig.functions:
-        f = rng.choice(sig.functions)
+        f = rng.choice(list(sig.functions))
         return F.App(
-            f.name,
-            tuple(random_term(rng, sig, scope, depth - 1) for _ in range(f.arity)),
+            f,
+            tuple(random_term(rng, sig, scope, depth - 1) for _ in range(sig.functions[f])),
         )
     if kind == "comb":
         lam = rng.choice(SMALL_COEFFS)
@@ -65,12 +65,12 @@ def random_formula(
         kinds += ["half", "dotminus", "dotminus", "quant", "quant"]
     kind = rng.choice(kinds)
     if kind == "atomic" or atoms_only:
-        p = rng.choice(sig.predicates)
+        p = rng.choice(list(sig.predicates))
         args = tuple(
             random_term(rng, sig, scope if (scope and not closed) or scope else scope, 2)
-            for _ in range(p.arity)
+            for _ in range(sig.predicates[p])
         )
-        return F.Atomic(p.name, args)
+        return F.Atomic(p, args)
     if kind == "zero":
         return F.Zero()
     if kind == "one":

@@ -222,6 +222,24 @@ def test_max_steps_outside_ascii_digits_is_a_typed_error(tmp_path, value):
         "message": f"max_steps must be ASCII decimal digits, got {value!r}"}]
 
 
+def test_table_entry_outside_the_elements_is_a_typed_error(tmp_path):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("backend: table\nelements: e a\nidentity: e\ntable:\ne a\na x\n")
+    status, out, err = _typed_error(["norm", "--group", str(cfg), "--element", "a"])
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{
+        "error": "grouperror", "message": "table entry 'x' not among elements"}]
+
+
+def test_unknown_presentation_is_a_usage_line_naming_the_choices():
+    status, out, err = _typed_error(["eval", "--presentation", "X"], "d(c1, c1)")
+    assert status == 1 and out == ""
+    assert [json.loads(line) for line in err] == [{
+        "error": "usage",
+        "message": "argument --presentation: invalid choice: 'X' "
+                   "(choose from 'R', 'L', 'Cstar', 'C2w')"}]
+
+
 def test_torus_failure_is_a_typed_error(tmp_path, monkeypatch):
     from contlogic import presentations
     from contlogic.torus import TorusBoundFailure

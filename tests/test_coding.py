@@ -175,3 +175,34 @@ def test_code_predicates_agrees_with_classify():
         f = F.prenex(random_sentence(rng, F.METRIC, depth=4))
         code = coding.encode(f, F.METRIC)
         assert coding.code_predicates(code).prefix_class == F.classify_prefix(f)
+
+
+def test_symbols_resolve_through_the_signature():
+    c1 = F.CConst(1)
+    cases = [
+        (F.Atomic("q", (c1,)), F.METRIC, F.UnknownSymbol,
+         "unknown predicate 'q' in signature metric"),
+        (F.Atomic("d", (F.App("f", (c1,)), c1)), F.CSTAR, F.UnknownSymbol,
+         "unknown function 'f' in signature cstar"),
+        (F.Atomic("d", (c1,)), F.METRIC, F.ArityMismatch, "d expects 2 arguments, got 1"),
+        (F.Atomic("tr_re", (c1, c1)), F.TVNA, F.ArityMismatch,
+         "tr_re expects 1 arguments, got 2"),
+        (F.Atomic("d", (F.App("adj", (c1, c1)), c1)), F.CSTAR, F.ArityMismatch,
+         "adj expects 1 arguments, got 2"),
+        (F.Atomic("d", (F.App("mul", (c1,)), c1)), F.TVNA, F.ArityMismatch,
+         "mul expects 2 arguments, got 1"),
+    ]
+    for formula, sig, error, message in cases:
+        with pytest.raises(error) as info:
+            F.validate(formula, sig)
+        assert str(info.value) == message
+    # a code whose symbols belong to another signature, put under the metric tag
+    for formula, sig, message in [
+        (F.Atomic("tr_re", (c1,)), F.TVNA, "predicate 'tr_re' not in signature metric"),
+        (F.Atomic("d", (F.App("adj", (c1,)), c1)), F.CSTAR,
+         "function 'adj' not in signature metric"),
+    ]:
+        _, node = coding.unpair(coding.encode(formula, sig))
+        with pytest.raises(coding.NotACode) as info:
+            coding.decode_full(coding.pair(coding.PRESET_TAGS["metric"], node))
+        assert str(info.value) == message

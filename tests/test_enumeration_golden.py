@@ -34,12 +34,12 @@ def _s3():
     compose = {(p, q): tuple(p[q[i]] for i in range(3)) for p in perms for q in perms}
     name_of = dict(zip(perms, names))
     table = [[name_of[compose[(p, q)]] for q in perms] for p in perms]
-    return G.table_group(tuple(names), "e", table)
+    return G.TableGroup(tuple(names), "e", table)
 
 
 def _rewriting_z2():
     rules = [("ab", "ba"), ("aB", "Ba"), ("Ab", "bA"), ("AB", "BA")]
-    return G.rewriting_group(("a", "b"), rules)
+    return G.RewritingGroup(("a", "b"), rules)
 
 
 def _specs():
@@ -47,7 +47,7 @@ def _specs():
         "F2": (G.free_group("u", "v"), ["u", "v"]),
         "Z2": (G.free_abelian("u", "v"), ["u", "v"]),
         "S3table": (_s3(), ["r", "rr", "s", "sr", "srr"]),
-        "Z4rewriting": (G.rewriting_group(("a",), [("aaaa", ""), ("A", "aaa")]), ["a"]),
+        "Z4rewriting": (G.RewritingGroup(("a",), [("aaaa", ""), ("A", "aaa")]), ["a"]),
         "Z2rewriting": (_rewriting_z2(), ["a", "b"]),
     }
 

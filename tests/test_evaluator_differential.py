@@ -63,8 +63,9 @@ def _term(rng, sig, scope, depth):
     if kind == "closed":
         return _term(rng, sig, [], depth)
     if kind == "app":
-        f = rng.choice(sig.functions)
-        return F.App(f.name, tuple(_term(rng, sig, scope, depth - 1) for _ in range(f.arity)))
+        f = rng.choice(list(sig.functions))
+        return F.App(f, tuple(_term(rng, sig, scope, depth - 1)
+                              for _ in range(sig.functions[f])))
     if kind == "comb":
         lam = rng.choice(SMALL_COEFFS)
         mu = rng.choice([m for m in SMALL_COEFFS if F.rounded_bound_ok(lam, m)])
@@ -86,9 +87,9 @@ def _sentence(rng, sig, quantifiers):
     scope = VARS[:quantifiers]
     atoms = []
     for _ in range(rng.randint(2, 4)):
-        pred = rng.choice(sig.predicates)
-        atoms.append(F.Atomic(pred.name, tuple(_term(rng, sig, scope, 2)
-                                               for _ in range(pred.arity))))
+        pred = rng.choice(list(sig.predicates))
+        atoms.append(F.Atomic(pred, tuple(_term(rng, sig, scope, 2)
+                                          for _ in range(sig.predicates[pred]))))
     body = _matrix(rng, atoms, 3)
     for var in reversed(scope):
         body = (F.Sup if rng.random() < 0.5 else F.Inf)(var, body)

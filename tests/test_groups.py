@@ -46,7 +46,7 @@ def z():
 
 @pytest.fixture
 def z2_table():
-    return G.table_group(("e", "a"), "e", [["e", "a"], ["a", "e"]])
+    return G.TableGroup(("e", "a"), "e", [["e", "a"], ["a", "e"]])
 
 
 def test_normal_form_free(f2):
@@ -81,7 +81,7 @@ def test_normal_form_table(z2_table):
 
 def test_table_validation_rejects_bad_tables():
     with pytest.raises(G.GroupError):
-        G.table_group(("e", "a"), "e", [["e", "a"], ["a", "a"]])
+        G.TableGroup(("e", "a"), "e", [["e", "a"], ["a", "a"]])
 
 
 def test_unknown_generator(f2):
@@ -91,14 +91,14 @@ def test_unknown_generator(f2):
 
 def test_rewriting_backend_z2():
     # complete system for Z/2: aa -> e and the inverse letter collapses
-    spec = G.rewriting_group(("a",), [("aa", ""), ("A", "a")])
+    spec = G.RewritingGroup(("a",), [("aa", ""), ("A", "a")])
     assert spec.normal_form((("a", 2),)) == ()
     assert spec.normal_form((("a", 3),)) == (("a", 1),)
     assert spec.normal_form((("a", -1),)) == (("a", 1),)
 
 
 def test_element_puts_each_word_into_normal_form_once(monkeypatch):
-    spec = G.rewriting_group(("a",), [("aaa", ""), ("A", "aa")])
+    spec = G.RewritingGroup(("a",), [("aaa", ""), ("A", "aa")])
     calls = []
     normal_form = spec.normal_form
     monkeypatch.setattr(spec, "normal_form", lambda w: calls.append(w) or normal_form(w))
@@ -110,7 +110,7 @@ def test_element_puts_each_word_into_normal_form_once(monkeypatch):
 
 def test_adjoint_puts_each_word_into_normal_form_once(monkeypatch):
     rules = [("ba", "ab"), ("bA", "Ab"), ("Ba", "aB"), ("BA", "AB")]
-    spec = G.rewriting_group(("a", "b"), rules)
+    spec = G.RewritingGroup(("a", "b"), rules)
     x = G.element(spec, [(1, (("a", 1), ("b", 1))), (Fraction(1, 2), (("b", -2),)),
                          (gr(0, 3), (("a", 2), ("b", -1)))])
     calls = []
@@ -124,11 +124,11 @@ def test_adjoint_puts_each_word_into_normal_form_once(monkeypatch):
 
 def test_rewriting_refuses_a_non_confluent_system():
     with pytest.raises(G.NotConfluent, match="on 'Aab'"):
-        G.rewriting_group(("a", "b"), [("ab", "ba")])
+        G.RewritingGroup(("a", "b"), [("ab", "ba")])
 
 
 def test_rewriting_divergence_budget():
-    spec = G.rewriting_group(("a", "b"), [("ab", "ba"), ("ba", "ab")], max_steps=50)
+    spec = G.RewritingGroup(("a", "b"), [("ab", "ba"), ("ba", "ab")], max_steps=50)
     with pytest.raises(G.RewritingDiverged):
         spec.normal_form((("a", 1), ("b", 1)))
 
@@ -139,7 +139,7 @@ def test_rewriting_numbers_only_the_first_normal_forms():
     cap = PARTS_MAX
     letters = tuple("abcdefghijklmnopqrstuvwxyz")
     free = G.free_group(*letters)
-    spec = G.rewriting_group(letters, [])
+    spec = G.RewritingGroup(letters, [])
     tracemalloc.start()
     try:
         assert spec.word_at(cap - 1) == free.word_at(cap - 1)
@@ -155,9 +155,9 @@ def test_rewriting_numbers_only_the_first_normal_forms():
     assert len(spec._words) == cap
     # an infinite group asked for a word that is not a normal form
     with pytest.raises(G.NumberingTooLarge):
-        G.rewriting_group(("a", "b"), []).index_of((("a", 1), ("a", 1), ("b", 0)))
+        G.RewritingGroup(("a", "b"), []).index_of((("a", 1), ("a", 1), ("b", 0)))
     # a finite group still ends its numbering with its last normal form
-    z4 = G.rewriting_group(("a",), [("aaaa", ""), ("A", "aaa")])
+    z4 = G.RewritingGroup(("a",), [("aaaa", ""), ("A", "aaa")])
     with pytest.raises(G.GroupError, match="exceeds the 4 normal forms"):
         z4.word_at(4)
 
@@ -442,6 +442,42 @@ def test_max_steps_takes_ascii_digits_only(value):
         G.load_group_config(f"backend: rewriting\ngenerators: a\nmax_steps: {value}\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("backend: free\ngenerators: a\nfoo bar\n", "unrecognized config line 'foo bar'"),
+    ("backend: rewriting\ngenerators: a\nrules:\naa\n", "bad rule line 'aa'"),
+    ("backend: rewriting\ngenerators: a\nmax_steps: \u0663\n",
+     "max_steps must be ASCII decimal digits, got '\u0663'"),
+    ("backend: magic\ngenerators: a\n", "unknown backend 'magic'"),
+    ("generators: a b\n", "unknown backend None"),
+    ("backend: table\nidentity: e\ntable:\ne\n", "table backend needs elements: and identity:"),
+    ("backend: table\nelements: e a\ntable:\ne a\na e\n",
+     "table backend needs elements: and identity:"),
+    ("backend: table\nelements: e a\nidentity: e\ntable:\ne a\na\n",
+     "table must be square over the element list"),
+    ("backend: free\ngenerators: a a\n", "repeated generators in 'a a'"),
+])
+def test_malformed_configs_are_refused_with_their_message(text, message):
+    with pytest.raises(G.GroupError) as info:
+        G.load_group_config(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    # read as F2 at one time, where the rule asked for Z^2
+    ("backend: free\ngenerators: a b\nrules:\nab -> ba\n", "backend free does not read rules"),
+    ("backend: table\nelements: e a\nidentity: e\nmax_steps: 5\ntable:\ne a\na e\n",
+     "backend table does not read max_steps"),
+    ("backend: free\ngenerators: a\nelements: e a\n", "backend free does not read elements"),
+    ("backend: free_abelian\ngenerators: a\nidentity: e\n",
+     "backend free_abelian does not read identity"),
+    ("backend: rewriting\ngenerators: a\ntable:\n", "backend rewriting does not read table"),
+])
+def test_keys_a_backend_does_not_read_are_refused(text, message):
+    with pytest.raises(G.GroupError) as info:
+        G.load_group_config(text)
+    assert str(info.value) == message
+
+
 def test_max_steps_reads_ascii_digits():
     spec = G.load_group_config("backend: rewriting\ngenerators: a\nmax_steps: 0042\n")
     assert spec.max_steps == 42
@@ -464,7 +500,7 @@ def test_parse_element(f2):
 
 def test_rewriting_group_end_to_end():
     # Z/3 with a complete system: aaa -> e, inverse letter collapses
-    spec = G.rewriting_group(("a",), [("aaa", ""), ("A", "aa")])
+    spec = G.RewritingGroup(("a",), [("aaa", ""), ("A", "aa")])
     assert spec.normal_form((("a", 4),)) == (("a", 1),)
     assert spec.normal_form((("a", -1),)) == (("a", 2),)
     # enumeration covers the three normal forms and then fails loudly
@@ -502,7 +538,7 @@ def test_word_order_dies_with_its_spec():
     import gc
     import weakref
 
-    spec = G.rewriting_group(("a",), [("aaa", ""), ("A", "aa")])
+    spec = G.RewritingGroup(("a",), [("aaa", ""), ("A", "aa")])
     G.enumerate_group_algebra(spec, 5)
     ref = weakref.ref(spec)
     del spec
@@ -516,7 +552,7 @@ def _s3_table():
     perms = list(itertools.permutations(range(3)))
     names = [str(p) for p in perms]
     table = [[str(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
-    return G.table_group(tuple(names), names[0], table), perms
+    return G.TableGroup(tuple(names), names[0], table), perms
 
 
 def test_table_exponents_reduce_modulo_the_order():
@@ -538,7 +574,7 @@ def test_table_exponents_reduce_modulo_the_order():
             want = () if power(p, e) == perms[0] else ((str(power(p, e)), 1),)
             assert spec.normal_form(((str(p), e),)) == want
     start = time.perf_counter()
-    z3 = G.table_group(("e", "a", "b"), "e",
+    z3 = G.TableGroup(("e", "a", "b"), "e",
                        [["e", "a", "b"], ["a", "b", "e"], ["b", "e", "a"]])
     assert z3.normal_form((("a", 10**12),)) == (("a", 1),)
     assert z3.normal_form((("a", -(10**12)), ("b", 10**15))) == (("a", 1),)
@@ -552,7 +588,7 @@ def test_table_generators_are_the_non_identity_elements():
 
 
 def test_rewriting_refuses_words_longer_than_the_budget():
-    spec = G.rewriting_group(("a",), [("aaaa", ""), ("A", "aaa")], max_steps=100)
+    spec = G.RewritingGroup(("a",), [("aaaa", ""), ("A", "aaa")], max_steps=100)
     assert spec.normal_form((("a", 99), ("a", 1))) == ()
     with pytest.raises(G.RewritingDiverged):
         spec.normal_form((("a", 10**12),))

@@ -63,8 +63,8 @@ def _conv_specs():
         (G.free_abelian("u"), [(("u", 1),), (("u", -1),), (("u", 2),), ()]),
         (G.free_abelian("u", "v"), [(("u", 1),), (("v", -1),), (("u", 1), ("v", 1)), ()]),
         (G.free_group("u", "v"), [(("u", 1), ("v", 1)), (("u", -1),), (("v", -1), ("u", 1)), ()]),
-        (G.table_group(*z3), [(("a", 1),), (("b", 1),), ()]),
-        (G.rewriting_group(("a",), [("aaaa", ""), ("A", "aaa")]),
+        (G.TableGroup(*z3), [(("a", 1),), (("b", 1),), ()]),
+        (G.RewritingGroup(("a",), [("aaaa", ""), ("A", "aaa")]),
          [(("a", 1),), (("a", 2),), ()]),
     ]
 

@@ -354,12 +354,12 @@ def _s3():
                        names))
     assert set(by_perm) == set(perms)
     table = [[by_perm[tuple(p[q[i]] for i in range(3))] for q in by_perm] for p in by_perm]
-    return G.table_group(tuple(names), "e", table)
+    return G.TableGroup(tuple(names), "e", table)
 
 
 F2 = G.free_group("u", "v")
 LETTERS = [(("u", 1),), (("u", -1),), (("v", 1),), (("v", -1),), ()]
-Z4 = G.rewriting_group(("a",), [("aaaa", ""), ("A", "aaa")])
+Z4 = G.RewritingGroup(("a",), [("aaaa", ""), ("A", "aaa")])
 # (spec, support pool, largest n): power products on F2 words grow
 # exponentially, tenfold per step past n = 3
 CONV_GROUPS = [

@@ -204,7 +204,7 @@ def test_f2_lower_only_monotone(pres_cstar_f2):
 
 
 def test_z2_table_projection_norm():
-    spec = G.table_group(("e", "a"), "e", [["e", "a"], ["a", "e"]])
+    spec = G.TableGroup(("e", "a"), "e", [["e", "a"], ["a", "e"]])
     pres = P.presentation_CstarLambda(spec)
     proj = G.element(spec, [(Fraction(1, 2), ()), (Fraction(1, 2), (("a", 1),))])
     lo, hi = pres.norm_interval(proj, 10, budget=16)

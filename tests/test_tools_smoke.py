@@ -44,13 +44,13 @@ def test_count_tool_runs(script, jobs):
 
 def test_digest_tool_runs():
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "digests.py"), "--seeds", "1,2",
-                           "--workloads", "games,queries", "--jobs", "6"],
+                           "--workloads", "games,queries,norms", "--jobs", "6"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     reports = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [(r["workload"], r["seed"]) for r in reports] == [
-        ("games", 1), ("games", 2), ("queries", 1), ("queries", 2)]
+        ("games", 1), ("games", 2), ("queries", 1), ("queries", 2), ("norms", 1), ("norms", 2)]
     for report in reports:
         assert report["jobs"] == 6 and report["failed_jobs"] == 0
         assert len(report["sha256"]) == 64
-    assert len({r["sha256"] for r in reports}) == 4
+    assert len({r["sha256"] for r in reports}) == 6

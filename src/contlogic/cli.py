@@ -79,8 +79,8 @@ def _natural_at_most(cap: int):
 # bits: m = 16 takes seconds on an 8x8 matrix, and past it a run ends only
 # when memory does
 OPNORM_POWER_MAX = 16
-# each bisection step of `force fp` halves the grid, so every LP number gains
-# a bit: fp grows about as budget^1.6, and at 40,000 its bounds outgrow `str`
+# `force fp` costs the same LPs at any budget, but its bounds have budget
+# bits and near 40,000 outgrow `str`; `sup-leq` solves at r + 2^-budget
 FORCE_BUDGET_MAX = 4096
 
 # Fraction() would build 10^|exponent| for "1e-10000000": bounds are a/b or decimals

@@ -6,22 +6,20 @@ piecewise-linear structure reduces every semantic question here to exact
 rational linear feasibility (one LP per truncated-subtraction branch).  On
 top of that sit the two-player game engine with pluggable strategies, the
 deterministic compiler from transcripts to finite rational metric spaces, and
-the forcing checks:
+the forcing checks, each on one instance of its question (`_instance`):
 
-  - `forces_sup_leq` sweeps the granularity-sliced hypothesis family of a
-    condition (each slice member max_i(phi_i -. s_i) with s_i on the dyadic
-    grid below r_i) looking for a one-point-extension countermodel, then
-    settles the limit case exactly through the strict-margin LP: the margin
-    optimum is positive iff some model of the condition carries a point with
-    psi > r, so YES answers are certificates, not timeouts.
+  - `forces_sup_leq` asks the limit LP first (`_above`: p's items, all
+    strict, plus the instance of psi above r), whose margin optimum is
+    positive iff some model of the condition carries a point with psi > r:
+    a YES is that one LP, a certificate, not a timeout.  A NO sweeps the
+    granularity-sliced hypothesis family of the condition (each member
+    max_i(phi_i -. s_i), s_i on the dyadic grid below r_i) for a
+    one-point-extension countermodel to serve as its witness.
   - `fp_estimate` brackets the forcing value F_p(phi) = inf{r : p forces
-    phi < r}: dyadic bisection where the answer is decidable (quantifier-free
-    matrices and leading sup blocks), certified one-sided instance bounds for
-    inf blocks, unknown where only exhaustion over all extensions would do.
-
-Both checks instantiate their question once (`_instance`: fresh constants
-for the variables) and ask one limit LP of it (`_above`: p's items, all
-strict, plus the instance above r), which the bisection asks per step.
+    phi < r}: where that is decidable (quantifier-free matrices and leading
+    sup blocks) by one LP optimum per branch combination (`_sup_value`),
+    certified one-sided instance bounds for inf blocks, unknown where only
+    exhaustion over all extensions would do.
 
 A condition keeps its margin verdict per solver instance, so a game solves
 each condition at most once, exists moves certified by a model: a move that
@@ -46,7 +44,7 @@ from . import coding
 from . import formulas as F
 from .dyadic import is_dyadic
 from .evaluator import TestStructure, eval_exact
-from .feasibility import OPTIMAL, Row, lex_minimize_rows, maximize_rows
+from .feasibility import OPTIMAL, LPResult, Row, lex_minimize_rows, maximize_rows
 from .formulas import METRIC
 from .gaussian import ContlogicError
 from .pairing import decode_list, encode_list
@@ -223,10 +221,11 @@ def _term_const(term: F.Term) -> int:
 
 
 EPS = "__eps__"
+R = "__r__"  # the threshold column of `_sup_value`
 
 # A bound is an integer affine form (coeffs, const, den): the value
 # (sum coeffs[v]*v + const)/den over the pair variables d_*, the branch
-# variables z_* and the margin __eps__.  Rows built from it share its den.
+# variables z_*, the margin EPS and the threshold R.  Rows share its den.
 Form = tuple[dict[str, int], int, int]
 
 
@@ -304,7 +303,7 @@ class SystemVerdict:
 class BoundSystem:
     """phi <= r / phi < r / phi >= r / phi > r items over metric models."""
 
-    le: tuple = ()  # (formula, Fraction) nonstrict upper bounds
+    le: tuple = ()  # (formula, Fraction, or a Form taken as it is) nonstrict upper bounds
     lt: tuple = ()  # strict upper bounds
     ge: tuple = ()  # nonstrict lower bounds
     gt: tuple = ()  # strict lower bounds
@@ -317,12 +316,24 @@ def _system_alternatives(system: BoundSystem,
     for group, sign, eps in ((system.le, 1, 0), (system.lt, 1, -1),
                              (system.ge, -1, 0), (system.gt, -1, 1)):
         for formula, bound in group:
-            q = Fraction(bound)
-            form = ({EPS: eps * q.denominator} if eps else {}, q.numerator, q.denominator)
-            per_item.append(_alternatives(formula, form, sign, fresh))
+            if not isinstance(bound, tuple):
+                q = Fraction(bound)
+                bound = ({EPS: eps * q.denominator} if eps else {}, q.numerator, q.denominator)
+            per_item.append(_alternatives(formula, bound, sign, fresh))
     if prod(map(len, per_item)) > inst.branch_cap:
         raise BranchOverflow(f"more than {inst.branch_cap} branch combinations")
     return [[row for alt in combo for row in alt] for combo in itertools.product(*per_item)]
+
+
+def _branch_lps(system: BoundSystem, constants: list[int],
+                inst: MetricInstance) -> Iterator[tuple[list[Row], LPResult]]:
+    """Each branch combination's rows, metric axioms and eps <= 1 included,
+    with its margin LP (maximize eps), lazily and in order."""
+    base = _metric_axioms(tuple(sorted(set(constants))))
+    cap_row = ({EPS: 1}, 1, 1)  # eps <= 1
+    for alt in _system_alternatives(system, inst):
+        rows = [*base, *alt, cap_row]
+        yield rows, maximize_rows({EPS: 1}, rows)
 
 
 def _solve_system(system: BoundSystem, constants: list[int],
@@ -335,14 +346,9 @@ def _solve_system(system: BoundSystem, constants: list[int],
     `constants` must hold every constant the system mentions; each caller
     has them already, so the system is not walked for them again.
     """
-    base = _metric_axioms(tuple(sorted(set(constants))))
-    cap_row = ({EPS: 1}, 1, 1)  # eps <= 1
-    for rows in _system_alternatives(system, inst):
-        result = maximize_rows({EPS: 1}, [*base, *rows, cap_row])
+    for _, result in _branch_lps(system, constants, inst):
         if result.status == OPTIMAL and result.value > 0:
-            point = {
-                k: v for k, v in result.point.items() if k.startswith("d_")
-            }
+            point = {k: v for k, v in result.point.items() if k.startswith("d_")}
             return SystemVerdict(True, result.value, point)
     return SystemVerdict(False, Fraction(0), None)
 
@@ -403,17 +409,9 @@ def dollar(p: Condition, g: int) -> list[F.Formula]:
     """
     if g < 1:
         raise ValueError("granularity must be >= 1")
-    out = []
-    for values in dollar_tuples(p, g):
-        out.append(
-            formula_max(
-                [
-                    F.DotMinus(formula, F.dyadic_constant(s))
-                    for (formula, _), s in zip(p.items, values)
-                ]
-            )
-        )
-    return out
+    return [formula_max([F.DotMinus(formula, F.dyadic_constant(s))
+                         for (formula, _), s in zip(p.items, values)])
+            for values in _slice_tuples(p, g)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,18 +451,48 @@ def _above(p: Condition, sentence: F.Formula, constants: list[int], r: Fraction,
     return _solve_system(BoundSystem(lt=p.items, gt=((sentence, r),)), constants, inst)
 
 
+def _sup_value(p: Condition, sentence: F.Formula, constants: list[int],
+               inst: MetricInstance) -> Optional[Fraction]:
+    """s, the supremum of sentence over the models of p, so that p forces
+    sentence <= r exactly when r >= s; None if no model makes it positive.
+
+    The limit LP with its threshold the column R >= 0: where a branch
+    combination's margin LP is positive, its strict system is nonempty, its
+    closure is the non-strict system, and its sup is the LP maximum of R."""
+    system = BoundSystem(lt=p.items, gt=((sentence, ({EPS: 1, R: 1}, 0, 1)),))
+    s = None
+    for rows, margin in _branch_lps(system, constants, inst):
+        if margin.status == OPTIMAL and margin.value > 0:
+            top = maximize_rows({R: 1}, rows)
+            if top.status != OPTIMAL or top.value > 1:
+                raise ForcingError(f"sup LP of a nonempty branch: {top.status}, {top.value}")
+            s = top.value if s is None else max(s, top.value)
+    return s
+
+
+def _slice_members(p: Condition, budget: int) -> int:
+    """min(SWEEP_CAP, the member count of slices 1..budget), unlisted; every
+    slice has a member, so at most SWEEP_CAP slices are counted."""
+    total = 0
+    for g in range(1, budget + 1):
+        total += prod(ceil(bound * (1 << g)) for _, bound in p.items)
+        if total >= SWEEP_CAP:
+            return SWEEP_CAP
+    return total
+
+
 def forces_sup_leq(p: Condition, psi: F.Formula, r: Fraction,
                    inst: MetricInstance = MetricInstance(),
                    budget: int = 4) -> ForcingAnswer:
     """Does p force sup_x psi(x) <= r over bounded metric spaces?
 
-    Protocol: sweep the granularity slices g = 1..budget of p's hypothesis
-    family, testing each member for a one-point extension with psi(c) >=
-    r + delta (NO with a rational witness if one exists).  Testing the
-    finest delta = 2^-budget subsumes the coarser ones, since satisfiability
-    at any larger delta implies it there.  After the sweep the strict-margin
-    LP decides the delta -> 0 limit exactly, so the final answer is YES or
-    NO; UNKNOWN only on branch-cap overflow.
+    Protocol: the strict-margin limit LP decides the delta -> 0 limit
+    exactly, so the answer is YES or NO; UNKNOWN only on branch-cap overflow.
+    A YES is that one LP; its `swept` counts the slice members a sweep would
+    test, none of which can have a countermodel.  A NO sweeps the slices
+    g = 1..budget of p's hypothesis family for a member with a one-point
+    extension where psi(c) >= r + delta, a rational witness, else keeps the
+    limit LP's.  The finest delta = 2^-budget subsumes the coarser ones.
     """
     r = Fraction(r)
     fv = F.free_vars(psi)
@@ -477,24 +505,21 @@ def forces_sup_leq(p: Condition, psi: F.Formula, r: Fraction,
         return ForcingAnswer("yes", margin=Fraction(0))
     psi_c, constants = _instance(p, psi, sorted(fv), 1)
     delta = Fraction(1, 1 << budget)
+    try:
+        limit = _above(p, psi_c, constants, r, inst)
+    except BranchOverflow:  # members share its branch count: the first overflows
+        return ForcingAnswer("unknown", swept=min(1, budget))
+    if not limit.satisfiable:
+        return ForcingAnswer("yes", margin=Fraction(0), swept=_slice_members(p, budget))
     swept = 0
     members = itertools.chain.from_iterable(_slice_tuples(p, g) for g in range(1, budget + 1))
-    try:
-        for values in itertools.islice(members, SWEEP_CAP):
-            swept += 1
-            hyp = tuple((formula, s) for (formula, _), s in zip(p.items, values))
-            verdict = _solve_system(
-                BoundSystem(le=hyp, ge=((psi_c, r + delta),)), constants, inst)
-            if verdict.satisfiable:
-                return ForcingAnswer("no", witness=verdict.point, margin=verdict.margin,
-                                     swept=swept)
-        verdict = _above(p, psi_c, constants, r, inst)  # the delta -> 0 limit
-    except BranchOverflow:
-        return ForcingAnswer("unknown", swept=swept)
-    if verdict.satisfiable:
-        return ForcingAnswer("no", witness=verdict.point, margin=verdict.margin,
-                             swept=swept)
-    return ForcingAnswer("yes", margin=Fraction(0), swept=swept)
+    for swept, values in enumerate(itertools.islice(members, SWEEP_CAP), 1):
+        hyp = tuple((formula, s) for (formula, _), s in zip(p.items, values))
+        verdict = _solve_system(BoundSystem(le=hyp, ge=((psi_c, r + delta),)), constants, inst)
+        if verdict.satisfiable:
+            return ForcingAnswer("no", witness=verdict.point, margin=verdict.margin,
+                                 swept=swept)
+    return ForcingAnswer("no", witness=limit.point, margin=limit.margin, swept=swept)
 
 
 # ---------------------------------------------------------------------------
@@ -745,32 +770,20 @@ class FpBounds:
     estimate: Fraction
 
 
-def _bisect_value(decide_leq, budget: int) -> tuple[Fraction, Fraction]:
-    """Bracket inf{r : decide_leq(r)} on the dyadic grid of step 2^-budget."""
-    if decide_leq(Fraction(0)):
-        return Fraction(0), Fraction(0)
-    lo, hi = Fraction(0), Fraction(1)
-    for _ in range(budget):
-        mid = (lo + hi) / 2
-        if decide_leq(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def fp_estimate(p: Condition, formula: F.Formula,
                 inst: MetricInstance = MetricInstance(),
                 depth: int = 2, budget: int = 8) -> FpBounds:
     """Bracket the forcing value F_p = inf{r : p forces the value < r}.
 
-    Quantifier-free formulas and single leading sup blocks are decided by
-    bisection (both bounds certified, gap 2^-budget).  An inf block
-    contributes certified upper bounds through instances F_p(phi(c)) >= F_p
-    (inf_x phi <= phi(c) pointwise and forcing is monotone), sampling the
-    mentioned constants plus a fresh one up to `depth` unrollings; its lower
-    bound would need exhaustion over all extensions and is reported unknown.
-    Deeper sup blocks dually contribute certified lower bounds only.
+    Quantifier-free formulas and single leading sup blocks are decided
+    exactly: p forces the value <= r iff r >= s (`_sup_value`), so the cell
+    (lo, hi] of the 2^-budget grid holding s, or (0, 0) where s is None, is a
+    certified bracket.  An inf block contributes certified upper bounds
+    through instances F_p(phi(c)) >= F_p (inf_x phi <= phi(c) pointwise and
+    forcing is monotone), sampling the mentioned constants plus a fresh one
+    up to `depth` unrollings; its lower bound would need exhaustion over all
+    extensions and is reported unknown.  Deeper sup blocks dually contribute
+    certified lower bounds only.
     """
     prefix, matrix = F.prenex_parts(formula)
     return _fp_rec(p, prefix, matrix, inst, depth, budget)
@@ -780,8 +793,11 @@ def _fp_rec(p: Condition, prefix, matrix, inst, depth, budget) -> FpBounds:
     if all(kind is F.Sup for kind, _ in prefix):
         sup_vars = [v for _, v in prefix]
         sentence, constants = _instance(p, matrix, sup_vars, len(sup_vars))
-        lo, hi = _bisect_value(
-            lambda r: not _above(p, sentence, constants, r, inst).satisfiable, budget)
+        s = _sup_value(p, sentence, constants, inst)
+        if s is None:
+            return FpBounds(Fraction(0), Fraction(0), Fraction(0))
+        hi = Fraction(ceil(s * (1 << budget)), 1 << budget)
+        lo = hi - Fraction(1, 1 << budget)
         return FpBounds(lo, hi, (lo + hi) / 2)
     kind, var = prefix[0]
     rest = prefix[1:]

@@ -948,11 +948,11 @@ def load_group_config(text: str) -> GroupSpec:
     """Parse the plain-text group description format.
 
     Keys: `backend:` names the group kind (free | free_abelian | table |
-    rewriting), `generators:` (space-separated), plus
-    `elements:`/`identity:`/`table:` rows for tables and `rules:` lines
-    ("lhs -> rhs", empty rhs allowed) for rewriting; optional `max_steps:`
-    caps rewrite steps and word length.  A key its backend does not read
-    (BACKEND_KEYS) is refused.  Rewriting needs two certificates:
+    rewriting), `generators:` (space-separated), plus `elements:`/`identity:`
+    and `table:` rows for tables and `rules:` ("lhs -> rhs", empty rhs
+    allowed) for rewriting, each row on a line after its key; optional
+    `max_steps:` caps rewrite steps and word length.  A key its backend does
+    not read (BACKEND_KEYS) is refused.  Rewriting needs two certificates:
     termination is the caller's, backed by the step budget, and confluence is
     checked.
     """
@@ -965,6 +965,8 @@ def load_group_config(text: str) -> GroupSpec:
         key, sep, value = line.partition(":")
         key = key.strip()
         if sep and key in ("table", "rules"):
+            if value.strip():
+                raise GroupError(f"{key}: takes no value, its rows go on the lines below: {line!r}")
             rows = fields.setdefault(key, [])
         elif sep and key in ("backend", "generators", "elements", "identity", "max_steps"):
             fields[key] = value.strip()

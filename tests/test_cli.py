@@ -700,7 +700,7 @@ def test_code_decode_prints_text_that_reads_back():
 
 
 def test_force_budget_is_capped():
-    # fp bisects budget times, each step adding a bit to every LP number
+    # fp's bounds carry budget bits, and sup-leq solves at r + 2^-budget
     for action in ("fp", "sup-leq"):
         record = _one_error_line(["force", action, "--budget", str(cli.FORCE_BUDGET_MAX + 1)],
                                  "sup x . d(x, c1)")

@@ -638,6 +638,32 @@ def test_fp_estimate_instantiates_a_sup_block_once(monkeypatch):
     assert len(calls) == 1  # not once per bisection step
 
 
+def test_fp_costs_the_same_lps_at_every_budget(monkeypatch):
+    # one branch combination: its margin LP, then its sup LP, whatever the budget
+    costs = []
+    maximize = FC.maximize_rows
+    monkeypatch.setattr(FC, "maximize_rows", lambda cost, rows: (
+        costs.append(cost) or maximize(cost, rows)))
+    f = F.Sup("x", F.Atomic("d", (x, F.CConst(1))))
+    for budget in (1, 8, 4096):
+        costs.clear()
+        bounds = FC.fp_estimate(FC.Condition.empty(), f, INST, budget=budget)
+        assert bounds.upper == 1 and bounds.lower == 1 - Fraction(1, 2**budget)
+        assert costs == [{FC.EPS: 1}, {FC.R: 1}]
+
+
+def test_sup_leq_yes_is_one_lp(monkeypatch):
+    # the 23 members of slices 1-4 (and 256 of slices 1-4096) are counted, not solved
+    solved = []
+    solve = FC._solve_system
+    monkeypatch.setattr(FC, "_solve_system", lambda *args: solved.append(args) or solve(*args))
+    p = FC.Condition.of([(d(1, 2), Fraction(1, 8)), (d(1, 3), Fraction(1, 2))])
+    for budget, swept in ((0, 0), (1, 1), (4, 23), (4096, FC.SWEEP_CAP)):
+        solved.clear()
+        ans = FC.forces_sup_leq(p, d(1, 2), Fraction(1, 8), INST, budget=budget)
+        assert (ans.verdict, ans.swept, len(solved)) == ("yes", swept, 1)
+
+
 def test_sup_leq_says_no_exactly_when_the_limit_lp_is_satisfiable():
     # a satisfiable sweep member is a model of the limit system at a smaller
     # margin, so the sweep never answers NO where the limit LP says YES

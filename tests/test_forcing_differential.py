@@ -8,18 +8,25 @@ lexicographic minima must agree exactly.  Constants from 10 up make string
 order differ from numeric order (d_10_11 sorts before d_2_10), and so do ten
 or more branch variables (z_10 sorts before z_2); pinning atoms like the
 existential strategy's, c -. d with c a dyadic constant, bring many of them.
+
+`bisection_forcing` answers the forcing questions as forcing did before it
+read their optimum: fp by bisection over the limit LP, sup-leq by the sweep
+before the limit LP.  The optimum route must give the same `FpBounds` and
+the same `ForcingAnswer` (verdict, witness, margin and `swept`).
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bisection_forcing
 import dense_simplex
 import linexpr_forcing as oracle
 from contlogic import forcing as FC
 from contlogic import formulas as F
-from contlogic.feasibility import lex_minimize_rows, maximize_rows
+from contlogic.feasibility import OPTIMAL, UNBOUNDED, LPResult, lex_minimize_rows, maximize_rows
 
 POOL = [1, 2, 3, 9, 10, 11, 12]
 BOUNDS = [Fraction(k, 8) for k in range(9)] + [Fraction(1, 3), Fraction(5, 7)]
@@ -212,3 +219,136 @@ def test_lex_minimize_rows_matches_substitution_chain(case):
             None if want == "Infeasible" else want)
     assert _outcome(_lex_least, base, got_alts, order) == _outcome(
         _substitution_chain, oracle_base, want_alts, order)
+
+
+X = F.Var("x")
+DYADIC_BOUNDS = [Fraction(k, 8) for k in range(1, 9)]
+GAME_CONDITIONS = [
+    FC.play_game(FC.random_forall_strategy(seed), FC.exists_pinning_strategy(), 3, INST).last()
+    for seed in range(4)]
+
+
+def dx(c):
+    return F.Atomic("d", (X, F.CConst(c)))
+
+
+def open_formulas(constants):
+    """Quantifier-free formulas over the constants and the variable x."""
+    terms = st.sampled_from([*map(F.CConst, constants), X])
+    atoms = st.builds(lambda s, t: F.Atomic("d", (s, t)), terms, terms)
+    pins = st.builds(lambda c, atom: F.DotMinus(F.dyadic_constant(c), atom),
+                     st.sampled_from([Fraction(5, 16), Fraction(13, 32)]), atoms)
+    leaves = st.one_of(atoms, atoms, pins, st.just(F.Zero()), st.just(F.One()))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.builds(F.Half, inner),
+                                st.builds(F.DotMinus, inner, inner)),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def questions(draw):
+    """A condition, from a seeded game or of random items (often not a
+    condition at all), and a formula in x over its constants."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(GAME_CONDITIONS))
+        constants = p.constants()
+    else:
+        constants = sorted(draw(st.lists(st.sampled_from(POOL), min_size=2,
+                                         max_size=4, unique=True)))
+        p = FC.Condition.of(draw(st.lists(
+            st.tuples(formulas(constants), st.sampled_from(DYADIC_BOUNDS)), max_size=3)))
+    return p, draw(open_formulas(constants)), constants
+
+
+@settings(max_examples=150, deadline=None)
+@given(questions(), st.sampled_from(["qf", "sup", "inf"]), st.integers(0, 8))
+def test_fp_matches_the_bisection_oracle(question, kind, budget):
+    p, matrix, constants = question
+    formula = {"qf": F.substitute(matrix, {"x": F.CConst(constants[0])}),
+               "sup": F.Sup("x", matrix), "inf": F.Inf("x", matrix)}[kind]
+    got = _outcome(FC.fp_estimate, p, formula, INST, 1, budget)
+    assert got == _outcome(bisection_forcing.fp_estimate, p, formula, INST, 1, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(questions(), st.sampled_from([Fraction(k, 8) for k in range(9)]),
+       st.integers(0, 4), st.sampled_from([1, 2, 5, FC.SWEEP_CAP]))
+def test_sup_leq_matches_the_sweep_first_oracle(question, r, budget, cap):
+    p, psi, _ = question
+    default, FC.SWEEP_CAP = FC.SWEEP_CAP, cap
+    try:
+        got = _outcome(FC.forces_sup_leq, p, psi, r, INST, budget)
+        want = _outcome(bisection_forcing.forces_sup_leq, p, psi, r, INST, budget)
+    finally:
+        FC.SWEEP_CAP = default
+    assert got == want
+
+
+# one strict item whose right operand is bounded below: with x -. d(x, c2)
+# above R, four branch combinations, of which two are nonempty with sups
+# 1/2 and then 1
+SEVERAL = FC.Condition.of([(F.DotMinus(d(1, 2), F.DotMinus(d(2, 3), d(1, 3))), Fraction(1, 2))])
+EIGHTH = FC.Condition.of([(d(1, 2), Fraction(1, 8))])
+# d(c1, c2) < 1/4 and d(c1, c2) > 1/4: the strict system is empty, its
+# closure (d(c1, c2) = 1/4) is not
+NOT_A_CONDITION = FC.Condition.of([
+    (d(1, 2), Fraction(1, 4)), (F.DotMinus(F.dyadic_constant(Fraction(1, 2)), d(1, 2)),
+                                Fraction(1, 4))])
+
+
+@pytest.mark.parametrize("p, formula, budget, bracket", [
+    (SEVERAL, F.Sup("x", F.DotMinus(dx(1), dx(2))), 6, (Fraction(63, 64), 1)),
+    (SEVERAL, F.Sup("x", F.Half(F.DotMinus(dx(1), dx(2)))), 6, (Fraction(31, 64), Fraction(1, 2))),
+    # s = 1/8 on the grid: the cell (lo, 1/8] at each budget from 3
+    (EIGHTH, d(1, 2), 0, (0, 1)),
+    (EIGHTH, d(1, 2), 2, (0, Fraction(1, 4))),
+    (EIGHTH, d(1, 2), 3, (0, Fraction(1, 8))),
+    (EIGHTH, d(1, 2), 4, (Fraction(1, 16), Fraction(1, 8))),
+    # s = 1/16 between grid points, and s = 9/16 on the grid at budget 4
+    (EIGHTH, F.Half(d(1, 2)), 3, (0, Fraction(1, 8))),
+    (EIGHTH, F.Sup("x", F.DotMinus(dx(2), F.Half(dx(1)))), 3, (Fraction(1, 2), Fraction(5, 8))),
+    (EIGHTH, F.Sup("x", F.DotMinus(dx(2), F.Half(dx(1)))), 4, (Fraction(1, 2), Fraction(9, 16))),
+    # s = 0: no model of p gives the sentence a positive value
+    (EIGHTH, F.DotMinus(d(1, 2), F.Half(F.One())), 6, (0, 0)),
+    (FC.Condition.empty(), F.Zero(), 6, (0, 0)),
+    # s = 1
+    (FC.Condition.empty(), F.Sup("x", dx(1)), 6, (Fraction(63, 64), 1)),
+    (EIGHTH, F.One(), 6, (Fraction(63, 64), 1)),
+    (NOT_A_CONDITION, d(1, 3), 6, (0, 0)),
+])
+def test_fp_brackets_match_the_bisection_oracle(p, formula, budget, bracket):
+    got = FC.fp_estimate(p, formula, INST, budget=budget)
+    assert (got.lower, got.upper) == bracket
+    assert got == bisection_forcing.fp_estimate(p, formula, INST, budget=budget)
+
+
+def test_several_branch_combinations_take_the_largest_sup():
+    sentence, constants = FC._instance(SEVERAL, F.DotMinus(dx(1), dx(2)), ["x"], 1)
+    system = FC.BoundSystem(lt=SEVERAL.items, gt=((sentence, ({FC.EPS: 1, FC.R: 1}, 0, 1)),))
+    sups = [maximize_rows({FC.R: 1}, rows).value
+            for rows, margin in FC._branch_lps(system, constants, INST) if margin.value > 0]
+    assert sups == [Fraction(1, 2), 1]
+    assert FC._sup_value(SEVERAL, sentence, constants, INST) == 1
+
+
+@pytest.mark.parametrize("budget", [0, 1, 3])
+def test_branch_cap_one_is_unknown_on_both_routes(budget):
+    tight = FC.MetricInstance(branch_cap=1)
+    psi = F.DotMinus(dx(1), dx(2))  # bounded below, it branches
+    answer = FC.forces_sup_leq(EIGHTH, psi, Fraction(1, 4), tight, budget)
+    assert answer == FC.ForcingAnswer("unknown", swept=min(1, budget))
+    assert answer == bisection_forcing.forces_sup_leq(EIGHTH, psi, Fraction(1, 4), tight, budget)
+    for fp in (FC.fp_estimate, bisection_forcing.fp_estimate):
+        with pytest.raises(FC.BranchOverflow):
+            fp(EIGHTH, F.Sup("x", psi), tight, budget=budget)
+
+
+@pytest.mark.parametrize("result", [LPResult(UNBOUNDED), LPResult(OPTIMAL, Fraction(2))])
+def test_a_sup_lp_that_is_not_optimal_or_exceeds_1_is_refused(monkeypatch, result):
+    maximize = FC.maximize_rows
+    monkeypatch.setattr(FC, "maximize_rows", lambda cost, rows: (
+        result if FC.R in cost else maximize(cost, rows)))
+    with pytest.raises(FC.ForcingError, match="sup LP of a nonempty branch"):
+        FC.fp_estimate(EIGHTH, d(1, 2), INST, budget=4)

@@ -455,6 +455,11 @@ def test_max_steps_takes_ascii_digits_only(value):
     ("backend: table\nelements: e a\nidentity: e\ntable:\ne a\na\n",
      "table must be square over the element list"),
     ("backend: free\ngenerators: a a\n", "repeated generators in 'a a'"),
+    # a row on the key's own line was dropped: Z with no rule, a table short a row
+    ("backend: rewriting\ngenerators: a\nrules: aa ->\n",
+     "rules: takes no value, its rows go on the lines below: 'rules: aa ->'"),
+    ("backend: table\nelements: e a\nidentity: e\ntable: e a\na e\n",
+     "table: takes no value, its rows go on the lines below: 'table: e a'"),
 ])
 def test_malformed_configs_are_refused_with_their_message(text, message):
     with pytest.raises(G.GroupError) as info:

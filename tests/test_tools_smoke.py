@@ -42,6 +42,18 @@ def test_count_tool_runs(script, jobs):
         assert report["failed_jobs"] == 0
 
 
+def test_lp_count_tool_reports_the_queries_kinds():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "lp_counts.py"),
+                           "--workload", "queries", "--jobs", "12"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert (report["workload"], report["jobs"], report["failed_jobs"]) == ("queries", 12, 0)
+    assert report["fp"]["jobs"] + report["sup_leq"]["jobs"] == 12
+    for kind in ("fp", "sup_leq"):
+        assert report[kind]["tableaux_per_job"] > 0 and report[kind]["pivots_per_job"] >= 0
+
+
 def test_digest_tool_runs():
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "digests.py"), "--seeds", "1,2",
                            "--workloads", "games,queries,norms", "--jobs", "6"],

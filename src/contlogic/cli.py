@@ -82,6 +82,9 @@ OPNORM_POWER_MAX = 16
 # `force fp` costs the same LPs at any budget, but its bounds have budget
 # bits and near 40,000 outgrow `str`; `sup-leq` solves at r + 2^-budget
 FORCE_BUDGET_MAX = 4096
+# oracle precision 2^-k: a norm at k = 10^6 runs seconds into a bound that
+# `str` refuses, an eval at 10^7 past a minute; both answer at once at 4,096
+PRECISION_MAX = 4096
 
 # Fraction() would build 10^|exponent| for "1e-10000000": bounds are a/b or decimals
 _BOUND_RE = re.compile(r"-?[0-9]+(/[0-9]+)?|-?[0-9]*\.[0-9]+")
@@ -413,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--element", help="group algebra element expression")
     norm.add_argument("--lambda-lower", type=_natural, default=0,
                       help="moment sweep depth for lambda-norm lower bounds")
-    norm.add_argument("--precision", type=_natural, default=10)
+    norm.add_argument("--precision", type=_natural_at_most(PRECISION_MAX), default=10)
     norm.set_defaults(func=_cmd_norm)
 
     ev = sub.add_parser("eval", help="evaluate a sentence over a presentation")
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--group", help="group config path for L/Cstar")
     ev.add_argument("--sentence", default="-", help="sentence file or - for stdin")
     ev.add_argument("--budget-points", type=_integer, default=8)
-    ev.add_argument("--precision", type=_integer, default=10)
+    ev.add_argument("--precision", type=_natural_at_most(PRECISION_MAX), default=10)
     ev.add_argument("--oracle-budget", type=_integer, default=None)
     ev.add_argument("--bind", action="append", help="cN=POINTINDEX", default=None)
     ev.set_defaults(func=_cmd_eval)

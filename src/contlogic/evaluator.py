@@ -8,11 +8,13 @@ only an upper bound, and alternations thin the certified sides out
 accordingly; the other side is reported as an uncertified estimate.  This
 one-sidedness is not an implementation shortcut: without density rates for
 the rational points no finite sweep can certify the missing side.  One call
-computes each atom and term of the prenex matrix once per assignment of the
-variables it mentions, asks the oracle once per distinct atom (predicate and
-argument objects), and keeps nothing after it returns.  Inside the sweep an
-interval is a pair of integer numerator/denominator pairs, left unreduced and
-compared by cross-multiplication; Fractions appear only in the `EvalResult`.
+compiles the prenex matrix once into closures over a list of point indices,
+one per prefix position; it computes each atom and term once per assignment
+of the variables it mentions, asks the oracle once per distinct atom
+(predicate and argument objects), and keeps nothing after it returns.  Inside
+the sweep an interval is a pair of integer numerator/denominator pairs, left
+unreduced and compared by cross-multiplication; Fractions appear only in the
+`EvalResult`.
 
 `TestStructure` is a finite exact-table metric structure with an exhaustive
 evaluator (`eval_exact`) used as the oracle for prenex equivalence and for
@@ -44,6 +46,15 @@ class UnboundConstant(EvalError):
 
 class WrongPrefixClass(EvalError):
     pass
+
+
+class SweepTooLarge(EvalError):
+    pass
+
+
+# points^quantifiers leaves a sweep may visit: at about 1 us a leaf for one
+# atom and 3.5 us for four (2 vCPUs, CPython 3.11), 8 s and 30 s at the cap
+SWEEP_LEAVES_MAX = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -200,102 +211,108 @@ class TestStructurePresentation(Presentation):
 
 
 class _Evaluation:
-    """One call's evaluation state for the matrix of a prenexed formula.
+    """One call's evaluation state: the prenex matrix compiled into closures.
 
-    `env` binds each swept variable to its rational point's index.  Every
-    atom and every term gets a slot, shared by value-equal nodes and by all
-    variables (a variable's object depends on its index alone), and the
-    variables it mentions; `value` computes a node once per assignment of
-    those variables and keeps the result in `memo`, which hashes only point
-    indices.  A variable's object comes from the presentation, which builds
-    it on first read and caches it by index, so a variable that no atom
-    reads builds none.  Behind it, `atoms` keys each oracle interval by
-    (predicate, argument objects), so atoms whose arguments evaluate to
-    equal objects (most often the zero object, which many points give) query
-    the oracle once.  Precision and oracle budget are fixed per call, so
-    neither key holds them; both memos die with the call.
+    Set-up compiles the matrix once, bottom-up, into closures that read
+    `env`, a list binding each prefix position to its point's index, and
+    gives each atom and term the sorted positions of its variables and a
+    memo slot keyed by one int: the mixed-radix number, base `points`, of
+    those variables' indices.  So a node is computed once per assignment of
+    its own variables.  Value-equal nodes share a slot, and all variables
+    share one (a variable's object depends on its index alone), which asks
+    the presentation for a point's object when an atom first reads it.
+    Behind the slots, `atoms` keys each oracle interval by (predicate,
+    argument objects), so atoms whose arguments evaluate to equal objects
+    (most often the zero object, which many points give) query the oracle
+    once.  Precision and oracle budget are fixed per call, so no key holds
+    them; every memo dies with the call.
     """
 
-    def __init__(self, formula: F.Formula, pres: Presentation, k: int, bindings: dict,
-                 budget: Optional[int]):
-        self.prefix, self.matrix = F.prenex_parts(formula)
-        self.pres, self.k, self.bindings, self.budget = pres, k, bindings, budget
-        self.env: dict[str, int] = {}
-        self.memo: dict = {}
-        self.atoms: dict = {}
-        self.plan: dict[int, tuple[int, tuple[str, ...]]] = {}
-        atoms = [f for f in F.subformulas(self.matrix) if isinstance(f, F.Atomic)]
-        terms = [t for f in atoms for a in f.args for t in F.subterms(a)]
-        slots: dict = {}  # plan keys are ids: self.matrix keeps every node alive
-        for node in atoms + terms:
-            mentioned = F.free_vars(node) if isinstance(node, F.Atomic) else F.term_vars(node)
-            shape = F.Var if isinstance(node, F.Var) else node
-            self.plan[id(node)] = (slots.setdefault(shape, len(slots)),
-                                   tuple(v for _, v in self.prefix if v in mentioned))
+    def __init__(self, formula: F.Formula, pres: Presentation, budget: EvalBudget,
+                 bindings: dict):
+        self.prefix, matrix = F.prenex_parts(formula)
+        self.env = env = [0] * len(self.prefix)
+        position = {var: p for p, (_, var) in enumerate(self.prefix)}
+        radix, k, oracle_budget = budget.points, budget.precision_k, budget.oracle_budget
+        objects: dict = {}  # the slot of every variable: point index -> object
+        atoms: dict = {}
+        compiled: dict = {}  # node -> (getter, positions), shared by value-equal nodes
 
-    def value(self, node, compute):
-        slot, names = self.plan[id(node)]
-        key = (slot, tuple([self.env[v] for v in names]))
-        out = self.memo.get(key)
-        if out is None:
-            out = self.memo[key] = compute(node, self)
-        return out
+        def slot(compute, places, memo):
+            def get():
+                key = 0
+                for p in places:
+                    key = key * radix + env[p]
+                out = memo.get(key)
+                if out is None:
+                    out = memo[key] = compute()
+                return out
+            return get
 
+        def build(node):  # an atom or a term: its slot's getter and sorted positions
+            if isinstance(node, F.Var):  # the sentence is closed, so prenex binds it
+                p = position[node.name]  # one position: the key is the point index
+                return slot(lambda: pres.point_object(env[p]), (p,), objects), (p,)
+            out = compiled.get(node)
+            if out is not None:
+                return out
+            parts = [build(t) for t in ((node.left, node.right) if isinstance(node, F.Comb)
+                                        else getattr(node, "args", ()))]
+            args = [fn for fn, _ in parts]
+            places = tuple(sorted({p for _, ps in parts for p in ps}))
+            if isinstance(node, F.Atomic):
+                def compute():
+                    objs = [arg() for arg in args]
+                    key = (node.pred, *objs)
+                    out = atoms.get(key)
+                    if out is None:
+                        lo, hi = pres.atom_interval(node.pred, objs, k, budget=oracle_budget)
+                        out = atoms[key] = (lo.numerator, lo.denominator,
+                                            hi.numerator, hi.denominator)
+                    return out
+            elif isinstance(node, F.CConst):
+                def compute():
+                    point = bindings.get(node.index)
+                    if point is None:
+                        point = pres.default_constant_point(node.index)
+                    if point is None:
+                        raise UnboundConstant(f"constant c{node.index} is not bound to a point")
+                    return pres.point_object(point)
+            elif isinstance(node, F.App) and node.func in ("adj", "mul"):
+                compute = ((lambda: args[0]().adjoint()) if node.func == "adj" else
+                           (lambda: args[0]() * args[1]()))
+            elif isinstance(node, F.Comb):
+                compute = lambda: args[0]().comb(node.lam, node.mu, args[1]())
+            else:
+                raise EvalError(f"not a term: {node!r}")
+            out = compiled[node] = (slot(compute, places, {}), places)
+            return out
 
-def _build_term(term: F.Term, m: _Evaluation):
-    pres = m.pres
-    if isinstance(term, F.Var):
-        if term.name not in m.env:
-            raise EvalError(f"unbound variable {term.name!r}")
-        return pres.point_object(m.env[term.name])
-    if isinstance(term, F.CConst):
-        point = m.bindings.get(term.index)
-        if point is None:
-            point = pres.default_constant_point(term.index)
-        if point is None:
-            raise UnboundConstant(f"constant c{term.index} is not bound to a point")
-        return pres.point_object(point)
-    if isinstance(term, F.App):
-        args = [m.value(a, _build_term) for a in term.args]
-        if term.func == "adj":
-            return args[0].adjoint()
-        if term.func == "mul":
-            return args[0] * args[1]
-        raise EvalError(f"unknown function {term.func!r}")
-    if isinstance(term, F.Comb):
-        left = m.value(term.left, _build_term)
-        right = m.value(term.right, _build_term)
-        return left.comb(term.lam, term.mu, right)
-    raise EvalError(f"not a term: {term!r}")
+        def qf(f):  # a connective is computed at every leaf and keeps no slot
+            if isinstance(f, F.Atomic):
+                return build(f)[0]
+            if isinstance(f, (F.Zero, F.One)):
+                value = int(isinstance(f, F.One))
+                return lambda: (value, 1, value, 1)
+            if isinstance(f, F.Half):
+                body = qf(f.body)
 
+                def half():
+                    ln, ld, hn, hd = body()
+                    return (ln, 2 * ld, hn, 2 * hd)
+                return half
+            if isinstance(f, F.DotMinus):
+                left, right = qf(f.left), qf(f.right)
 
-def _atom_interval(formula: F.Atomic, m: _Evaluation) -> tuple[int, int, int, int]:
-    objs = [m.value(t, _build_term) for t in formula.args]
-    key = (formula.pred, *objs)
-    out = m.atoms.get(key)
-    if out is None:
-        lo, hi = m.pres.atom_interval(formula.pred, objs, m.k, budget=m.budget)
-        out = m.atoms[key] = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-    return out
+                def dot_minus():  # [max(alo - bhi, 0), max(ahi - blo, 0)]
+                    aln, ald, ahn, ahd = left()
+                    bln, bld, bhn, bhd = right()
+                    return (max(aln * bhd - bhn * ald, 0), ald * bhd,
+                            max(ahn * bld - bln * ahd, 0), ahd * bld)
+                return dot_minus
+            raise EvalError("quantifier below a connective in a qf evaluation")
 
-
-def _interval_qf(formula: F.Formula, m: _Evaluation) -> tuple[int, int, int, int]:
-    """(lo_num, lo_den, hi_num, hi_den) with positive, unreduced denominators."""
-    if isinstance(formula, F.Atomic):
-        return m.value(formula, _atom_interval)
-    if isinstance(formula, F.Zero):
-        return (0, 1, 0, 1)
-    if isinstance(formula, F.One):
-        return (1, 1, 1, 1)
-    if isinstance(formula, F.Half):
-        ln, ld, hn, hd = _interval_qf(formula.body, m)
-        return (ln, 2 * ld, hn, 2 * hd)
-    if isinstance(formula, F.DotMinus):
-        aln, ald, ahn, ahd = _interval_qf(formula.left, m)
-        bln, bld, bhn, bhd = _interval_qf(formula.right, m)
-        # [max(alo - bhi, 0), max(ahi - blo, 0)]
-        return (max(aln * bhd - bhn * ald, 0), ald * bhd, max(ahn * bld - bln * ahd, 0), ahd * bld)
-    raise EvalError("quantifier below a connective in a qf evaluation")
+        self.leaf = qf(matrix)
 
 
 def _beats(a: tuple[int, int], b: tuple[int, int], is_sup: bool) -> bool:
@@ -313,30 +330,36 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
     would need density rates of the rational-point enumeration is left
     uncertified and only the deterministic estimate is reported.  Every
     quantifier sweeps the same points, whose objects the presentation builds
-    once, when an atom first reads them, and keeps by index.  Atoms
-    are memoised for the call at two levels (see `_Evaluation`): per
-    assignment of their variables, then per (predicate, argument objects).
+    once, when an atom first reads them, and keeps by index.  The matrix is
+    compiled once per call and its atoms memoised at two levels (see
+    `_Evaluation`): per assignment of their variables, then per (predicate,
+    argument objects).  A sweep of more than SWEEP_LEAVES_MAX leaves
+    (points^quantifiers) is refused before any object is built.
     """
     if F.free_vars(formula):
         raise EvalError("eval needs a closed sentence")
-    m = _Evaluation(formula, pres, budget.precision_k, bindings or {}, budget.oracle_budget)
+    m = _Evaluation(formula, pres, budget, bindings or {})
+    # points >= 2 passes the cap within its bit length of quantifiers
+    if budget.points ** min(len(m.prefix), SWEEP_LEAVES_MAX.bit_length()) > SWEEP_LEAVES_MAX:
+        raise SweepTooLarge(f"{budget.points} points over {len(m.prefix)} quantifiers "
+                            f"sweep more than {SWEEP_LEAVES_MAX} leaves")
+    env, leaf = m.env, m.leaf
 
     # a branch is (lower, upper, estimate, slack, witnesses): (num, den) pairs,
     # None for an uncertified side, witnesses a chain of (position, index)
     def sweep(position: int):
-        if position == len(m.prefix):
-            ln, ld, hn, hd = _interval_qf(m.matrix, m)
+        if position == len(env):
+            ln, ld, hn, hd = leaf()
             lo, hi, den = ln * hd, hn * ld, ld * hd
             if lo > hi:
                 raise _out_of_order(Fraction(ln, ld), Fraction(lo + hi, 2 * den), Fraction(hn, hd))
             return ((ln, ld), (hn, hd), (lo + hi, 2 * den), (hi - lo, den), ())
-        kind, var = m.prefix[position]
-        is_sup = kind is F.Sup
+        is_sup = m.prefix[position][0] is F.Sup
         side = 0 if is_sup else 1
         bound_at = estimate_at = None  # (index, branch), the first attaining each
         slack = (0, 1)
         for i in range(budget.points):
-            m.env[var] = i
+            env[position] = i
             branch = sweep(position + 1)
             if branch[side] is not None and (
                     bound_at is None or _beats(branch[side], bound_at[1][side], is_sup)):

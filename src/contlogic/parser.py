@@ -13,9 +13,8 @@ same scalar productions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import formulas as F
 from . import groups as G
@@ -35,8 +34,7 @@ class ParseError(ContlogicError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT NAT LPAREN RPAREN COMMA DOT DOTMINUS SLASH PLUS MINUS STAR CARET EOF
     text: str
     line: int

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from contlogic import cli
+from contlogic import evaluator as E
 from contlogic.cli import main
 
 GROUP_CFG = """\
@@ -726,3 +727,36 @@ def test_force_bound_forms_still_answer(bound, verdict, witness):
     status, out = run_cli(["force", "sup-leq", f"--bound={bound}"], "d(x, c1)")
     assert status == 0 and out[0]["verdict"] == verdict
     assert out[0]["witness"] == ({"d_1_2": witness} if witness else {})
+
+
+def test_a_sweep_past_the_leaf_cap_is_refused():
+    # 1,000^3 leaves would take about 1,000 s; the refusal comes before any
+    # object is built, and a huge point count is never raised to its power
+    cap = E.SWEEP_LEAVES_MAX
+    for points, text in (("1000", "sup x . inf y . sup z . d(x, y)"),
+                         (str(10 ** 100), "sup x . inf y . d(x, y)"),
+                         (str(cap + 1), "sup x . d(x, c1)")):
+        record = _one_error_line(["eval", "--presentation", "C2w", "--budget-points", points],
+                                 text)
+        quantifiers = text.count(".")
+        assert record == {"error": "sweeptoolarge", "message": f"{points} points over "
+                          f"{quantifiers} quantifiers sweep more than {cap} leaves"}
+
+
+def test_precision_is_capped():
+    # at k = 10^6 a norm ran 3.7 s into a bound that `str` refuses; at the cap
+    # both commands answer at once
+    for args, text in ((["norm", "--matrix-index", "5"], ""),
+                       (["eval", "--presentation", "C2w", "--bind", "c1=20"],
+                        "sup x . d(x, c1)")):
+        record = _one_error_line([*args, "--precision", str(cli.PRECISION_MAX + 1)], text)
+        assert record == {"error": "usage", "message": "argument --precision: expected at most "
+                          f"{cli.PRECISION_MAX}, got {cli.PRECISION_MAX + 1}"}
+        start = time.perf_counter()
+        status, out = run_cli([*args, "--precision", str(cli.PRECISION_MAX)], text)
+        assert time.perf_counter() - start < 1
+        assert status == 0 and len(out) == 1
+    # a negative eval precision was a `valueerror` from the budget
+    record = _one_error_line(["eval", "--presentation", "C2w", "--precision", "-1"], "d(c1, c1)")
+    assert record == {"error": "usage",
+                      "message": "argument --precision: expected a natural number, got '-1'"}

@@ -294,6 +294,28 @@ def test_a_variable_that_no_atom_reads_builds_no_object():
     assert set(pres._point_cache) == {4}
 
 
+def _nested(kinds: str, body: F.Formula) -> F.Formula:
+    """body under one quantifier per letter of kinds (s = sup, i = inf), outermost first."""
+    for n, kind in reversed(list(enumerate(kinds))):
+        body = (F.Sup if kind == "s" else F.Inf)(f"v{n}", body)
+    return body
+
+
+def test_a_sweep_past_the_leaf_cap_is_refused_before_any_object_is_built(monkeypatch):
+    monkeypatch.setattr(E, "SWEEP_LEAVES_MAX", 8)
+    body = d(F.Var("v0"), F.Var("v1"))
+    pres = P.presentation_C2w()
+    assert E.eval_sentence(_nested("sis", body), pres, E.EvalBudget(points=2)).witnesses
+    for kinds, points in (("sis", 3), ("sisi", 2), ("s" * 40, 2), ("s", 9), ("si", 10 ** 100)):
+        pres = P.presentation_C2w()
+        with pytest.raises(E.SweepTooLarge, match="more than 8 leaves"):
+            E.eval_sentence(_nested(kinds, body if len(kinds) > 1 else d(F.Var("v0"), c1)),
+                            pres, E.EvalBudget(points=points), {1: 4})
+        assert not pres._point_cache
+    res = E.eval_sentence(_nested("si" * 20, body), pres, E.EvalBudget(points=1))
+    assert res.witnesses == {n: 0 for n in range(40)}  # one point: one leaf
+
+
 def _slack_bound(formula: F.Formula, k: int) -> Fraction:
     """Static width bound: oracle atoms contribute 2^-k each, truncated
     subtraction adds sides, halving halves."""

@@ -11,6 +11,11 @@ integer sweep's tie-breaks, witness order and out-of-order error as well.
 Behind the per-assignment memo the oracle is asked once per distinct
 (predicate, argument objects) key of a call; a stub whose points repeat
 objects checks that count against the keys the naive sweep asks for.
+The compiled matrix keys each slot by the mixed-radix number of its
+variables' point indices: four-quantifier sentences whose atoms and terms
+mention three and four variables, sweeps of one point, atoms that mention
+only an inner variable and nodes that recur under two quantifier blocks
+check those keys against the naive sweep too.
 """
 
 import random
@@ -26,7 +31,7 @@ from contlogic import presentations as P
 from contlogic.parser import parse_formula
 from helpers import SMALL_COEFFS
 
-VARS = ["x", "y", "z"]
+VARS = ["x", "y", "z", "w"]
 
 
 def _structure():
@@ -289,3 +294,102 @@ def test_eval_qf_shares_repeated_closed_nodes():
     atom_res = E.eval_sentence(atom, pres, budget, bindings)
     a_lo, a_hi = atom_res.certified_lower, atom_res.certified_upper
     assert (lo, hi) == (max(a_lo - a_hi / 2, 0), max(a_hi - a_lo / 2, 0))
+
+
+def _assert_matches_naive(sentence, pres, budget, bindings=None):
+    got = _outcome(E.eval_sentence, sentence, pres, budget, bindings)
+    assert got == _outcome(naive.eval_sentence, sentence, pres, budget, bindings), sentence
+    if isinstance(got, E.EvalResult):
+        assert list(got.witnesses) == list(range(len(F.prenex_parts(sentence)[0])))
+        _assert_witnesses_reproduce_bounds(sentence, pres, budget, bindings, got)
+    return got
+
+
+@pytest.mark.parametrize("name", ["R", "C2w", "Cstar(F2)"])
+def test_four_quantifier_sentences_match_naive_sweep(name):
+    # slots keyed by 3 and 4 variables: a wrong radix or a lost digit makes
+    # two assignments share a key
+    factory, k, oracle_budget = PRESENTATIONS[name]
+    pres = factory()
+    bindings = {c: pres.rational_point(i) for c, i in zip((1, 2, 3), (20, 32, 17))}
+    templates = ["sup x . inf y . sup z . inf w . (d({xy}, {zw}) -. half(d(x, {zw})))",
+                 "inf x . sup y . inf z . sup w . (d({xyz}, w) -. d(y, c1))",
+                 "sup x . sup y . inf z . inf w . (d({xyz}, {zw}) -. d({xy}, c2))"]
+    if name == "C2w":
+        terms = {"xy": "comb(1/2+0i, x, 1/2+0i, y)", "zw": "comb(1/2+0i, z, 1/2+0i, w)",
+                 "xyz": "mul(comb(1/2+0i, x, 1/2+0i, y), z)"}
+    else:
+        terms = {"xy": "mul(x, y)", "zw": "mul(z, w)", "xyz": "mul(mul(x, y), z)"}
+    for points in (3, 4):
+        budget = E.EvalBudget(points=points, precision_k=k, oracle_budget=oracle_budget)
+        for template in templates:
+            _assert_matches_naive(parse_formula(template.format(**terms), pres.signature),
+                                  pres, budget, bindings)
+    rng = random.Random(f"evaluator-differential/four/{name}")
+    budget = E.EvalBudget(points=3, precision_k=k, oracle_budget=oracle_budget)
+    for _ in range(4):
+        _assert_matches_naive(_sentence(rng, pres.signature, 4), pres, budget, bindings)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_four_quantifier_stub_sweeps_match_naive_sweep(seed):
+    # seeded, often tied intervals: every point index 0-4 reaches each digit
+    rng = random.Random(f"evaluator-differential/four-stub/{seed}")
+    pres = _StubPresentation(seed)
+    for _ in range(6):
+        sentence = _sentence(rng, pres.signature, 4)
+        budget = E.EvalBudget(points=rng.randint(2, 5), precision_k=0)
+        got = _assert_matches_naive(sentence, pres, budget)
+        want = naive.eval_sentence(sentence, pres, budget)
+        assert list(got.witnesses.items()) == list(want.witnesses.items())
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_one_point_sweeps_match_naive_sweep(name):
+    factory, k, oracle_budget = PRESENTATIONS[name]
+    pres = factory()
+    bindings = ({} if name.startswith("test") else
+                {c: pres.rational_point(i) for c, i in zip((1, 2, 3), (20, 32, 17))})
+    rng = random.Random(f"evaluator-differential/one-point/{name}")
+    budget = E.EvalBudget(points=1, precision_k=k, oracle_budget=oracle_budget)
+    for quantifiers in (0, 1, 2, 3, 4) * 2:
+        got = _assert_matches_naive(_sentence(rng, pres.signature, quantifiers), pres,
+                                    budget, bindings)
+        if isinstance(got, E.EvalResult):
+            assert set(got.witnesses.values()) <= {0}
+
+
+def test_an_atom_of_an_inner_variable_is_asked_once_per_point():
+    # d(z, c1) mentions only the innermost z: 5 oracle calls over 125 leaves;
+    # d(y, c2) only the middle y, another 5
+    pres = _StubPresentation(1)
+    sentence = parse_formula("sup x . inf y . sup z . (d(z, c1) -. half(d(y, c2)))",
+                             pres.signature)
+    budget = E.EvalBudget(points=5, precision_k=0)
+    calls = _counting(pres, "atom_interval")
+    E.eval_sentence(sentence, pres, budget)
+    del pres.atom_interval
+    got = _assert_matches_naive(sentence, pres, budget)
+    assert sorted(_keys(calls)) == sorted([("d", i, 1) for i in range(5)] +
+                                          [("d", i, 2) for i in range(5)])
+    assert got.witnesses[0] == 0  # no atom reads x: every x ties
+
+
+def test_nodes_recurring_under_two_quantifier_blocks_match_naive_sweep():
+    pres = P.presentation_C2w()
+    bindings = {1: pres.rational_point(20), 2: pres.rational_point(32)}
+    budget = E.EvalBudget(points=5, precision_k=6)
+    # a closed atom and a closed term under a sup block and under an inf
+    # block, and one subformula prenexed twice, once with each kind
+    texts = ["(sup x . (d(x, mul(c1, c2)) -. d(c1, c2))) -. (inf y . (d(mul(c1, c2), y) "
+             "-. d(c1, c2)))",
+             "(sup x . d(mul(x, c1), c2)) -. half(sup x . d(mul(x, c1), c2))",
+             "sup x . ((inf y . d(mul(x, y), c1)) -. (sup y . d(mul(x, y), c1)))"]
+    for text in texts:
+        sentence = parse_formula(text, pres.signature)
+        calls = _counting(pres, "atom_interval")
+        E.eval_sentence(sentence, pres, budget, bindings)
+        del pres.atom_interval
+        assert calls and len(calls) == len(set(_keys(calls))), text  # one call per key
+        got = _assert_matches_naive(sentence, pres, budget, bindings)
+    assert len(got.witnesses) == 3

@@ -25,6 +25,11 @@ def test_count_tool_runs(script, jobs):
             assert report[workload]["failed_jobs"] == 0, workload
         roots = [*report["norms"]["grid_roots"].values(), report["queries"]["grid_roots"]["all"]]
         assert report["norms"]["grid_roots"].keys() == report["norms"]["job_ms"].keys()
+        # the first 14 queries jobs hold every kind: nine eval kinds, sup_leq and fp
+        queries_ms = report["queries"]["job_ms"]
+        assert len(queries_ms) == 11 and {"sup_leq", "fp"} <= queries_ms.keys()
+        assert sum(kind.startswith("eval:") for kind in queries_ms) == 9
+        assert all(ms > 0 for ms in (*queries_ms.values(), *report["norms"]["job_ms"].values()))
         for counts in roots:
             assert counts.keys() == {"calls", "leading", "fallbacks"}
             assert counts["calls"] >= counts["leading"] >= counts["fallbacks"] >= 0

@@ -28,10 +28,10 @@ divided by a gcd > 1 (`reduced`).  For `norms` per job kind and for
 `queries` per job presentation it gives the largest word count of any
 `_convolve` operand or result (`convolve_words_max`), the headroom under
 `gaussian.PARTS_MAX`.  Before
-any wrapper is installed it also times each `norms` job alone (`run_job`,
-best of three passes) and gives the mean wall time per job of each kind in
-ms; this one figure
-depends on the host, so compare checkouts by alternating runs.  For
+any wrapper is installed it also times each `norms` and `queries` job alone
+(`run_job`, best of three passes) and gives the mean wall time per job of
+each kind in ms (`job_ms`); this one figure depends on the host, so compare
+checkouts by alternating runs.  For
 every workload it gives the calls of the norm entry points `opnorm_upper`,
 `opnorm_upper_sweep` and `moments_up_to`, how many were repeats (their
 object was passed to an entry point before in the same job) and how many
@@ -63,6 +63,7 @@ ROOT_COUNTS = ("calls", "leading", "fallbacks")
 MAKE_COUNTS = ("calls", "reduced")
 WORD_METHODS = ("mul", "inv", "_mul_normal", "_inv_normal")
 TIMED_PASSES = 3
+TIMED_WORKLOADS = ("norms", "queries")
 
 
 def main(argv=None) -> int:
@@ -79,8 +80,8 @@ def main(argv=None) -> int:
     from perfbench.tracing import _presentation_kind
 
     names = args.workloads.split(",")
-    job_ms = (_job_ms(workloads, workloads.generate("norms", args.seed)[:args.jobs])
-              if "norms" in names else {})
+    job_ms = {workload: _job_ms(workloads, workloads.generate(workload, args.seed)[:args.jobs])
+              for workload in names if workload in TIMED_WORKLOADS}
 
     counts: Counter = Counter()
     seen: dict = {}  # id -> object, kept alive so that ids are not reused
@@ -246,6 +247,7 @@ def main(argv=None) -> int:
             report["oracles"] = oracles
             report["makes"] = _makes(per_presentation)
             report["convolve_words_max"] = dict(words)
+            report["job_ms"] = job_ms[workload]
         if workload == "norms":
             report["per_job"] = {
                 kind: {k: round(c[k] / c["jobs"], 3) for k in KERNELS + ("_convolve.packed",)}
@@ -253,7 +255,7 @@ def main(argv=None) -> int:
             report["grid_roots"] = {kind: {k: c[f"grid_roots.{k}"] for k in ROOT_COUNTS}
                                     for kind, c in per_kind.items()}
             report["makes"] = _makes(per_kind)
-            report["job_ms"] = job_ms
+            report["job_ms"] = job_ms[workload]
             report["convolve_words_max"] = dict(words)
         out[workload] = report
     print(json.dumps(out))

@@ -10,11 +10,11 @@ one-sidedness is not an implementation shortcut: without density rates for
 the rational points no finite sweep can certify the missing side.  One call
 compiles the prenex matrix once into closures over a list of point indices,
 one per prefix position; it computes each atom and term once per assignment
-of the variables it mentions, asks the oracle once per distinct atom
-(predicate and argument objects), and keeps nothing after it returns.  Inside
-the sweep an interval is a pair of integer numerator/denominator pairs, left
-unreduced and compared by cross-multiplication; Fractions appear only in the
-`EvalResult`.
+of the variables it mentions (a variable reads the presentation's cache of
+point objects), asks the oracle once per distinct atom (predicate and
+argument objects), and keeps nothing after it returns.  Inside the sweep an
+interval is a pair of integer numerator/denominator pairs, left unreduced and
+compared by cross-multiplication; Fractions appear only in the `EvalResult`.
 
 `TestStructure` is a finite exact-table metric structure with an exhaustive
 evaluator (`eval_exact`) used as the oracle for prenex equivalence and for
@@ -31,7 +31,7 @@ from typing import Optional
 from . import formulas as F
 from .coding import NotACode, decode_full
 from .gaussian import ContlogicError
-from .presentations import Presentation, TWO_SIDED
+from .presentations import Presentation
 
 Interval = tuple[Fraction, Fraction]
 
@@ -52,8 +52,9 @@ class SweepTooLarge(EvalError):
     pass
 
 
-# points^quantifiers leaves a sweep may visit: at about 1 us a leaf for one
-# atom and 3.5 us for four (2 vCPUs, CPython 3.11), 8 s and 30 s at the cap
+# points^quantifiers leaves times the matrix's atoms and connectives a sweep
+# may visit: about 0.85 us each for a lone atom and 0.3 us in longer matrices
+# (2 vCPUs, CPython 3.11), so about 7 s and 2.5 s at the cap
 SWEEP_LEAVES_MAX = 2 ** 23
 
 
@@ -184,8 +185,6 @@ class TestStructurePresentation(Presentation):
     exactly the special points.
     """
 
-    mode = TWO_SIDED
-
     def __init__(self, structure: TestStructure):
         super().__init__()
         self.structure = structure
@@ -218,14 +217,14 @@ class _Evaluation:
     gives each atom and term the sorted positions of its variables and a
     memo slot keyed by one int: the mixed-radix number, base `points`, of
     those variables' indices.  So a node is computed once per assignment of
-    its own variables.  Value-equal nodes share a slot, and all variables
-    share one (a variable's object depends on its index alone), which asks
-    the presentation for a point's object when an atom first reads it.
-    Behind the slots, `atoms` keys each oracle interval by (predicate,
-    argument objects), so atoms whose arguments evaluate to equal objects
-    (most often the zero object, which many points give) query the oracle
-    once.  Precision and oracle budget are fixed per call, so no key holds
-    them; every memo dies with the call.
+    its own variables.  Value-equal nodes share a slot; a variable keeps
+    none, and reads its point's object from the presentation, which builds
+    it once, when an atom first asks, and keeps it by index.  Behind the
+    slots, `atoms` keys each oracle interval by (predicate, argument
+    objects), so atoms whose arguments evaluate to equal objects (most often
+    the zero object, which many points give) query the oracle once.
+    Precision and oracle budget are fixed per call, so no key holds them;
+    every memo dies with the call.
     """
 
     def __init__(self, formula: F.Formula, pres: Presentation, budget: EvalBudget,
@@ -234,7 +233,7 @@ class _Evaluation:
         self.env = env = [0] * len(self.prefix)
         position = {var: p for p, (_, var) in enumerate(self.prefix)}
         radix, k, oracle_budget = budget.points, budget.precision_k, budget.oracle_budget
-        objects: dict = {}  # the slot of every variable: point index -> object
+        point_object = pres.point_object
         atoms: dict = {}
         compiled: dict = {}  # node -> (getter, positions), shared by value-equal nodes
 
@@ -251,8 +250,8 @@ class _Evaluation:
 
         def build(node):  # an atom or a term: its slot's getter and sorted positions
             if isinstance(node, F.Var):  # the sentence is closed, so prenex binds it
-                p = position[node.name]  # one position: the key is the point index
-                return slot(lambda: pres.point_object(env[p]), (p,), objects), (p,)
+                p = position[node.name]  # no slot: the presentation keeps objects by index
+                return (lambda: point_object(env[p])), (p,)
             out = compiled.get(node)
             if out is not None:
                 return out
@@ -277,7 +276,7 @@ class _Evaluation:
                         point = pres.default_constant_point(node.index)
                     if point is None:
                         raise UnboundConstant(f"constant c{node.index} is not bound to a point")
-                    return pres.point_object(point)
+                    return point_object(point)
             elif isinstance(node, F.App) and node.func in ("adj", "mul"):
                 compute = ((lambda: args[0]().adjoint()) if node.func == "adj" else
                            (lambda: args[0]() * args[1]()))
@@ -313,6 +312,7 @@ class _Evaluation:
             raise EvalError("quantifier below a connective in a qf evaluation")
 
         self.leaf = qf(matrix)
+        self.width = sum(1 for _ in F.subformulas(matrix))  # atoms and connectives
 
 
 def _beats(a: tuple[int, int], b: tuple[int, int], is_sup: bool) -> bool:
@@ -333,16 +333,20 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
     once, when an atom first reads them, and keeps by index.  The matrix is
     compiled once per call and its atoms memoised at two levels (see
     `_Evaluation`): per assignment of their variables, then per (predicate,
-    argument objects).  A sweep of more than SWEEP_LEAVES_MAX leaves
-    (points^quantifiers) is refused before any object is built.
+    argument objects).  A sweep whose leaves (points^quantifiers) times the
+    matrix's atoms and connectives pass SWEEP_LEAVES_MAX is refused before
+    any object is built.
     """
     if F.free_vars(formula):
         raise EvalError("eval needs a closed sentence")
     m = _Evaluation(formula, pres, budget, bindings or {})
-    # points >= 2 passes the cap within its bit length of quantifiers
-    if budget.points ** min(len(m.prefix), SWEEP_LEAVES_MAX.bit_length()) > SWEEP_LEAVES_MAX:
+    # leaves * width > MAX exactly when leaves > MAX // width, and points >= 2
+    # passes that within MAX's bit length of quantifiers
+    cap = SWEEP_LEAVES_MAX // m.width
+    if budget.points ** min(len(m.prefix), SWEEP_LEAVES_MAX.bit_length()) > cap:
+        matrix = f" of a matrix of {m.width} atoms and connectives" if m.width > 1 else ""
         raise SweepTooLarge(f"{budget.points} points over {len(m.prefix)} quantifiers "
-                            f"sweep more than {SWEEP_LEAVES_MAX} leaves")
+                            f"sweep more than {cap} leaves{matrix}")
     env, leaf = m.env, m.leaf
 
     # a branch is (lower, upper, estimate, slack, witnesses): (num, den) pairs,

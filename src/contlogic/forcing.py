@@ -190,9 +190,6 @@ class Transcript:
     def last(self) -> Condition:
         return self.moves[-1][1] if self.moves else Condition.empty()
 
-    def rounds(self) -> int:
-        return len(self.moves)
-
 
 SWEEP_CAP = 256  # hypothesis-slice members `forces_sup_leq` tests before the limit LP
 
@@ -393,10 +390,6 @@ def _grid_below(bound: Fraction, g: int) -> list[Fraction]:
 def _slice_tuples(p: Condition, g: int) -> Iterator[tuple[Fraction, ...]]:
     """The grid values of each slice member, lazily, last item fastest."""
     return itertools.product(*(_grid_below(bound, g) for _, bound in p.items))
-
-
-def dollar_tuples(p: Condition, g: int) -> list[tuple[Fraction, ...]]:
-    return list(_slice_tuples(p, g))
 
 
 def dollar(p: Condition, g: int) -> list[F.Formula]:
@@ -648,7 +641,7 @@ def exists_pinning_strategy() -> Strategy:
 
     def move(transcript: Transcript, inst: MetricInstance) -> Condition:
         prev = transcript.last()
-        round_no = transcript.rounds()
+        round_no = len(transcript.moves)
         pairs = _mentioned_pairs(prev)
         if not pairs:
             return _pass_move(prev)

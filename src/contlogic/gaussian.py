@@ -146,11 +146,11 @@ class GaussianInts:
     matrix's size, an element's group and words, nothing for a Cantor
     function), and two objects are equal when type, d, parts and layout are.
 
-    A subclass gives `_aligned(other)`: the layout of a result over both
-    operands, and the pairs of their parts in it.  `_make` trusts its
-    integers; `_new` is the constructor of an operation's raw result, which
-    a subclass overrides to put its layout in a least form of its own or to
-    begin its memo slots empty."""
+    A subclass gives `_aligned(other)`, the layout of a result over both
+    operands and the pairs of their parts in it, and `_new`, the
+    constructor of an operation's raw result, which puts its layout in a
+    least form of its own or begins its memo slots empty.  `_make` trusts
+    its integers."""
 
     __slots__ = ("layout", "d", "parts")
 
@@ -162,10 +162,6 @@ class GaussianInts:
         out = object.__new__(cls)
         out.layout, out.d, out.parts = layout, d, tuple(parts)
         return out
-
-    @classmethod
-    def _new(cls, layout, d: int, parts) -> "GaussianInts":
-        return cls._make(layout, d, parts)
 
     def comb(self, lam, mu, other):
         """lam*self + mu*other, over the lcm of both denominators."""

@@ -125,10 +125,6 @@ class Matrix(GaussianInts):
         return tuple(tuple(values[i:i + n]) for i in range(0, n * n, n))
 
     @staticmethod
-    def zero(n: int) -> "Matrix":
-        return Matrix.identity(n).scale(0)
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix._new(n, 1, [(int(i == j), 0) for i in range(n) for j in range(n)])
 
@@ -320,13 +316,6 @@ def _root_bound(t: int, d: int, m: int) -> Fraction:
     root = 2 ** (m + 1)
     c, on_grid = _grid_root(t, d, root, root, 16)
     return Fraction(c + (not on_grid), 1 << 16)
-
-
-def opnorm_upper_sweep(a: Matrix, ms: int) -> list[Fraction]:
-    """[opnorm_upper(a, m) for m in range(ms)], from a's trace chain."""
-    if ms < 0:
-        raise ValueError("ms must be a natural")
-    return [_root_bound(t, a.d, m) for m, t in enumerate(_trace_chain(a, ms)[:ms])]
 
 
 def opnorm_upper(a: Matrix, m: int) -> Fraction:

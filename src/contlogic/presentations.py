@@ -41,9 +41,6 @@ from .gaussian import (PARTS_MAX, ContlogicError, GaussianInts, GaussianRational
 from .pairing import unpair as cantor_unpair, decode_tuple, nat_to_gaussian
 from .torus import torus_sup_norm
 
-TWO_SIDED = "two_sided"
-LOWER_ONLY = "lower_only"
-
 _TRACE_POWER_CAP = 8  # trace-squaring exponent cap for special-point bounds
 _HALF, _MINUS_HALF = gr(Fraction(1, 2)), gr(Fraction(-1, 2))
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -58,7 +55,6 @@ class Presentation:
 
     name: str
     signature: Signature
-    mode: str
 
     def __init__(self):
         self._point_cache: dict[int, object] = {}
@@ -150,7 +146,6 @@ class MatrixTowerPresentation(Presentation):
 
     name = "R"
     signature = TVNA
-    mode = TWO_SIDED
 
     def _special(self, index: int):
         m, n = cantor_unpair(index)
@@ -192,7 +187,6 @@ class GroupVonNeumannPresentation(GroupAlgebraPresentation):
 
     label = "L"
     signature = TVNA
-    mode = TWO_SIDED
 
     def norm_interval(self, obj, k, budget=None):
         return G.two_norm(obj, k)
@@ -212,7 +206,6 @@ class ReducedCstarPresentation(GroupAlgebraPresentation):
     def __init__(self, spec: G.GroupSpec):
         super().__init__(spec)
         self.abelian = isinstance(spec, G.FreeAbelianGroup)
-        self.mode = TWO_SIDED if self.abelian else LOWER_ONLY
 
     def _torus_support(self, obj: G.AlgebraElement):
         return {tuple(dict(word).get(g, 0) for g in self.spec.generators): coeff
@@ -288,7 +281,6 @@ class CantorSpacePresentation(Presentation):
 
     name = "C2w"
     signature = CSTAR
-    mode = TWO_SIDED
 
     def _special(self, index: int):
         n = index + 1

@@ -191,7 +191,7 @@ def criterion_5_torus_upgrade() -> dict:
     )
     lo, hi = pres.norm_interval(a, 10)
     two_sided_ok = (
-        pres.mode == P.TWO_SIDED
+        pres.abelian
         and lo <= 1 <= hi + Fraction(1, 2**10)
         and hi - lo <= Fraction(1, 2**10)
         and abs(lo - 1) <= Fraction(1, 2**10)
@@ -243,7 +243,7 @@ def criterion_6_matrix_bounds() -> dict:
     worst_gap = Fraction(0)
     for sample in range(50):
         a = M.Matrix([[entry() for _ in range(4)] for _ in range(4)])
-        bounds = M.opnorm_upper_sweep(a, 9)
+        bounds = [M.opnorm_upper(a, m) for m in range(9)]
         for b1, b2 in zip(bounds, bounds[1:]):
             if b2 > b1:
                 return _record(6, "matrix-bounds", False,

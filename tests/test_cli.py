@@ -743,6 +743,31 @@ def test_a_sweep_past_the_leaf_cap_is_refused():
                           f"{quantifiers} quantifiers sweep more than {cap} leaves"}
 
 
+def test_a_long_matrix_under_the_leaf_cap_is_refused_by_its_work():
+    # 200^3 = 8,000,000 leaves pass the leaf cap, but each runs 61 atoms and
+    # connectives: at about 0.3 us each that sweep would take about 2 minutes
+    chain = "d(x, y)"
+    for _ in range(20):
+        chain = f"half({chain} -. d(y, z))"
+    cap = E.SWEEP_LEAVES_MAX
+    assert 200 ** 3 < cap
+    record = _one_error_line(["eval", "--presentation", "C2w", "--budget-points", "200"],
+                             f"sup x . inf y . sup z . {chain}")
+    assert record == {"error": "sweeptoolarge", "message": "200 points over 3 quantifiers "
+                      f"sweep more than {cap // 61} leaves of a matrix of 61 atoms and connectives"}
+
+
+def test_parse_prints_the_scalars_of_a_comb_term():
+    # each scalar prints as re+imi (`GaussianRational.__str__`), through
+    # `parse` and through `code decode`, and reads back to the same formula
+    text = "sup x . sup y . d(comb(1/2+0i, x, -1/3-1/4i, adj(y)), c1)"
+    status, out = run_cli(["parse", "--signature", "cstar"], text)
+    assert status == 0 and out[0]["text"] == text
+    status, out = run_cli(["code", "encode", "--signature", "cstar"], text)
+    status, out = run_cli(["code", "decode", "--code", out[0]["value"]])
+    assert status == 0 and out[0]["text"] == text
+
+
 def test_precision_is_capped():
     # at k = 10^6 a norm ran 3.7 s into a bound that `str` refuses; at the cap
     # both commands answer at once

@@ -294,6 +294,19 @@ def test_a_variable_that_no_atom_reads_builds_no_object():
     assert set(pres._point_cache) == {4}
 
 
+def test_a_sweep_builds_each_point_object_once(monkeypatch):
+    # the atoms read x and y at points 0-4 and c1 at point 8, never z; points
+    # 1-3 are built on point 0, and 4 and 8 are special points 1 and 2
+    pres = P.presentation_C2w()
+    specials = []
+    special = pres._special
+    monkeypatch.setattr(pres, "_special", lambda index: specials.append(index) or special(index))
+    f = F.Sup("x", F.Inf("y", F.Sup("z", F.DotMinus(d(x, y), d(y, c1)))))
+    E.eval_sentence(f, pres, E.EvalBudget(points=5), {1: 8})
+    assert sorted(specials) == [0, 1, 2]
+    assert set(pres._point_cache) == {0, 1, 2, 3, 4, 8}
+
+
 def _nested(kinds: str, body: F.Formula) -> F.Formula:
     """body under one quantifier per letter of kinds (s = sup, i = inf), outermost first."""
     for n, kind in reversed(list(enumerate(kinds))):
@@ -314,6 +327,19 @@ def test_a_sweep_past_the_leaf_cap_is_refused_before_any_object_is_built(monkeyp
         assert not pres._point_cache
     res = E.eval_sentence(_nested("si" * 20, body), pres, E.EvalBudget(points=1))
     assert res.witnesses == {n: 0 for n in range(40)}  # one point: one leaf
+
+
+def test_the_leaf_cap_counts_the_matrix_atoms_and_connectives(monkeypatch):
+    # three atoms and connectives: 2^3 leaves pass a cap of 24, not one of 23
+    f = _nested("sis", F.DotMinus(d(F.Var("v0"), F.Var("v1")), d(F.Var("v2"), c1)))
+    monkeypatch.setattr(E, "SWEEP_LEAVES_MAX", 24)
+    assert E.eval_sentence(f, P.presentation_C2w(), E.EvalBudget(points=2), {1: 4}).witnesses
+    monkeypatch.setattr(E, "SWEEP_LEAVES_MAX", 23)
+    pres = P.presentation_C2w()
+    with pytest.raises(E.SweepTooLarge, match="^2 points over 3 quantifiers sweep more than 7 "
+                       "leaves of a matrix of 3 atoms and connectives$"):
+        E.eval_sentence(f, pres, E.EvalBudget(points=2), {1: 4})
+    assert not pres._point_cache
 
 
 def _slack_bound(formula: F.Formula, k: int) -> Fraction:

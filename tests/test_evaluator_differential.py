@@ -145,7 +145,7 @@ class _StubPresentation(P.Presentation):
     first-index tie-breaks decide the witnesses.  `disordered` puts lo > hi
     at one pair; with a `period` point i is the object i % period."""
 
-    name, signature, mode = "stub", F.METRIC, P.TWO_SIDED
+    name, signature = "stub", F.METRIC
 
     def __init__(self, seed, disordered=None, period=None):
         super().__init__()

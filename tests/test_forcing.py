@@ -234,7 +234,7 @@ def test_dollar_count_is_grid_product():
     p = FC.Condition.of([(d(1, 2), Fraction(1, 2)), (d(2, 3), Fraction(3, 4))])
     for g in (1, 2, 3):
         grid_sizes = [
-            len([s for s in FC.dollar_tuples(FC.Condition.of([(f, r)]), g)])
+            len(list(FC._slice_tuples(FC.Condition.of([(f, r)]), g)))
             for f, r in p.items
         ]
         assert len(FC.dollar(p, g)) == grid_sizes[0] * grid_sizes[1]
@@ -333,8 +333,8 @@ def test_dollar_monotone_in_granularity():
     # and members with finer offsets are pointwise dominated
     p = FC.Condition.of([(d(1, 2), Fraction(1, 2)), (d(1, 3), Fraction(3, 4))])
     for g in (1, 2):
-        coarse = set(FC.dollar_tuples(p, g))
-        fine = set(FC.dollar_tuples(p, g + 1))
+        coarse = set(FC._slice_tuples(p, g))
+        fine = set(FC._slice_tuples(p, g + 1))
         assert coarse <= fine
     from contlogic.evaluator import TestStructure
 
@@ -431,7 +431,7 @@ def test_sweep_stops_at_the_cap(monkeypatch):
     # a YES instance: none of the 1 + 2 + 4 + 16 members of slices 1-4 has a
     # countermodel, so the sweep tests min(cap, 23) of them, then the limit LP
     p = FC.Condition.of([(d(1, 2), Fraction(1, 8)), (d(1, 3), Fraction(1, 2))])
-    assert [len(FC.dollar_tuples(p, g)) for g in range(1, 5)] == [1, 2, 4, 16]
+    assert [len(list(FC._slice_tuples(p, g))) for g in range(1, 5)] == [1, 2, 4, 16]
     for cap in (1, 2, 3, 7, 22, 23, 24):
         monkeypatch.setattr(FC, "SWEEP_CAP", cap)
         ans = FC.forces_sup_leq(p, d(1, 2), Fraction(1, 8), INST, budget=4)
@@ -442,7 +442,7 @@ def test_play_game_pass_through():
     t = FC.play_game(
         FC.pass_through_strategy(), FC.pass_through_strategy(), 4, INST
     )
-    assert t.rounds() == 4
+    assert len(t.moves) == 4
     players = [p for p, _ in t.moves]
     assert players == ["A", "E", "A", "E"]
     for (_, c1), (_, c2) in zip(t.moves, t.moves[1:]):

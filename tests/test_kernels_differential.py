@@ -61,7 +61,7 @@ def matrices(draw):
     entries = _gaussians(draw(st.sampled_from([INTEGERS, RATIONALS])))
     shape = draw(st.sampled_from(["general", "zero", "hermitian", "rank1"]))
     if shape == "zero":
-        return M.Matrix.zero(n)
+        return M.Matrix.identity(n).scale(0)
     if shape == "rank1":
         u = [draw(entries) for _ in range(n)]
         v = [draw(entries) for _ in range(n)]
@@ -76,12 +76,6 @@ def matrices(draw):
 @given(matrices(), st.integers(0, 6))
 def test_opnorm_upper_matches_fraction_chain(a, m):
     assert M.opnorm_upper(a, m) == fraction_kernels.opnorm_upper(a, m)
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices())
-def test_opnorm_upper_sweep_matches_single_calls(a):
-    assert M.opnorm_upper_sweep(a, 9) == [M.opnorm_upper(a, m) for m in range(9)]
 
 
 def _rayleigh(fn, a, v, k):
@@ -109,10 +103,12 @@ def test_opnorm_lower_matches_gaussian_rayleigh(case):
 
 
 def test_opnorm_upper_sweep_edges():
-    assert M.opnorm_upper_sweep(M.Matrix.zero(3), 4) == [0, 0, 0, 0]
-    assert M.opnorm_upper_sweep(M.Matrix.identity(2), 0) == []
+    zero = M.Matrix.identity(3).scale(0)
+    assert [M.opnorm_upper(zero, m) for m in range(4)] == [0, 0, 0, 0]
     one = M.Matrix([[GaussianRational(Fraction(0), Fraction(-3, 4))]])
-    assert M.opnorm_upper_sweep(one, 5) == [Fraction(3, 4)] * 5
+    assert [M.opnorm_upper(one, m) for m in range(5)] == [Fraction(3, 4)] * 5
+    with pytest.raises(ValueError, match="m must be a natural"):
+        M.opnorm_upper(M.Matrix.identity(2), -1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,7 +118,7 @@ def test_opnorm_upper_in_any_order_matches_fresh_chains(a, order):
     for m in range(7):
         assert bounds[m] == M.opnorm_upper(M.Matrix(a.rows), m)
         assert bounds[m] == fraction_kernels.opnorm_upper(a, m)
-    assert M.opnorm_upper_sweep(a, 7) == [bounds[m] for m in range(7)]
+    assert [M.opnorm_upper(a, m) for m in range(7)] == [bounds[m] for m in range(7)]
 
 
 def _counting(monkeypatch, owner, names):
@@ -149,8 +145,8 @@ def test_matrix_keeps_its_squaring_chain(monkeypatch):
     assert calls == {"_gram": 1, "_frobenius_sq": 1, "_trace_product": 1, "_charpoly": 1,
                      "_square_mod": 4}
     assert M.opnorm_upper(a, 5) == first
-    sweep = M.opnorm_upper_sweep(a, 6)
-    assert sweep[5] == first and sweep == [M.opnorm_upper(a, m) for m in range(6)]
+    sweep = [M.opnorm_upper(a, m) for m in range(6)]
+    assert sweep[5] == first
     M.two_norm(a, 12)
     assert calls == {"_gram": 1, "_frobenius_sq": 1, "_trace_product": 1, "_charpoly": 1,
                      "_square_mod": 4}
@@ -163,7 +159,7 @@ def test_matrix_keeps_its_squaring_chain(monkeypatch):
     big = M.Matrix([[gr(i - j, (i * j) % 3) for j in range(8)] for i in range(8)])
     for counter in calls:
         calls[counter] = 0
-    assert M.opnorm_upper_sweep(big, 6) == [M.opnorm_upper(big, m) for m in range(6)]
+    bounds = [M.opnorm_upper(big, m) for m in range(6)]
     assert calls == {"_gram": 5, "_frobenius_sq": 1, "_trace_product": 5, "_charpoly": 0,
                      "_square_mod": 0}
     eighth = M.opnorm_upper(big, 8)
@@ -171,8 +167,12 @@ def test_matrix_keeps_its_squaring_chain(monkeypatch):
     switched = {"_gram": 6, "_frobenius_sq": 1, "_trace_product": 9, "_charpoly": 1,
                 "_square_mod": 5}
     assert calls == switched
-    assert M.opnorm_upper_sweep(big, 9)[8] == eighth
+    nine = [M.opnorm_upper(big, m) for m in range(9)]
+    assert nine[:6] == bounds and nine[8] == eighth
     assert calls == switched
+    # bounds read from a chain in order are those of fresh chains
+    assert sweep == [M.opnorm_upper(M.Matrix(a.rows), m) for m in range(6)]
+    assert bounds == [M.opnorm_upper(M.Matrix(big.rows), m) for m in range(6)]
 
 
 def _chain_cases(n, rng):
@@ -189,7 +189,7 @@ def _chain_cases(n, rng):
                for j in range(n)] for i in range(n)]
     c = entry()
     return [
-        ("zero", M.Matrix.zero(n)),
+        ("zero", M.Matrix.identity(n).scale(0)),
         ("rank1", M.Matrix([[x * y.conjugate() for y in v] for x in u])),
         ("scalar", M.Matrix.identity(n).scale(c)),
         ("blocks", M.Matrix(blocks)),
@@ -213,7 +213,7 @@ def test_trace_chain_matches_squaring_chain(n):
         rng.shuffle(order)
         assert {m: M.opnorm_upper(fresh, m) for m in order} == dict(enumerate(bounds)), name
         assert M._trace_chain(a, 13) == expected, name
-        assert M.opnorm_upper_sweep(a, 13) == bounds, name
+        assert [M.opnorm_upper(a, m) for m in range(13)] == bounds, name
         if n <= 4:
             assert bounds[:7] == [fraction_kernels.opnorm_upper(a, m) for m in range(7)], name
 
@@ -231,7 +231,7 @@ def test_inexact_newton_step_is_a_typed_error(monkeypatch):
     with pytest.raises(M.InexactNewtonStep, match=r"e_2 = 1/2"):
         M._charpoly([2, 1, 0])
     a = M.Matrix([[gr(1), gr(2)], [gr(0, 1), gr(Fraction(-1, 3))]])
-    expected = M.opnorm_upper_sweep(M.Matrix(a.rows), 4)
+    expected = [M.opnorm_upper(M.Matrix(a.rows), m) for m in range(4)]
     trace_product = M._trace_product
     with monkeypatch.context() as patch:
         # tr(H^2) one too large, read by Newton's identities at the switch (m = 2)
@@ -239,7 +239,7 @@ def test_inexact_newton_step_is_a_typed_error(monkeypatch):
         with pytest.raises(M.InexactNewtonStep):
             M.opnorm_upper(a, 3)
     assert isinstance(M.InexactNewtonStep("x"), M.MatrixError)
-    assert M.opnorm_upper_sweep(M.Matrix(a.rows), 4) == expected
+    assert [M.opnorm_upper(M.Matrix(a.rows), m) for m in range(4)] == expected
 
 
 def _schoolbook_gram(re, im, other=None):
@@ -330,8 +330,8 @@ def test_negative_trace_on_extending_the_chain(monkeypatch):
         with pytest.raises(M.NegativeTrace, match=r"tr\(\(A\*A\)\^1\) came out negative"):
             M.opnorm_upper(M.Matrix(a.rows), 0)
     # the failed extensions left the chains as they were
-    assert M.opnorm_upper_sweep(a, 6) == expected
-    assert M.opnorm_upper_sweep(b, 6) == expected
+    assert [M.opnorm_upper(a, m) for m in range(6)] == expected
+    assert [M.opnorm_upper(b, m) for m in range(6)] == expected
 
 
 # -- trace moments ---------------------------------------------------------
@@ -788,7 +788,7 @@ def test_embedding_rejects_what_doubling_rejects():
 def test_matrix_combination_cancels_to_canonical_zero(a, lam):
     ma = M.Matrix(a)
     zero = ma.comb(lam, -lam, ma)
-    assert _same(zero, M.Matrix.zero(len(a)))
+    assert _same(zero, M.Matrix.identity(len(a)).scale(0))
     assert zero.d == 1 and zero.is_zero()
     assert zero.rows == fraction_kernels.matrix_add(
         fraction_kernels.matrix_scale(a, lam), fraction_kernels.matrix_scale(a, -lam))
@@ -1010,7 +1010,7 @@ def test_algebra_element_ignores_insertion_order(data, group):
 @given(st.data(), COEFFICIENTS)
 def test_cancelling_combination_is_the_canonical_zero_of_each_kind(data, lam):
     rows = data.draw(matrix_rows())
-    pairs = [(M.Matrix(rows), M.Matrix.zero(len(rows))),
+    pairs = [(M.Matrix(rows), M.Matrix.identity(len(rows)).scale(0)),
              (P.CantorFn.from_tree(data.draw(_trees())), P.CantorFn.from_tree(gr(0))),
              (data.draw(algebra_elements(F2, LETTERS)), G.element(F2, []))]
     for x, zero in pairs:

@@ -66,7 +66,7 @@ def test_two_norm_examples():
     # sqrt(1/2) ~ 0.70711
     assert lo * lo <= Fraction(1, 2) <= hi * hi
     assert hi - lo <= Fraction(1, 2**20)
-    assert M.two_norm(M.Matrix.zero(3), 10) == (0, 0)
+    assert M.two_norm(M.Matrix.identity(3).scale(0), 10) == (0, 0)
 
 
 def test_opnorm_upper_identity():
@@ -87,7 +87,7 @@ def _root_cases(n, rng):
     u, v, c = [entry() for _ in range(n)], [entry() for _ in range(n)], entry()
     corner = [[gr(int(i == j == 0)) for j in range(n)] for i in range(n)]
     return [
-        ("zero", M.Matrix.zero(n)),
+        ("zero", M.Matrix.identity(n).scale(0)),
         ("scalar", M.Matrix.identity(n).scale(c)),
         ("rank1", M.Matrix([[x * y.conjugate() for y in v] for x in u])),
         ("jordan", M.Matrix([[c if i == j else gr(int(j == i + 1)) for j in range(n)]
@@ -129,7 +129,7 @@ def test_opnorm_upper_projection_exact_at_zero():
 
 
 def test_opnorm_upper_zero_matrix():
-    assert M.opnorm_upper(M.Matrix.zero(2), 3) == 0
+    assert M.opnorm_upper(M.Matrix.identity(2).scale(0), 3) == 0
 
 
 def test_opnorm_upper_monotone_in_m():
@@ -184,7 +184,7 @@ def test_embed_dyadic():
 
 
 def test_enumerate_matrices_base_and_positions():
-    assert M.enumerate_matrices(0) == M.Matrix.zero(1)
+    assert M.enumerate_matrices(0) == M.Matrix.identity(1).scale(0)
     i1 = M.matrix_index(M.Matrix.identity(1))
     i2 = M.matrix_index(M.Matrix.identity(2))
     assert i1 < 200 and i2 < 200

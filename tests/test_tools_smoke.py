@@ -1,9 +1,10 @@
 """The count tools in tools/ rebind package internals by name, so a rename in
 `src` can break them without breaking any other test: run each on a few
 benchmark jobs and check that it finishes with one JSON report and no failed
-job."""
+job.  The same goes for the reach probe and the digest tool."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,3 +72,19 @@ def test_digest_tool_runs():
         assert report["jobs"] == 6 and report["failed_jobs"] == 0
         assert len(report["sha256"]) == 64
     assert len({r["sha256"] for r in reports}) == 6
+
+
+def test_reach_tool_runs():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "reach.py"), "--jobs", "3"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["failed_jobs"] == 0 and report["pytest"] is None
+    never = report["never_entered"]
+    assert 0 < report["entered"] == report["defined"] - len(never)
+    assert all(re.fullmatch(r"\w+\.py:\d+ [\w.]+", label) for label in never)
+    place = [(label.split(":")[0], int(label.split(":")[1].split()[0])) for label in never]
+    assert place == sorted(place)
+    # selftest alone enters these
+    names = {label.split()[1] for label in never}
+    assert not names & {"run_all", "eval_sentence", "opnorm_upper", "play_game"}

@@ -9,20 +9,20 @@ script) and prints one JSON line.  For `norms` it gives, per job kind and per
 job, the big-product kernels of the matrix trace chain: the squarings
 `matrices._gram(re, im)` (`_gram`), the power products of its switch
 `_gram(re, im, other)` (`power_products`) and the remainder squarings
-`matrices._square_mod` (where it exists); then the excursion DP
+`matrices._square_mod`; then the excursion DP
 `groups._free_walk_traces`, the convolution kernels `groups._convolve` and
 `groups._pair_trace`, and the word products and inverses (`mul`, `inv` and,
 where they exist, `_mul_normal`, `_inv_normal` of every group kind), and how
-many `_convolve` calls took the packed route (`groups._convolve_packed`,
-where it exists, returned a product).  For `norms` per job kind and for
+many `_convolve` calls took the packed route (`groups._convolve_packed`
+returned a product).  For `norms` per job kind and for
 `queries` per presentation kind it gives the certified roots (`grid_roots`):
 the calls of the kernel `dyadic._grid_root`, how many took the leading-bits
-test (`dyadic._leading_root`, where it exists) and how many of those it
+test (`dyadic._leading_root`) and how many of those it
 could not decide, so that they fell back to the exact route; roots taken
 outside every oracle call of a `queries` job count under "other".  For
 `norms` per job kind and for `queries` per job presentation (jobs without
 one under "other") it gives the objects built (`makes`): the calls of
-`gaussian.GaussianInts._make` (where it exists), which puts every matrix,
+`gaussian.GaussianInts._make`, which puts every matrix,
 algebra element and Cantor function in lowest terms, and how many of them
 divided by a gcd > 1 (`reduced`).  For `norms` per job kind and for
 `queries` per job presentation it gives the largest word count of any
@@ -32,8 +32,8 @@ any wrapper is installed it also times each `norms` and `queries` job alone
 (`run_job`, best of three passes) and gives the mean wall time per job of
 each kind in ms (`job_ms`); this one figure depends on the host, so compare
 checkouts by alternating runs.  For
-every workload it gives the calls of the norm entry points `opnorm_upper`,
-`opnorm_upper_sweep` and `moments_up_to`, how many were repeats (their
+every workload it gives the calls of the norm entry points `opnorm_upper`
+and `moments_up_to`, how many were repeats (their
 object was passed to an entry point before in the same job) and how many
 were memo hits (they ran none of those kernels, nor the trace reads
 `matrices._frobenius_sq` and `_trace_product`), plus the number of jobs
@@ -58,7 +58,7 @@ from pathlib import Path
 
 KERNELS = ("_gram", "power_products", "_square_mod", "_free_walk_traces", "_convolve",
            "_pair_trace", "word_products")
-ENTRIES = ("opnorm_upper", "opnorm_upper_sweep", "moments_up_to")
+ENTRIES = ("opnorm_upper", "moments_up_to")
 ROOT_COUNTS = ("calls", "leading", "fallbacks")
 MAKE_COUNTS = ("calls", "reduced")
 WORD_METHODS = ("mul", "inv", "_mul_normal", "_inv_normal")
@@ -97,8 +97,7 @@ def main(argv=None) -> int:
                              (matrices, "_square_mod", "_square_mod"),
                              (groups, "_free_walk_traces", "_free_walk_traces"),
                              (groups, "_pair_trace", "_pair_trace")):
-        if hasattr(owner, name):
-            setattr(owner, name, counted(getattr(owner, name), key))
+        setattr(owner, name, counted(getattr(owner, name), key))
     largest = [0]  # words of the largest `_convolve` operand or result in this job
     convolve = groups._convolve
 
@@ -114,14 +113,13 @@ def main(argv=None) -> int:
         counts["power_products" if other else "_gram"] += 1
         return gram(re, im, *other)
     matrices._gram = counted_gram
-    if hasattr(groups, "_convolve_packed"):
-        packed = groups._convolve_packed
+    packed = groups._convolve_packed
 
-        def counted_packed(*a):
-            out = packed(*a)
-            counts["_convolve.packed"] += out is not None
-            return out
-        groups._convolve_packed = counted_packed
+    def counted_packed(*a):
+        out = packed(*a)
+        counts["_convolve.packed"] += out is not None
+        return out
+    groups._convolve_packed = counted_packed
     for cls in vars(groups).values():
         if isinstance(cls, type) and issubclass(cls, groups.GroupSpec):
             for name in WORD_METHODS:
@@ -143,8 +141,7 @@ def main(argv=None) -> int:
                 counts[f"{name}.hits"] += kernel_total() == before
         return wrapper
 
-    for owner, name in ((matrices, "opnorm_upper"), (matrices, "opnorm_upper_sweep"),
-                        (groups, "moments_up_to")):
+    for owner, name in ((matrices, "opnorm_upper"), (groups, "moments_up_to")):
         setattr(owner, name, entry(getattr(owner, name), name))
 
     oracle_counts: Counter = Counter()  # (kind, method, "calls" | "keys" | "misses")
@@ -187,29 +184,25 @@ def main(argv=None) -> int:
         counts["grid_roots.calls"] += 1
         oracle_counts[kinds[-1], "grid_roots", "calls"] += 1
         return grid_root(*a)
-    for owner in (dyadic, matrices):
-        if "_grid_root" in vars(owner):
-            owner._grid_root = counted_grid_root
-    if hasattr(dyadic, "_leading_root"):
-        leading_root = dyadic._leading_root
+    dyadic._grid_root = matrices._grid_root = counted_grid_root
+    leading_root = dyadic._leading_root
 
-        def counted_leading_root(*a):
-            c = leading_root(*a)
-            for key in ("leading", "fallbacks") if c is None else ("leading",):
-                counts[f"grid_roots.{key}"] += 1
-                oracle_counts[kinds[-1], "grid_roots", key] += 1
-            return c
-        dyadic._leading_root = counted_leading_root
+    def counted_leading_root(*a):
+        c = leading_root(*a)
+        for key in ("leading", "fallbacks") if c is None else ("leading",):
+            counts[f"grid_roots.{key}"] += 1
+            oracle_counts[kinds[-1], "grid_roots", key] += 1
+        return c
+    dyadic._leading_root = counted_leading_root
 
-    if hasattr(gaussian, "GaussianInts"):
-        make = gaussian.GaussianInts._make.__func__
+    make = gaussian.GaussianInts._make.__func__
 
-        def counted_make(cls, layout, d, parts):
-            out = make(cls, layout, d, parts)
-            counts["makes.calls"] += 1
-            counts["makes.reduced"] += out.d != d  # lowest terms divided d by the gcd
-            return out
-        gaussian.GaussianInts._make = classmethod(counted_make)
+    def counted_make(cls, layout, d, parts):
+        out = make(cls, layout, d, parts)
+        counts["makes.calls"] += 1
+        counts["makes.reduced"] += out.d != d  # lowest terms divided d by the gcd
+        return out
+    gaussian.GaussianInts._make = classmethod(counted_make)
 
     out: dict = {"seed": args.seed, "jobs": args.jobs}
     for workload in names:

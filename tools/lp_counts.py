@@ -7,10 +7,10 @@ Runs the first --jobs jobs of `perfbench.workloads.generate(workload, seed)`
 (for `queries`, the first --jobs of its `fp` and `sup_leq` jobs, the ones
 that solve LPs) from the checkout at --root (default: the one holding this
 script) and prints one JSON line: tableaux built (calls of `feasibility.maximize_rows`
-and `feasibility.lex_minimize_rows`, where it exists), pivots (calls of
+and `feasibility.lex_minimize_rows`), pivots (calls of
 `feasibility._pivot`), `forcing._solve_system` calls and those that repeat
 an earlier (system, constants, instance) of the same job, and moves that
-`forcing._model_certifies` (where it exists) accepted without a solve, all
+`forcing._model_certifies` accepted without a solve, all
 per job, plus the number of jobs whose oracle checks failed; for `queries`
 also the same counts per job of each kind, under the kind's name.  The counts are
 deterministic, so one run per checkout is enough.  Wrapping is done here,
@@ -37,17 +37,16 @@ def main(argv=None) -> int:
     from contlogic import feasibility, forcing
     from perfbench import workloads
 
-    counts = dict.fromkeys(["tableaux", "pivots", "solves", "repeated_solves"], 0)
-    if hasattr(forcing, "_model_certifies"):
-        certifies = forcing._model_certifies
-        counts["certified_moves"] = 0
+    counts = dict.fromkeys(["tableaux", "pivots", "solves", "repeated_solves",
+                            "certified_moves"], 0)
+    certifies = forcing._model_certifies
 
-        def model_certifies(*a):
-            ok = certifies(*a)
-            counts["certified_moves"] += ok
-            return ok
+    def model_certifies(*a):
+        ok = certifies(*a)
+        counts["certified_moves"] += ok
+        return ok
 
-        forcing._model_certifies = model_certifies
+    forcing._model_certifies = model_certifies
     seen: set = set()
 
     def counted(fn, key):
@@ -57,11 +56,9 @@ def main(argv=None) -> int:
         return wrapper
 
     for name in ("maximize_rows", "lex_minimize_rows"):
-        if hasattr(feasibility, name):
-            wrapped = counted(getattr(feasibility, name), "tableaux")
-            for module in (feasibility, forcing):
-                if hasattr(module, name):
-                    setattr(module, name, wrapped)
+        wrapped = counted(getattr(feasibility, name), "tableaux")
+        for module in (feasibility, forcing):
+            setattr(module, name, wrapped)
     feasibility._pivot = counted(feasibility._pivot, "pivots")
     solve = forcing._solve_system
 

@@ -150,9 +150,9 @@ class GaussianInts:
     operands and the pairs of their parts in it, and `_new`, the
     constructor of an operation's raw result, which puts its layout in a
     least form of its own or begins its memo slots empty.  `_make` trusts
-    its integers."""
+    its integers.  `_hash` holds the hash once it has been asked for."""
 
-    __slots__ = ("layout", "d", "parts")
+    __slots__ = ("layout", "d", "parts", "_hash")
 
     @classmethod
     def _make(cls, layout, d: int, parts) -> "GaussianInts":
@@ -160,7 +160,7 @@ class GaussianInts:
         if d > 1 and (g := gcd(d, *chain.from_iterable(parts))) > 1:
             d, parts = d // g, [(r // g, i // g) for r, i in parts]
         out = object.__new__(cls)
-        out.layout, out.d, out.parts = layout, d, tuple(parts)
+        out.layout, out.d, out.parts, out._hash = layout, d, tuple(parts), None
         return out
 
     def comb(self, lam, mu, other):
@@ -194,7 +194,9 @@ class GaussianInts:
                 and self.parts == other.parts and self.layout == other.layout)
 
     def __hash__(self):
-        return hash((self.d, self.parts, self.layout))
+        if self._hash is None:
+            self._hash = hash((self.d, self.parts, self.layout))
+        return self._hash
 
 
 def gr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:

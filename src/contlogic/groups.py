@@ -634,7 +634,9 @@ def _free_walk_traces(w0: dict[Letter, GaussInt], w1: dict[Letter, GaussInt],
 
     First-return excursion DP over cone types: a walk confined below a vertex
     decomposes into self-loops and excursions into children, and every cone of
-    the tree looks alike except for the blocked parent direction.
+    the tree looks alike except for the blocked parent direction.  Each step
+    sums the excursions into all children once; that sum less the blocked
+    child's term serves every direction, so an entry is one sum over j.
 
     The DP runs on Gaussian integers: the weights are integers over one
     denominator D, every length-m walk weight is a product of m weights, so
@@ -649,35 +651,38 @@ def _free_walk_traces(w0: dict[Letter, GaussInt], w1: dict[Letter, GaussInt],
     # dp[p][f][m] = D^m * weight of length-m walks v -> v below v, starting at
     # parity p with direction f blocked
     dp = [{f: [(1, 0)] for f in contexts} for _ in (0, 1)]
-    # excursion[p][t][j] = weight of an excursion into child t from parity p
-    # whose walk below the child has length j, without the step down (weight
-    # [p][t], factored out of the sum over j): that walk times the step back up
-    excursion: list[dict[Letter, list[GaussInt]]] = [{t: [] for t in letters} for _ in (0, 1)]
+    # excursions[p][f][j] = sum over children t != f of the weight of an
+    # excursion from parity p into t whose walk below t has length j: the
+    # step down, that walk and the step back up
+    excursions = [{f: [] for f in contexts} for _ in (0, 1)]
     for m in range(1, steps + 1):
         for p in (0, 1):
             q = 1 - p
+            terms = []
+            sr = si = 0
             for t in letters:
                 xr, xi = dp[q][inv[t]][m - 1]
                 br, bi = weight[(q + m - 1) % 2][inv[t]]
-                excursion[p][t].append((xr * br - xi * bi, xr * bi + xi * br))
+                er, ei = xr * br - xi * bi, xr * bi + xi * br
+                tr, ti = weight[p][t]
+                cr, ci = tr * er - ti * ei, tr * ei + ti * er
+                terms.append((cr, ci))
+                sr += cr
+                si += ci
+            terms.append((0, 0))  # the root blocks no child
+            for (cr, ci), run in zip(terms, excursions[p].values()):
+                run.append((sr - cr, si - ci))
         for p in (0, 1):
             q = 1 - p
             wr, wi = weight[p][None]
-            for f in contexts:
+            for f, run in excursions[p].items():
                 xr, xi = dp[q][f][m - 1]
                 re, im = wr * xr - wi * xi, wr * xi + wi * xr
                 rest = (dp[p][f], dp[q][f])  # by the parity of the remaining walk
-                for t in letters:
-                    tr, ti = weight[p][t]
-                    if t == f or not (tr or ti):
-                        continue
-                    sr = si = 0
-                    for j, (er, ei) in enumerate(excursion[p][t][: m - 1]):
-                        yr, yi = rest[j % 2][m - 2 - j]
-                        sr += er * yr - ei * yi
-                        si += er * yi + ei * yr
-                    re += tr * sr - ti * si
-                    im += tr * si + ti * sr
+                for j, (er, ei) in enumerate(run[: m - 1]):
+                    yr, yi = rest[j % 2][m - 2 - j]
+                    re += er * yr - ei * yi
+                    im += er * yi + ei * yr
                 dp[p][f].append((re, im))
     return dp[0][None]
 

@@ -18,9 +18,10 @@ chart starts from its 2^d half-boxes split at t = 0.  Ratios at corners are
 exact lower bounds.  The box of greatest upper bound is split at its midpoint
 until the square roots of both bounds are pinned to width 2^-k.  Conversion
 (C(n,i) b_i = sum_q C(n-q, i-q) c_q) and de Casteljau splits (scaled by
-2^degree) stay in the integers.  The conversion weights of each degree are
-built once per process (`_bernstein_weights`), and the sign flips of the
-half-boxes once per call.
+2^degree) stay in the integers.  What depends only on the degrees (the
+conversion weights, chart factors and, per degree tuple, `_layout`) is built
+once per process in bounded caches of tuples.  Bounds are compared as
+integer ratios; Fractions are built only for heap keys and square roots.
 """
 
 from __future__ import annotations
@@ -44,14 +45,15 @@ class TorusBoundFailure(ContlogicError):
     pass
 
 
-def _chart_factor(m: int, e: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=256)
+def _chart_factor(m: int, e: int) -> tuple[tuple[int, int], ...]:
     """(1+it)^(m+e) (1-it)^(m-e) = z^e (1+t^2)^m / s^e, as Gaussian integers."""
     poly = [(1, 0)]
     for sign in [1] * (m + e) + [-1] * (m - e):
         # times 1 + sign*i*t, where i*(a+bi) = -b+ai
         poly = [(a - sign * pb, b + sign * pa)
                 for (a, b), (pa, pb) in zip(poly + [(0, 0)], [(0, 0)] + poly)]
-    return poly
+    return tuple(poly)
 
 
 @lru_cache(maxsize=16)
@@ -75,7 +77,7 @@ def _to_bernstein(coeffs: list[int], fibers: list[list[int]]) -> list[int]:
 
 def _split(coeffs: list[int], fibers: list[list[int]]) -> tuple[list[int], list[int]]:
     """De Casteljau at the midpoint along one axis, both halves times 2^n."""
-    left, right = coeffs[:], coeffs[:]
+    left, right = list(coeffs), list(coeffs)
     for fiber in fibers:
         row = [coeffs[f] for f in fiber]
         n = len(row) - 1
@@ -113,6 +115,29 @@ def _chart_numerator(terms, degrees: list[int], signs: Vector) -> list[int]:
     return numerator
 
 
+@lru_cache(maxsize=64)
+def _layout(degrees: tuple[int, ...]):
+    """Per axis the flat indices of every line along it (fibers) and Q's one
+    fiber; the corners; Q's factors in Bernstein form; the half-boxes' flips."""
+    shape = tuple(4 * m + 1 for m in degrees)
+    digits = list(product(*(range(n) for n in shape)))  # flat row-major order
+    fibers = tuple(tuple(tuple(base + i * prod(shape[j + 1:]) for i in range(n))
+                         for base, idx in enumerate(digits) if idx[j] == 0)
+                   for j, n in enumerate(shape))
+    q_fibers = tuple((tuple(range(n)),) for n in shape)
+    corners = tuple(i for i, idx in enumerate(digits)
+                    if all(a in (0, n - 1) for a, n in zip(idx, shape)))
+    # Q is a product of one factor (1+u^2)^(2 M_j) per axis, in Bernstein form
+    q_start = tuple(tuple(_to_bernstein([comb(2 * m, i // 2) * (1 - i % 2) for i in range(n)],
+                                        fiber))
+                    for m, n, fiber in zip(degrees, shape, q_fibers))
+    # the half t <= 0 is t = -u with u in [0,1]: a coefficient flips sign
+    # when its degrees in the axes taken negative sum to an odd number
+    halves = tuple(tuple(sum(a for a, h in zip(idx, half) if h < 0) % 2 for idx in digits)
+                   for half in product((1, -1), repeat=len(degrees)))
+    return fibers, q_fibers, corners, q_start, halves
+
+
 def torus_sup_norm(support: dict[Vector, GaussianRational], k: int
                    ) -> tuple[Fraction, Fraction]:
     """Interval of width <= 2^-k around sup |sum c_m z^m| over the d-torus."""
@@ -124,45 +149,32 @@ def torus_sup_norm(support: dict[Vector, GaussianRational], k: int
     if any(len(v) != dims for v in support):
         raise ValueError("support vectors have mixed dimensions")
 
-    degrees = [max(abs(v[j]) for v in support) for j in range(dims)]
+    degrees = tuple(max(abs(v[j]) for v in support) for j in range(dims))
     denom, ints = over_common_denominator(support.values())
-    shape = tuple(4 * m + 1 for m in degrees)
-    digits = list(product(*(range(n) for n in shape)))  # flat row-major order
-    # fibers[j]: the flat indices of every line along axis j
-    fibers = [[[base + i * prod(shape[j + 1:]) for i in range(n)]
-               for base, idx in enumerate(digits) if idx[j] == 0]
-              for j, n in enumerate(shape)]
-    corners = [i for i, idx in enumerate(digits)
-               if all(a in (0, n - 1) for a, n in zip(idx, shape))]
-    # Q is a product of one factor (1+u^2)^(2 M_j) per axis, in Bernstein form
-    q_start = [_to_bernstein([comb(2 * m, i // 2) * (1 - i % 2) for i in range(n)],
-                             [list(range(n))]) for m, n in zip(degrees, shape)]
+    fibers, q_fibers, corners, q_start, halves = _layout(degrees)
 
-    best_lb = Fraction(0)  # lower bound on sup |f|^2
+    lb_num, lb_den = 0, 1  # sup |f|^2 >= lb_num / (lb_den * denom^2)
     heap: list = []
     boxes = 0  # boxes bounded so far, also the heap's tie-breaker
 
-    def push(depths: tuple[int, ...], coeffs: list[int], qs: list[list[int]]):
-        nonlocal best_lb, boxes
+    def push(depths: tuple[int, ...], coeffs: list[int], qs):
+        nonlocal lb_num, lb_den, boxes
         boxes += 1
         if boxes > _MAX_BOXES:
             raise TorusBoundFailure("subdivision budget exhausted")
         if any(c <= 0 for q in qs for c in q):
             raise TorusBoundFailure("a Bernstein coefficient of Q is not positive")
         den = [prod(c) for c in product(*qs)]
-        best_lb = max(best_lb, *(Fraction(coeffs[i], den[i] * denom**2) for i in corners))
+        for i in corners:
+            if coeffs[i] * lb_den > lb_num * den[i]:
+                lb_num, lb_den = coeffs[i], den[i]
         top_p, top_q = coeffs[0], den[0]
         for p, q in zip(coeffs, den):
             if p * top_q > top_p * q:
                 top_p, top_q = p, q
-        ub = Fraction(top_p, top_q * denom**2)
-        if ub > best_lb:  # otherwise the box holds nothing above best_lb
-            heapq.heappush(heap, (-ub, boxes, depths, coeffs, qs))
+        if top_p * lb_den > lb_num * top_q:  # otherwise the box holds nothing above the bound
+            heapq.heappush(heap, (-Fraction(top_p, top_q * denom**2), boxes, depths, coeffs, qs))
 
-    # the half t <= 0 is t = -u with u in [0,1]: a coefficient flips sign
-    # when its degrees in the axes taken negative sum to an odd number
-    halves = [[sum(a for a, h in zip(idx, half) if h < 0) % 2 for idx in digits]
-              for half in product((1, -1), repeat=dims)]
     for signs in product((1, -1), repeat=dims):
         numerator = _chart_numerator(zip(support, ints), degrees, signs)
         for flips in halves:
@@ -172,7 +184,8 @@ def torus_sup_norm(support: dict[Vector, GaussianRational], k: int
             push((0,) * dims, coeffs, q_start)
 
     while True:
-        # boxes left out of the heap were bounded by an earlier best_lb
+        best_lb = Fraction(lb_num, lb_den * denom**2)
+        # boxes left out of the heap were bounded by an earlier lower bound
         sup_sq_ub = max(-heap[0][0], best_lb) if heap else best_lb
         root_lo = sqrt_interval(best_lb, k + 2)[0]
         root_hi = sqrt_interval(sup_sq_ub, k + 2)[1]
@@ -181,7 +194,7 @@ def torus_sup_norm(support: dict[Vector, GaussianRational], k: int
         _, _, depths, coeffs, qs = heapq.heappop(heap)
         # the widest box side among the axes of positive degree
         axis = min((j for j in range(dims) if degrees[j]), key=lambda j: depths[j])
-        parts = zip(_split(coeffs, fibers[axis]), _split(qs[axis], [list(range(shape[axis]))]))
+        parts = zip(_split(coeffs, fibers[axis]), _split(qs[axis], q_fibers[axis]))
         for part, q_part in parts:
             push(tuple(d + (j == axis) for j, d in enumerate(depths)), part,
                  [q_part if j == axis else q for j, q in enumerate(qs)])

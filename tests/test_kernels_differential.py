@@ -5,7 +5,10 @@ the `Matrix.__mul__` trace-power chain, the Gaussian Rayleigh quotient, the
 Fraction excursion DP and the bisection for grid n-th roots, and the Fraction
 group-algebra product; also the all-Newton integer n-th root.  The
 moment routes are also checked against power products formed with that
-product.  Every value compared is exact.
+product.  The integer excursion DP is also run on raw weight maps (one or
+two generators, with and without an identity weight, every letter weight
+zero at one parity) against the per-child Fraction DP.  Every value
+compared is exact.
 
 The presentation objects (matrices, group-algebra elements, functions on
 Cantor space) are held as Gaussian integers over one denominator; each of
@@ -420,6 +423,53 @@ def test_dp_route_matches_power_products(data, n):
     a = data.draw(elements(F2, LETTERS))
     assert G._letter_weights(a) is not None
     assert G.moments_up_to(a, n) == _power_products(a, n)
+
+
+GAUSS_INTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def walk_weights(draw):
+    """Raw weight maps (w0, w1) over the letters of one or two generators,
+    closed under inverses as `moments_up_to` passes them: a letter's weight
+    may be absent or (0, 0), the identity weight may be absent, and every
+    letter weight may be zero at one parity."""
+    letters = [(g, s) for g in ("u", "v")[:draw(st.integers(1, 2))] for s in (1, -1)]
+    maps = []
+    for _ in (0, 1):
+        w = {t: c for t in letters
+             if (c := draw(st.one_of(st.none(), st.just((0, 0)), GAUSS_INTS))) is not None}
+        if draw(st.booleans()):
+            w[None] = draw(GAUSS_INTS)
+        maps.append(w)
+    silent = draw(st.sampled_from([None, 0, 1]))
+    if silent is not None:
+        maps[silent] = {t: (0, 0) for t in letters} | {None: maps[silent].get(None, (1, 0))}
+    maps[0] |= {t: (0, 0) for t in letters if t not in maps[0] and t not in maps[1]}
+    return maps
+
+
+def _fraction_walk_traces(w0, w1, steps):
+    """The per-child Fraction DP, its GaussianRational entries read back as
+    integer pairs (every weight is an integer, so D = 1)."""
+    as_gr = [{t: gr(*c) for t, c in w.items()} for w in (w0, w1)]
+    out = fraction_kernels._free_walk_traces(*as_gr, steps)
+    assert all(z.re.denominator == z.im.denominator == 1 for z in out)
+    return [(int(z.re), int(z.im)) for z in out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_weights(), st.integers(0, 32))
+def test_free_walk_traces_match_per_child_fraction_dp(weights, steps):
+    w0, w1 = weights
+    assert G._free_walk_traces(w0, w1, steps) == _fraction_walk_traces(w0, w1, steps)
+
+
+def test_free_walk_traces_match_per_child_fraction_dp_at_128_steps():
+    w0 = {("u", 1): (1, 0), ("u", -1): (0, -1), None: (1, 1)}
+    w1 = {("u", 1): (0, 1), ("u", -1): (1, 0), None: (1, -1)}
+    traces = G._free_walk_traces(w0, w1, 128)
+    assert len(traces) == 129 and traces == _fraction_walk_traces(w0, w1, 128)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1004,6 +1054,26 @@ def test_algebra_element_ignores_insertion_order(data, group):
     assert list(a.words) == sorted(a.words)
     c = G.element(spec, [(coeff, w) for w, coeff in reversed(order)])
     assert c == a and hash(c) == hash(a)
+
+
+def test_equal_objects_built_by_different_routes_hash_their_fields():
+    u, v = (("u", 1),), (("v", -1),)
+    a = G.element(F2, [(Fraction(1, 2), u), (gr(0, 1), v)])
+    rows = ((gr(1), gr(Fraction(1, 3))), (gr(0, -1), gr(2)))
+    f = P.CantorFn.from_tree((gr(1), (gr(0, 1), gr(Fraction(-1, 2)))))
+    pairs = [
+        (a, G.AlgebraElement(F2, {v: gr(0, 1), u: gr(Fraction(1, 2))})),
+        (a, (a + a).scale(Fraction(1, 2))),
+        (a, G.element(F2, [(1, ())]) * a),
+        (M.Matrix(rows), M.Matrix(rows).scale(3) - M.Matrix(rows).scale(2)),
+        (M.Matrix(rows), M.Matrix.identity(2) * M.Matrix(rows)),
+        (f, f.comb(2, -1, f)),
+        (f, P.CantorFn.from_tree((gr(1), (gr(0, 1), gr(Fraction(-1, 2))))) + f.scale(0)),
+    ]
+    for x, y in pairs:
+        assert x is not y and x == y
+        # the first hash is computed and kept, the second read back
+        assert hash(x) == hash(y) == hash((x.d, x.parts, x.layout)) == hash(x)
 
 
 @settings(max_examples=40, deadline=None)

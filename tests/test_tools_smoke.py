@@ -44,6 +44,14 @@ def test_count_tool_runs(script, jobs):
         assert words[0].keys() == report["norms"]["job_ms"].keys()
         assert words[1].keys() == makes[1].keys()
         assert all(0 <= n <= 4096 for n in (*words[0].values(), *words[1].values()))
+        tori = report["norms"]["torus"], report["queries"]["torus"]
+        assert tori[0].keys() == report["norms"]["job_ms"].keys()
+        assert tori[1].keys() == makes[1].keys()
+        for counts in (*tori[0].values(), *tori[1].values()):
+            assert counts.keys() == {"_split", "_to_bernstein"}
+            assert min(counts.values()) >= 0
+        # the first 14 norms jobs hold both torus kinds, each converting its charts
+        assert all(tori[0][kind]["_to_bernstein"] > 0 for kind in ("torus:1", "torus:2"))
     else:
         assert report["failed_jobs"] == 0
 

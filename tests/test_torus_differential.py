@@ -4,6 +4,9 @@
 branch-and-bound, kept as an oracle.  Both return certified brackets around
 the same sup, so they must intersect; the new one must also be at most 2^-k
 wide and lie above |f| at every rational circle point t = j/16 of both charts.
+What the module caches per degree (layouts, chart factors, conversion
+weights) is checked to be tuples that a run leaves as they were, and runs
+that alternate degree tuples to match runs from cleared caches.
 """
 
 from fractions import Fraction
@@ -88,3 +91,50 @@ def test_degree_zero_axis_is_never_split(monkeypatch):
     bracket = torus.torus_sup_norm(only_u, 10)
     assert lengths and set(lengths) == {9}  # u has degree 4*2, v degree 0
     assert torus.torus_sup_norm({(2,): only_u[(2, 0)], (-1,): only_u[(-1, 0)]}, 10) == bracket
+
+
+# one support per degree tuple: (1,), (3,), (1, 2) and (2, 0)
+ALTERNATING = [
+    ({(1,): GaussianRational(Fraction(1), Fraction(0)),
+      (-1,): GaussianRational(Fraction(0), Fraction(1, 2))}, 6),
+    ({(3,): GaussianRational(Fraction(-1, 3), Fraction(0)),
+      (0,): GaussianRational(Fraction(1, 2), Fraction(1, 2))}, 4),
+    ({(1, -2): GaussianRational(Fraction(1), Fraction(1)),
+      (0, 1): GaussianRational(Fraction(-1, 2), Fraction(0))}, 2),
+    ({(2, 0): GaussianRational(Fraction(3, 4), Fraction(0)),
+      (-1, 0): GaussianRational(Fraction(0), Fraction(-1))}, 5),
+]
+CACHES = (torus._layout, torus._chart_factor, torus._bernstein_weights)
+
+
+def _tuples_of_ints(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_tuples_of_ints(v) for v in value)
+    return type(value) is int
+
+
+def test_alternating_degrees_match_runs_from_cleared_caches():
+    fresh = []
+    for support, k in ALTERNATING:
+        for cache in CACHES:
+            cache.cache_clear()
+        fresh.append(torus.torus_sup_norm(support, k))
+    for _ in range(2):
+        for (support, k), bracket in zip(ALTERNATING + ALTERNATING[::-1],
+                                         fresh + fresh[::-1]):
+            assert torus.torus_sup_norm(support, k) == bracket
+    assert all(cache.cache_info().maxsize is not None for cache in CACHES)
+
+
+def test_cached_layouts_and_factors_are_tuples_left_unchanged():
+    support, k = ALTERNATING[2]
+    torus.torus_sup_norm(support, k)
+    layout = torus._layout((1, 2))
+    factors = [torus._chart_factor(m, e) for m in (1, 2) for e in range(-m, m + 1)]
+    before = repr((layout, factors))
+    assert _tuples_of_ints(layout) and all(map(_tuples_of_ints, factors))
+    for support, k in ALTERNATING:
+        torus.torus_sup_norm(support, k)
+    assert torus._layout((1, 2)) is layout
+    assert [torus._chart_factor(m, e) for m in (1, 2) for e in range(-m, m + 1)] == factors
+    assert repr((layout, factors)) == before

@@ -27,7 +27,11 @@ algebra element and Cantor function in lowest terms, and how many of them
 divided by a gcd > 1 (`reduced`).  For `norms` per job kind and for
 `queries` per job presentation it gives the largest word count of any
 `_convolve` operand or result (`convolve_words_max`), the headroom under
-`gaussian.PARTS_MAX`.  Before
+`gaussian.PARTS_MAX`, and the calls of the torus kernels (`torus`): the
+de Casteljau split `torus._split` and the Bernstein conversion
+`torus._to_bernstein`; the conversions include those of Q's factors,
+which `torus._layout` makes once per degree tuple in a process, so after
+the timed passes below they count none.  Before
 any wrapper is installed it also times each `norms` and `queries` job alone
 (`run_job`, best of three passes) and gives the mean wall time per job of
 each kind in ms (`job_ms`); this one figure depends on the host, so compare
@@ -62,6 +66,7 @@ ENTRIES = ("opnorm_upper", "moments_up_to")
 ROOT_COUNTS = ("calls", "leading", "fallbacks")
 MAKE_COUNTS = ("calls", "reduced")
 WORD_METHODS = ("mul", "inv", "_mul_normal", "_inv_normal")
+TORUS_KERNELS = ("_split", "_to_bernstein")
 TIMED_PASSES = 3
 TIMED_WORKLOADS = ("norms", "queries")
 
@@ -75,7 +80,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
-    from contlogic import dyadic, gaussian, groups, matrices, presentations
+    from contlogic import dyadic, gaussian, groups, matrices, presentations, torus
     from perfbench import workloads
     from perfbench.tracing import _presentation_kind
 
@@ -96,7 +101,9 @@ def main(argv=None) -> int:
                              (matrices, "_trace_product", "_trace_product"),
                              (matrices, "_square_mod", "_square_mod"),
                              (groups, "_free_walk_traces", "_free_walk_traces"),
-                             (groups, "_pair_trace", "_pair_trace")):
+                             (groups, "_pair_trace", "_pair_trace"),
+                             (torus, "_split", "_split"),
+                             (torus, "_to_bernstein", "_to_bernstein")):
         setattr(owner, name, counted(getattr(owner, name), key))
     largest = [0]  # words of the largest `_convolve` operand or result in this job
     convolve = groups._convolve
@@ -239,6 +246,7 @@ def main(argv=None) -> int:
             report["grid_roots"] = {kind: {k: c[k] for k in ROOT_COUNTS} for kind, c in roots.items()}
             report["oracles"] = oracles
             report["makes"] = _makes(per_presentation)
+            report["torus"] = _torus(per_presentation)
             report["convolve_words_max"] = dict(words)
             report["job_ms"] = job_ms[workload]
         if workload == "norms":
@@ -248,6 +256,7 @@ def main(argv=None) -> int:
             report["grid_roots"] = {kind: {k: c[f"grid_roots.{k}"] for k in ROOT_COUNTS}
                                     for kind, c in per_kind.items()}
             report["makes"] = _makes(per_kind)
+            report["torus"] = _torus(per_kind)
             report["job_ms"] = job_ms[workload]
             report["convolve_words_max"] = dict(words)
         out[workload] = report
@@ -257,6 +266,10 @@ def main(argv=None) -> int:
 
 def _makes(by_key: dict) -> dict:
     return {key: {k: c[f"makes.{k}"] for k in MAKE_COUNTS} for key, c in by_key.items()}
+
+
+def _torus(by_key: dict) -> dict:
+    return {key: {k: c[k] for k in TORUS_KERNELS} for key, c in by_key.items()}
 
 
 def _job_ms(workloads, jobs) -> dict:

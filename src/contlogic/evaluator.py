@@ -223,8 +223,9 @@ class _Evaluation:
     slots, `atoms` keys each oracle interval by (predicate, argument
     objects), so atoms whose arguments evaluate to equal objects (most often
     the zero object, which many points give) query the oracle once.
-    Precision and oracle budget are fixed per call, so no key holds them;
-    every memo dies with the call.
+    Precision and oracle budget are fixed per call, so no key holds them.
+    Set-up unbinds the self-calling `build` and `qf`, so no closure reaches
+    itself and every memo dies by reference count with the call.
     """
 
     def __init__(self, formula: F.Formula, pres: Presentation, budget: EvalBudget,
@@ -311,7 +312,10 @@ class _Evaluation:
                 return dot_minus
             raise EvalError("quantifier below a connective in a qf evaluation")
 
-        self.leaf = qf(matrix)
+        try:
+            self.leaf = qf(matrix)
+        finally:
+            del build, qf  # each calls itself through its cell: a cycle only the GC would free
         self.width = sum(1 for _ in F.subformulas(matrix))  # atoms and connectives
 
 
@@ -382,7 +386,10 @@ def eval_sentence(formula: F.Formula, pres: Presentation, budget: EvalBudget,
         return ((bound, None) if is_sup else (None, bound)) + (
             estimate_at[1][2], slack, ((position, index),) + best[4])
 
-    lower, upper, estimate, slack, witnesses = sweep(0)
+    try:
+        lower, upper, estimate, slack, witnesses = sweep(0)
+    finally:
+        del sweep  # it calls itself through its cell: a cycle only the GC would free
     lower, upper = (None if q is None else Fraction(*q) for q in (lower, upper))
     return EvalResult(lower, upper, Fraction(*estimate), dict(witnesses), Fraction(*slack))
 

@@ -402,8 +402,10 @@ def prenex_parts(formula: Formula) -> tuple[list[tuple[type, str]], Formula]:
             return pull(f.body, {**env, f.var: Var(new)}, flip)
         raise FormulaError(f"not a formula: {f!r}")
 
-    matrix = pull(formula, {}, False)
-    return prefix, matrix
+    try:
+        return prefix, pull(formula, {}, False)
+    finally:
+        del pull  # it calls itself through its cell: a cycle only the GC would free
 
 
 def prenex(formula: Formula) -> Formula:

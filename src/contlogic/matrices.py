@@ -299,9 +299,12 @@ def _switch(a: Matrix, squares: list, traces: list[int], m: int) -> tuple[list, 
             powers[e] = _gram(*power(top), power(e - top))
         return powers[e]
 
-    sums = [n] + [traces[k.bit_length() - 1] if k & (k - 1) == 0
-                  else _trace_product(power(k // 2), power((k + 1) // 2))
-                  for k in range(1, n + 1)]
+    try:
+        sums = [n] + [traces[k.bit_length() - 1] if k & (k - 1) == 0
+                      else _trace_product(power(k // 2), power((k + 1) // 2))
+                      for k in range(1, n + 1)]
+    finally:
+        del power  # it calls itself through its cell: a cycle only the GC would free
     c = _charpoly(sums)
     i = n.bit_length() - 1
     r = c[:] if 1 << i == n else [int(k == 1 << i) for k in range(n)]

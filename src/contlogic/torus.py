@@ -89,17 +89,16 @@ def _split(coeffs: list[int], fibers: list[list[int]]) -> tuple[list[int], list[
     return left, right
 
 
-def _chart_numerator(terms, degrees: list[int], signs: Vector) -> list[int]:
-    """P = |F|^2 in t on the chart of `signs`, flat over shape 4M_j+1."""
-    factors = [{e: _chart_factor(m, e) for e in range(-m, m + 1)} for m in degrees]
+def _chart_numerator(terms, degrees: list[int], factors, signs: Vector) -> list[int]:
+    """P = |F|^2 in t on the chart of `signs`, flat over shape 4M_j+1 (factors: `_layout`)."""
     f_re = [0] * prod(2 * m + 1 for m in degrees)
     f_im = f_re[:]
     for vec, (cr, ci) in terms:
         flip = -1 if sum(e for e, s in zip(vec, signs) if s < 0) % 2 else 1
         term = [(flip * cr, flip * ci)]
-        for fac, e in zip(factors, vec):
+        for m, fac, e in zip(degrees, factors, vec):
             term = [(ar * br - ai * bi, ar * bi + ai * br)
-                    for ar, ai in term for br, bi in fac[e]]
+                    for ar, ai in term for br, bi in fac[e + m]]
         for idx, (r, i) in enumerate(term):
             f_re[idx] += r
             f_im[idx] += i
@@ -118,7 +117,8 @@ def _chart_numerator(terms, degrees: list[int], signs: Vector) -> list[int]:
 @lru_cache(maxsize=64)
 def _layout(degrees: tuple[int, ...]):
     """Per axis the flat indices of every line along it (fibers) and Q's one
-    fiber; the corners; Q's factors in Bernstein form; the half-boxes' flips."""
+    fiber; the corners; Q's factors in Bernstein form; the half-boxes' flips;
+    per axis the chart factors, by exponent e at e + M_j."""
     shape = tuple(4 * m + 1 for m in degrees)
     digits = list(product(*(range(n) for n in shape)))  # flat row-major order
     fibers = tuple(tuple(tuple(base + i * prod(shape[j + 1:]) for i in range(n))
@@ -135,7 +135,8 @@ def _layout(degrees: tuple[int, ...]):
     # when its degrees in the axes taken negative sum to an odd number
     halves = tuple(tuple(sum(a for a, h in zip(idx, half) if h < 0) % 2 for idx in digits)
                    for half in product((1, -1), repeat=len(degrees)))
-    return fibers, q_fibers, corners, q_start, halves
+    factors = tuple(tuple(_chart_factor(m, e) for e in range(-m, m + 1)) for m in degrees)
+    return fibers, q_fibers, corners, q_start, halves, factors
 
 
 def torus_sup_norm(support: dict[Vector, GaussianRational], k: int
@@ -150,8 +151,10 @@ def torus_sup_norm(support: dict[Vector, GaussianRational], k: int
         raise ValueError("support vectors have mixed dimensions")
 
     degrees = tuple(max(abs(v[j]) for v in support) for j in range(dims))
+    if not any(degrees):  # a constant c: the loop below returns this on its first turn
+        return sqrt_interval(support[degrees].abs_sq(), k + 2)
     denom, ints = over_common_denominator(support.values())
-    fibers, q_fibers, corners, q_start, halves = _layout(degrees)
+    fibers, q_fibers, corners, q_start, halves, factors = _layout(degrees)
 
     lb_num, lb_den = 0, 1  # sup |f|^2 >= lb_num / (lb_den * denom^2)
     heap: list = []
@@ -176,7 +179,7 @@ def torus_sup_norm(support: dict[Vector, GaussianRational], k: int
             heapq.heappush(heap, (-Fraction(top_p, top_q * denom**2), boxes, depths, coeffs, qs))
 
     for signs in product((1, -1), repeat=dims):
-        numerator = _chart_numerator(zip(support, ints), degrees, signs)
+        numerator = _chart_numerator(zip(support, ints), degrees, factors, signs)
         for flips in halves:
             coeffs = [-c if f else c for c, f in zip(numerator, flips)]
             for fib in fibers:

@@ -52,6 +52,11 @@ def test_count_tool_runs(script, jobs):
             assert min(counts.values()) >= 0
         # the first 14 norms jobs hold both torus kinds, each converting its charts
         assert all(tori[0][kind]["_to_bernstein"] > 0 for kind in ("torus:1", "torus:2"))
+        # every job frees what it built by reference counting
+        for workload in ("norms", "queries"):
+            garbage = report[workload]["cyclic_garbage"]
+            assert garbage.keys() == report[workload]["job_ms"].keys()
+            assert set(garbage.values()) == {0}, garbage
     else:
         assert report["failed_jobs"] == 0
 

@@ -6,7 +6,8 @@ the same sup, so they must intersect; the new one must also be at most 2^-k
 wide and lie above |f| at every rational circle point t = j/16 of both charts.
 What the module caches per degree (layouts, chart factors, conversion
 weights) is checked to be tuples that a run leaves as they were, and runs
-that alternate degree tuples to match runs from cleared caches.
+that alternate degree tuples to match runs from cleared caches.  A constant
+returns the chart route's bracket without building a chart.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import interval_torus
 from contlogic import torus
+from contlogic.dyadic import sqrt_interval
 from contlogic.gaussian import GaussianRational
 
 PARTS = [Fraction(c) for c in (-1, 0, 0, 1, 2)] + [
@@ -138,3 +140,50 @@ def test_cached_layouts_and_factors_are_tuples_left_unchanged():
     assert torus._layout((1, 2)) is layout
     assert [torus._chart_factor(m, e) for m in (1, 2) for e in range(-m, m + 1)] == factors
     assert repr((layout, factors)) == before
+
+
+def test_layout_chart_factors_are_tuples_by_exponent():
+    # `_chart_numerator` reads axis j's factor of z^e at e + M_j of the layout's
+    # last entry; a run of other degree tuples leaves it as it was
+    for degrees in ((1,), (3,), (1, 2), (2, 0)):
+        factors = torus._layout(degrees)[-1]
+        before = repr(factors)
+        assert type(factors) is tuple and len(factors) == len(degrees)
+        for m, axis in zip(degrees, factors):
+            assert type(axis) is tuple and _tuples_of_ints(axis)
+            assert axis == tuple(torus._chart_factor(m, e) for e in range(-m, m + 1))
+        for support, k in ALTERNATING:
+            torus.torus_sup_norm(support, k)
+        assert repr(torus._layout(degrees)[-1]) == before
+
+
+# constants, each with a zero coefficient of degree 3 that drops out, and the
+# brackets the chart route returned for them
+CONSTANTS = [
+    (GaussianRational(Fraction(1, 2), Fraction(1, 3)), 1,
+     {1: (Fraction(1, 2), Fraction(5, 8)), 4: (Fraction(19, 32), Fraction(39, 64)),
+      9: (Fraction(615, 1024), Fraction(1231, 2048))}),
+    (GaussianRational(Fraction(-2, 3), Fraction(0)), 2,
+     {1: (Fraction(5, 8), Fraction(3, 4)), 4: (Fraction(21, 32), Fraction(43, 64)),
+      9: (Fraction(1365, 2048), Fraction(683, 1024))}),
+    (GaussianRational(Fraction(0), Fraction(5, 7)), 1,
+     {1: (Fraction(5, 8), Fraction(3, 4)), 4: (Fraction(45, 64), Fraction(23, 32)),
+      9: (Fraction(731, 1024), Fraction(1463, 2048))}),
+]
+
+
+def test_a_constant_skips_the_charts(monkeypatch):
+    zero = GaussianRational(Fraction(0), Fraction(0))
+
+    def no_chart(*a):
+        raise AssertionError("a constant needs no chart")
+
+    monkeypatch.setattr(torus, "_chart_numerator", no_chart)
+    for c, dims, brackets in CONSTANTS:
+        support = {(0,) * dims: c, (3,) + (0,) * (dims - 1): zero}
+        for k, bracket in brackets.items():
+            assert _check(support, k) == bracket
+            assert bracket == sqrt_interval(c.abs_sq(), k + 2)
+    # a constant that cancels to zero, alone or beside zero terms of positive degree
+    for support in ({(0,): zero}, {(0, 0): zero, (1, -1): zero}):
+        assert torus.torus_sup_norm(support, 5) == (Fraction(0), Fraction(0))

@@ -31,7 +31,10 @@ divided by a gcd > 1 (`reduced`).  For `norms` per job kind and for
 de Casteljau split `torus._split` and the Bernstein conversion
 `torus._to_bernstein`; the conversions include those of Q's factors,
 which `torus._layout` makes once per degree tuple in a process, so after
-the timed passes below they count none.  Before
+the timed passes below they count none.  For `norms` and `queries` per
+job kind it gives the mean number of objects per job that only the cyclic
+garbage collector could free (`cyclic_garbage`): each job runs with the
+collector off, and `gc.collect()` counts what it left unreachable.  Before
 any wrapper is installed it also times each `norms` and `queries` job alone
 (`run_job`, best of three passes) and gives the mean wall time per job of
 each kind in ms (`job_ms`); this one figure depends on the host, so compare
@@ -54,6 +57,7 @@ outside the benchmark, by rebinding module and class names.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -225,7 +229,12 @@ def main(argv=None) -> int:
             seen.clear()
             oracle_keys.clear()
             largest[0] = 0
-            failed += bool(workloads.check_job(job, workloads.run_job(job)))
+            gc.collect()
+            gc.disable()  # so that the collect below finds what the job left in cycles
+            output = workloads.run_job(job)
+            counts["cyclic_garbage"] += gc.collect()
+            gc.enable()
+            failed += bool(workloads.check_job(job, output))
             per_kind[job["kind"]].update(counts)
             per_kind[job["kind"]]["jobs"] += 1
             per_presentation[job.get("presentation", "other")].update(counts)
@@ -249,6 +258,7 @@ def main(argv=None) -> int:
             report["torus"] = _torus(per_presentation)
             report["convolve_words_max"] = dict(words)
             report["job_ms"] = job_ms[workload]
+            report["cyclic_garbage"] = _cyclic_garbage(per_kind)
         if workload == "norms":
             report["per_job"] = {
                 kind: {k: round(c[k] / c["jobs"], 3) for k in KERNELS + ("_convolve.packed",)}
@@ -259,6 +269,7 @@ def main(argv=None) -> int:
             report["torus"] = _torus(per_kind)
             report["job_ms"] = job_ms[workload]
             report["convolve_words_max"] = dict(words)
+            report["cyclic_garbage"] = _cyclic_garbage(per_kind)
         out[workload] = report
     print(json.dumps(out))
     return 0
@@ -266,6 +277,10 @@ def main(argv=None) -> int:
 
 def _makes(by_key: dict) -> dict:
     return {key: {k: c[f"makes.{k}"] for k in MAKE_COUNTS} for key, c in by_key.items()}
+
+
+def _cyclic_garbage(per_kind: dict) -> dict:
+    return {kind: round(c["cyclic_garbage"] / c["jobs"], 3) for kind, c in per_kind.items()}
 
 
 def _torus(by_key: dict) -> dict:
